@@ -18,7 +18,7 @@ from .primefield import (NotAResidueError, PrimeGroupParams, is_probable_prime,
                          sqrt_mod_p, xgcd)
 from .walk import (DecisionsExhaustedError, DlogResult, PrecomputedTable,
                    UnsupportedGroupError, WalkConfig, WalkEntry,
-                   build_table_one, run_dlog, run_dlog_parallel)
+                   build_table_one, run_dlog)
 
 __all__ = [
     "BinaryFieldParams", "CongruenceSolution", "DegenerateCollisionError",
@@ -29,5 +29,5 @@ __all__ = [
     "enumerate_candidates", "format_elem", "gf_div_by_x", "gf_mul", "gf_pow",
     "gf_sqrt", "is_probable_prime", "jacobi", "legendre", "legendre_euler",
     "mod_inverse", "mod_pow", "parse_elem", "poly_str", "run_dlog",
-    "run_dlog_parallel", "solve_linear", "sqrt_mod_p", "xgcd",
+    "solve_linear", "sqrt_mod_p", "xgcd",
 ]

@@ -16,7 +16,7 @@ from .oracles import brute_force_dlog, bsgs_dlog
 from .primefield import PrimeGroupParams, mod_pow
 from .selftest import CASE_NAMES, run_selftest
 from .walk import (DecisionsExhaustedError, UnsupportedGroupError, WalkConfig,
-                   run_dlog, run_dlog_parallel)
+                   run_dlog)
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -29,23 +29,25 @@ def _parse_bits(text: str) -> list[int]:
     return bits
 
 
-def _add_walk_flags(sub, gf: bool):
+def _add_walk_flags(sub):
+    """Walk tunables shared by solve, solve-gf2m and bench."""
     sub.add_argument("--table-size", type=int, default=None,
                      help="Table I size B (default: bit length of group order)")
     sub.add_argument("--seq", choices=("pow2", "consec"), default="pow2",
                      help="Table I exponents: 2^j or consecutive")
+    sub.add_argument("--max-steps", type=int, default=None)
+    sub.add_argument("--max-restarts", type=int, default=32)
+    sub.add_argument("--d-max", type=int, default=65536,
+                     help="candidate-count limit before restarting")
+
+
+def _add_solve_flags(sub):
+    _add_walk_flags(sub)
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--seed", type=int, default=None,
                        help="PRNG seed for random decisions (default 0)")
     group.add_argument("--choices", type=_parse_bits, default=None, metavar="BITS",
                        help="scripted decision bits, e.g. 0,1,1,0")
-    sub.add_argument("--max-steps", type=int, default=None)
-    sub.add_argument("--max-restarts", type=int, default=32)
-    sub.add_argument("--d-max", type=int, default=65536,
-                     help="candidate-count limit before restarting")
-    if not gf:
-        sub.add_argument("--workers", type=int, default=1,
-                         help="independent concurrent walks (first hit wins)")
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="print the walk trace table")
 
@@ -64,11 +66,19 @@ def _field_params(parser, args) -> BinaryFieldParams:
         parser.error(str(exc))
 
 
-def _walk_config(args, variant: str) -> WalkConfig:
-    return WalkConfig(variant=variant, table_size=args.table_size,
-                      sequence=args.seq, max_steps=args.max_steps,
-                      max_restarts=args.max_restarts, d_max=args.d_max,
-                      seed=args.seed, choices=args.choices, trace=args.verbose)
+def _walk_config(parser, args, variant: str, **solve_options) -> WalkConfig:
+    try:
+        return WalkConfig(variant=variant, table_size=args.table_size,
+                          sequence=args.seq, max_steps=args.max_steps,
+                          max_restarts=args.max_restarts, d_max=args.d_max,
+                          **solve_options)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _solve_config(parser, args, variant: str) -> WalkConfig:
+    return _walk_config(parser, args, variant, seed=args.seed,
+                        choices=args.choices, trace=args.verbose)
 
 
 def _print_trace(result, gf: bool):
@@ -104,12 +114,9 @@ def _report_solve(result, gf: bool, recheck=None) -> int:
 
 def cmd_solve(parser, args) -> int:
     params = _prime_params(parser, args)
-    config = _walk_config(args, args.variant)
+    config = _solve_config(parser, args, args.variant)
     try:
-        if args.workers > 1:
-            result = run_dlog_parallel(params, args.target, config, args.workers)
-        else:
-            result = run_dlog(params, args.target, config)
+        result = run_dlog(params, args.target, config)
     except (UnsupportedGroupError, ValueError) as exc:
         parser.error(str(exc))
     except DecisionsExhaustedError as exc:
@@ -126,7 +133,7 @@ def cmd_solve_gf2m(parser, args) -> int:
         target = parse_elem(args.target, params)
     except ValueError as exc:
         parser.error(str(exc))
-    config = _walk_config(args, "char2")
+    config = _solve_config(parser, args, "char2")
     try:
         result = run_dlog(params, target, config)
     except ValueError as exc:
@@ -181,9 +188,7 @@ def cmd_bench(parser, args) -> int:
     else:
         params = _field_params(parser, args)
         variant = "char2"
-    config = WalkConfig(variant=variant, table_size=args.table_size,
-                        sequence=args.seq, max_steps=args.max_steps,
-                        max_restarts=args.max_restarts, d_max=args.d_max)
+    config = _walk_config(parser, args, variant)
     try:
         records = bench.run_trials(params, variant, args.trials, args.seed,
                                    config, timing=args.timing)
@@ -227,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--target", type=int, required=True)
     solve.add_argument("--variant", choices=("inverse", "collatz"),
                        default="inverse")
-    _add_walk_flags(solve, gf=False)
+    _add_solve_flags(solve)
 
     sgf = subs.add_parser("solve-gf2m", help="solve a GF(2^m) discrete log to base x")
     sgf.add_argument("--m", type=int, required=True, help="extension degree")
     sgf.add_argument("--poly", required=True,
                      help="modulus polynomial, hex (x^7+x+1 = 0x83)")
     sgf.add_argument("--target", required=True, help="target element, hex")
-    _add_walk_flags(sgf, gf=True)
+    _add_solve_flags(sgf)
 
     oracle = subs.add_parser("oracle", help="brute-force / BSGS reference solvers")
     oracle.add_argument("--method", choices=("brute", "bsgs"), required=True)
@@ -255,11 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--csv", help="write per-trial records here")
     b.add_argument("--json", help="write the summary here")
-    b.add_argument("--table-size", type=int, default=None)
-    b.add_argument("--seq", choices=("pow2", "consec"), default="pow2")
-    b.add_argument("--max-steps", type=int, default=None)
-    b.add_argument("--max-restarts", type=int, default=32)
-    b.add_argument("--d-max", type=int, default=65536)
+    _add_walk_flags(b)
     b.add_argument("--timing", action="store_true",
                    help="record wall time (off by default so CSVs are reproducible)")
 

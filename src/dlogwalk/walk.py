@@ -20,14 +20,14 @@ linear congruence for n whose solutions are verified by exponentiation; the
 first verified candidate wins.  If a congruence has too many solutions or a
 walk exhausts its step budget, the walk restarts from a stored square-root
 entry on the branch it did not take (then from scratch once those are used
-up).  Walks are sequential internally, but any number may run concurrently
-over a shared read-only Table I; nothing here touches global state.
+up).  A walk is sequential; it only reads Table I, which calls may share,
+and touches no global state.
 """
 
 import math
 import random
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 
 from .gf2m import GENERATOR, BinaryFieldParams, gf_div_by_x, gf_pow, gf_sqrt
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
@@ -45,33 +45,6 @@ class DecisionsExhaustedError(RuntimeError):
 
 class UnsupportedGroupError(ValueError):
     """Group/variant combination violates a precondition (e.g. 3 | p-1 for 3x+1)."""
-
-
-class ScriptedDecisions:
-    """Replays a fixed bit list; raises once exhausted."""
-
-    def __init__(self, bits):
-        self._bits = list(bits)
-        self._pos = 0
-        for b in self._bits:
-            if b not in (0, 1):
-                raise ValueError(f"scripted choices must be bits, got {b!r}")
-
-    def next_bit(self) -> int:
-        if self._pos >= len(self._bits):
-            raise DecisionsExhaustedError(
-                f"scripted choices exhausted after {self._pos} decisions")
-        b = self._bits[self._pos]
-        self._pos += 1
-        return b
-
-
-class RandomDecisions:
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-
-    def next_bit(self) -> int:
-        return self._rng.getrandbits(1)
 
 
 @dataclass
@@ -104,6 +77,14 @@ class WalkConfig:
             raise ValueError("max_steps must be >= 1")
         if self.table_size is not None and self.table_size < 0:
             raise ValueError("table_size must be >= 0")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be >= 0")
+        if self.d_max < 1:
+            raise ValueError("d_max must be >= 1")
+        if self.choices is not None:
+            for b in self.choices:
+                if b not in (0, 1):
+                    raise ValueError(f"scripted choices must be bits, got {b!r}")
 
 
 @dataclass
@@ -155,7 +136,6 @@ class DlogResult:
     congruence: CongruenceSolution | None = None
     candidates: list[int] | None = None
     trace: list[TraceRecord] | None = None
-    cancelled: bool = False
 
     @property
     def success(self) -> bool:
@@ -179,7 +159,7 @@ def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
     """
     size = config.table_size
     if size is None:
-        size = default_table_size(_group_order(params))
+        size = default_table_size(params.order)
     entries: dict[int, int] = {}
     for j in range(size):
         k = (1 << j) if config.sequence == "pow2" else j + 1
@@ -188,37 +168,30 @@ def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
     return PrecomputedTable(entries, size, config.sequence)
 
 
-def _group_order(params) -> int:
-    return params.order
-
-
 def _generator_pow(params, e: int) -> int:
     if isinstance(params, PrimeGroupParams):
         return mod_pow(params.a, e, params)
     return gf_pow(GENERATOR, e, params)
 
 
-class _Solved(Exception):
-    """Internal: unwinds the step loop once a candidate verifies."""
-
-    def __init__(self, result: DlogResult):
-        self.result = result
+# Restart outcome of a step: too many candidates, apply the restart policy.
+_RESTART = object()
 
 
-class _RestartSignal(Exception):
-    """Internal: too many candidates; apply the restart policy."""
+def _scripted_bits(bits):
+    yield from bits
+    raise DecisionsExhaustedError(
+        f"scripted choices exhausted after {len(bits)} decisions")
 
 
 class _Walk:
     def __init__(self, params, target, config: WalkConfig,
-                 table: PrecomputedTable | None, stop: threading.Event | None):
+                 table: PrecomputedTable | None):
         self.params = params
         self.config = config
-        self.stop = stop
-        self.order = _group_order(params)
-        self.prime_like = config.variant in ("inverse", "collatz")
+        self.order = params.order
 
-        if self.prime_like:
+        if config.variant in ("inverse", "collatz"):
             if not isinstance(params, PrimeGroupParams):
                 raise TypeError(f"variant {config.variant!r} needs PrimeGroupParams")
             target %= params.p
@@ -241,12 +214,14 @@ class _Walk:
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:
-            self.decisions = ScriptedDecisions(config.choices)
+            self.next_bit = _scripted_bits(list(config.choices)).__next__
         else:
-            self.decisions = RandomDecisions(self.rng)
+            self.next_bit = partial(self.rng.getrandbits, 1)
 
         self.entries: list[WalkEntry] = []
         self.index: dict[int, int] = {}
+        # stored square-root entries (control bit 1), which restarts resume from
+        self.forks: list[WalkEntry] = []
         self.value = target
         self.expr = LinExpr()
         self.segment = 0
@@ -264,58 +239,41 @@ class _Walk:
             if self._verify(n):
                 return self._result(n, CongruenceSolution(n, self.order, 1), [n])
         self._store(WalkEntry(self.target, None, LinExpr(), 0))
-        try:
-            while True:
-                try:
-                    self._run_segment()
-                except _RestartSignal:
-                    pass
-                if self.stop is not None and self.stop.is_set():
-                    return self._result(None, cancelled=True)
-                self.restarts += 1
-                if self.restarts > self.config.max_restarts:
-                    return self._result(None)
-                self._restart()
-        except _Solved as s:
-            return s.result
-
-    # -- segment / restart management ------------------------------------
-
-    def _run_segment(self):
-        steps_left = self.max_steps
-        while steps_left > 0:
-            if self.stop is not None and self.stop.is_set():
-                return
-            self.steps_taken += 1
-            steps_left -= 1
-            if self.prime_like:
-                self._step_prime()
+        # bound here, not on self: a stored bound method would be a reference
+        # cycle that keeps every finished walk's history alive until a full GC
+        step = self._step_char2 if self.config.variant == "char2" else self._step_prime
+        while True:
+            for _ in range(self.max_steps):
+                self.steps_taken += 1
+                outcome = step()
+                if outcome is not None:
+                    break
             else:
-                self._step_char2()
-        raise _RestartSignal  # budget exhausted
+                outcome = _RESTART  # budget exhausted
+            if outcome is not _RESTART:
+                return outcome
+            self.restarts += 1
+            if self.restarts > self.config.max_restarts:
+                return self._result(None)
+            self._restart()
 
     def _restart(self):
-        if self.mid_restarts < self.config.max_restarts // 2:
-            if self.prime_like:
-                pairs = [e for e in self.entries if e.partner is not None]
-            else:
-                pairs = [e for e in self.entries if e.control_bit == 1]
-            if pairs:
-                entry = pairs[self.rng.randrange(len(pairs))]
-                self.value = entry.partner if entry.partner is not None else entry.value
-                self.expr = entry.expr
-                self.mid_restarts += 1
-                self.segment += 1
-                return
+        self.segment += 1
+        if self.forks and self.mid_restarts < self.config.max_restarts // 2:
+            entry = self.forks[self.rng.randrange(len(self.forks))]
+            self.value = entry.partner if entry.partner is not None else entry.value
+            self.expr = entry.expr
+            self.mid_restarts += 1
+            return
         # fresh walk from the target; Table I survives, history does not
         self.entries.clear()
         self.index.clear()
+        self.forks.clear()
         self.value = self.target
         self.expr = LinExpr()
-        self.segment += 1
         self._store(WalkEntry(self.target, None, LinExpr(), 0))
 
-    # -- steps -------------------------------------------------------------
+    # -- steps: each returns None (walk on), _RESTART or the DlogResult -----
 
     def _step_prime(self):
         value, expr = self.value, self.expr
@@ -331,39 +289,30 @@ class _Walk:
                 branch = "div"
             outcome = self._attempt(new, nexpr)
             self._record(value, branch, result=new, expr=nexpr, control_bit=0)
-            if isinstance(outcome, _Solved):
-                raise outcome
             self._store(WalkEntry(new, None, nexpr, 0))
             self.value, self.expr = new, nexpr
-            if outcome == "toomany":
-                raise _RestartSignal
-        else:
-            r1, r2 = sqrt_mod_p(value, self.params)
-            nexpr = expr.halve()
-            toomany = False
-            for root in (r1, r2):
-                outcome = self._attempt(root, nexpr)
-                if isinstance(outcome, _Solved):
-                    self._record(value, "sqrt", roots=(r1, r2), expr=nexpr,
-                                 control_bit=1)
-                    raise outcome
-                toomany = toomany or outcome == "toomany"
-            if toomany:
-                self._store(WalkEntry(r1, r2, nexpr, 1))
-                self._record(value, "sqrt", roots=(r1, r2), expr=nexpr,
-                             control_bit=1)
-                self.value, self.expr = r1, nexpr
-                raise _RestartSignal
-            bit = self.decisions.next_bit()
+            return outcome
+        r1, r2 = sqrt_mod_p(value, self.params)
+        nexpr = expr.halve()
+        outcome = self._attempt(r1, nexpr)
+        if outcome is None or outcome is _RESTART:
+            # a verified second root outranks a restart from the first
+            outcome = self._attempt(r2, nexpr) or outcome
+        if outcome is None:
+            bit = self.next_bit()
             chosen, other = (r1, r2) if bit == 0 else (r2, r1)
-            self._store(WalkEntry(chosen, other, nexpr, 1))
-            self._record(value, "sqrt", roots=(r1, r2), chosen=chosen,
-                         decision=bit, expr=nexpr, control_bit=1)
-            self.value, self.expr = chosen, nexpr
+        else:
+            bit, chosen, other = None, r1, r2
+        self._store(WalkEntry(chosen, other, nexpr, 1))
+        self._record(value, "sqrt", roots=(r1, r2),
+                     chosen=None if bit is None else chosen, decision=bit,
+                     expr=nexpr, control_bit=1)
+        self.value, self.expr = chosen, nexpr
+        return outcome
 
     def _step_char2(self):
         value, expr = self.value, self.expr
-        bit = self.decisions.next_bit()
+        bit = self.next_bit()
         if bit == 1:
             new = gf_div_by_x(value, self.params)
             nexpr = expr.dec()
@@ -375,12 +324,9 @@ class _Walk:
         outcome = self._attempt(new, nexpr)
         self._record(value, branch, result=new, decision=bit, expr=nexpr,
                      control_bit=control)
-        if isinstance(outcome, _Solved):
-            raise outcome
         self._store(WalkEntry(new, None, nexpr, control))
         self.value, self.expr = new, nexpr
-        if outcome == "toomany":
-            raise _RestartSignal
+        return outcome
 
     # -- collision handling -------------------------------------------------
 
@@ -388,7 +334,7 @@ class _Walk:
         """Check one candidate value against Table I, then the walk history.
 
         Returns None (no hit, or hit discarded as spurious/degenerate),
-        "toomany", or a _Solved carrying the verified result.
+        _RESTART (too many candidates), or the verified DlogResult.
         """
         known = self.table.entries.get(value)
         if known is not None:
@@ -405,10 +351,10 @@ class _Walk:
         except (NoSolutionError, DegenerateCollisionError):
             return None  # spurious or self-collision: walk on
         except TooManyCandidatesError:
-            return "toomany"
+            return _RESTART
         for n in candidates:
             if self._verify(n):
-                return _Solved(self._result(n, sol, candidates))
+                return self._result(n, sol, candidates)
         return None  # cannot happen for genuine matches; treated as spurious
 
     def _verify(self, n: int) -> bool:
@@ -418,14 +364,19 @@ class _Walk:
     # -- bookkeeping ---------------------------------------------------------
 
     def _store(self, entry: WalkEntry):
-        keys = [entry.value] if entry.partner is None else [entry.value, entry.partner]
-        fresh = [v for v in keys if v not in self.index]
-        if not fresh:
+        index = self.index
+        fresh_value = entry.value not in index
+        fresh_partner = entry.partner is not None and entry.partner not in index
+        if not (fresh_value or fresh_partner):
             return  # revisit: the earliest entry for a value wins
         idx = len(self.entries)
         self.entries.append(entry)
-        for v in fresh:
-            self.index[v] = idx
+        if fresh_value:
+            index[entry.value] = idx
+        if fresh_partner:
+            index[entry.partner] = idx
+        if entry.control_bit:
+            self.forks.append(entry)
 
     def _record(self, value, branch, result=None, roots=None, chosen=None,
                 decision=None, expr=None, control_bit=0):
@@ -436,7 +387,7 @@ class _Walk:
             branch=branch, result=result, roots=roots, chosen=chosen,
             decision=decision, expr=expr, control_bit=control_bit))
 
-    def _result(self, n, congruence=None, candidates=None, cancelled=False):
+    def _result(self, n, congruence=None, candidates=None):
         return DlogResult(
             n=None if n is None else n % self.order,
             steps_taken=self.steps_taken,
@@ -445,13 +396,11 @@ class _Walk:
             candidates_tried=self.candidates_tried,
             congruence=congruence,
             candidates=candidates,
-            trace=self.trace,
-            cancelled=cancelled)
+            trace=self.trace)
 
 
 def run_dlog(params, target: int, config: WalkConfig | None = None,
-             table: PrecomputedTable | None = None,
-             stop: threading.Event | None = None) -> DlogResult:
+             table: PrecomputedTable | None = None) -> DlogResult:
     """Solve generator^n = target; returns a DlogResult (n = None on failure).
 
     Deterministic for a fixed config: the default seed is 0.  A prebuilt
@@ -459,38 +408,4 @@ def run_dlog(params, target: int, config: WalkConfig | None = None,
     """
     if config is None:
         config = WalkConfig()
-    return _Walk(params, target, config, table, stop).run()
-
-
-def run_dlog_parallel(params, target: int, config: WalkConfig,
-                      workers: int) -> DlogResult:
-    """Launch `workers` independent walks with distinct seeds; first hit wins.
-
-    Walks share the read-only Table I but nothing else.  The result returned
-    is the successful walk with the lowest worker index among those that
-    finished before cancellation reached them.
-    """
-    if workers <= 1:
-        return run_dlog(params, target, config)
-    if config.choices is not None:
-        raise ValueError("scripted choices cannot drive parallel walks")
-    table = build_table_one(params, config)
-    base_seed = config.seed if config.seed is not None else 0
-    stop = threading.Event()
-    results: list[DlogResult | None] = [None] * workers
-
-    def work(i: int):
-        cfg = replace(config, seed=base_seed + i)
-        results[i] = run_dlog(params, target, cfg, table=table, stop=stop)
-        if results[i].success:
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for res in results:
-        if res is not None and res.success:
-            return res
-    return next(res for res in results if res is not None)
+    return _Walk(params, target, config, table).run()

@@ -65,13 +65,6 @@ def test_solve_gf2m_verbose_hex_roundtrip(capsys):
         assert format_elem(parse_elem(tok, params)) == tok
 
 
-def test_solve_workers(capsys):
-    code, out, _ = run_cli(capsys, "solve", "--p", "2003", "--gen", "5",
-                           "--target", "321", "--workers", "4", "--seed", "3")
-    assert code == 0
-    assert pow(5, int(out.splitlines()[0]), 2003) == 321
-
-
 def test_oracle_commands(capsys):
     assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
                    "--target", "99", "--method", "bsgs")[1].strip() == "37"
@@ -139,6 +132,18 @@ def test_usage_errors_exit_two(capsys):
          "--variant", "collatz"],
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
          "--seed", "1", "--choices", "1"],                         # exclusive
+        ["solve", "--p", "103", "--gen", "5", "--target", "84", "--max-steps", "0"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84", "--table-size", "-1"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84", "--d-max", "0"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--max-restarts", "-4"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84", "--workers", "2"],
+        ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x1D",
+         "--max-steps", "0"],
+        ["bench", "--p", "103", "--gen", "5", "--trials", "3", "--seed", "0",
+         "--table-size", "-1"],
+        ["bench", "--m", "7", "--poly", "0x83", "--trials", "3", "--seed", "0",
+         "--d-max", "0"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from dlogwalk.primefield import PrimeGroupParams
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
                            WalkConfig, build_table_one, default_max_steps,
-                           run_dlog, run_dlog_parallel)
+                           run_dlog)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -74,6 +75,12 @@ def test_config_validation():
         WalkConfig(max_steps=0)
     with pytest.raises(ValueError):
         WalkConfig(table_size=-1)
+    with pytest.raises(ValueError):
+        WalkConfig(max_restarts=-4)
+    with pytest.raises(ValueError):
+        WalkConfig(d_max=0)
+    with pytest.raises(ValueError):
+        WalkConfig(choices=[0, 2])
 
 
 def test_variant_params_mismatch():
@@ -242,6 +249,52 @@ def test_failure_reports_statistics():
     assert result.steps_taken >= 1
 
 
+# (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
+# 0-9 with max_steps=8, max_restarts=16: the prime rows that give up pass
+# through 8 mid-walk restarts and then fresh ones.
+GOLDEN_SHORT_SEGMENTS = {
+    "inverse": [(1098, 19, 2, 1, 1), (None, 136, 17, 7, 0), (1098, 58, 7, 1, 1),
+                (1098, 53, 6, 1, 4), (None, 136, 17, 2, 0), (None, 136, 17, 0, 0),
+                (None, 136, 17, 0, 0), (None, 136, 17, 11, 0), (1098, 14, 1, 1, 1),
+                (1098, 56, 6, 5, 4)],
+    "collatz": [(None, 136, 17, 12, 0), (1098, 46, 5, 11, 1), (1098, 18, 2, 1, 4),
+                (None, 136, 17, 25, 0), (None, 136, 17, 7, 0), (1098, 64, 7, 1, 1),
+                (1098, 66, 8, 1, 1), (1098, 53, 6, 1, 1), (1098, 60, 7, 1, 4),
+                (1098, 36, 4, 5, 1)],
+    "char2": [(38, 10, 1, 1, 1), (38, 4, 0, 1, 1), (38, 7, 0, 1, 1), (38, 8, 0, 1, 1),
+              (38, 43, 5, 11, 1), (38, 23, 2, 5, 1), (38, 38, 4, 7, 1),
+              (38, 41, 5, 6, 39), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
+}
+GOLDEN_BENCH_CSV_SHA256 = (
+    "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
+
+
+def _counts(result):
+    return (result.n, result.steps_taken, result.restarts,
+            result.collisions_tested, result.candidates_tried)
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS))
+def test_golden_step_counts(variant):
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    rows = [_counts(run_dlog(params, target, WalkConfig(
+        variant=variant, seed=seed, max_steps=8, max_restarts=16)))
+        for seed in range(10)]
+    assert rows == GOLDEN_SHORT_SEGMENTS[variant]
+
+
+def test_golden_too_many_candidates_restart():
+    # d_max=1 turns two collisions into too-many-candidates restarts
+    assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1))) == \
+        (1098, 86, 2, 3, 1)
+
+
+def test_golden_bench_csv():
+    from dlogwalk.bench import records_to_csv, run_trials
+    csv_text = records_to_csv(run_trials(P2003, "inverse", 50, seed_base=9))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_BENCH_CSV_SHA256
+
+
 def test_d_max_forces_restarts_but_still_solves():
     result = run_dlog(P2003, 777, WalkConfig(seed=2, d_max=1))
     assert result.success
@@ -266,13 +319,23 @@ def test_shared_table_across_runs():
     assert table.entries == before  # engine only reads Table I
 
 
-def test_parallel_walks():
-    config = WalkConfig(seed=11)
-    result = run_dlog_parallel(P2003, 321, config, workers=4)
-    assert result.success
-    assert pow(5, result.n, 2003) == 321
-    with pytest.raises(ValueError):
-        run_dlog_parallel(P2003, 321, WalkConfig(choices=[1]), workers=2)
+@pytest.mark.parametrize("variant", ["inverse", "char2"])
+def test_finished_walk_is_freed_without_gc(variant):
+    # a walk in a reference cycle keeps its whole history alive until a full
+    # collection; over many solves that shows up as peak memory
+    import gc
+    import weakref
+    from dlogwalk.walk import _Walk
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    gc.disable()
+    try:
+        walk = _Walk(params, target, WalkConfig(variant=variant, seed=0), None)
+        assert walk.run().success
+        ref = weakref.ref(walk)
+        del walk
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_trace_disabled_by_default():
@@ -289,16 +352,6 @@ def test_consecutive_sequence_solves():
     for target in (84, 99, 37):
         result = run_dlog(P103, target, WalkConfig(sequence="consec", seed=4))
         assert result.success and PRIME_DLOGS[target] == result.n
-
-
-def test_preset_stop_event_cancels():
-    import threading
-    stop = threading.Event()
-    stop.set()
-    result = run_dlog(P2003, 777, WalkConfig(seed=0), stop=stop)
-    assert not result.success
-    assert result.cancelled
-    assert result.steps_taken == 0
 
 
 def test_scale_mersenne_prime():
