@@ -220,8 +220,6 @@ class _Walk:
 
         self.entries: list[WalkEntry] = []
         self.index: dict[int, int] = {}
-        # stored square-root entries (control bit 1), which restarts resume from
-        self.forks: list[WalkEntry] = []
         self.value = target
         self.expr = LinExpr()
         self.segment = 0
@@ -259,16 +257,18 @@ class _Walk:
 
     def _restart(self):
         self.segment += 1
-        if self.forks and self.mid_restarts < self.config.max_restarts // 2:
-            entry = self.forks[self.rng.randrange(len(self.forks))]
-            self.value = entry.partner if entry.partner is not None else entry.value
-            self.expr = entry.expr
-            self.mid_restarts += 1
-            return
+        if self.mid_restarts < self.config.max_restarts // 2:
+            # resume from a stored square-root entry (control bit 1)
+            forks = [e for e in self.entries if e.control_bit]
+            if forks:
+                entry = forks[self.rng.randrange(len(forks))]
+                self.value = entry.partner if entry.partner is not None else entry.value
+                self.expr = entry.expr
+                self.mid_restarts += 1
+                return
         # fresh walk from the target; Table I survives, history does not
         self.entries.clear()
         self.index.clear()
-        self.forks.clear()
         self.value = self.target
         self.expr = LinExpr()
         self._store(WalkEntry(self.target, None, LinExpr(), 0))
@@ -375,8 +375,6 @@ class _Walk:
             index[entry.value] = idx
         if fresh_partner:
             index[entry.partner] = idx
-        if entry.control_bit:
-            self.forks.append(entry)
 
     def _record(self, value, branch, result=None, roots=None, chosen=None,
                 decision=None, expr=None, control_bit=0):
