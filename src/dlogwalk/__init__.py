@@ -15,7 +15,7 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
 from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
 from .primefield import (NotAResidueError, PrimeGroupParams, is_probable_prime,
                          jacobi, legendre, legendre_euler, mod_inverse, mod_pow,
-                         sqrt_mod_p, xgcd)
+                         sqrt_mod_p)
 from .walk import (DecisionsExhaustedError, DlogResult, PrecomputedTable,
                    UnsupportedGroupError, WalkConfig, WalkEntry,
                    build_table_one, run_dlog)
@@ -29,5 +29,5 @@ __all__ = [
     "enumerate_candidates", "format_elem", "gf_div_by_x", "gf_mul", "gf_pow",
     "gf_sqrt", "is_probable_prime", "jacobi", "legendre", "legendre_euler",
     "mod_inverse", "mod_pow", "parse_elem", "poly_str", "run_dlog",
-    "solve_linear", "sqrt_mod_p", "xgcd",
+    "solve_linear", "sqrt_mod_p",
 ]

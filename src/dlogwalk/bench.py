@@ -16,8 +16,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 
-from .gf2m import BinaryFieldParams
-from .walk import WalkConfig, _generator_pow, build_table_one, run_dlog
+from .walk import WalkConfig, build_table_one, run_dlog
 
 CSV_COLUMNS = ("variant", "prime_or_field", "n_true", "seed", "steps",
                "restarts", "success", "nanos")
@@ -46,12 +45,6 @@ class StepStats:
     ratio_mean_to_sqrt_order: float
 
 
-def group_label(params) -> str:
-    if isinstance(params, BinaryFieldParams):
-        return f"gf2^{params.m}/0x{params.poly:x}"
-    return str(params.p)
-
-
 def run_trials(params, variant: str, trial_count: int, seed_base: int,
                config: WalkConfig | None = None,
                timing: bool = False) -> list[TrialRecord]:
@@ -66,13 +59,13 @@ def run_trials(params, variant: str, trial_count: int, seed_base: int,
         if config.seed is not None or config.choices is not None:
             raise ValueError("per-trial seeds are derived from seed_base")
     order = params.order
-    label = group_label(params)
+    label = str(params)
     table = build_table_one(params, config)
     records = []
     for i in range(trial_count):
         seed = seed_base + i
         n_true = random.Random(seed).randrange(order)
-        target = _target_for(params, n_true)
+        target = params.pow(params.generator, n_true)
         cfg = replace(config, seed=seed)
         t0 = time.perf_counter_ns()
         result = run_dlog(params, target, cfg, table=table)
@@ -82,10 +75,6 @@ def run_trials(params, variant: str, trial_count: int, seed_base: int,
             steps=result.steps_taken, restarts=result.restarts,
             success=result.success, nanos=nanos))
     return records
-
-
-def _target_for(params, n: int) -> int:
-    return 1 if n == 0 else _generator_pow(params, n)
 
 
 def summarize(records: list[TrialRecord], order: int) -> StepStats:

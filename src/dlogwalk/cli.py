@@ -10,13 +10,11 @@ import argparse
 import sys
 
 from . import __version__, bench
-from .gf2m import GENERATOR as GF_GENERATOR
-from .gf2m import BinaryFieldParams, format_elem, gf_pow, parse_elem
+from .gf2m import BinaryFieldParams
 from .oracles import brute_force_dlog, bsgs_dlog
-from .primefield import PrimeGroupParams, mod_pow
+from .primefield import PrimeGroupParams
 from .selftest import CASE_NAMES, run_selftest
-from .walk import (DecisionsExhaustedError, UnsupportedGroupError, WalkConfig,
-                   run_dlog)
+from .walk import DecisionsExhaustedError, WalkConfig, run_dlog
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -52,21 +50,34 @@ def _add_solve_flags(sub):
                      help="print the walk trace table")
 
 
-def _prime_params(parser, args) -> PrimeGroupParams:
+def _params(parser, args):
+    """The group named by --p/--gen or by --m/--poly."""
+    if (args.p is None) == (args.m is None):
+        parser.error("give exactly one field: --p with --gen, or --m with --poly")
+    if args.p is not None and args.gen is None:
+        parser.error("--gen is required with --p")
+    if args.m is not None and args.poly is None:
+        parser.error("--poly is required with --m")
     try:
-        return PrimeGroupParams(args.p, args.gen)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _field_params(parser, args) -> BinaryFieldParams:
-    try:
+        if args.p is not None:
+            return PrimeGroupParams(args.p, args.gen)
         return BinaryFieldParams(args.m, int(args.poly, 16))
     except ValueError as exc:
         parser.error(str(exc))
 
 
-def _walk_config(parser, args, variant: str, **solve_options) -> WalkConfig:
+def _target(parser, args, params) -> int:
+    try:
+        return params.parse(args.target)
+    except ValueError as exc:
+        parser.error(f"bad target {args.target!r}: {exc}")
+
+
+def _walk_config(parser, args, params, **solve_options) -> WalkConfig:
+    variant = args.variant or params.variants[0]
+    if variant not in params.variants:
+        parser.error(f"variant {variant} does not run on {params};"
+                     f" choose from {', '.join(params.variants)}")
     try:
         return WalkConfig(variant=variant, table_size=args.table_size,
                           sequence=args.seq, max_steps=args.max_steps,
@@ -76,13 +87,7 @@ def _walk_config(parser, args, variant: str, **solve_options) -> WalkConfig:
         parser.error(str(exc))
 
 
-def _solve_config(parser, args, variant: str) -> WalkConfig:
-    return _walk_config(parser, args, variant, seed=args.seed,
-                        choices=args.choices, trace=args.verbose)
-
-
-def _print_trace(result, gf: bool):
-    fmt = format_elem if gf else str
+def _print_trace(result, fmt):
     print("step  value          branch  result/roots        chosen      expr")
     for rec in result.trace or ():
         if rec.roots is not None:
@@ -94,46 +99,12 @@ def _print_trace(result, gf: bool):
               f"  {out:<18}  {chosen:<10}  {rec.expr}")
 
 
-def _report_solve(result, gf: bool, recheck=None) -> int:
-    if not result.success:
-        print(f"no solution found: steps={result.steps_taken}"
-              f" restarts={result.restarts}", file=sys.stderr)
-        return 1
-    if recheck is not None and not recheck(result.n):
-        print(f"internal error: candidate {result.n} fails verification",
-              file=sys.stderr)
-        return 1
-    print(result.n)
-    print(f"steps={result.steps_taken} restarts={result.restarts}"
-          f" collisions={result.collisions_tested}"
-          f" candidates={result.candidates_tried}")
-    if result.trace is not None:
-        _print_trace(result, gf)
-    return 0
-
-
 def cmd_solve(parser, args) -> int:
-    params = _prime_params(parser, args)
-    config = _solve_config(parser, args, args.variant)
-    try:
-        result = run_dlog(params, args.target, config)
-    except (UnsupportedGroupError, ValueError) as exc:
-        parser.error(str(exc))
-    except DecisionsExhaustedError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 1
-    return _report_solve(result, gf=False,
-                         recheck=lambda n: mod_pow(params.a, n, params)
-                         == args.target % params.p)
-
-
-def cmd_solve_gf2m(parser, args) -> int:
-    params = _field_params(parser, args)
-    try:
-        target = parse_elem(args.target, params)
-    except ValueError as exc:
-        parser.error(str(exc))
-    config = _solve_config(parser, args, "char2")
+    """solve and solve-gf2m: one walk over the group the flags name."""
+    params = _params(parser, args)
+    target = _target(parser, args, params)
+    config = _walk_config(parser, args, params, seed=args.seed,
+                          choices=args.choices, trace=args.verbose)
     try:
         result = run_dlog(params, target, config)
     except ValueError as exc:
@@ -141,35 +112,23 @@ def cmd_solve_gf2m(parser, args) -> int:
     except DecisionsExhaustedError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
-    return _report_solve(result, gf=True,
-                         recheck=lambda n: gf_pow(GF_GENERATOR, n, params)
-                         == target)
-
-
-def _check_field_flags(parser, args):
-    if (args.p is None) == (args.m is None):
-        parser.error("give exactly one field: --p with --gen, or --m with --poly")
-    if args.p is not None and args.gen is None:
-        parser.error("--gen is required with --p")
-    if args.m is not None and args.poly is None:
-        parser.error("--poly is required with --m")
+    if not result.success:
+        print(f"no solution found: steps={result.steps_taken}"
+              f" restarts={result.restarts}", file=sys.stderr)
+        return 1
+    print(result.n)
+    print(f"steps={result.steps_taken} restarts={result.restarts}"
+          f" collisions={result.collisions_tested}"
+          f" candidates={result.candidates_tried}")
+    if result.trace is not None:
+        _print_trace(result, params.format)
+    return 0
 
 
 def cmd_oracle(parser, args) -> int:
-    _check_field_flags(parser, args)
+    params = _params(parser, args)
+    target = _target(parser, args, params)
     solver = brute_force_dlog if args.method == "brute" else bsgs_dlog
-    if args.p is not None:
-        params = _prime_params(parser, args)
-        try:
-            target = int(args.target)
-        except ValueError:
-            parser.error(f"bad target {args.target!r}")
-    else:
-        params = _field_params(parser, args)
-        try:
-            target = parse_elem(args.target, params)
-        except ValueError as exc:
-            parser.error(str(exc))
     try:
         print(solver(params, target).n)
     except ValueError as exc:
@@ -179,20 +138,12 @@ def cmd_oracle(parser, args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
-    _check_field_flags(parser, args)
-    if args.p is not None:
-        params = _prime_params(parser, args)
-        variant = args.variant
-        if variant == "char2":
-            parser.error("char2 variant needs --m/--poly")
-    else:
-        params = _field_params(parser, args)
-        variant = "char2"
-    config = _walk_config(parser, args, variant)
+    params = _params(parser, args)
+    config = _walk_config(parser, args, params)
     try:
-        records = bench.run_trials(params, variant, args.trials, args.seed,
+        records = bench.run_trials(params, config.variant, args.trials, args.seed,
                                    config, timing=args.timing)
-    except (UnsupportedGroupError, ValueError) as exc:
+    except ValueError as exc:
         parser.error(str(exc))
     stats = bench.summarize(records, params.order)
     try:
@@ -229,9 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="solve a prime-field discrete log")
     solve.add_argument("--p", type=int, required=True, help="odd prime modulus")
     solve.add_argument("--gen", type=int, required=True, help="primitive root")
-    solve.add_argument("--target", type=int, required=True)
+    solve.add_argument("--target", required=True)
     solve.add_argument("--variant", choices=("inverse", "collatz"),
                        default="inverse")
+    solve.set_defaults(m=None, poly=None)
     _add_solve_flags(solve)
 
     sgf = subs.add_parser("solve-gf2m", help="solve a GF(2^m) discrete log to base x")
@@ -239,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sgf.add_argument("--poly", required=True,
                      help="modulus polynomial, hex (x^7+x+1 = 0x83)")
     sgf.add_argument("--target", required=True, help="target element, hex")
+    sgf.set_defaults(p=None, gen=None, variant=None)
     _add_solve_flags(sgf)
 
     oracle = subs.add_parser("oracle", help="brute-force / BSGS reference solvers")
@@ -255,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--m", type=int)
     b.add_argument("--poly")
     b.add_argument("--variant", choices=("inverse", "collatz", "char2"),
-                   default="inverse")
+                   help="default: the field's first (inverse or char2)")
     b.add_argument("--trials", type=int, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--csv", help="write per-trial records here")
@@ -273,10 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve":
+    if args.command in ("solve", "solve-gf2m"):
         return cmd_solve(parser, args)
-    if args.command == "solve-gf2m":
-        return cmd_solve_gf2m(parser, args)
     if args.command == "oracle":
         return cmd_oracle(parser, args)
     if args.command == "bench":

@@ -36,20 +36,23 @@ def is_irreducible(f: int) -> bool:
 
 @dataclass
 class BinaryFieldParams:
-    """GF(2^m) defined by an irreducible modulus polynomial f of degree m.
+    """The group GF(2^m)* of an irreducible modulus polynomial f of degree m.
 
-    generator_is_x asserts that x generates the full multiplicative group.
-    When 2^m - 1 is prime every element besides 1 is a generator, so the
-    flag is then verified for free; otherwise it is taken on trust.
+    The generator is x.  When 2^m - 1 is prime every element besides 1
+    generates the group, so that is verified for free (`generator_verified`);
+    otherwise it is taken on trust.
     """
 
     m: int
     poly: int
-    generator_is_x: bool = True
+
+    generator = GENERATOR
+    variants = ("char2",)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("extension degree must be positive")
+        if self.m < 2:
+            raise ValueError("extension degree must be >= 2:"
+                             " x is not an element of GF(2)")
         if self.poly.bit_length() - 1 != self.m:
             raise ValueError(f"modulus degree {self.poly.bit_length() - 1} != m = {self.m}")
         if self.poly & 1 == 0:
@@ -63,12 +66,35 @@ class BinaryFieldParams:
 
     @property
     def generator_verified(self) -> bool:
-        """Whether the generator_is_x claim is provable cheaply.
+        """Whether x provably generates the multiplicative group.
 
-        When 2^m - 1 is prime, every element except 1 generates the
-        multiplicative group; otherwise the claim rests on the caller.
+        When 2^m - 1 is prime, every element except 1 generates it;
+        otherwise the claim rests on the caller.
         """
-        return self.m > 1 and is_probable_prime(self.order)
+        return is_probable_prime(self.order)
+
+    def element(self, u: int) -> int:
+        """u as a group element: 0 and anything out of range rejected."""
+        _check_elem(u, self)
+        if u == 0:
+            raise ValueError("0 is not an element of the multiplicative group")
+        return u
+
+    def parse(self, text: str) -> int:
+        """A hex group element (bit 0 = constant term)."""
+        return self.element(int(text, 16))
+
+    def format(self, u: int) -> str:
+        return format_elem(u)
+
+    def mul(self, u: int, v: int) -> int:
+        return gf_mul(u, v, self)
+
+    def pow(self, u: int, e: int) -> int:
+        return gf_pow(u, e, self)
+
+    def __str__(self) -> str:
+        return f"gf2^{self.m}/0x{self.poly:x}"
 
 
 def _check_elem(u: int, params: BinaryFieldParams):

@@ -3,9 +3,6 @@
 import math
 from dataclasses import dataclass
 
-from .gf2m import GENERATOR, BinaryFieldParams, gf_mul, gf_pow
-from .primefield import PrimeGroupParams, mod_inverse, mod_pow
-
 BRUTE_FORCE_LIMIT = 10**7
 
 
@@ -15,22 +12,10 @@ class OracleResult:
     method: str
 
 
-def _group(params):
-    """(order, generator, mul, pow) for either field kind."""
-    if isinstance(params, PrimeGroupParams):
-        return (params.order, params.a,
-                lambda u, v: u * v % params.p,
-                lambda u, e: mod_pow(u, e, params))
-    if isinstance(params, BinaryFieldParams):
-        return (params.order, GENERATOR,
-                lambda u, v: gf_mul(u, v, params),
-                lambda u, e: gf_pow(u, e, params))
-    raise TypeError(f"unsupported params type {type(params).__name__}")
-
-
 def brute_force_dlog(params, target: int) -> OracleResult:
     """Scan e = 0, 1, 2, ... accumulating generator powers until the target appears."""
-    order, gen, mul, _ = _group(params)
+    target = params.element(target)
+    order, gen, mul = params.order, params.generator, params.mul
     if order > BRUTE_FORCE_LIMIT:
         raise ValueError(f"group order {order} too large for brute force")
     acc = 1
@@ -43,18 +28,16 @@ def brute_force_dlog(params, target: int) -> OracleResult:
 
 def bsgs_dlog(params, target: int) -> OracleResult:
     """Baby-step giant-step: n = i*m + j from a table of m = ceil(sqrt(N)) baby steps."""
-    order, gen, mul, powf = _group(params)
-    m = math.isqrt(order - 1) + 1 if order > 1 else 1
+    target = params.element(target)
+    order, gen, mul = params.order, params.generator, params.mul
+    m = math.isqrt(order - 1) + 1
     baby = {}
     acc = 1
     for j in range(m):
         baby.setdefault(acc, j)
         acc = mul(acc, gen)
-    # giant stride generator^(-m); the group has order N, so gen^-1 = gen^(N-1)
-    if isinstance(params, PrimeGroupParams):
-        stride = mod_pow(mod_inverse(params.a, params.p), m, params)
-    else:
-        stride = gf_pow(powf(gen, order - 1), m, params)
+    # giant stride generator^(-m) = generator^(N - m): the group has order N
+    stride = params.pow(gen, -m % order)
     cur = target
     for i in range(m + 1):
         j = baby.get(cur)

@@ -51,11 +51,12 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
 
 @dataclass
 class PrimeGroupParams:
-    """An odd prime p with a primitive root a.
+    """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
-    r and s are derived so that p - 1 = 2^r * s with s odd.  If
-    factors_of_order lists the prime factors of p - 1, primitivity of a is
-    verified; otherwise the caller's claim is trusted.
+    r and s are derived so that p - 1 = 2^r * s with s odd.  A square is
+    never a primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
+    If factors_of_order lists the prime factors of p - 1, primitivity of a
+    is verified in full; otherwise the caller's claim is trusted.
     """
 
     p: int
@@ -64,11 +65,16 @@ class PrimeGroupParams:
     r: int = field(init=False)
     s: int = field(init=False)
 
+    variants = ("inverse", "collatz")
+
     def __post_init__(self):
         if self.p < 3 or self.p % 2 == 0 or not is_probable_prime(self.p):
             raise ValueError(f"p = {self.p} is not an odd prime")
         if not 1 <= self.a <= self.p - 1:
             raise ValueError(f"generator {self.a} out of range for p = {self.p}")
+        if jacobi(self.a, self.p) != -1:
+            raise ValueError(f"{self.a} is a square mod {self.p},"
+                             f" so it is not a primitive root")
         s = self.p - 1
         r = 0
         while s % 2 == 0:
@@ -90,48 +96,54 @@ class PrimeGroupParams:
     def order(self) -> int:
         return self.p - 1
 
+    @property
+    def generator(self) -> int:
+        return self.a
 
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
+    def element(self, x: int) -> int:
+        """x as a group element: reduced mod p, and 0 rejected."""
+        x %= self.p
+        if x == 0:
+            raise ValueError(f"0 is not an element of the group mod {self.p}")
+        return x
+
+    def parse(self, text: str) -> int:
+        """A decimal group element."""
+        return self.element(int(text))
+
+    def format(self, u: int) -> str:
+        return str(u)
+
+    def mul(self, u: int, v: int) -> int:
+        return u * v % self.p
+
+    def pow(self, u: int, e: int) -> int:
+        return mod_pow(u, e, self)
+
+    def __str__(self) -> str:
+        return str(self.p)
 
 
 def mod_inverse(x: int, modulus: int) -> int:
-    """Inverse of x modulo `modulus` via extended gcd; modulus need not be prime."""
-    g, inv, _ = xgcd(x % modulus, modulus)
-    if g != 1:
-        raise ValueError(f"{x} is not invertible mod {modulus} (gcd = {g})")
-    return inv % modulus
+    """Inverse of x modulo `modulus`; modulus need not be prime.
+
+    Raises ValueError when gcd(x, modulus) > 1.
+    """
+    return pow(x, -1, modulus)
 
 
 def mod_pow(base: int, exponent: int, params: PrimeGroupParams) -> int:
-    """base^exponent mod p by binary square-and-multiply.
+    """base^exponent mod p.
 
-    The loop squares a running power of the base and multiplies it in when
-    the corresponding exponent bit is set, so it runs in O(log exponent)
-    multiplications.  Zero bases are rejected: the walk only ever
-    exponentiates group elements.
+    Zero bases are rejected: the walk only ever exponentiates group
+    elements.
     """
-    p = params.p
-    base %= p
+    base %= params.p
     if base == 0:
         raise ValueError("base is 0 mod p")
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = 1
-    square = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * square % p
-        square = square * square % p
-        e >>= 1
-    return result
+    return pow(base, exponent, params.p)
 
 
 def jacobi(a: int, n: int) -> int:

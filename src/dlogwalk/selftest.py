@@ -7,7 +7,7 @@ double as an end-to-end smoke test for the CLI (`dlogwalk selftest`).
 
 from dataclasses import dataclass
 
-from .gf2m import BinaryFieldParams, format_elem
+from .gf2m import BinaryFieldParams
 from .linexpr import CongruenceSolution
 from .primefield import PrimeGroupParams
 from .walk import WalkConfig, run_dlog
@@ -90,14 +90,6 @@ CASES = (
 CASE_NAMES = tuple(c.name for c in CASES)
 
 
-def _fmt(case: ReplayCase, v) -> str:
-    if v is None:
-        return "-"
-    if isinstance(case.params, BinaryFieldParams) and isinstance(v, int):
-        return format_elem(v)
-    return str(v)
-
-
 def replay(case: ReplayCase) -> str | None:
     """Run one case; None on exact match, else a message naming the divergence."""
     config = WalkConfig(variant=case.variant, table_size=case.table_size,
@@ -110,7 +102,7 @@ def replay(case: ReplayCase) -> str | None:
     for i, expected in enumerate(case.rows):
         if i >= len(trace):
             return (f"row {i + 1}: walk ended early"
-                    f" (expected value {_fmt(case, expected[0])})")
+                    f" (expected value {case.params.format(expected[0])})")
         rec = trace[i]
         if case.variant == "char2":
             got = (rec.value, rec.branch, rec.result, rec.decision,

@@ -29,11 +29,13 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-from .gf2m import GENERATOR, BinaryFieldParams, gf_div_by_x, gf_pow, gf_sqrt
+# gf_pow and mod_pow are not called here (params.pow calls them), but the
+# layer tracer in perfbench/ wraps them on this module as well as their own.
+from .gf2m import gf_div_by_x, gf_pow, gf_sqrt  # noqa: F401
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates)
-from .primefield import PrimeGroupParams, legendre, mod_inverse, mod_pow, sqrt_mod_p
+from .primefield import legendre, mod_inverse, mod_pow, sqrt_mod_p  # noqa: F401
 
 VARIANTS = ("inverse", "collatz", "char2")
 SEQUENCES = ("pow2", "consec")
@@ -163,15 +165,8 @@ def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
     entries: dict[int, int] = {}
     for j in range(size):
         k = (1 << j) if config.sequence == "pow2" else j + 1
-        value = _generator_pow(params, k)
-        entries.setdefault(value, k)
+        entries.setdefault(params.pow(params.generator, k), k)
     return PrecomputedTable(entries, size, config.sequence)
-
-
-def _generator_pow(params, e: int) -> int:
-    if isinstance(params, PrimeGroupParams):
-        return mod_pow(params.a, e, params)
-    return gf_pow(GENERATOR, e, params)
 
 
 # Restart outcome of a step: too many candidates, apply the restart policy.
@@ -191,25 +186,15 @@ class _Walk:
         self.config = config
         self.order = params.order
 
-        if config.variant in ("inverse", "collatz"):
-            if not isinstance(params, PrimeGroupParams):
-                raise TypeError(f"variant {config.variant!r} needs PrimeGroupParams")
-            target %= params.p
-            if target == 0:
-                raise ValueError("target must be a nonzero element mod p")
+        if config.variant not in params.variants:
+            raise TypeError(f"variant {config.variant!r} does not run on"
+                            f" {type(params).__name__}")
+        self.target = params.element(target)
+        if config.variant == "inverse":
             self.inv_a = mod_inverse(params.a, params.p)
-            if config.variant == "collatz" and math.gcd(3, self.order) != 1:
-                raise UnsupportedGroupError(
-                    f"3x+1 variant needs gcd(3, p-1) = 1; p-1 = {self.order}")
-        else:
-            if not isinstance(params, BinaryFieldParams):
-                raise TypeError("char2 variant needs BinaryFieldParams")
-            if not params.generator_is_x:
-                raise UnsupportedGroupError("char2 walk requires x as group generator")
-            if target == 0 or target.bit_length() > params.m:
-                raise ValueError("target must be a nonzero field element")
-
-        self.target = target
+        elif config.variant == "collatz" and math.gcd(3, self.order) != 1:
+            raise UnsupportedGroupError(
+                f"3x+1 variant needs gcd(3, p-1) = 1; p-1 = {self.order}")
         self.table = table if table is not None else build_table_one(params, config)
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
@@ -359,7 +344,7 @@ class _Walk:
 
     def _verify(self, n: int) -> bool:
         self.candidates_tried += 1
-        return _generator_pow(self.params, n) == self.target
+        return self.params.pow(self.params.generator, n) == self.target
 
     # -- bookkeeping ---------------------------------------------------------
 

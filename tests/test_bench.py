@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from dlogwalk.bench import (CSV_COLUMNS, StepStats, TrialRecord, group_label,
-                            records_to_csv, run_trials, stats_to_json, summarize,
-                            write_csv, write_json)
+from dlogwalk.bench import (CSV_COLUMNS, StepStats, TrialRecord, records_to_csv,
+                            run_trials, stats_to_json, summarize, write_csv,
+                            write_json)
 from dlogwalk.gf2m import BinaryFieldParams
 from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.primefield import PrimeGroupParams
@@ -123,4 +123,4 @@ def test_gf2m_trials():
     records = run_trials(gf, "char2", 25, seed_base=3)
     assert all(r.success for r in records)
     assert records[0].prime_or_field == "gf2^7/0x83"
-    assert group_label(P103) == "103"
+    assert str(P103) == "103"

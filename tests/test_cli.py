@@ -72,6 +72,9 @@ def test_oracle_commands(capsys):
                    "--target", "72", "--method", "brute")[1].strip() == "41"
     assert run_cli(capsys, "oracle", "--m", "7", "--poly", "0x83",
                    "--target", "0x1D", "--method", "bsgs")[1].strip() == "38"
+    for method in ("brute", "bsgs"):  # targets reduce mod p, as in solve
+        assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
+                       "--target", "-1", "--method", method)[1].strip() == "51"
 
 
 def test_selftest_all(capsys):
@@ -144,6 +147,16 @@ def test_usage_errors_exit_two(capsys):
          "--table-size", "-1"],
         ["bench", "--m", "7", "--poly", "0x83", "--trials", "3", "--seed", "0",
          "--d-max", "0"],
+        ["solve", "--p", "1000003", "--gen", "4", "--target", "2"],  # square
+        ["solve", "--p", "7340033", "--gen", "9", "--target", "5"],  # square
+        ["solve", "--p", "103", "--gen", "5", "--target", "0"],
+        ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x0"],
+        ["oracle", "--p", "103", "--gen", "5", "--target", "0", "--method", "brute"],
+        ["oracle", "--m", "7", "--poly", "0x83", "--target", "0", "--method", "bsgs"],
+        ["oracle", "--m", "1", "--poly", "0x3", "--target", "0x1",
+         "--method", "bsgs"],                                      # x not in GF(2)
+        ["bench", "--m", "7", "--poly", "0x83", "--variant", "collatz",
+         "--trials", "3", "--seed", "0"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -23,6 +23,8 @@ def test_field_params():
         BinaryFieldParams(7, 0x82)   # no constant term
     with pytest.raises(ValueError):
         BinaryFieldParams(6, 0x83)   # degree disagrees with m
+    with pytest.raises(ValueError):
+        BinaryFieldParams(1, 0x3)    # the generator x is not in GF(2)
 
 
 def test_is_irreducible_degree3():

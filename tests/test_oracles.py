@@ -40,6 +40,17 @@ def test_brute_force_guard():
         brute_force_dlog(params, 5)
 
 
+def test_targets_reduced_and_checked_like_the_walk():
+    params = PrimeGroupParams(103, 5)
+    for target, n in ((104, 0), (-1, 51)):
+        assert brute_force_dlog(params, target).n == n
+        assert bsgs_dlog(params, target).n == n
+    for solver in (brute_force_dlog, bsgs_dlog):
+        for group, target in ((params, 0), (GF27, 0), (GF27, 0x80)):
+            with pytest.raises(ValueError):
+                solver(group, target)
+
+
 def test_methods_labelled():
     assert brute_force_dlog(GF27, 2).method == "brute"
     assert bsgs_dlog(GF27, 2).method == "bsgs"

@@ -5,7 +5,7 @@ import pytest
 from dlogwalk.primefield import (NotAResidueError, PrimeGroupParams,
                                  is_probable_prime, jacobi, legendre,
                                  legendre_euler, mod_inverse, mod_pow,
-                                 sqrt_mod_p, xgcd)
+                                 sqrt_mod_p)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -24,6 +24,9 @@ def test_params_primitivity_check():
         PrimeGroupParams(103, 25, factors_of_order=(2, 3, 17))
     with pytest.raises(ValueError):
         PrimeGroupParams(103, 5, factors_of_order=(2, 5))  # 5 does not divide 102
+    for p, a in ((97, 4), (1000003, 4), (7340033, 9)):
+        with pytest.raises(ValueError):  # a square is never a primitive root
+            PrimeGroupParams(p, a)
 
 
 @pytest.mark.parametrize("p", [4, 9, 15, 91, 1])
@@ -151,14 +154,6 @@ def test_mod_inverse_brute_force_oracle():
                 continue
             expected = next(y for y in range(1, m) if x * y % m == 1)
             assert mod_inverse(x, m) == expected
-
-
-def test_xgcd():
-    for a, b in [(5, 103), (48, 18), (0, 7), (7, 0), (270, 192)]:
-        g, x, y = xgcd(a, b)
-        assert a * x + b * y == g
-        from math import gcd
-        assert g == gcd(a, b)
 
 
 @pytest.mark.parametrize("p,a", [(103, 5), (101, 2), (199, 3), (193, 5)])
