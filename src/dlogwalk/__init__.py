@@ -7,8 +7,7 @@ reproducible step-count benchmark harness.
 
 __version__ = "0.1.0"
 
-from .gf2m import (BinaryFieldParams, format_elem, gf_div_by_x, gf_mul,
-                   gf_pow, gf_sqrt, parse_elem, poly_str)
+from .gf2m import BinaryFieldParams, gf_div_by_x, gf_mul, gf_pow, gf_sqrt
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates, solve_linear)
@@ -26,8 +25,7 @@ __all__ = [
     "NotAResidueError", "OracleResult", "PrecomputedTable", "PrimeGroupParams",
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig", "WalkEntry",
     "brute_force_dlog", "bsgs_dlog", "build_table_one", "collision_solve",
-    "enumerate_candidates", "format_elem", "gf_div_by_x", "gf_mul", "gf_pow",
-    "gf_sqrt", "is_probable_prime", "jacobi", "legendre", "legendre_euler",
-    "mod_inverse", "mod_pow", "parse_elem", "poly_str", "run_dlog",
-    "solve_linear", "sqrt_mod_p",
+    "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",
+    "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_inverse",
+    "mod_pow", "run_dlog", "solve_linear", "sqrt_mod_p",
 ]

@@ -8,11 +8,7 @@ exactly one square root, reachable by m - 1 further squarings.
 
 from dataclasses import dataclass
 
-from .primefield import is_probable_prime
-
 GENERATOR = 0b10  # the element x
-
-_IRREDUCIBILITY_SCAN_LIMIT = 32
 
 
 def _poly_mod(v: int, f: int) -> int:
@@ -22,15 +18,28 @@ def _poly_mod(v: int, f: int) -> int:
     return v
 
 
+def _poly_gcd(u: int, v: int) -> int:
+    while v:
+        u, v = v, _poly_mod(u, v)
+    return u
+
+
 def is_irreducible(f: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree <= deg(f)/2."""
+    """Ben-Or's test: f of degree m is irreducible over GF(2) iff
+    gcd(f, x^(2^i) - x) = 1 for every 1 <= i <= m/2.
+
+    An irreducible factor of degree d divides x^(2^i) - x exactly when d
+    divides i, and a reducible f has a factor of degree <= m/2.
+    """
     m = f.bit_length() - 1
     if m < 1:
         return False
-    for d in range(1, m // 2 + 1):
-        for g in range(1 << d, 1 << (d + 1)):
-            if _poly_mod(f, g) == 0:
-                return False
+    h = GENERATOR  # x^(2^i) mod f
+    for _ in range(m // 2):
+        # squaring over GF(2) spreads the bits: (sum x^j)^2 = sum x^(2j)
+        h = _poly_mod(int("0".join(f"{h:b}"), 2), f)
+        if _poly_gcd(f, h ^ GENERATOR) != 1:
+            return False
     return True
 
 
@@ -38,9 +47,9 @@ def is_irreducible(f: int) -> bool:
 class BinaryFieldParams:
     """The group GF(2^m)* of an irreducible modulus polynomial f of degree m.
 
-    The generator is x.  When 2^m - 1 is prime every element besides 1
-    generates the group, so that is verified for free (`generator_verified`);
-    otherwise it is taken on trust.
+    f is checked for irreducibility whatever m is.  The generator is x.
+    When 2^m - 1 is prime every element besides 1 generates the group, so
+    x does; otherwise that is taken on trust.
     """
 
     m: int
@@ -53,25 +62,17 @@ class BinaryFieldParams:
         if self.m < 2:
             raise ValueError("extension degree must be >= 2:"
                              " x is not an element of GF(2)")
-        if self.poly.bit_length() - 1 != self.m:
-            raise ValueError(f"modulus degree {self.poly.bit_length() - 1} != m = {self.m}")
+        if self.poly >> self.m != 1:  # also rejects negative ints
+            raise ValueError(f"{self.poly:#x} is not a polynomial"
+                             f" of degree m = {self.m}")
         if self.poly & 1 == 0:
             raise ValueError("modulus must have constant term 1")
-        if self.m <= _IRREDUCIBILITY_SCAN_LIMIT and not is_irreducible(self.poly):
+        if not is_irreducible(self.poly):
             raise ValueError(f"0x{self.poly:x} is reducible over GF(2)")
 
     @property
     def order(self) -> int:
         return (1 << self.m) - 1
-
-    @property
-    def generator_verified(self) -> bool:
-        """Whether x provably generates the multiplicative group.
-
-        When 2^m - 1 is prime, every element except 1 generates it;
-        otherwise the claim rests on the caller.
-        """
-        return is_probable_prime(self.order)
 
     def element(self, u: int) -> int:
         """u as a group element: 0 and anything out of range rejected."""
@@ -85,7 +86,7 @@ class BinaryFieldParams:
         return self.element(int(text, 16))
 
     def format(self, u: int) -> str:
-        return format_elem(u)
+        return f"0x{u:x}"
 
     def mul(self, u: int, v: int) -> int:
         return gf_mul(u, v, self)
@@ -113,10 +114,6 @@ def gf_mul(u: int, v: int, params: BinaryFieldParams) -> int:
         u <<= 1
         v >>= 1
     return _poly_mod(r, params.poly)
-
-
-def gf_sqr(u: int, params: BinaryFieldParams) -> int:
-    return gf_mul(u, u, params)
 
 
 def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
@@ -159,25 +156,3 @@ def gf_pow(u: int, e: int, params: BinaryFieldParams) -> int:
         u = gf_mul(u, u, params)
         e >>= 1
     return r
-
-
-def parse_elem(text: str, params: BinaryFieldParams) -> int:
-    """Parse the hex encoding (bit 0 = constant term) of a field element."""
-    u = int(text, 16)
-    _check_elem(u, params)
-    return u
-
-
-def format_elem(u: int) -> str:
-    return f"0x{u:x}"
-
-
-def poly_str(u: int) -> str:
-    """Human-readable polynomial form, highest degree first (0 -> \"0\")."""
-    if u == 0:
-        return "0"
-    terms = []
-    for i in range(u.bit_length() - 1, -1, -1):
-        if u >> i & 1:
-            terms.append("1" if i == 0 else "x" if i == 1 else f"x^{i}")
-    return "+".join(terms)

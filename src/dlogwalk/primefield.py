@@ -1,8 +1,9 @@
 """Exact modular arithmetic over Z/pZ.
 
 Everything here works on plain Python ints (arbitrary precision); a
-:class:`PrimeGroupParams` carries the prime p, a primitive root a, and the
-decomposition p - 1 = 2^r * s with s odd, which the square-root code needs.
+:class:`PrimeGroupParams` carries the prime p, a primitive root a, the
+decomposition p - 1 = 2^r * s with s odd, and c = a^s, which the square-root
+code needs.
 """
 
 from dataclasses import dataclass, field
@@ -53,8 +54,9 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
 class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
-    r and s are derived so that p - 1 = 2^r * s with s odd.  A square is
-    never a primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
+    r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
+    which has order 2^r.  A square is never a primitive root, so a with
+    Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order lists the prime factors of p - 1, primitivity of a
     is verified in full; otherwise the caller's claim is trusted.
     """
@@ -64,6 +66,7 @@ class PrimeGroupParams:
     factors_of_order: tuple[int, ...] | None = None
     r: int = field(init=False)
     s: int = field(init=False)
+    c: int = field(init=False)
 
     variants = ("inverse", "collatz")
 
@@ -82,6 +85,7 @@ class PrimeGroupParams:
             r += 1
         self.r = r
         self.s = s
+        self.c = pow(self.a, s, self.p)
         if self.factors_of_order is not None:
             self.factors_of_order = tuple(self.factors_of_order)
             for q in self.factors_of_order:
@@ -189,39 +193,31 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
 def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int]:
     """Both square roots of a quadratic residue x, as (min, max).
 
-    For p = 3 mod 4 (r = 1) the root is x^((s+1)/2) directly.  Otherwise
-    Tonelli-Shanks runs with the primitive root a as the non-residue it
-    needs (a primitive root is never a square).
+    Tonelli-Shanks: z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and
+    t = z*y = x^s, so y^2 = t*x.  Each pass finds the least i with
+    t^(2^i) = 1 and multiplies y by a power of c = a^s that brings the
+    order of t down to 2^i, until t = 1 and y is a root.  t starts with
+    order 2^r exactly when x is a non-residue (Euler's criterion), so that
+    is the one case in which the first pass finds no i < r.
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
-    if legendre(x, params) != 1:
-        raise NotAResidueError(f"{x} is not a quadratic residue mod {p}")
-    if params.r == 1:
-        y = pow(x, (params.s + 1) // 2, p)
-    else:
-        y = _tonelli_shanks(x, params)
-    return (y, p - y) if y < p - y else (p - y, y)
-
-
-def _tonelli_shanks(x: int, params: PrimeGroupParams) -> int:
-    p, r, s = params.p, params.r, params.s
-    c = pow(params.a, s, p)
-    y = pow(x, (s + 1) // 2, p)
-    t = pow(x, s, p)
-    m = r
+    z = pow(x, (params.s - 1) // 2, p)
+    y = z * x % p
+    t = z * y % p
+    c, m = params.c, params.r
     while t != 1:
-        t2i = t
-        i = 0
-        for i in range(1, m):
+        i, t2i = 0, t
+        while t2i != 1:
             t2i = t2i * t2i % p
-            if t2i == 1:
-                break
+            i += 1
+        if i == m:
+            raise NotAResidueError(f"{x} is not a quadratic residue mod {p}")
         b = pow(c, 1 << (m - i - 1), p)
         y = y * b % p
         c = b * b % p
         t = t * c % p
         m = i
-    return y
+    return (y, p - y) if y < p - y else (p - y, y)

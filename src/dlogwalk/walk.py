@@ -108,8 +108,6 @@ class PrecomputedTable:
     """Table I: generator powers with exactly known exponents."""
 
     entries: dict[int, int]
-    size: int
-    sequence: str
 
 
 @dataclass
@@ -123,7 +121,6 @@ class TraceRecord:
     chosen: int | None
     decision: int | None
     expr: LinExpr
-    control_bit: int
 
 
 @dataclass
@@ -166,7 +163,7 @@ def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
     for j in range(size):
         k = (1 << j) if config.sequence == "pow2" else j + 1
         entries.setdefault(params.pow(params.generator, k), k)
-    return PrecomputedTable(entries, size, config.sequence)
+    return PrecomputedTable(entries)
 
 
 # Restart outcome of a step: too many candidates, apply the restart policy.
@@ -273,7 +270,7 @@ class _Walk:
                 nexpr = expr.dec()
                 branch = "div"
             outcome = self._attempt(new, nexpr)
-            self._record(value, branch, result=new, expr=nexpr, control_bit=0)
+            self._record(value, branch, result=new, expr=nexpr)
             self._store(WalkEntry(new, None, nexpr, 0))
             self.value, self.expr = new, nexpr
             return outcome
@@ -291,7 +288,7 @@ class _Walk:
         self._store(WalkEntry(chosen, other, nexpr, 1))
         self._record(value, "sqrt", roots=(r1, r2),
                      chosen=None if bit is None else chosen, decision=bit,
-                     expr=nexpr, control_bit=1)
+                     expr=nexpr)
         self.value, self.expr = chosen, nexpr
         return outcome
 
@@ -307,8 +304,7 @@ class _Walk:
             nexpr = expr.halve()
             branch, control = "sqrt", 1
         outcome = self._attempt(new, nexpr)
-        self._record(value, branch, result=new, decision=bit, expr=nexpr,
-                     control_bit=control)
+        self._record(value, branch, result=new, decision=bit, expr=nexpr)
         self._store(WalkEntry(new, None, nexpr, control))
         self.value, self.expr = new, nexpr
         return outcome
@@ -362,13 +358,13 @@ class _Walk:
             index[entry.partner] = idx
 
     def _record(self, value, branch, result=None, roots=None, chosen=None,
-                decision=None, expr=None, control_bit=0):
+                decision=None, expr=None):
         if self.trace is None:
             return
         self.trace.append(TraceRecord(
             index=self.steps_taken, segment=self.segment, value=value,
             branch=branch, result=result, roots=roots, chosen=chosen,
-            decision=decision, expr=expr, control_bit=control_bit))
+            decision=decision, expr=expr))
 
     def _result(self, n, congruence=None, candidates=None):
         return DlogResult(

@@ -1,7 +1,6 @@
 import pytest
 
 from dlogwalk.cli import main
-from dlogwalk.gf2m import parse_elem
 from dlogwalk.selftest import CASES
 
 
@@ -53,7 +52,7 @@ def test_solve_gf2m_worked_example(capsys):
 
 
 def test_solve_gf2m_verbose_hex_roundtrip(capsys):
-    from dlogwalk.gf2m import BinaryFieldParams, format_elem
+    from dlogwalk.gf2m import BinaryFieldParams
     code, out, _ = run_cli(capsys, "solve-gf2m", "--m", "7", "--poly", "0x83",
                            "--target", "0x6B", "--choices", "0,1,1,0", "-v")
     assert code == 0
@@ -62,7 +61,7 @@ def test_solve_gf2m_verbose_hex_roundtrip(capsys):
                   for tok in line.split() if tok.startswith("0x")]
     assert hex_tokens
     for tok in hex_tokens:  # printed hex parses back to the identical element
-        assert format_elem(parse_elem(tok, params)) == tok
+        assert params.format(params.parse(tok)) == tok
 
 
 def test_oracle_commands(capsys):
@@ -124,6 +123,9 @@ def test_usage_errors_exit_two(capsys):
     for argv in (
         ["solve", "--p", "104", "--gen", "5", "--target", "84"],   # composite p
         ["solve-gf2m", "--m", "7", "--poly", "0x9B", "--target", "0x1D"],
+        ["solve-gf2m", "--m", "33", "--poly", "0x200000001",
+         "--target", "0x3"],                                       # reducible
+        ["solve-gf2m", "--m", "3", "--poly=-0xb", "--target", "0x3"],  # negative
         ["oracle", "--method", "bsgs", "--target", "5"],           # no field given
         ["oracle", "--p", "103", "--m", "7", "--poly", "0x83",
          "--target", "5", "--method", "bsgs"],                     # both fields

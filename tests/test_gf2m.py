@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, format_elem,
-                           gf_div_by_x, gf_mul, gf_pow, gf_sqr, gf_sqrt,
-                           is_irreducible, parse_elem, poly_str)
+from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
+                           gf_div_by_x, gf_mul, gf_pow, gf_sqrt, is_irreducible)
 
 GF27 = BinaryFieldParams(7, 0x83)       # x^7 + x + 1
 GF213 = BinaryFieldParams(13, 0x201B)   # x^13 + x^4 + x^3 + x + 1
@@ -14,15 +13,17 @@ NONZERO_27 = range(1, 128)
 def test_field_params():
     assert GF27.order == 127
     assert GF213.order == 8191
-    assert GF27.generator_verified        # 127 prime: every element != 1 generates
-    assert GF213.generator_verified
-    assert not BinaryFieldParams(4, 0b10011).generator_verified  # 15 = 3 * 5
     with pytest.raises(ValueError):
         BinaryFieldParams(7, 0x9B)   # x^7+x^4+x^3+x+1 has factor x^3+x^2+1
+    with pytest.raises(ValueError):
+        BinaryFieldParams(33, 0x200000001)  # x^33+1 has factor x+1
     with pytest.raises(ValueError):
         BinaryFieldParams(7, 0x82)   # no constant term
     with pytest.raises(ValueError):
         BinaryFieldParams(6, 0x83)   # degree disagrees with m
+    for poly in (-0x5, -0xB):        # bit_length looks right, sign does not
+        with pytest.raises(ValueError):
+            BinaryFieldParams(poly.bit_length() - 1, poly)
     with pytest.raises(ValueError):
         BinaryFieldParams(1, 0x3)    # the generator x is not in GF(2)
 
@@ -32,6 +33,17 @@ def test_is_irreducible_degree3():
     assert is_irreducible(0b1101)        # x^3 + x^2 + 1
     assert not is_irreducible(0b1001)    # x^3 + 1 = (x+1)(x^2+x+1)
     assert not is_irreducible(0b1111)    # (x+1)^3
+
+
+def _irreducible_by_trial_division(f):
+    m = f.bit_length() - 1
+    return m >= 1 and all(_poly_mod(f, g) != 0
+                          for g in range(2, 1 << (m // 2 + 1)))
+
+
+def test_is_irreducible_matches_trial_division():
+    for f in range(1 << 11):  # every f of degree <= 10
+        assert is_irreducible(f) == _irreducible_by_trial_division(f), hex(f)
 
 
 def test_mul_known_values():
@@ -111,7 +123,8 @@ def test_frobenius_linearity():
     rng = random.Random(4)
     for _ in range(500):
         u, v = rng.randrange(128), rng.randrange(128)
-        assert gf_sqr(u ^ v, GF27) == gf_sqr(u, GF27) ^ gf_sqr(v, GF27)
+        assert gf_mul(u ^ v, u ^ v, GF27) == \
+            gf_mul(u, u, GF27) ^ gf_mul(v, v, GF27)
 
 
 def test_generator_enumerates_group_m7():
@@ -125,16 +138,12 @@ def test_generator_enumerates_group_m7():
 
 
 def test_hex_roundtrip():
-    for u in (0x00, 0x01, 0x1D, 0x6B, 0x7F):
-        assert parse_elem(format_elem(u), GF27) == u
-    assert parse_elem("1d", GF27) == 0x1D
+    for u in (0x01, 0x1D, 0x6B, 0x7F):
+        assert GF27.parse(GF27.format(u)) == u
+    assert GF27.format(0x1D) == "0x1d"
+    assert GF27.parse("1d") == 0x1D
     with pytest.raises(ValueError):
-        parse_elem("0xFF", GF27)  # out of range for m = 7
+        GF27.parse("0xFF")  # out of range for m = 7
+    with pytest.raises(ValueError):
+        GF27.parse("0x0")  # not in the multiplicative group
 
-
-def test_poly_str():
-    assert poly_str(0) == "0"
-    assert poly_str(0x01) == "1"
-    assert poly_str(0x02) == "x"
-    assert poly_str(0x83) == "x^7+x+1"
-    assert poly_str(0x1D) == "x^4+x^3+x^2+1"

@@ -14,6 +14,7 @@ P101 = PrimeGroupParams(101, 2)
 def test_params_decomposition():
     assert (P103.r, P103.s) == (1, 51)       # 102 = 2 * 51
     assert (P101.r, P101.s) == (2, 25)       # 100 = 4 * 25
+    assert P101.c == pow(2, 25, 101)
     assert P103.order == 102
 
 
@@ -116,6 +117,23 @@ def test_sqrt_errors():
         sqrt_mod_p(84, P103)
     with pytest.raises(ValueError):
         sqrt_mod_p(0, P103)
+
+
+@pytest.mark.parametrize("params,xs", [
+    (PrimeGroupParams(97, 5), range(1, 97)),                 # r = 5
+    (PrimeGroupParams(257, 3), range(1, 257)),               # r = 8
+    (PrimeGroupParams(7340033, 3),                           # r = 20
+     random.Random(20).sample(range(1, 7340033), 500)),
+])
+def test_sqrt_detects_non_residues_at_every_depth(params, xs):
+    p = params.p
+    for x in xs:
+        if legendre_euler(x, params) == -1:
+            with pytest.raises(NotAResidueError):
+                sqrt_mod_p(x, params)
+        else:
+            lo, hi = sqrt_mod_p(x, params)
+            assert lo * lo % p == x and hi * hi % p == x
 
 
 @pytest.mark.parametrize("params", [

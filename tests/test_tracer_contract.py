@@ -51,6 +51,7 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
     else:
-        assert t.calls["primefield.legendre"] >= result.steps_taken
+        # one Legendre symbol per step: sqrt_mod_p does not compute another
+        assert t.calls["primefield.legendre"] == result.steps_taken
     assert t.calls["primefield.mod_pow"] + t.calls["gf2m.gf_pow"] >= \
         result.candidates_tried
