@@ -14,18 +14,17 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
 from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
 from .primefield import (NotAResidueError, PrimeGroupParams, is_probable_prime,
                          jacobi, legendre, legendre_euler, mod_inverse, mod_pow,
-                         sqrt_mod_p)
-from .walk import (DecisionsExhaustedError, DlogResult, PrecomputedTable,
-                   UnsupportedGroupError, WalkConfig, WalkEntry,
-                   build_table_one, run_dlog)
+                         prime_factors, sqrt_mod_p)
+from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
+                   WalkConfig, build_table_one, run_dlog)
 
 __all__ = [
     "BinaryFieldParams", "CongruenceSolution", "DegenerateCollisionError",
     "DecisionsExhaustedError", "DlogResult", "LinExpr", "NoSolutionError",
-    "NotAResidueError", "OracleResult", "PrecomputedTable", "PrimeGroupParams",
-    "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig", "WalkEntry",
+    "NotAResidueError", "OracleResult", "PrimeGroupParams",
+    "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
     "brute_force_dlog", "bsgs_dlog", "build_table_one", "collision_solve",
     "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",
     "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_inverse",
-    "mod_pow", "run_dlog", "solve_linear", "sqrt_mod_p",
+    "mod_pow", "prime_factors", "run_dlog", "solve_linear", "sqrt_mod_p",
 ]

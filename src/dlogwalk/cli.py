@@ -8,11 +8,12 @@ x^7+x+1 is 0x83).
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__, bench
 from .gf2m import BinaryFieldParams
 from .oracles import brute_force_dlog, bsgs_dlog
-from .primefield import PrimeGroupParams
+from .primefield import PrimeGroupParams, prime_factors
 from .selftest import CASE_NAMES, run_selftest
 from .walk import DecisionsExhaustedError, WalkConfig, run_dlog
 
@@ -60,7 +61,11 @@ def _params(parser, args):
         parser.error("--poly is required with --m")
     try:
         if args.p is not None:
-            return PrimeGroupParams(args.p, args.gen)
+            # p is checked before p - 1 is factored; then full primitivity,
+            # since a generator of a subgroup walks its whole budget for a
+            # target outside it
+            params = PrimeGroupParams(args.p, args.gen)
+            return replace(params, factors_of_order=prime_factors(args.p - 1))
         return BinaryFieldParams(args.m, int(args.poly, 16))
     except ValueError as exc:
         parser.error(str(exc))

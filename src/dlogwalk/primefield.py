@@ -50,6 +50,27 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
     return True
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n >= 1, in increasing order.
+
+    Trial division that stops as soon as the cofactor is prime, so it runs
+    up to the second-largest prime factor of n, which is at most sqrt(n).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    factors = []
+    q = 2
+    while n > 1 and not is_probable_prime(n):
+        while n % q:
+            q += 1 if q == 2 else 2
+        factors.append(q)
+        while n % q == 0:
+            n //= q
+    if n > 1:
+        factors.append(n)
+    return tuple(factors)
+
+
 @dataclass
 class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.

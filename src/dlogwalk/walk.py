@@ -8,20 +8,19 @@ b <- b^3 * a.  Over GF(2^m) square roots are unique, so a random bit decides
 the branch instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
-unknown n).  Three lookup structures drive collision detection:
+unknown n).  Two lookups drive collision detection:
 
-* Table I   - precomputed generator powers (exponent known exactly),
-* Table II  - division-step history (single value per entry),
-* Table III - square-root history (both roots share one entry and one expr).
+* Table I         - precomputed generator powers (exponent known exactly),
+* Tables II + III - the walk history: one dict from each visited value (and
+                    each untaken square root) to the first exponent stored
+                    for it.
 
-Tables II and III live in a single hash map from value to entry index; the
-control bit on the entry keeps the two meanings apart.  A collision yields a
-linear congruence for n whose solutions are verified by exponentiation; the
-first verified candidate wins.  If a congruence has too many solutions or a
-walk exhausts its step budget, the walk restarts from a stored square-root
-entry on the branch it did not take (then from scratch once those are used
-up).  A walk is sequential; it only reads Table I, which calls may share,
-and touches no global state.
+A collision yields a linear congruence for n whose solutions are verified by
+exponentiation; the first verified candidate wins.  If a congruence has too
+many solutions or a walk exhausts its step budget, the walk restarts from
+an untaken square root drawn from the list of forks kept in walk order (then
+from scratch once mid-walk restarts are used up).  A walk is sequential; it
+only reads Table I, which calls may share, and touches no global state.
 """
 
 import math
@@ -90,27 +89,6 @@ class WalkConfig:
 
 
 @dataclass
-class WalkEntry:
-    """One stored walk value: Table II rows have no partner, Table III rows do.
-
-    For square-root entries `value` is the root the walk continued from and
-    `partner` the untaken one, which restarts resume from.
-    """
-
-    value: int
-    partner: int | None
-    expr: LinExpr
-    control_bit: int
-
-
-@dataclass
-class PrecomputedTable:
-    """Table I: generator powers with exactly known exponents."""
-
-    entries: dict[int, int]
-
-
-@dataclass
 class TraceRecord:
     index: int
     segment: int
@@ -150,8 +128,8 @@ def default_table_size(order: int) -> int:
     return order.bit_length()
 
 
-def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
-    """Precompute (generator^k_j, k_j) pairs.
+def build_table_one(params, config: WalkConfig) -> dict[int, int]:
+    """Table I: a dict from generator^k_j to k_j.
 
     pow2 uses k_j = 2^j, consec uses k_j = j + 1, for j < B.  If two
     exponents produce the same value the smaller exponent is kept.
@@ -159,11 +137,11 @@ def build_table_one(params, config: WalkConfig) -> PrecomputedTable:
     size = config.table_size
     if size is None:
         size = default_table_size(params.order)
-    entries: dict[int, int] = {}
+    table: dict[int, int] = {}
     for j in range(size):
         k = (1 << j) if config.sequence == "pow2" else j + 1
-        entries.setdefault(params.pow(params.generator, k), k)
-    return PrecomputedTable(entries)
+        table.setdefault(params.pow(params.generator, k), k)
+    return table
 
 
 # Restart outcome of a step: too many candidates, apply the restart policy.
@@ -178,7 +156,7 @@ def _scripted_bits(bits):
 
 class _Walk:
     def __init__(self, params, target, config: WalkConfig,
-                 table: PrecomputedTable | None):
+                 table: dict[int, int] | None):
         self.params = params
         self.config = config
         self.order = params.order
@@ -200,8 +178,10 @@ class _Walk:
         else:
             self.next_bit = partial(self.rng.getrandbits, 1)
 
-        self.entries: list[WalkEntry] = []
-        self.index: dict[int, int] = {}
+        # Tables II and III: the first exponent stored for each value
+        self.seen: dict[int, LinExpr] = {self.target: LinExpr()}
+        # untaken square roots in walk order, which restarts resume from
+        self.forks: list[tuple[int, LinExpr]] = []
         self.value = target
         self.expr = LinExpr()
         self.segment = 0
@@ -213,12 +193,11 @@ class _Walk:
         self.trace: list[TraceRecord] | None = [] if config.trace else None
 
     def run(self) -> DlogResult:
-        hit = self.table.entries.get(self.target)
+        hit = self.table.get(self.target)
         if hit is not None:
             n = hit % self.order
             if self._verify(n):
                 return self._result(n, CongruenceSolution(n, self.order, 1), [n])
-        self._store(WalkEntry(self.target, None, LinExpr(), 0))
         # bound here, not on self: a stored bound method would be a reference
         # cycle that keeps every finished walk's history alive until a full GC
         step = self._step_char2 if self.config.variant == "char2" else self._step_prime
@@ -239,21 +218,16 @@ class _Walk:
 
     def _restart(self):
         self.segment += 1
-        if self.mid_restarts < self.config.max_restarts // 2:
-            # resume from a stored square-root entry (control bit 1)
-            forks = [e for e in self.entries if e.control_bit]
-            if forks:
-                entry = forks[self.rng.randrange(len(forks))]
-                self.value = entry.partner if entry.partner is not None else entry.value
-                self.expr = entry.expr
-                self.mid_restarts += 1
-                return
+        forks = self.forks
+        if forks and self.mid_restarts < self.config.max_restarts // 2:
+            self.value, self.expr = forks[self.rng.randrange(len(forks))]
+            self.mid_restarts += 1
+            return
         # fresh walk from the target; Table I survives, history does not
-        self.entries.clear()
-        self.index.clear()
+        self.seen.clear()
+        forks.clear()
         self.value = self.target
-        self.expr = LinExpr()
-        self._store(WalkEntry(self.target, None, LinExpr(), 0))
+        self.expr = self.seen[self.target] = LinExpr()
 
     # -- steps: each returns None (walk on), _RESTART or the DlogResult -----
 
@@ -271,7 +245,7 @@ class _Walk:
                 branch = "div"
             outcome = self._attempt(new, nexpr)
             self._record(value, branch, result=new, expr=nexpr)
-            self._store(WalkEntry(new, None, nexpr, 0))
+            self.seen.setdefault(new, nexpr)
             self.value, self.expr = new, nexpr
             return outcome
         r1, r2 = sqrt_mod_p(value, self.params)
@@ -285,7 +259,11 @@ class _Walk:
             chosen, other = (r1, r2) if bit == 0 else (r2, r1)
         else:
             bit, chosen, other = None, r1, r2
-        self._store(WalkEntry(chosen, other, nexpr, 1))
+        seen = self.seen
+        if chosen not in seen or other not in seen:
+            self.forks.append((other, nexpr))
+            seen.setdefault(chosen, nexpr)
+            seen.setdefault(other, nexpr)
         self._record(value, "sqrt", roots=(r1, r2),
                      chosen=None if bit is None else chosen, decision=bit,
                      expr=nexpr)
@@ -298,14 +276,17 @@ class _Walk:
         if bit == 1:
             new = gf_div_by_x(value, self.params)
             nexpr = expr.dec()
-            branch, control = "div", 0
+            branch = "div"
         else:
             new = gf_sqrt(value, self.params)
             nexpr = expr.halve()
-            branch, control = "sqrt", 1
+            branch = "sqrt"
         outcome = self._attempt(new, nexpr)
         self._record(value, branch, result=new, decision=bit, expr=nexpr)
-        self._store(WalkEntry(new, None, nexpr, control))
+        if new not in self.seen:
+            self.seen[new] = nexpr
+            if bit == 0:
+                self.forks.append((new, nexpr))
         self.value, self.expr = new, nexpr
         return outcome
 
@@ -317,14 +298,13 @@ class _Walk:
         Returns None (no hit, or hit discarded as spurious/degenerate),
         _RESTART (too many candidates), or the verified DlogResult.
         """
-        known = self.table.entries.get(value)
+        known = self.table.get(value)
         if known is not None:
             stored = LinExpr(0, known, 0)
         else:
-            idx = self.index.get(value)
-            if idx is None:
+            stored = self.seen.get(value)
+            if stored is None:
                 return None
-            stored = self.entries[idx].expr
         self.collisions_tested += 1
         try:
             sol = collision_solve(expr, stored, self.order)
@@ -343,19 +323,6 @@ class _Walk:
         return self.params.pow(self.params.generator, n) == self.target
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _store(self, entry: WalkEntry):
-        index = self.index
-        fresh_value = entry.value not in index
-        fresh_partner = entry.partner is not None and entry.partner not in index
-        if not (fresh_value or fresh_partner):
-            return  # revisit: the earliest entry for a value wins
-        idx = len(self.entries)
-        self.entries.append(entry)
-        if fresh_value:
-            index[entry.value] = idx
-        if fresh_partner:
-            index[entry.partner] = idx
 
     def _record(self, value, branch, result=None, roots=None, chosen=None,
                 decision=None, expr=None):
@@ -379,7 +346,7 @@ class _Walk:
 
 
 def run_dlog(params, target: int, config: WalkConfig | None = None,
-             table: PrecomputedTable | None = None) -> DlogResult:
+             table: dict[int, int] | None = None) -> DlogResult:
     """Solve generator^n = target; returns a DlogResult (n = None on failure).
 
     Deterministic for a fixed config: the default seed is 0.  A prebuilt

@@ -94,9 +94,7 @@ def test_selftest_catches_corrupted_table(capsys, monkeypatch):
     real = walk_mod.build_table_one
 
     def corrupt(params, config):
-        table = real(params, config)
-        table.entries = {v: k + 1 for v, k in table.entries.items()}
-        return table
+        return {v: k + 1 for v, k in real(params, config).items()}
 
     monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
     code, out, _ = run_cli(capsys, "selftest")
@@ -151,6 +149,9 @@ def test_usage_errors_exit_two(capsys):
          "--d-max", "0"],
         ["solve", "--p", "1000003", "--gen", "4", "--target", "2"],  # square
         ["solve", "--p", "7340033", "--gen", "9", "--target", "5"],  # square
+        ["solve", "--p", "13", "--gen", "5", "--target", "2"],       # order 4
+        ["solve", "--p", "1000003", "--gen", "8", "--target", "2"],  # (p-1)/3
+        ["oracle", "--method", "bsgs", "--p", "13", "--gen", "5", "--target", "2"],
         ["solve", "--p", "103", "--gen", "5", "--target", "0"],
         ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x0"],
         ["oracle", "--p", "103", "--gen", "5", "--target", "0", "--method", "brute"],

@@ -5,7 +5,7 @@ import pytest
 from dlogwalk.primefield import (NotAResidueError, PrimeGroupParams,
                                  is_probable_prime, jacobi, legendre,
                                  legendre_euler, mod_inverse, mod_pow,
-                                 sqrt_mod_p)
+                                 prime_factors, sqrt_mod_p)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -51,6 +51,19 @@ def test_is_probable_prime_small():
     assert is_probable_prime(8191)
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_prime_factors_brute_force():
+    primes = [q for q in range(2, 5001)
+              if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+    for n in range(2, 5001):
+        assert prime_factors(n) == tuple(q for q in primes if n % q == 0)
+    assert prime_factors(1) == ()
+    # 2^61 - 2 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
+    assert prime_factors(2**61 - 2) == (2, 3, 5, 7, 11, 13, 31, 41, 61, 151,
+                                        331, 1321)
+    with pytest.raises(ValueError):
+        prime_factors(0)
 
 
 def test_mod_pow_known_values():

@@ -1,16 +1,22 @@
-"""Property tests over random inputs: group laws, BSGS and the walk invariant.
+"""Property tests over random inputs: group laws, BSGS, the collision
+congruence and the walk invariant.
 
 Each walk stores values together with their symbolic exponent (A, B, k),
-and the invariant is v^(2^k) = g^(A*n + B) for every stored value v.
+and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
+every trace row, in the history dict and in the list of restart forks.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlogwalk.gf2m import BinaryFieldParams
+from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
+                              NoSolutionError, collision_solve,
+                              enumerate_candidates)
 from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.primefield import PrimeGroupParams
-from dlogwalk.walk import WalkConfig, run_dlog
+from dlogwalk.walk import WalkConfig, _Walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 GF27 = BinaryFieldParams(7, 0x83)
@@ -38,6 +44,31 @@ def test_bsgs_recovers_exponent(params, n):
     assert bsgs_dlog(params, params.pow(params.generator, n)).n == n % params.order
 
 
+EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
+                  st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRS, EXPRS, st.integers(min_value=1, max_value=300))
+@example(LinExpr(1, -3, 1), LinExpr(2, -6, 2), 102)   # degenerate
+@example(LinExpr(0, 5, 0), LinExpr(0, 5 + 102, 0), 102)  # 0*n = 102: every n
+def test_collision_solve_matches_scan(e1, e2, order):
+    # e1 = e2 with both sides scaled by 2^K: coef*n = rhs
+    big = max(e1.k, e2.k)
+    m1, m2 = 1 << (big - e1.k), 1 << (big - e2.k)
+    coef, rhs = m1 * e1.A - m2 * e2.A, m2 * e2.B - m1 * e1.B
+    scan = [n for n in range(order) if (coef * n - rhs) % order == 0]
+    if coef == rhs == 0:
+        with pytest.raises(DegenerateCollisionError):
+            collision_solve(e1, e2, order)
+    elif not scan:
+        with pytest.raises(NoSolutionError):
+            collision_solve(e1, e2, order)
+    else:
+        sol = collision_solve(e1, e2, order)
+        assert enumerate_candidates(sol, order) == scan
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from([(P2003, "inverse"), (P2003, "collatz"), (GF27, "char2")]),
        EXPONENTS, st.integers(min_value=0, max_value=2**32),
@@ -47,11 +78,22 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
     params, variant = case
     n %= params.order
     g = params.generator
-    result = run_dlog(params, params.pow(g, n), WalkConfig(
-        variant=variant, seed=seed, max_steps=max_steps, trace=True))
+
+    def holds(v, expr):
+        return params.pow(v, 1 << expr.k) == \
+            params.pow(g, (expr.A * n + expr.B) % params.order)
+
+    walk = _Walk(params, params.pow(g, n), WalkConfig(
+        variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
+    result = walk.run()
     for rec in result.trace:
-        expected = params.pow(g, (rec.expr.A * n + rec.expr.B) % params.order)
         for v in [rec.result] if rec.roots is None else rec.roots:
-            assert params.pow(v, 1 << rec.expr.k) == expected
+            assert holds(v, rec.expr)
+    # what the walk stored, which collisions and restarts read
+    for v, expr in walk.seen.items():
+        assert holds(v, expr)
+    for v, expr in walk.forks:
+        assert holds(v, expr)
+        assert v in walk.seen
     if result.success:
         assert result.n == n

@@ -33,23 +33,23 @@ GF_DLOGS = dlog_table(lambda v: gf_mul(v, GENERATOR, GF27), 127)
 
 def test_table_one_known_values_prime():
     table = build_table_one(P103, WalkConfig(table_size=7, sequence="pow2"))
-    assert table.entries == {5: 1, 25: 2, 7: 4, 49: 8, 32: 16, 97: 32, 36: 64}
+    assert table == {5: 1, 25: 2, 7: 4, 49: 8, 32: 16, 97: 32, 36: 64}
 
 
 def test_table_one_known_values_gf2m():
     table = build_table_one(GF27, WalkConfig(variant="char2", table_size=7))
-    assert table.entries[0x14] == 16
-    assert table.entries == {0x02: 1, 0x04: 2, 0x10: 4, 0x06: 8,
-                             0x14: 16, 0x16: 32, 0x12: 64}
+    assert table[0x14] == 16
+    assert table == {0x02: 1, 0x04: 2, 0x10: 4, 0x06: 8,
+                     0x14: 16, 0x16: 32, 0x12: 64}
 
 
 def test_table_one_empty():
-    assert build_table_one(P103, WalkConfig(table_size=0)).entries == {}
+    assert build_table_one(P103, WalkConfig(table_size=0)) == {}
 
 
 def test_table_one_consecutive():
     table = build_table_one(P103, WalkConfig(table_size=4, sequence="consec"))
-    assert table.entries == {5: 1, 25: 2, 22: 3, 7: 4}
+    assert table == {5: 1, 25: 2, 22: 3, 7: 4}
 
 
 def test_table_one_duplicates_keep_smaller_exponent():
@@ -57,7 +57,7 @@ def test_table_one_duplicates_keep_smaller_exponent():
     params = PrimeGroupParams(17, 3)
     table = build_table_one(params, WalkConfig(table_size=8, sequence="pow2"))
     values = [pow(3, 1 << j, 17) for j in range(8)]
-    for v, k in table.entries.items():
+    for v, k in table.items():
         assert pow(3, k, 17) == v
         assert k == min(1 << j for j in range(8) if values[j] == v)
 
@@ -114,9 +114,7 @@ def test_replay_detects_corruption(monkeypatch):
     real = walk_mod.build_table_one
 
     def corrupt(params, config):
-        table = real(params, config)
-        table.entries = {v: k + 1 for v, k in table.entries.items()}
-        return table
+        return {v: k + 1 for v, k in real(params, config).items()}
 
     monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
     assert replay(CASES[0]) is not None
@@ -265,6 +263,14 @@ GOLDEN_SHORT_SEGMENTS = {
               (38, 43, 5, 11, 1), (38, 23, 2, 5, 1), (38, 38, 4, 7, 1),
               (38, 41, 5, 6, 39), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
 }
+# SHA-256 of the (seed, segment, value, A, B, k) rows taken from the first
+# trace row of every segment after the first, for the same runs: where each
+# restart resumes.  102, 87 and 17 rows.
+GOLDEN_RESUME_POINTS_SHA256 = {
+    "inverse": "7f5516074fe76aa5339d5f088e4b89cf14937c34534814ebca786c8ff209b170",
+    "collatz": "39ea4fdf9a51c0972008ab4622c871732cd5caa673fa669270fef60250937e4a",
+    "char2": "143e846a9515c4b82e620a2e9b9ac85fdf85eb5d898dbd92aa19bd43a0551f4e",
+}
 GOLDEN_BENCH_CSV_SHA256 = (
     "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
 
@@ -281,6 +287,24 @@ def test_golden_step_counts(variant):
         variant=variant, seed=seed, max_steps=8, max_restarts=16)))
         for seed in range(10)]
     assert rows == GOLDEN_SHORT_SEGMENTS[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256))
+def test_golden_resume_points(variant):
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    rows = []
+    for seed in range(10):
+        trace = run_dlog(params, target, WalkConfig(
+            variant=variant, seed=seed, max_steps=8, max_restarts=16,
+            trace=True)).trace
+        segments = {0}
+        for rec in trace:
+            if rec.segment not in segments:
+                segments.add(rec.segment)
+                rows.append((seed, rec.segment, rec.value,
+                             rec.expr.A, rec.expr.B, rec.expr.k))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+        GOLDEN_RESUME_POINTS_SHA256[variant]
 
 
 def test_golden_too_many_candidates_restart():
@@ -312,11 +336,11 @@ def test_exhaustive_small_groups():
 
 def test_shared_table_across_runs():
     table = build_table_one(P2003, WalkConfig())
-    before = dict(table.entries)
+    before = dict(table)
     for seed in range(10):
         result = run_dlog(P2003, 1500, WalkConfig(seed=seed), table=table)
         assert result.success
-    assert table.entries == before  # engine only reads Table I
+    assert table == before  # engine only reads Table I
 
 
 @pytest.mark.parametrize("variant", ["inverse", "char2"])
