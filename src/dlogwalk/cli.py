@@ -8,7 +8,6 @@ x^7+x+1 is 0x83).
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__, bench
 from .gf2m import BinaryFieldParams
@@ -61,14 +60,20 @@ def _params(parser, args):
         parser.error("--poly is required with --m")
     try:
         if args.p is not None:
-            # p is checked before p - 1 is factored; then full primitivity,
-            # since a generator of a subgroup walks its whole budget for a
-            # target outside it
             params = PrimeGroupParams(args.p, args.gen)
-            return replace(params, factors_of_order=prime_factors(args.p - 1))
-        return BinaryFieldParams(args.m, int(args.poly, 16))
+        else:
+            params = BinaryFieldParams(args.m, int(args.poly, 16))
     except ValueError as exc:
         parser.error(str(exc))
+    # the group is checked before its order is factored; then the generator
+    # in full, since a generator of a subgroup walks its whole budget for a
+    # target outside it
+    g, order = params.generator, params.order
+    for q in prime_factors(order):
+        if params.pow(g, order // q) == 1:
+            parser.error(f"{params.format(g)} is not a generator:"
+                         f" its order divides {order}/{q}")
+    return params
 
 
 def _target(parser, args, params) -> int:

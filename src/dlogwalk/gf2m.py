@@ -3,10 +3,16 @@
 Elements are ints used as bit masks: bit i is the coefficient of x^i, so
 the modulus x^7 + x + 1 is 0x83 and the generator x is 0x02.  Addition is
 xor.  Squaring is a field automorphism (Frobenius), so every element has
-exactly one square root, reachable by m - 1 further squarings.
+exactly one square root.  Frobenius is additive, (u + v)^2 = u^2 + v^2, so
+its inverse, the square root, is a GF(2)-linear map: sqrt(u) is the xor of
+sqrt(x^j) over the bits j set in u, where sqrt(x^(2t)) = x^t and
+sqrt(x^(2t+1)) = x^t * sqrt(x) (Fong, Hankerson, Lopez and Menezes, "Field
+inversion and point halving revisited", IEEE Trans. Computers 53(8), 2004).
+Each field precomputes that map once, as one xor table per byte of an
+element, so a root costs one table lookup per byte.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 GENERATOR = 0b10  # the element x
 
@@ -49,11 +55,15 @@ class BinaryFieldParams:
 
     f is checked for irreducibility whatever m is.  The generator is x.
     When 2^m - 1 is prime every element besides 1 generates the group, so
-    x does; otherwise that is taken on trust.
+    x does; otherwise that is taken on trust (the CLI checks it).
+    sqrt_tables is derived: the square-root map, one table per byte of an
+    element, entry b of table i being the root of b * x^(8i).
     """
 
     m: int
     poly: int
+    sqrt_tables: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     generator = GENERATOR
     variants = ("char2",)
@@ -69,6 +79,18 @@ class BinaryFieldParams:
             raise ValueError("modulus must have constant term 1")
         if not is_irreducible(self.poly):
             raise ValueError(f"0x{self.poly:x} is reducible over GF(2)")
+        root_x = gf_pow(GENERATOR, 1 << (self.m - 1), self)  # x^(2^(m-1))
+        # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
+        basis = [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
+                 for j in range(self.m)]
+        tables = []
+        for lo in range(0, self.m, 8):
+            table = [0] * (1 << min(8, self.m - lo))
+            for b in range(1, len(table)):
+                low = b & -b  # b's root is the root of b - low, plus low's
+                table[b] = table[b ^ low] ^ basis[lo + low.bit_length() - 1]
+            tables.append(tuple(table))
+        self.sqrt_tables = tuple(tables)
 
     @property
     def order(self) -> int:
@@ -117,13 +139,19 @@ def gf_mul(u: int, v: int, params: BinaryFieldParams) -> int:
 
 
 def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
-    """The unique square root of u != 0, i.e. u^(2^(m-1)) by m-1 squarings."""
+    """The unique square root of u != 0, i.e. u^(2^(m-1)).
+
+    The root is linear in u over GF(2) (Frobenius is additive), so it is
+    the xor of one precomputed entry per byte of u: params.sqrt_tables.
+    """
     _check_elem(u, params)
     if u == 0:
         raise ValueError("0 has no multiplicative square root")
-    for _ in range(params.m - 1):
-        u = gf_mul(u, u, params)
-    return u
+    r = 0
+    for table in params.sqrt_tables:
+        r ^= table[u & 0xFF]
+        u >>= 8
+    return r
 
 
 def gf_div_by_x(u: int, params: BinaryFieldParams) -> int:

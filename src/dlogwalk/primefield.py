@@ -7,6 +7,7 @@ code needs.
 """
 
 from dataclasses import dataclass, field
+import math
 import random
 
 
@@ -53,22 +54,63 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
 def prime_factors(n: int) -> tuple[int, ...]:
     """The distinct prime factors of n >= 1, in increasing order.
 
-    Trial division that stops as soon as the cofactor is prime, so it runs
-    up to the second-largest prime factor of n, which is at most sqrt(n).
+    Trial division by q < 1024 (stopping once q^2 > n), then Brent's rho
+    splits the cofactor, so a cofactor such as 715827883 * 2147483647 (from
+    2^62 - 1) costs about the square root of its smaller factor in steps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     factors = []
     q = 2
-    while n > 1 and not is_probable_prime(n):
-        while n % q:
-            q += 1 if q == 2 else 2
-        factors.append(q)
-        while n % q == 0:
-            n //= q
-    if n > 1:
-        factors.append(n)
-    return tuple(factors)
+    while q < 1024 and q * q <= n:
+        if n % q == 0:
+            factors.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    return tuple(sorted(factors + _rho_factors(n)))
+
+
+def _rho_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by Brent's rho alone."""
+    factors, todo = set(), [n]
+    while todo:
+        n = todo.pop()
+        if n == 1:
+            continue
+        if is_probable_prime(n):
+            factors.add(n)
+            continue
+        d = _brent_divisor(n)
+        todo += [d, n // d]
+    return sorted(factors)
+
+
+def _brent_divisor(n: int) -> int:
+    """A proper divisor of the composite n.
+
+    Pollard's rho with Brent's cycle finding (BIT 20, 1980): y runs on
+    y -> y^2 + c while x holds the value at the last power of two, and
+    gcd(x - y, n) reveals a prime p | n once the iterates cycle mod p,
+    after about sqrt(p) steps.  A gcd of n itself means they cycled mod
+    every prime at once; c + 1 starts another sequence.
+    """
+    if n % 2 == 0:
+        return 2
+    c = 1
+    while True:
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
+        c += 1
 
 
 @dataclass

@@ -182,7 +182,7 @@ class _Walk:
         self.seen: dict[int, LinExpr] = {self.target: LinExpr()}
         # untaken square roots in walk order, which restarts resume from
         self.forks: list[tuple[int, LinExpr]] = []
-        self.value = target
+        self.value = self.target
         self.expr = LinExpr()
         self.segment = 0
         self.steps_taken = 0

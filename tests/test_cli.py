@@ -71,6 +71,9 @@ def test_oracle_commands(capsys):
                    "--target", "72", "--method", "brute")[1].strip() == "41"
     assert run_cli(capsys, "oracle", "--m", "7", "--poly", "0x83",
                    "--target", "0x1D", "--method", "bsgs")[1].strip() == "38"
+    # 2^4 - 1 = 15 is composite, and x generates GF(16)* mod x^4 + x + 1
+    assert run_cli(capsys, "oracle", "--m", "4", "--poly", "0x13",
+                   "--target", "0x3", "--method", "bsgs")[1].strip() == "4"
     for method in ("brute", "bsgs"):  # targets reduce mod p, as in solve
         assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
                        "--target", "-1", "--method", method)[1].strip() == "51"
@@ -152,6 +155,10 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "--p", "13", "--gen", "5", "--target", "2"],       # order 4
         ["solve", "--p", "1000003", "--gen", "8", "--target", "2"],  # (p-1)/3
         ["oracle", "--method", "bsgs", "--p", "13", "--gen", "5", "--target", "2"],
+        ["solve-gf2m", "--m", "4", "--poly", "0x1f", "--target", "0x3",
+         "--max-restarts", "2"],                                   # x has order 5
+        ["oracle", "--method", "bsgs", "--m", "6", "--poly", "0x49",
+         "--target", "0x3"],                                       # x has order 9
         ["solve", "--p", "103", "--gen", "5", "--target", "0"],
         ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x0"],
         ["oracle", "--p", "103", "--gen", "5", "--target", "0", "--method", "brute"],

@@ -108,10 +108,12 @@ def test_inverse_via_pow(params):
 
 
 def test_sqrt_roundtrip_exhaustive_m7():
-    for u in NONZERO_27:
-        assert gf_sqrt(gf_mul(u, u, GF27), GF27) == u
-        r = gf_sqrt(u, GF27)
-        assert gf_mul(r, r, GF27) == u
+    # and every element of GF(2^13), whose top byte is partial
+    for params in (GF27, GF213):
+        for u in range(1, 1 << params.m):
+            assert gf_sqrt(gf_mul(u, u, params), params) == u
+            r = gf_sqrt(u, params)
+            assert gf_mul(r, r, params) == u
 
 
 def test_div_by_x_roundtrip_exhaustive_m7():

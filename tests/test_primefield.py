@@ -1,11 +1,12 @@
 import random
+import time
 
 import pytest
 
 from dlogwalk.primefield import (NotAResidueError, PrimeGroupParams,
-                                 is_probable_prime, jacobi, legendre,
-                                 legendre_euler, mod_inverse, mod_pow,
-                                 prime_factors, sqrt_mod_p)
+                                 _rho_factors, is_probable_prime, jacobi,
+                                 legendre, legendre_euler, mod_inverse,
+                                 mod_pow, prime_factors, sqrt_mod_p)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -57,13 +58,26 @@ def test_prime_factors_brute_force():
     primes = [q for q in range(2, 5001)
               if all(q % d for d in range(2, int(q ** 0.5) + 1))]
     for n in range(2, 5001):
-        assert prime_factors(n) == tuple(q for q in primes if n % q == 0)
+        expected = tuple(q for q in primes if n % q == 0)
+        assert prime_factors(n) == expected
+        assert tuple(_rho_factors(n)) == expected  # Brent's rho alone
     assert prime_factors(1) == ()
     # 2^61 - 2 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
     assert prime_factors(2**61 - 2) == (2, 3, 5, 7, 11, 13, 31, 41, 61, 151,
                                         331, 1321)
     with pytest.raises(ValueError):
         prime_factors(0)
+
+
+def test_prime_factors_splits_large_cofactors():
+    # trial division would run to 715827883 on 2^62 - 1
+    start = time.perf_counter()
+    assert prime_factors(2**62 - 1) == (3, 715827883, 2147483647)
+    assert time.perf_counter() - start < 0.5
+    assert prime_factors(2**64 - 1) == (3, 5, 17, 257, 641, 65537, 6700417)
+    assert prime_factors(2**128 - 1) == (3, 5, 17, 257, 641, 65537, 274177,
+                                         6700417, 67280421310721)
+    assert prime_factors(1009**3 * 1013) == (1009, 1013)  # a prime power
 
 
 def test_mod_pow_known_values():

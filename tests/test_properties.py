@@ -1,5 +1,5 @@
-"""Property tests over random inputs: group laws, BSGS, the collision
-congruence and the walk invariant.
+"""Property tests over random inputs: group laws, BSGS, the GF(2^m) square
+root, the collision congruence and the walk invariant.
 
 Each walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlogwalk.gf2m import BinaryFieldParams
+from dlogwalk.gf2m import BinaryFieldParams, gf_mul, gf_sqrt, is_irreducible
 from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, collision_solve,
                               enumerate_candidates)
@@ -42,6 +42,39 @@ def test_format_parse_roundtrip(params, e):
 @given(GROUPS, EXPONENTS)
 def test_bsgs_recovers_exponent(params, n):
     assert bsgs_dlog(params, params.pow(params.generator, n)).n == n % params.order
+
+
+def _irreducible_at_or_above(m, low):
+    """The first irreducible x^m + ... + 1 from x^m + low up, wrapping round."""
+    poly = (1 << m) | low % (1 << m) | 1
+    while not is_irreducible(poly):
+        poly += 2
+        if poly >> m != 1:
+            poly = (1 << m) | 1
+    return poly
+
+
+def _sqrt_by_squaring(u, params):
+    """u^(2^(m-1)) by m - 1 squarings: the root before it became a table."""
+    for _ in range(params.m - 1):
+        u = gf_mul(u, u, params)
+    return u
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=64),
+       st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=2**64 - 1))
+@example(2, 0, 3)           # one partial byte; u up to 2^m - 1 kept as is
+@example(7, 0x03, 0x7F)
+@example(8, 0x1B, 0xFF)     # exact byte boundaries
+@example(16, 0x2B, 0xFFFF)
+@example(9, 0x11, 0x1FF)    # one spare bit
+@example(17, 0x09, 0x1FFFF)
+def test_sqrt_table_matches_repeated_squaring(m, low, u):
+    params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+    u = u % params.order or params.order
+    assert gf_sqrt(u, params) == _sqrt_by_squaring(u, params)
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),

@@ -102,6 +102,15 @@ def test_target_must_be_nonzero():
         run_dlog(GF27, 0, WalkConfig(variant="char2"))
 
 
+def test_walk_starts_from_reduced_target():
+    # 187 = 84 + 103: the same element, so the same walk from the same value
+    reduced = run_dlog(P103, 84, WalkConfig(seed=1, trace=True))
+    unreduced = run_dlog(P103, 187, WalkConfig(seed=1, trace=True))
+    assert unreduced.trace[0].value == 84
+    assert unreduced.trace == reduced.trace
+    assert (unreduced.n, unreduced.steps_taken) == (reduced.n, reduced.steps_taken)
+
+
 # -- worked-example replays ------------------------------------------------
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
