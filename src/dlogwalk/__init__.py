@@ -12,16 +12,16 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates, solve_linear)
 from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
-from .primefield import (NotAResidueError, PrimeGroupParams, is_probable_prime,
-                         jacobi, legendre, legendre_euler, mod_inverse, mod_pow,
-                         prime_factors, sqrt_mod_p)
+from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
+                         legendre_euler, mod_inverse, mod_pow, prime_factors,
+                         sqrt_mod_p)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
                    WalkConfig, build_table_one, run_dlog)
 
 __all__ = [
     "BinaryFieldParams", "CongruenceSolution", "DegenerateCollisionError",
     "DecisionsExhaustedError", "DlogResult", "LinExpr", "NoSolutionError",
-    "NotAResidueError", "OracleResult", "PrimeGroupParams",
+    "OracleResult", "PrimeGroupParams",
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
     "brute_force_dlog", "bsgs_dlog", "build_table_one", "collision_solve",
     "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",

@@ -2,17 +2,16 @@
 
 Everything here works on plain Python ints (arbitrary precision); a
 :class:`PrimeGroupParams` carries the prime p, a primitive root a, the
-decomposition p - 1 = 2^r * s with s odd, and c = a^s, which the square-root
-code needs.
+decomposition p - 1 = 2^r * s with s odd, c = a^s and the table of its
+powers c^(2^j), j < r, which the square-root code reads.  `sqrt_mod_p`
+also decides residuosity (it returns None for a non-residue), so the walk
+computes no Legendre symbol; `legendre` and `jacobi` remain for the
+generator's square check and as tested library functions.
 """
 
 from dataclasses import dataclass, field
 import math
 import random
-
-
-class NotAResidueError(ValueError):
-    """Square root requested for a quadratic non-residue."""
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -118,8 +117,9 @@ class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r.  A square is never a primitive root, so a with
-    Jacobi symbol (a/p) = +1 is rejected.
+    which has order 2^r; c_powers[j] = c^(2^j) for j < r is the table that
+    Tonelli-Shanks reads (c_powers[r-1] = -1).  A square is never a
+    primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order lists the prime factors of p - 1, primitivity of a
     is verified in full; otherwise the caller's claim is trusted.
     """
@@ -130,6 +130,7 @@ class PrimeGroupParams:
     r: int = field(init=False)
     s: int = field(init=False)
     c: int = field(init=False)
+    c_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     variants = ("inverse", "collatz")
 
@@ -148,7 +149,10 @@ class PrimeGroupParams:
             r += 1
         self.r = r
         self.s = s
-        self.c = pow(self.a, s, self.p)
+        powers = [pow(self.a, s, self.p)]
+        for _ in range(r - 1):
+            powers.append(powers[-1] * powers[-1] % self.p)
+        self.c, self.c_powers = powers[0], tuple(powers)
         if self.factors_of_order is not None:
             self.factors_of_order = tuple(self.factors_of_order)
             for q in self.factors_of_order:
@@ -253,34 +257,31 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
     return -1 if e == params.p - 1 else e
 
 
-def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int]:
-    """Both square roots of a quadratic residue x, as (min, max).
+def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int] | None:
+    """Both square roots of x as (min, max), or None if x is a non-residue.
 
     Tonelli-Shanks: z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and
     t = z*y = x^s, so y^2 = t*x.  Each pass finds the least i with
-    t^(2^i) = 1 and multiplies y by a power of c = a^s that brings the
-    order of t down to 2^i, until t = 1 and y is a root.  t starts with
-    order 2^r exactly when x is a non-residue (Euler's criterion), so that
-    is the one case in which the first pass finds no i < r.
+    t^(2^i) = 1 and brings the order of t down to 2^i by multiplying y by
+    c^(2^(r-i-1)) and t by its square, both read from params.c_powers,
+    until t = 1 and y is a root.  t starts with order 2^r exactly when x is
+    a non-residue (Euler's criterion), so that is the one case in which the
+    first pass finds no i < r.
     """
-    p = params.p
+    p, r, c_powers = params.p, params.r, params.c_powers
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     z = pow(x, (params.s - 1) // 2, p)
     y = z * x % p
     t = z * y % p
-    c, m = params.c, params.r
     while t != 1:
         i, t2i = 0, t
         while t2i != 1:
             t2i = t2i * t2i % p
             i += 1
-        if i == m:
-            raise NotAResidueError(f"{x} is not a quadratic residue mod {p}")
-        b = pow(c, 1 << (m - i - 1), p)
-        y = y * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
+        if i == r:
+            return None
+        y = y * c_powers[r - i - 1] % p
+        t = t * c_powers[r - i] % p
     return (y, p - y) if y < p - y else (p - y, y)

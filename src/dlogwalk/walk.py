@@ -1,11 +1,12 @@
 """Random-walk discrete-log solver: the inverse of square-and-multiply.
 
-Three walk variants share one engine.  Over a prime field, a step either
-divides by the generator (Legendre symbol -1: the exponent is odd, so peel
-one off) or takes a square root (symbol +1: halve the exponent), choosing
-one of the two roots at random.  The 3x+1 variant replaces division by
-b <- b^3 * a.  Over GF(2^m) square roots are unique, so a random bit decides
-the branch instead.
+Three walk variants share one engine.  Over a prime field, a step attempts
+a square root: on a residue it halves the exponent and moves to one of the
+two roots at random; on a non-residue (the exponent is odd) it divides by
+the generator instead, peeling one off.  The 3x+1 variant replaces division
+by b <- b^3 * a.  Either fallback lands on a residue, so each step makes
+exactly one root attempt.  Over GF(2^m) square roots are unique, so a random
+bit decides the branch instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
 unknown n).  Two lookups drive collision detection:
@@ -28,8 +29,9 @@ import random
 from dataclasses import dataclass
 from functools import partial
 
-# gf_pow and mod_pow are not called here (params.pow calls them), but the
-# layer tracer in perfbench/ wraps them on this module as well as their own.
+# gf_pow and mod_pow are not called here (params.pow calls them), and
+# legendre is not called at all, but the layer tracer in perfbench/ wraps
+# them on this module as well as their own.
 from .gf2m import gf_div_by_x, gf_pow, gf_sqrt  # noqa: F401
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
@@ -234,7 +236,8 @@ class _Walk:
     def _step_prime(self):
         value, expr = self.value, self.expr
         p = self.params.p
-        if legendre(value, self.params) == -1:
+        roots = sqrt_mod_p(value, self.params)
+        if roots is None:
             if self.config.variant == "collatz":
                 new = value * value % p * value % p * self.params.a % p
                 nexpr = expr.triple_plus_one()
@@ -248,7 +251,7 @@ class _Walk:
             self.seen.setdefault(new, nexpr)
             self.value, self.expr = new, nexpr
             return outcome
-        r1, r2 = sqrt_mod_p(value, self.params)
+        r1, r2 = roots
         nexpr = expr.halve()
         outcome = self._attempt(r1, nexpr)
         if outcome is None or outcome is _RESTART:

@@ -3,10 +3,10 @@ import time
 
 import pytest
 
-from dlogwalk.primefield import (NotAResidueError, PrimeGroupParams,
-                                 _rho_factors, is_probable_prime, jacobi,
-                                 legendre, legendre_euler, mod_inverse,
-                                 mod_pow, prime_factors, sqrt_mod_p)
+from dlogwalk.primefield import (PrimeGroupParams, _rho_factors,
+                                 is_probable_prime, jacobi, legendre,
+                                 legendre_euler, mod_inverse, mod_pow,
+                                 prime_factors, sqrt_mod_p)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -140,8 +140,8 @@ def test_sqrt_known_values():
 
 
 def test_sqrt_errors():
-    with pytest.raises(NotAResidueError):
-        sqrt_mod_p(84, P103)
+    assert legendre_euler(84, P103) == -1
+    assert sqrt_mod_p(84, P103) is None
     with pytest.raises(ValueError):
         sqrt_mod_p(0, P103)
 
@@ -151,13 +151,15 @@ def test_sqrt_errors():
     (PrimeGroupParams(257, 3), range(1, 257)),               # r = 8
     (PrimeGroupParams(7340033, 3),                           # r = 20
      random.Random(20).sample(range(1, 7340033), 500)),
+    (P103, range(1, 103)),                                   # r = 1
+    (PrimeGroupParams(16776899, 2),                          # r = 1
+     random.Random(1).sample(range(1, 16776899), 500)),
 ])
 def test_sqrt_detects_non_residues_at_every_depth(params, xs):
     p = params.p
     for x in xs:
         if legendre_euler(x, params) == -1:
-            with pytest.raises(NotAResidueError):
-                sqrt_mod_p(x, params)
+            assert sqrt_mod_p(x, params) is None
         else:
             lo, hi = sqrt_mod_p(x, params)
             assert lo * lo % p == x and hi * hi % p == x

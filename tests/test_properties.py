@@ -1,5 +1,5 @@
-"""Property tests over random inputs: group laws, BSGS, the GF(2^m) square
-root, the collision congruence and the walk invariant.
+"""Property tests over random inputs: group laws, BSGS, both square roots,
+the collision congruence and the walk invariants.
 
 Each walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
@@ -19,6 +19,7 @@ from dlogwalk.primefield import PrimeGroupParams
 from dlogwalk.walk import WalkConfig, _Walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
+P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: deep roots; collatz runs
 GF27 = BinaryFieldParams(7, 0x83)
 GROUPS = st.sampled_from([P2003, GF27])
 EXPONENTS = st.integers(min_value=0, max_value=10**6)
@@ -77,6 +78,17 @@ def test_sqrt_table_matches_repeated_squaring(m, low, u):
     assert gf_sqrt(u, params) == _sqrt_by_squaring(u, params)
 
 
+@pytest.mark.parametrize("p,a,r", [
+    (103, 5, 1), (101, 2, 2), (97, 5, 5), (257, 3, 8), (12289, 11, 12),
+    (7340033, 3, 20),
+])
+def test_c_powers_are_repeated_squares_of_c(p, a, r):
+    params = PrimeGroupParams(p, a)
+    assert params.r == r
+    assert params.c_powers == tuple(pow(params.c, 2**j, p) for j in range(r))
+    assert params.c_powers[r - 1] == p - 1  # c has order 2^r exactly
+
+
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
                   st.integers(0, 8))
 
@@ -130,3 +142,20 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         assert v in walk.seen
     if result.success:
         assert result.n == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P2003, P257]), st.sampled_from(["inverse", "collatz"]),
+       EXPONENTS, st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([None, 12]))
+def test_fallback_step_lands_on_a_residue(params, variant, n, seed, max_steps):
+    # a step attempts one root: division or cubing must leave a residue, so
+    # within a segment a div/cube row is always followed by a sqrt row
+    target = params.pow(params.generator, n)
+    trace = _Walk(params, target, WalkConfig(
+        variant=variant, seed=seed, max_steps=max_steps, trace=True),
+        None).run().trace
+    for rec, nxt in zip(trace, trace[1:]):
+        if rec.branch in ("div", "cube") and nxt.segment == rec.segment:
+            assert nxt.branch == "sqrt"
+            assert nxt.value == rec.result
