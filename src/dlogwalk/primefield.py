@@ -2,11 +2,12 @@
 
 Everything here works on plain Python ints (arbitrary precision); a
 :class:`PrimeGroupParams` carries the prime p, a primitive root a, the
-decomposition p - 1 = 2^r * s with s odd, c = a^s and the table of its
-powers c^(2^j), j < r, which the square-root code reads.  `sqrt_mod_p`
-also decides residuosity (it returns None for a non-residue), so the walk
-computes no Legendre symbol; `legendre` and `jacobi` remain for the
-generator's square check and as tested library functions.
+decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
+of c from which `sqrt_mod_p` solves a discrete log in the 2-Sylow subgroup
+<c>, 8 bits at a time.  The lowest bit of that log is odd exactly for a
+non-residue, so `sqrt_mod_p` also decides residuosity (it returns None)
+and the walk computes no Legendre symbol; `legendre` and `jacobi` remain
+for the generator's square check and as tested library functions.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +16,10 @@ import random
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Bits of the 2-Sylow discrete log that one table lookup in `sqrt_mod_p`
+# finds; each window's tables hold 2^8 entries.
+_WINDOW_BITS = 8
 
 
 def is_probable_prime(n: int, rounds: int = 16) -> bool:
@@ -117,9 +122,15 @@ class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r; c_powers[j] = c^(2^j) for j < r is the table that
-    Tonelli-Shanks reads (c_powers[r-1] = -1).  A square is never a
-    primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
+    which has order 2^r.  The square-root tables are derived from c, with
+    w = min(8, r) and zeta = c^(2^(r-w)) of order 2^w: sqrt_log maps
+    zeta^j to j for j < 2^w, and sqrt_windows holds one entry
+    (r - pos - w, t_fix, y_fix) for each window of w bits starting at bit
+    pos = 0, w, 2w, ..., the last one at pos = r - w (it may overlap the
+    one before).  t_fix[j] = c^(-j*2^pos) and y_fix[j] = c^(-j*2^(pos-1));
+    at pos = 0, y_fix[j] = c^(-j/2) for even j and None for odd j, which
+    has no half.  A square is never a primitive root, so a with Jacobi
+    symbol (a/p) = +1 is rejected.
     If factors_of_order lists the prime factors of p - 1, primitivity of a
     is verified in full; otherwise the caller's claim is trusted.
     """
@@ -130,7 +141,9 @@ class PrimeGroupParams:
     r: int = field(init=False)
     s: int = field(init=False)
     c: int = field(init=False)
-    c_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sqrt_log: dict[int, int] = field(init=False, repr=False, compare=False)
+    sqrt_windows: tuple[tuple[int, tuple[int, ...], tuple[int | None, ...]],
+                        ...] = field(init=False, repr=False, compare=False)
 
     variants = ("inverse", "collatz")
 
@@ -149,10 +162,8 @@ class PrimeGroupParams:
             r += 1
         self.r = r
         self.s = s
-        powers = [pow(self.a, s, self.p)]
-        for _ in range(r - 1):
-            powers.append(powers[-1] * powers[-1] % self.p)
-        self.c, self.c_powers = powers[0], tuple(powers)
+        self.c = pow(self.a, s, self.p)
+        self.sqrt_log, self.sqrt_windows = _sqrt_tables(self.p, r, self.c)
         if self.factors_of_order is not None:
             self.factors_of_order = tuple(self.factors_of_order)
             for q in self.factors_of_order:
@@ -193,6 +204,31 @@ class PrimeGroupParams:
 
     def __str__(self) -> str:
         return str(self.p)
+
+
+def _sqrt_tables(p: int, r: int, c: int):
+    """PrimeGroupParams.sqrt_log and .sqrt_windows for c of order 2^r."""
+    w = min(_WINDOW_BITS, r)
+    log = dict(zip(_powers(pow(c, 1 << (r - w), p), w, p), range(1 << w)))
+    c_inv = pow(c, -1, p)
+    windows = []
+    for pos in [*range(0, r - w, w), r - w]:
+        t_fix = _powers(pow(c_inv, 1 << pos, p), w, p)
+        if pos:
+            y_fix = _powers(pow(c_inv, 1 << (pos - 1), p), w, p)
+        else:
+            y_fix = tuple(None if j % 2 else t_fix[j // 2]
+                          for j in range(1 << w))
+        windows.append((r - pos - w, t_fix, y_fix))
+    return log, tuple(windows)
+
+
+def _powers(g: int, w: int, p: int) -> tuple[int, ...]:
+    """g^j mod p for j < 2^w, as running products."""
+    powers = [1]
+    for _ in range((1 << w) - 1):
+        powers.append(powers[-1] * g % p)
+    return tuple(powers)
 
 
 def mod_inverse(x: int, modulus: int) -> int:
@@ -260,28 +296,37 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
 def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int] | None:
     """Both square roots of x as (min, max), or None if x is a non-residue.
 
-    Tonelli-Shanks: z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and
-    t = z*y = x^s, so y^2 = t*x.  Each pass finds the least i with
-    t^(2^i) = 1 and brings the order of t down to 2^i by multiplying y by
-    c^(2^(r-i-1)) and t by its square, both read from params.c_powers,
-    until t = 1 and y is a root.  t starts with order 2^r exactly when x is
-    a non-residue (Euler's criterion), so that is the one case in which the
-    first pass finds no i < r.
+    Tonelli-Shanks with the 2-Sylow discrete log solved from tables
+    (Bernstein, "Faster square roots in annoying finite fields", 2001):
+    z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and t = z*y = x^s, so
+    y^2 = t*x and t = c^e for some e < 2^r.  Then y*c^(-e/2) is a root
+    when e is even, and by Euler's criterion e is odd exactly when x is a
+    non-residue.  The windows of params.sqrt_windows find e from the low
+    bits up: with the bits below pos already cleared from t, squaring t
+    r - pos - w times leaves zeta^j, params.sqrt_log gives the digit j,
+    and t and y are multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).  An
+    odd digit in the first window (pos = 0) has no half: x is a
+    non-residue.  Once t = 1, y is a root.
     """
-    p, r, c_powers = params.p, params.r, params.c_powers
+    p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     z = pow(x, (params.s - 1) // 2, p)
     y = z * x % p
     t = z * y % p
-    while t != 1:
-        i, t2i = 0, t
-        while t2i != 1:
-            t2i = t2i * t2i % p
-            i += 1
-        if i == r:
-            return None
-        y = y * c_powers[r - i - 1] % p
-        t = t * c_powers[r - i] % p
+    if t != 1:
+        log = params.sqrt_log
+        for squarings, t_fix, y_fix in params.sqrt_windows:
+            u = t
+            while squarings:
+                u = u * u % p
+                squarings -= 1
+            j = log[u]
+            if y_fix[j] is None:
+                return None
+            y = y * y_fix[j] % p
+            t = t * t_fix[j] % p
+            if t == 1:
+                break
     return (y, p - y) if y < p - y else (p - y, y)

@@ -156,6 +156,10 @@ def test_sqrt_errors():
      random.Random(1).sample(range(1, 16776899), 500)),
 ])
 def test_sqrt_detects_non_residues_at_every_depth(params, xs):
+    _assert_root_or_none(params, xs)
+
+
+def _assert_root_or_none(params, xs):
     p = params.p
     for x in xs:
         if legendre_euler(x, params) == -1:
@@ -163,6 +167,21 @@ def test_sqrt_detects_non_residues_at_every_depth(params, xs):
         else:
             lo, hi = sqrt_mod_p(x, params)
             assert lo * lo % p == x and hi * hi % p == x
+
+
+# Primes whose r (p - 1 = 2^r * s) is below, at and above the window width
+# of 8 bits, with a short last window when 8 does not divide r.
+@pytest.mark.parametrize("p,a,r", [
+    (13, 2, 2), (41, 6, 3), (641, 3, 7), (257, 3, 8), (7681, 17, 9),
+    (65537, 3, 16), (1179649, 19, 17), (998244353, 3, 23),
+    (2013265921, 31, 27), (2**64 - 2**32 + 1, 7, 32),
+])
+def test_sqrt_across_window_shapes(p, a, r):
+    params = PrimeGroupParams(p, a, prime_factors(p - 1))
+    assert params.r == r
+    rng = random.Random(p)
+    xs = range(1, p) if p < 10**4 else [rng.randrange(1, p) for _ in range(600)]
+    _assert_root_or_none(params, xs)
 
 
 @pytest.mark.parametrize("params", [

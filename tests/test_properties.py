@@ -83,10 +83,27 @@ def test_sqrt_table_matches_repeated_squaring(m, low, u):
     (7340033, 3, 20),
 ])
 def test_c_powers_are_repeated_squares_of_c(p, a, r):
+    # every entry of the square-root window tables, against pow(c, ., p)
     params = PrimeGroupParams(p, a)
+    c = params.c
     assert params.r == r
-    assert params.c_powers == tuple(pow(params.c, 2**j, p) for j in range(r))
-    assert params.c_powers[r - 1] == p - 1  # c has order 2^r exactly
+    assert pow(c, 2**(r - 1), p) == p - 1  # c has order 2^r exactly
+    w = min(8, r)
+    zeta = pow(c, 2**(r - w), p)
+    assert params.sqrt_log == {pow(zeta, j, p): j for j in range(2**w)}
+    starts = []
+    for squarings, t_fix, y_fix in params.sqrt_windows:
+        pos = r - w - squarings
+        starts.append(pos)
+        assert t_fix == tuple(pow(c, -j * 2**pos, p) for j in range(2**w))
+        if pos:
+            assert y_fix == tuple(pow(c, -j * 2**(pos - 1), p)
+                                  for j in range(2**w))
+        else:
+            assert y_fix == tuple(None if j % 2 else pow(c, -(j // 2), p)
+                                  for j in range(2**w))
+    # windows of w bits from bit 0 up; the last one ends at bit r
+    assert starts == sorted(set(range(0, r - w, w)) | {r - w})
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),

@@ -13,6 +13,7 @@ from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
+P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: every root runs Tonelli-Shanks
 GF27 = BinaryFieldParams(7, 0x83)
 
 
@@ -280,6 +281,22 @@ GOLDEN_RESUME_POINTS_SHA256 = {
     "collatz": "39ea4fdf9a51c0972008ab4622c871732cd5caa673fa669270fef60250937e4a",
     "char2": "143e846a9515c4b82e620a2e9b9ac85fdf85eb5d898dbd92aa19bd43a0551f4e",
 }
+# The same rows and resume-point digests on P257 (r = 8, target 100 =
+# 3^206), where every root step runs the table-driven Tonelli-Shanks.
+GOLDEN_SHORT_SEGMENTS_P257 = {
+    "inverse": [(206, 15, 1, 1, 1), (206, 23, 2, 1, 1), (206, 23, 2, 1, 1),
+                (206, 30, 3, 1, 1), (206, 14, 1, 1, 1), (206, 19, 2, 1, 1),
+                (206, 21, 2, 1, 1), (206, 53, 6, 7, 1), (206, 28, 3, 1, 1),
+                (206, 13, 1, 1, 1)],
+    "collatz": [(206, 56, 6, 6, 1), (206, 22, 2, 1, 1), (206, 32, 3, 4, 1),
+                (206, 31, 3, 1, 1), (206, 28, 3, 1, 1), (206, 24, 2, 1, 1),
+                (206, 10, 1, 1, 1), (206, 26, 3, 1, 1), (206, 18, 2, 1, 1),
+                (206, 47, 5, 7, 1)],
+}
+GOLDEN_RESUME_POINTS_SHA256_P257 = {   # 23 and 30 rows
+    "inverse": "6aa0820a514d5cc1ebc96efdac8a52ffecce63ce41a535bb84d46c95bcef4d2d",
+    "collatz": "ebd4c40ce16961f05ef59666f0d3e2ea2529be68fd082271c05116e51dace64f",
+}
 GOLDEN_BENCH_CSV_SHA256 = (
     "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
 
@@ -289,18 +306,13 @@ def _counts(result):
             result.collisions_tested, result.candidates_tried)
 
 
-@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS))
-def test_golden_step_counts(variant):
-    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
-    rows = [_counts(run_dlog(params, target, WalkConfig(
+def _short_segment_counts(params, target, variant):
+    return [_counts(run_dlog(params, target, WalkConfig(
         variant=variant, seed=seed, max_steps=8, max_restarts=16)))
         for seed in range(10)]
-    assert rows == GOLDEN_SHORT_SEGMENTS[variant]
 
 
-@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256))
-def test_golden_resume_points(variant):
-    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+def _resume_points_sha256(params, target, variant):
     rows = []
     for seed in range(10):
         trace = run_dlog(params, target, WalkConfig(
@@ -312,8 +324,33 @@ def test_golden_resume_points(variant):
                 segments.add(rec.segment)
                 rows.append((seed, rec.segment, rec.value,
                              rec.expr.A, rec.expr.B, rec.expr.k))
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == \
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS))
+def test_golden_step_counts(variant):
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    assert _short_segment_counts(params, target, variant) == \
+        GOLDEN_SHORT_SEGMENTS[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256))
+def test_golden_resume_points(variant):
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    assert _resume_points_sha256(params, target, variant) == \
         GOLDEN_RESUME_POINTS_SHA256[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS_P257))
+def test_golden_step_counts_deep_r(variant):
+    assert _short_segment_counts(P257, 100, variant) == \
+        GOLDEN_SHORT_SEGMENTS_P257[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256_P257))
+def test_golden_resume_points_deep_r(variant):
+    assert _resume_points_sha256(P257, 100, variant) == \
+        GOLDEN_RESUME_POINTS_SHA256_P257[variant]
 
 
 def test_golden_too_many_candidates_restart():
