@@ -11,6 +11,7 @@ so that identical seeds give byte-identical CSV output.
 import csv
 import io
 import json
+import math
 import random
 import statistics
 import time
@@ -115,7 +116,10 @@ def write_csv(records: list[TrialRecord], path: str):
 
 
 def stats_to_json(stats: StepStats) -> str:
-    return json.dumps(stats.__dict__, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a step statistic with no successful trial (NaN) is null."""
+    fields = {name: None if isinstance(v, float) and not math.isfinite(v) else v
+              for name, v in stats.__dict__.items()}
+    return json.dumps(fields, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(stats: StepStats, path: str):

@@ -6,10 +6,14 @@ A and B stay exact signed integers; k counts halvings.  Reducing mod the
 group order must wait until the collision is solved, because 2 is not
 invertible mod p - 1: clearing the denominator by multiplying with 2^K is
 what makes the square-root sign ambiguity vanish.
+
+LinExpr is a named tuple (A, B, k) because the walk builds one per step,
+and a tuple costs about half as much to build as a frozen dataclass.
 """
 
 from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .primefield import mod_inverse
 
@@ -31,9 +35,14 @@ class TooManyCandidatesError(ValueError):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class LinExpr:
-    """The walk exponent m = (A*n + B) / 2^k as a function of the unknown n."""
+class LinExpr(NamedTuple):
+    """The walk exponent m = (A*n + B) / 2^k as a function of the unknown n.
+
+    Immutable, hashable and equal by value.  The ops unpack the tuple and
+    build the result with tuple.__new__, which skips the argument handling
+    of the generated __new__.  dec, halve and triple_plus_one stay methods
+    on the class, where the layer tracer in perfbench/ replaces them.
+    """
 
     A: int = 1
     B: int = 0
@@ -41,15 +50,18 @@ class LinExpr:
 
     def dec(self) -> "LinExpr":
         """m - 1: subtracting 1 from (A*n + B)/2^k lowers B by 2^k."""
-        return LinExpr(self.A, self.B - (1 << self.k), self.k)
+        A, B, k = self
+        return tuple.__new__(LinExpr, (A, B - (1 << k), k))
 
     def halve(self) -> "LinExpr":
         """m / 2: one more halving."""
-        return LinExpr(self.A, self.B, self.k + 1)
+        A, B, k = self
+        return tuple.__new__(LinExpr, (A, B, k + 1))
 
     def triple_plus_one(self) -> "LinExpr":
         """3m + 1: triples A and B, and folds the +1 into B as 2^k."""
-        return LinExpr(3 * self.A, 3 * self.B + (1 << self.k), self.k)
+        A, B, k = self
+        return tuple.__new__(LinExpr, (3 * A, 3 * B + (1 << k), k))
 
     def constant(self) -> bool:
         return self.A == 0

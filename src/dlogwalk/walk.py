@@ -16,6 +16,10 @@ unknown n).  Two lookups drive collision detection:
                     each untaken square root) to the first exponent stored
                     for it.
 
+A step looks each new value up in both and calls the collision handling
+only on a hit, so a miss costs two dict lookups and no call.  It builds a
+trace record only when tracing is on.
+
 A collision yields a linear congruence for n whose solutions are verified by
 exponentiation; the first verified candidate wins.  If a congruence has too
 many solutions or a walk exhausts its step budget, the walk restarts from
@@ -167,6 +171,8 @@ class _Walk:
             raise TypeError(f"variant {config.variant!r} does not run on"
                             f" {type(params).__name__}")
         self.target = params.element(target)
+        # the prime fallback step: divide by a (inverse), or cube when None
+        self.inv_a = None
         if config.variant == "inverse":
             self.inv_a = mod_inverse(params.a, params.p)
         elif config.variant == "collatz" and math.gcd(3, self.order) != 1:
@@ -235,26 +241,34 @@ class _Walk:
 
     def _step_prime(self):
         value, expr = self.value, self.expr
-        p = self.params.p
-        roots = sqrt_mod_p(value, self.params)
+        params, table, seen = self.params, self.table, self.seen
+        p = params.p
+        roots = sqrt_mod_p(value, params)
         if roots is None:
-            if self.config.variant == "collatz":
-                new = value * value % p * value % p * self.params.a % p
+            inv_a = self.inv_a
+            if inv_a is None:
+                new = value * value % p * value % p * params.a % p
                 nexpr = expr.triple_plus_one()
                 branch = "cube"
             else:
-                new = value * self.inv_a % p
+                new = value * inv_a % p
                 nexpr = expr.dec()
                 branch = "div"
-            outcome = self._attempt(new, nexpr)
-            self._record(value, branch, result=new, expr=nexpr)
-            self.seen.setdefault(new, nexpr)
+            outcome = None
+            if new in table or new in seen:
+                outcome = self._attempt(new, nexpr)
+            if self.trace is not None:
+                self._record(value, branch, result=new, expr=nexpr)
+            seen.setdefault(new, nexpr)
             self.value, self.expr = new, nexpr
             return outcome
         r1, r2 = roots
         nexpr = expr.halve()
-        outcome = self._attempt(r1, nexpr)
-        if outcome is None or outcome is _RESTART:
+        outcome = None
+        if r1 in table or r1 in seen:
+            outcome = self._attempt(r1, nexpr)
+        if (outcome is None or outcome is _RESTART) and (
+                r2 in table or r2 in seen):
             # a verified second root outranks a restart from the first
             outcome = self._attempt(r2, nexpr) or outcome
         if outcome is None:
@@ -262,19 +276,20 @@ class _Walk:
             chosen, other = (r1, r2) if bit == 0 else (r2, r1)
         else:
             bit, chosen, other = None, r1, r2
-        seen = self.seen
         if chosen not in seen or other not in seen:
             self.forks.append((other, nexpr))
             seen.setdefault(chosen, nexpr)
             seen.setdefault(other, nexpr)
-        self._record(value, "sqrt", roots=(r1, r2),
-                     chosen=None if bit is None else chosen, decision=bit,
-                     expr=nexpr)
+        if self.trace is not None:
+            self._record(value, "sqrt", roots=(r1, r2),
+                         chosen=None if bit is None else chosen, decision=bit,
+                         expr=nexpr)
         self.value, self.expr = chosen, nexpr
         return outcome
 
     def _step_char2(self):
         value, expr = self.value, self.expr
+        seen = self.seen
         bit = self.next_bit()
         if bit == 1:
             new = gf_div_by_x(value, self.params)
@@ -284,30 +299,29 @@ class _Walk:
             new = gf_sqrt(value, self.params)
             nexpr = expr.halve()
             branch = "sqrt"
-        outcome = self._attempt(new, nexpr)
-        self._record(value, branch, result=new, decision=bit, expr=nexpr)
-        if new not in self.seen:
-            self.seen[new] = nexpr
+        if new in seen:
+            outcome = self._attempt(new, nexpr)
+        else:
+            outcome = self._attempt(new, nexpr) if new in self.table else None
+            seen[new] = nexpr
             if bit == 0:
                 self.forks.append((new, nexpr))
+        if self.trace is not None:
+            self._record(value, branch, result=new, decision=bit, expr=nexpr)
         self.value, self.expr = new, nexpr
         return outcome
 
     # -- collision handling -------------------------------------------------
 
     def _attempt(self, value: int, expr: LinExpr):
-        """Check one candidate value against Table I, then the walk history.
+        """Solve the collision of a value found in Table I or the history.
 
-        Returns None (no hit, or hit discarded as spurious/degenerate),
-        _RESTART (too many candidates), or the verified DlogResult.
+        Table I wins when the value is in both.  Returns None (hit discarded
+        as spurious/degenerate), _RESTART (too many candidates), or the
+        verified DlogResult.
         """
         known = self.table.get(value)
-        if known is not None:
-            stored = LinExpr(0, known, 0)
-        else:
-            stored = self.seen.get(value)
-            if stored is None:
-                return None
+        stored = self.seen[value] if known is None else LinExpr(0, known, 0)
         self.collisions_tested += 1
         try:
             sol = collision_solve(expr, stored, self.order)
@@ -329,8 +343,6 @@ class _Walk:
 
     def _record(self, value, branch, result=None, roots=None, chosen=None,
                 decision=None, expr=None):
-        if self.trace is None:
-            return
         self.trace.append(TraceRecord(
             index=self.steps_taken, segment=self.segment, value=value,
             branch=branch, result=result, roots=roots, chosen=chosen,

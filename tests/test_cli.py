@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from dlogwalk.cli import main
@@ -188,6 +190,22 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert "success_rate=1.000" in out
     assert json_path.exists()
 
+
+def test_bench_json_is_strict_when_no_trial_succeeds(tmp_path, capsys):
+    json_path = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, "bench", "--p", "1000003", "--gen", "2",
+                           "--trials", "2", "--seed", "1", "--max-steps", "1",
+                           "--max-restarts", "0", "--json", str(json_path))
+    assert code == 0
+    assert "mean_steps=nan" in out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    stats = json.loads(json_path.read_text(), parse_constant=reject)
+    assert stats["successes"] == 0 and stats["success_rate"] == 0.0
+    assert stats["mean_steps"] is None
+    assert stats["ratio_mean_to_sqrt_order"] is None
 
 def test_bench_unwritable_path(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bench", "--p", "103", "--gen", "5",

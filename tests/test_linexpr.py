@@ -38,6 +38,18 @@ def test_str():
     assert str(LinExpr(0, 64, 0)) == "64"
 
 
+def test_value_semantics():
+    e = LinExpr(3, -7, 2)
+    with pytest.raises(AttributeError):
+        e.k = 3
+    assert e == LinExpr(3, -7, 2) and e != LinExpr(3, -7, 3)
+    assert hash(e) == hash(LinExpr(3, -7, 2))
+    assert len({e, LinExpr(3, -7, 2), e.halve()}) == 2
+    assert repr(LinExpr()) == "LinExpr(A=1, B=0, k=0)"
+    assert LinExpr() == LinExpr(1, 0, 0)
+    assert (LinExpr().A, LinExpr().B, LinExpr().k) == (1, 0, 0)
+    assert LinExpr(B=5) == LinExpr(1, 5, 0)
+
 def test_ops_track_rational_value():
     """Applying ops symbolically must match applying them to a concrete m."""
     rng = random.Random(20)

@@ -111,6 +111,16 @@ EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
 
 
 @settings(max_examples=300, deadline=None)
+@given(EXPRS)
+def test_linexpr_ops_closed_form(e):
+    A, B, k = e
+    for got, want in ((e.dec(), (A, B - 2**k, k)),
+                      (e.halve(), (A, B, k + 1)),
+                      (e.triple_plus_one(), (3 * A, 3 * B + 2**k, k))):
+        assert type(got) is LinExpr
+        assert got == LinExpr(*want)
+
+@settings(max_examples=300, deadline=None)
 @given(EXPRS, EXPRS, st.integers(min_value=1, max_value=300))
 @example(LinExpr(1, -3, 1), LinExpr(2, -6, 2), 102)   # degenerate
 @example(LinExpr(0, 5, 0), LinExpr(0, 5 + 102, 0), 102)  # 0*n = 102: every n

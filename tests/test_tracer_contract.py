@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracer  # noqa: E402
 from dlogwalk import walk  # noqa: E402
 from dlogwalk.gf2m import BinaryFieldParams  # noqa: E402
+from dlogwalk.linexpr import LinExpr  # noqa: E402
 from dlogwalk.primefield import PrimeGroupParams  # noqa: E402
 
 P2003 = PrimeGroupParams(2003, 5)
@@ -27,6 +28,16 @@ def test_spanned_names_exist():
         attr = name.split(".", 1)[1]
         for module in modules:
             assert callable(getattr(module, attr)), (name, module.__name__)
+    # the tracer replaces the exponent ops on the class with setattr
+    for method in tracer.LINEXPR_METHODS:
+        original = getattr(LinExpr, method)
+        assert callable(original), method
+        setattr(LinExpr, method, lambda self: None)
+        try:
+            assert getattr(LinExpr(), method)() is None, method
+        finally:
+            setattr(LinExpr, method, original)
+        assert getattr(LinExpr, method) is original, method
 
 
 @pytest.mark.parametrize("params,variant,target", [
@@ -56,3 +67,6 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         assert t.calls["primefield.legendre"] == 0
     assert t.calls["primefield.mod_pow"] + t.calls["gf2m.gf_pow"] >= \
         result.candidates_tried
+    # every step builds exactly one exponent through a spanned method
+    assert sum(t.calls[f"linexpr.LinExpr.{method}"]
+               for method in tracer.LINEXPR_METHODS) == result.steps_taken

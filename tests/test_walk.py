@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -410,6 +411,24 @@ def test_finished_walk_is_freed_without_gc(variant):
 
 def test_trace_disabled_by_default():
     assert run_dlog(P103, 84, WalkConfig(seed=0)).trace is None
+
+
+@pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
+def test_trace_does_not_change_the_walk(variant):
+    # short segments force mid-walk and fresh restarts, d_max=1 restarts on
+    # too many candidates; each row must walk alike with the trace on or off
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    restarted = 0
+    for seed in range(10):
+        for d_max in (65536, 1):
+            config = WalkConfig(variant=variant, seed=seed, max_steps=8,
+                                max_restarts=16, d_max=d_max)
+            plain = run_dlog(params, target, config)
+            traced = run_dlog(params, target, replace(config, trace=True))
+            assert _counts(traced) == _counts(plain)
+            assert len(traced.trace) == traced.steps_taken
+            restarted += plain.restarts > 0
+    assert restarted >= 10
 
 
 def test_scripted_config_is_reusable():
