@@ -1,11 +1,12 @@
 """Symbolic exponent tracking and the collision congruence.
 
 While the walk transforms a group element it transforms the element's
-unknown discrete log n alongside, as the exact rational m = (A*n + B) / 2^k.
-A and B stay exact signed integers; k counts halvings.  Reducing mod the
-group order must wait until the collision is solved, because 2 is not
-invertible mod p - 1: clearing the denominator by multiplying with 2^K is
-what makes the square-root sign ambiguity vanish.
+unknown discrete log n alongside, as m = (A*n + B) / 2^k with exact signed
+A and B, so 2^k * m = A*n + B (mod N) for the group order N.  A halving
+raises k instead of dividing A and B by 2, which is impossible mod the even
+p - 1; clearing that denominator at a collision, by multiplying both sides
+with 2^K, is what makes the square-root sign ambiguity vanish.  Reducing A
+and B mod N would be sound; it is dividing by 2 that is not.
 
 LinExpr is a named tuple (A, B, k) because the walk builds one per step,
 and a tuple costs about half as much to build as a frozen dataclass.

@@ -6,8 +6,9 @@ decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
 of c from which `sqrt_mod_p` solves a discrete log in the 2-Sylow subgroup
 <c>, 8 bits at a time.  The lowest bit of that log is odd exactly for a
 non-residue, so `sqrt_mod_p` also decides residuosity (it returns None)
-and the walk computes no Legendre symbol; `legendre` and `jacobi` remain
-for the generator's square check and as tested library functions.
+and the quadratic character of each root, and the walk computes no
+Legendre symbol; `legendre` and `jacobi` remain for the generator's square
+check and as tested library functions.
 """
 
 from dataclasses import dataclass, field
@@ -293,8 +294,9 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
     return -1 if e == params.p - 1 else e
 
 
-def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int] | None:
-    """Both square roots of x as (min, max), or None if x is a non-residue.
+def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int, int] | None:
+    """Both square roots of x as (min, max, squares), or None if x is a
+    non-residue; bit 0 of squares is set iff min is a square, bit 1 iff max is.
 
     Tonelli-Shanks with the 2-Sylow discrete log solved from tables
     (Bernstein, "Faster square roots in annoying finite fields", 2001):
@@ -302,11 +304,16 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int] | None:
     y^2 = t*x and t = c^e for some e < 2^r.  Then y*c^(-e/2) is a root
     when e is even, and by Euler's criterion e is odd exactly when x is a
     non-residue.  The windows of params.sqrt_windows find e from the low
-    bits up: with the bits below pos already cleared from t, squaring t
-    r - pos - w times leaves zeta^j, params.sqrt_log gives the digit j,
-    and t and y are multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).  An
-    odd digit in the first window (pos = 0) has no half: x is a
-    non-residue.  Once t = 1, y is a root.
+    bits up: with the bits below pos already cleared from t, t^(2^(r-pos-w))
+    is zeta^j, params.sqrt_log gives the digit j, and t and y are
+    multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).  An odd digit in the
+    first window (pos = 0) has no half: x is a non-residue.  Once t = 1,
+    y is a root.
+
+    For r = 1, -1 is a non-square, so of the two roots only
+    y = x^((p+1)/4) = (w^((p+1)/4))^2 (w either root) is a square.  For
+    r >= 2, a root R has R^((p-1)/2) = t^(2^(r-2)) = c^(e*2^(r-2)), which is
+    1 iff 4 | e; the first window's digit holds e mod 4 (e = 0 if t = 1).
     """
     p = params.p
     x %= p
@@ -315,18 +322,19 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int] | None:
     z = pow(x, (params.s - 1) // 2, p)
     y = z * x % p
     t = z * y % p
+    squares = 3  # for r >= 2: both roots are squares iff 4 | e
     if t != 1:
         log = params.sqrt_log
-        for squarings, t_fix, y_fix in params.sqrt_windows:
-            u = t
-            while squarings:
-                u = u * u % p
-                squarings -= 1
-            j = log[u]
+        for i, (squarings, t_fix, y_fix) in enumerate(params.sqrt_windows):
+            j = log[pow(t, 1 << squarings, p)]
             if y_fix[j] is None:
                 return None
+            if not i and j & 3:
+                squares = 0
             y = y * y_fix[j] % p
             t = t * t_fix[j] % p
             if t == 1:
                 break
-    return (y, p - y) if y < p - y else (p - y, y)
+    if params.r == 1:
+        squares = 1 if y < p - y else 2  # y itself is the square
+    return (y, p - y, squares) if y < p - y else (p - y, y, squares)

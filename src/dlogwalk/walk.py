@@ -4,9 +4,10 @@ Three walk variants share one engine.  Over a prime field, a step attempts
 a square root: on a residue it halves the exponent and moves to one of the
 two roots at random; on a non-residue (the exponent is odd) it divides by
 the generator instead, peeling one off.  The 3x+1 variant replaces division
-by b <- b^3 * a.  Either fallback lands on a residue, so each step makes
-exactly one root attempt.  Over GF(2^m) square roots are unique, so a random
-bit decides the branch instead.
+by b <- b^3 * a.  Either fallback lands on a residue, and a root comes with
+its quadratic character, so a root is attempted only where it may exist:
+one fails only on the first step of a segment.  Over GF(2^m) square roots
+are unique, so a random bit decides the branch instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
 unknown n).  Two lookups drive collision detection:
@@ -137,16 +138,23 @@ def default_table_size(order: int) -> int:
 def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     """Table I: a dict from generator^k_j to k_j.
 
-    pow2 uses k_j = 2^j, consec uses k_j = j + 1, for j < B.  If two
-    exponents produce the same value the smaller exponent is kept.
+    pow2 uses k_j = 2^j (repeated squaring), consec uses k_j = j + 1
+    (repeated multiplication), for j < B.  If two exponents produce the same
+    value the smaller exponent is kept.  A B above the group order would
+    only repeat entries: ValueError.
     """
     size = config.table_size
     if size is None:
         size = default_table_size(params.order)
+    if size > params.order:
+        raise ValueError(f"table size {size} exceeds the group order"
+                         f" {params.order}")
+    v = g = params.generator
+    pow2 = config.sequence == "pow2"
     table: dict[int, int] = {}
     for j in range(size):
-        k = (1 << j) if config.sequence == "pow2" else j + 1
-        table.setdefault(params.pow(params.generator, k), k)
+        table.setdefault(v, (1 << j) if pow2 else j + 1)
+        v = params.mul(v, v if pow2 else g)
     return table
 
 
@@ -192,6 +200,7 @@ class _Walk:
         self.forks: list[tuple[int, LinExpr]] = []
         self.value = self.target
         self.expr = LinExpr()
+        self.known_non_residue = False
         self.segment = 0
         self.steps_taken = 0
         self.restarts = 0
@@ -226,6 +235,7 @@ class _Walk:
 
     def _restart(self):
         self.segment += 1
+        self.known_non_residue = False
         forks = self.forks
         if forks and self.mid_restarts < self.config.max_restarts // 2:
             self.value, self.expr = forks[self.rng.randrange(len(forks))]
@@ -243,7 +253,7 @@ class _Walk:
         value, expr = self.value, self.expr
         params, table, seen = self.params, self.table, self.seen
         p = params.p
-        roots = sqrt_mod_p(value, params)
+        roots = None if self.known_non_residue else sqrt_mod_p(value, params)
         if roots is None:
             inv_a = self.inv_a
             if inv_a is None:
@@ -261,8 +271,9 @@ class _Walk:
                 self._record(value, branch, result=new, expr=nexpr)
             seen.setdefault(new, nexpr)
             self.value, self.expr = new, nexpr
+            self.known_non_residue = False
             return outcome
-        r1, r2 = roots
+        r1, r2, squares = roots
         nexpr = expr.halve()
         outcome = None
         if r1 in table or r1 in seen:
@@ -276,6 +287,7 @@ class _Walk:
             chosen, other = (r1, r2) if bit == 0 else (r2, r1)
         else:
             bit, chosen, other = None, r1, r2
+        self.known_non_residue = not squares & (2 if bit else 1)
         if chosen not in seen or other not in seen:
             self.forks.append((other, nexpr))
             seen.setdefault(chosen, nexpr)

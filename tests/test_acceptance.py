@@ -138,7 +138,7 @@ def test_criterion_6a_sqrt_roundtrip():
             for _ in range(1000):
                 x = rng.randrange(1, p)
                 x = x * x % p
-                lo, hi = sqrt_mod_p(x, params)
+                lo, hi, _ = sqrt_mod_p(x, params)
                 assert lo * lo % p == x and hi * hi % p == x
                 assert lo + hi == p and lo < hi
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -174,6 +175,24 @@ def test_usage_errors_exit_two(capsys):
             main(argv)
         assert info.value.code == 2
         capsys.readouterr()
+
+
+def test_table_size_beyond_the_order_fails_fast(capsys):
+    # every Table I entry past the group order repeats one before it
+    for argv in (
+        ["solve", "--p", "103", "--gen", "5", "--target", "7",
+         "--table-size", "20000"],
+        ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x1D",
+         "--table-size", "3000"],
+        ["bench", "--p", "103", "--gen", "5", "--trials", "2", "--seed", "0",
+         "--table-size", "103"],
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert info.value.code == 2, argv
+        assert "exceeds the group order" in capsys.readouterr().err
 
 
 def test_bench_writes_outputs(tmp_path, capsys):

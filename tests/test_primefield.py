@@ -134,9 +134,14 @@ def test_jacobi_composite_modulus():
 
 
 def test_sqrt_known_values():
-    assert sqrt_mod_p(58, P103) == (26, 77)
-    assert sqrt_mod_p(1, P103) == (1, 102)
-    assert sqrt_mod_p(5, P101) == (45, 56)  # exercises Tonelli-Shanks, r = 2
+    assert sqrt_mod_p(58, P103)[:2] == (26, 77)
+    assert sqrt_mod_p(1, P103)[:2] == (1, 102)
+    assert sqrt_mod_p(5, P101)[:2] == (45, 56)  # exercises Tonelli-Shanks, r = 2
+    # the character bits: 26 = 51^2 is a square and 77 = -26 is not (r = 1);
+    # for r = 2 both roots of 5 are squares (45 = 34^2, 56 = 37^2)
+    assert sqrt_mod_p(58, P103)[2] == 0b01
+    assert sqrt_mod_p(1, P103)[2] == 0b01
+    assert sqrt_mod_p(5, P101)[2] == 0b11
 
 
 def test_sqrt_errors():
@@ -165,8 +170,12 @@ def _assert_root_or_none(params, xs):
         if legendre_euler(x, params) == -1:
             assert sqrt_mod_p(x, params) is None
         else:
-            lo, hi = sqrt_mod_p(x, params)
+            lo, hi, squares = sqrt_mod_p(x, params)
             assert lo * lo % p == x and hi * hi % p == x
+            # bit 0 is lo's quadratic character, bit 1 is hi's
+            assert bool(squares & 1) == (legendre_euler(lo, params) == 1), x
+            assert bool(squares & 2) == (legendre_euler(hi, params) == 1), x
+            assert squares < 4, x
 
 
 # Primes whose r (p - 1 = 2^r * s) is below, at and above the window width
@@ -197,7 +206,7 @@ def test_sqrt_roundtrip_random_residues(params):
     for _ in range(1000):
         x = rng.randrange(1, p)
         x = x * x % p  # guaranteed residue
-        lo, hi = sqrt_mod_p(x, params)
+        lo, hi, _ = sqrt_mod_p(x, params)
         assert lo * lo % p == x
         assert hi * hi % p == x
         assert lo + hi == p

@@ -176,8 +176,8 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
        EXPONENTS, st.integers(min_value=0, max_value=2**32),
        st.sampled_from([None, 12]))
 def test_fallback_step_lands_on_a_residue(params, variant, n, seed, max_steps):
-    # a step attempts one root: division or cubing must leave a residue, so
-    # within a segment a div/cube row is always followed by a sqrt row
+    # division or cubing must leave a residue, so within a segment a
+    # div/cube row is always followed by a sqrt row
     target = params.pow(params.generator, n)
     trace = _Walk(params, target, WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True),

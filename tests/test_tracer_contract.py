@@ -49,7 +49,8 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
     t = tracer.Tracer()
     with t.installed():
         result = walk.run_dlog(params, target,
-                               walk.WalkConfig(variant=variant, seed=3))
+                               walk.WalkConfig(variant=variant, seed=3,
+                                               trace=True))
     assert result.success
     assert result.collisions_tested > 0
     assert t.calls["walk.run_dlog"] == 1
@@ -62,8 +63,14 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
     else:
-        # one root attempt per step, which also decides residuosity
-        assert t.calls["primefield.sqrt_mod_p"] == result.steps_taken
+        # a root is attempted on every root step, and on a fallback step
+        # only where the segment opens: elsewhere the step before it knew
+        # its value for a non-residue
+        segments = [None] + [rec.segment for rec in result.trace]
+        attempts = sum(rec.branch == "sqrt" or segments[i] != rec.segment
+                       for i, rec in enumerate(result.trace))
+        assert t.calls["primefield.sqrt_mod_p"] == attempts
+        assert 0 < attempts < result.steps_taken
         assert t.calls["primefield.legendre"] == 0
     assert t.calls["primefield.mod_pow"] + t.calls["gf2m.gf_pow"] >= \
         result.candidates_tried

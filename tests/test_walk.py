@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
-from dlogwalk.primefield import PrimeGroupParams
+from dlogwalk.primefield import PrimeGroupParams, legendre_euler
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
                            WalkConfig, build_table_one, default_max_steps,
@@ -52,6 +52,24 @@ def test_table_one_empty():
 def test_table_one_consecutive():
     table = build_table_one(P103, WalkConfig(table_size=4, sequence="consec"))
     assert table == {5: 1, 25: 2, 22: 3, 7: 4}
+
+
+def test_table_one_size_is_bounded_by_the_order():
+    # a table as large as the order is the largest accepted: consec then
+    # holds 5^1 .. 5^102, every element once; one entry more only repeats
+    for sequence in ("pow2", "consec"):
+        table = build_table_one(P103, WalkConfig(table_size=102,
+                                                 sequence=sequence))
+        for v, k in table.items():
+            assert pow(5, k, 103) == v
+        if sequence == "consec":
+            assert sorted(table.values()) == list(range(1, 103))
+        with pytest.raises(ValueError):
+            build_table_one(P103, WalkConfig(table_size=103, sequence=sequence))
+    assert len(build_table_one(GF27, WalkConfig(variant="char2",
+                                                table_size=127))) == 7
+    with pytest.raises(ValueError):
+        build_table_one(GF27, WalkConfig(variant="char2", table_size=128))
 
 
 def test_table_one_duplicates_keep_smaller_exponent():
@@ -234,6 +252,30 @@ def test_first_branch_matches_parity_for_p_3_mod_4():
                                                        table_size=0))
         first = result.trace[0]
         assert (first.branch == "div") == (n % 2 == 1)
+
+
+@pytest.mark.parametrize("params,variant", [
+    (P103, "inverse"), (P101, "inverse"), (P101, "collatz"),
+    (P257, "inverse"), (P257, "collatz"),
+])
+def test_fallback_follows_a_non_residue_root(params, variant):
+    # a root step knows its chosen root's quadratic character, so within a
+    # segment the step after it divides or cubes exactly when that root is
+    # a non-residue; only a segment's first step may find no root
+    rng = random.Random(params.p)
+    fallbacks = 0
+    for seed in range(60):
+        target = rng.randrange(1, params.p)
+        trace = run_dlog(params, target, WalkConfig(
+            variant=variant, seed=seed, max_steps=12, trace=True)).trace
+        for prev, rec in zip(trace, trace[1:]):
+            if rec.segment != prev.segment:
+                continue
+            if prev.branch == "sqrt":
+                non_residue = legendre_euler(prev.chosen, params) == -1
+                assert (rec.branch != "sqrt") == non_residue
+                fallbacks += non_residue
+    assert fallbacks > 50
 
 
 def test_restart_statistics_and_budget_invariant():
