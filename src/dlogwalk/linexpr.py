@@ -64,9 +64,6 @@ class LinExpr(NamedTuple):
         A, B, k = self
         return tuple.__new__(LinExpr, (3 * A, 3 * B + (1 << k), k))
 
-    def constant(self) -> bool:
-        return self.A == 0
-
     def __str__(self):
         if self.A == 0:
             num = str(self.B)

@@ -4,6 +4,7 @@ import math
 from dataclasses import dataclass
 
 BRUTE_FORCE_LIMIT = 10**7
+BSGS_LIMIT = 10**12  # ceil(sqrt(N)) baby steps: at most 10^6 entries
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ def bsgs_dlog(params, target: int) -> OracleResult:
     """Baby-step giant-step: n = i*m + j from a table of m = ceil(sqrt(N)) baby steps."""
     target = params.element(target)
     order, gen, mul = params.order, params.generator, params.mul
+    if order > BSGS_LIMIT:
+        raise ValueError(f"group order {order} too large for BSGS")
     m = math.isqrt(order - 1) + 1
     baby = {}
     acc = 1

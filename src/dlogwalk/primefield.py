@@ -17,17 +17,18 @@ import random
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
 
 # Bits of the 2-Sylow discrete log that one table lookup in `sqrt_mod_p`
 # finds; each window's tables hold 2^8 entries.
 _WINDOW_BITS = 8
 
 
-def is_probable_prime(n: int, rounds: int = 16) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
     Deterministic for n < 3.3e24 via the fixed witness set; larger inputs add
-    `rounds` random witnesses on top.
+    _RANDOM_WITNESSES random witnesses on top.
     """
     if n < 2:
         return False
@@ -42,7 +43,7 @@ def is_probable_prime(n: int, rounds: int = 16) -> bool:
     witnesses = list(_SMALL_PRIMES)
     if n >= 3317044064679887385961981:
         rng = random.Random(n)
-        witnesses += [rng.randrange(2, n - 1) for _ in range(rounds)]
+        witnesses += [rng.randrange(2, n - 1) for _ in range(_RANDOM_WITNESSES)]
     for w in witnesses:
         x = pow(w, d, n)
         if x in (1, n - 1):

@@ -17,22 +17,23 @@ unknown n).  Two lookups drive collision detection:
                     each untaken square root) to the first exponent stored
                     for it.
 
-A step looks each new value up in both and calls the collision handling
-only on a hit, so a miss costs two dict lookups and no call.  It builds a
-trace record only when tracing is on.
-
 A collision yields a linear congruence for n whose solutions are verified by
-exponentiation; the first verified candidate wins.  If a congruence has too
-many solutions or a walk exhausts its step budget, the walk restarts from
-an untaken square root drawn from the list of forks kept in walk order (then
-from scratch once mid-walk restarts are used up).  A walk is sequential; it
-only reads Table I, which calls may share, and touches no global state.
+exponentiation; the first verified candidate wins.  A walk runs in segments,
+each in one frame with its value and exponent in locals: from the target or
+a fork, at most max_steps steps.  A step looks each new value up in both
+tables and calls the collision handling only on a hit; it builds a trace
+record only when tracing is on.  A segment ends with the answer, or with a
+restart on too many solutions or an exhausted budget; the next one starts
+from a random fork (an untaken square root) or, once mid-walk restarts are
+used up, from scratch.  A walk is sequential; it only reads Table I, which
+calls may share, and touches no global state.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 # gf_pow and mod_pow are not called here (params.pow calls them), and
 # legendre is not called at all, but the layer tracer in perfbench/ wraps
@@ -95,17 +96,16 @@ class WalkConfig:
                     raise ValueError(f"scripted choices must be bits, got {b!r}")
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     index: int
     segment: int
     value: int
     branch: str  # "div", "cube" or "sqrt"
-    result: int | None
-    roots: tuple[int, int] | None
-    chosen: int | None
-    decision: int | None
     expr: LinExpr
+    result: int | None = None
+    roots: tuple[int, int] | None = None
+    chosen: int | None = None
+    decision: int | None = None
 
 
 @dataclass
@@ -158,7 +158,8 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     return table
 
 
-# Restart outcome of a step: too many candidates, apply the restart policy.
+# Restart outcome of a segment: too many candidates or the step budget
+# exhausted, apply the restart policy.
 _RESTART = object()
 
 
@@ -198,9 +199,6 @@ class _Walk:
         self.seen: dict[int, LinExpr] = {self.target: LinExpr()}
         # untaken square roots in walk order, which restarts resume from
         self.forks: list[tuple[int, LinExpr]] = []
-        self.value = self.target
-        self.expr = LinExpr()
-        self.known_non_residue = False
         self.segment = 0
         self.steps_taken = 0
         self.restarts = 0
@@ -217,111 +215,116 @@ class _Walk:
                 return self._result(n, CongruenceSolution(n, self.order, 1), [n])
         # bound here, not on self: a stored bound method would be a reference
         # cycle that keeps every finished walk's history alive until a full GC
-        step = self._step_char2 if self.config.variant == "char2" else self._step_prime
+        segment = (self._segment_char2 if self.config.variant == "char2"
+                   else self._segment_prime)
+        value, expr = self.target, LinExpr()
         while True:
-            for _ in range(self.max_steps):
-                self.steps_taken += 1
-                outcome = step()
-                if outcome is not None:
-                    break
-            else:
-                outcome = _RESTART  # budget exhausted
+            outcome = segment(value, expr)
             if outcome is not _RESTART:
                 return outcome
             self.restarts += 1
             if self.restarts > self.config.max_restarts:
                 return self._result(None)
-            self._restart()
+            value, expr = self._restart()
 
-    def _restart(self):
+    def _restart(self) -> tuple[int, LinExpr]:
+        """The next segment's start: a random fork, or the target afresh."""
         self.segment += 1
-        self.known_non_residue = False
         forks = self.forks
         if forks and self.mid_restarts < self.config.max_restarts // 2:
-            self.value, self.expr = forks[self.rng.randrange(len(forks))]
             self.mid_restarts += 1
-            return
+            return forks[self.rng.randrange(len(forks))]
         # fresh walk from the target; Table I survives, history does not
         self.seen.clear()
         forks.clear()
-        self.value = self.target
-        self.expr = self.seen[self.target] = LinExpr()
+        expr = self.seen[self.target] = LinExpr()
+        return self.target, expr
 
-    # -- steps: each returns None (walk on), _RESTART or the DlogResult -----
+    # -- segments: each returns _RESTART or the DlogResult --------------------
 
-    def _step_prime(self):
-        value, expr = self.value, self.expr
-        params, table, seen = self.params, self.table, self.seen
-        p = params.p
-        roots = None if self.known_non_residue else sqrt_mod_p(value, params)
-        if roots is None:
-            inv_a = self.inv_a
-            if inv_a is None:
-                new = value * value % p * value % p * params.a % p
-                nexpr = expr.triple_plus_one()
-                branch = "cube"
+    def _segment_prime(self, value, expr):
+        params, table, seen, forks = self.params, self.table, self.seen, self.forks
+        p, a, inv_a = params.p, params.a, self.inv_a
+        fallback = "cube" if inv_a is None else "div"
+        next_bit, trace, segment = self.next_bit, self.trace, self.segment
+        # a root carries its quadratic character into the next step, so only
+        # a segment's first step can attempt the root of a non-residue
+        non_residue = False
+        for _ in range(self.max_steps):
+            self.steps_taken += 1
+            roots = None if non_residue else sqrt_mod_p(value, params)
+            if roots is None:
+                if inv_a is None:
+                    new = value * value % p * value % p * a % p
+                    nexpr = expr.triple_plus_one()
+                else:
+                    new = value * inv_a % p
+                    nexpr = expr.dec()
+                outcome = None
+                if new in table or new in seen:
+                    outcome = self._attempt(new, nexpr)
+                if trace is not None:
+                    trace.append(TraceRecord(self.steps_taken, segment, value,
+                                             fallback, nexpr, result=new))
+                seen.setdefault(new, nexpr)
+                non_residue = False
             else:
-                new = value * inv_a % p
-                nexpr = expr.dec()
-                branch = "div"
-            outcome = None
-            if new in table or new in seen:
-                outcome = self._attempt(new, nexpr)
-            if self.trace is not None:
-                self._record(value, branch, result=new, expr=nexpr)
-            seen.setdefault(new, nexpr)
-            self.value, self.expr = new, nexpr
-            self.known_non_residue = False
-            return outcome
-        r1, r2, squares = roots
-        nexpr = expr.halve()
-        outcome = None
-        if r1 in table or r1 in seen:
-            outcome = self._attempt(r1, nexpr)
-        if (outcome is None or outcome is _RESTART) and (
-                r2 in table or r2 in seen):
-            # a verified second root outranks a restart from the first
-            outcome = self._attempt(r2, nexpr) or outcome
-        if outcome is None:
-            bit = self.next_bit()
-            chosen, other = (r1, r2) if bit == 0 else (r2, r1)
-        else:
-            bit, chosen, other = None, r1, r2
-        self.known_non_residue = not squares & (2 if bit else 1)
-        if chosen not in seen or other not in seen:
-            self.forks.append((other, nexpr))
-            seen.setdefault(chosen, nexpr)
-            seen.setdefault(other, nexpr)
-        if self.trace is not None:
-            self._record(value, "sqrt", roots=(r1, r2),
-                         chosen=None if bit is None else chosen, decision=bit,
-                         expr=nexpr)
-        self.value, self.expr = chosen, nexpr
-        return outcome
+                r1, r2, squares = roots
+                nexpr = expr.halve()
+                outcome = None
+                if r1 in table or r1 in seen:
+                    outcome = self._attempt(r1, nexpr)
+                if (outcome is None or outcome is _RESTART) and (
+                        r2 in table or r2 in seen):
+                    # a verified second root outranks a restart from the first
+                    outcome = self._attempt(r2, nexpr) or outcome
+                if outcome is None:
+                    bit = next_bit()
+                    new, other = (r1, r2) if bit == 0 else (r2, r1)
+                else:
+                    bit, new, other = None, r1, r2
+                non_residue = not squares & (2 if bit else 1)
+                if new not in seen or other not in seen:
+                    forks.append((other, nexpr))
+                    seen.setdefault(new, nexpr)
+                    seen.setdefault(other, nexpr)
+                if trace is not None:
+                    trace.append(TraceRecord(
+                        self.steps_taken, segment, value, "sqrt", nexpr,
+                        roots=(r1, r2), chosen=None if bit is None else new,
+                        decision=bit))
+            if outcome is not None:
+                return outcome
+            value, expr = new, nexpr
+        return _RESTART  # budget exhausted
 
-    def _step_char2(self):
-        value, expr = self.value, self.expr
-        seen = self.seen
-        bit = self.next_bit()
-        if bit == 1:
-            new = gf_div_by_x(value, self.params)
-            nexpr = expr.dec()
-            branch = "div"
-        else:
-            new = gf_sqrt(value, self.params)
-            nexpr = expr.halve()
-            branch = "sqrt"
-        if new in seen:
-            outcome = self._attempt(new, nexpr)
-        else:
-            outcome = self._attempt(new, nexpr) if new in self.table else None
-            seen[new] = nexpr
-            if bit == 0:
-                self.forks.append((new, nexpr))
-        if self.trace is not None:
-            self._record(value, branch, result=new, decision=bit, expr=nexpr)
-        self.value, self.expr = new, nexpr
-        return outcome
+    def _segment_char2(self, value, expr):
+        params, table, seen, forks = self.params, self.table, self.seen, self.forks
+        next_bit, trace, segment = self.next_bit, self.trace, self.segment
+        for _ in range(self.max_steps):
+            self.steps_taken += 1
+            bit = next_bit()
+            if bit == 1:
+                new = gf_div_by_x(value, params)
+                nexpr = expr.dec()
+            else:
+                new = gf_sqrt(value, params)
+                nexpr = expr.halve()
+            if new in seen:
+                outcome = self._attempt(new, nexpr)
+            else:
+                outcome = self._attempt(new, nexpr) if new in table else None
+                seen[new] = nexpr
+                if bit == 0:
+                    forks.append((new, nexpr))
+            if trace is not None:
+                trace.append(TraceRecord(self.steps_taken, segment, value,
+                                         "div" if bit else "sqrt", nexpr,
+                                         result=new, decision=bit))
+            if outcome is not None:
+                return outcome
+            value, expr = new, nexpr
+        return _RESTART  # budget exhausted
 
     # -- collision handling -------------------------------------------------
 
@@ -352,13 +355,6 @@ class _Walk:
         return self.params.pow(self.params.generator, n) == self.target
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def _record(self, value, branch, result=None, roots=None, chosen=None,
-                decision=None, expr=None):
-        self.trace.append(TraceRecord(
-            index=self.steps_taken, segment=self.segment, value=value,
-            branch=branch, result=result, roots=roots, chosen=chosen,
-            decision=decision, expr=expr))
 
     def _result(self, n, congruence=None, candidates=None):
         return DlogResult(

@@ -38,6 +38,9 @@ def test_brute_force_guard():
     params = PrimeGroupParams((1 << 61) - 1, 37)
     with pytest.raises(ValueError):
         brute_force_dlog(params, 5)
+    # checked before the ceil(sqrt(N)) baby-step table is built
+    with pytest.raises(ValueError):
+        bsgs_dlog(params, 5)
 
 
 def test_targets_reduced_and_checked_like_the_walk():

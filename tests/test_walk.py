@@ -469,6 +469,8 @@ def test_trace_does_not_change_the_walk(variant):
             traced = run_dlog(params, target, replace(config, trace=True))
             assert _counts(traced) == _counts(plain)
             assert len(traced.trace) == traced.steps_taken
+            assert [r.index for r in traced.trace] == \
+                list(range(1, traced.steps_taken + 1))
             restarted += plain.restarts > 0
     assert restarted >= 10
 
