@@ -4,11 +4,19 @@ Everything here works on plain Python ints (arbitrary precision); a
 :class:`PrimeGroupParams` carries the prime p, a primitive root a, the
 decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
 of c from which `sqrt_mod_p` solves a discrete log in the 2-Sylow subgroup
-<c>, 8 bits at a time.  The lowest bit of that log is odd exactly for a
-non-residue, so `sqrt_mod_p` also decides residuosity (it returns None)
-and the quadratic character of each root, and the walk computes no
-Legendre symbol; `legendre` and `jacobi` remain for the generator's square
-check and as tested library functions.
+<c>, one window of up to 11 bits at a time.
+
+That log is what the walk carries.  For x with x^s = c^e (0 <= e < 2^r),
+e is odd exactly for a non-residue, so `sqrt_mod_p` decides residuosity
+(it returns None) and the walk computes no Legendre symbol; `legendre`
+and `jacobi` remain for the generator's square check and as tested
+library functions.  For even e the root R = x^((s+1)/2) * c^(-e/2) has
+R^s = (x^s)^((s+1)/2) * c^(-e*s/2) = c^(e/2), and -R, with s odd and
+-1 = c^(2^(r-1)), has (-R)^s = c^(e/2 + 2^(r-1)): the log of each root is
+known once e is, and a root is a square iff its log is even.  The walk's
+other steps move the log just as predictably: x/a has log e - 1 and
+x^3 * a has 3e + 1 (mod 2^r), since a^s = c.  Given e, a root costs one
+power and one table entry per window instead of the search for e.
 """
 
 from dataclasses import dataclass, field
@@ -19,9 +27,9 @@ import random
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
 
-# Bits of the 2-Sylow discrete log that one table lookup in `sqrt_mod_p`
-# finds; each window's tables hold 2^8 entries.
-_WINDOW_BITS = 8
+# Most bits of the 2-Sylow discrete log that one table lookup in
+# `sqrt_mod_p` handles; each window's tables hold up to 2^11 entries.
+_MAX_WINDOW_BITS = 11
 
 
 def is_probable_prime(n: int) -> bool:
@@ -124,17 +132,20 @@ class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r.  The square-root tables are derived from c, with
-    w = min(8, r) and zeta = c^(2^(r-w)) of order 2^w: sqrt_log maps
-    zeta^j to j for j < 2^w, and sqrt_windows holds one entry
-    (r - pos - w, t_fix, y_fix) for each window of w bits starting at bit
-    pos = 0, w, 2w, ..., the last one at pos = r - w (it may overlap the
+    which has order 2^r; sqrt_exp = (s + 1)/2, so x^sqrt_exp is a root of
+    any x with x^s = 1.  The square-root tables are derived from c: r bits
+    are split into ceil(r/11) windows of w = ceil(r/ceil(r/11)) bits (two of
+    10 bits for r = 20), and zeta = c^(2^(r-w)) has order 2^w.  sqrt_log
+    maps zeta^j to j for j < 2^w, and sqrt_windows holds one entry
+    (pos, r - pos - w, t_fix, y_fix) for each window of w bits starting at
+    bit pos = 0, w, 2w, ..., the last one at pos = r - w (it may overlap the
     one before).  t_fix[j] = c^(-j*2^pos) and y_fix[j] = c^(-j*2^(pos-1));
     at pos = 0, y_fix[j] = c^(-j/2) for even j and None for odd j, which
     has no half.  A square is never a primitive root, so a with Jacobi
     symbol (a/p) = +1 is rejected.
-    If factors_of_order lists the prime factors of p - 1, primitivity of a
-    is verified in full; otherwise the caller's claim is trusted.
+    If factors_of_order is given, it must list every prime factor of
+    p - 1 (ValueError names a cofactor it leaves), and primitivity of a is
+    verified in full; without it the caller's claim is trusted.
     """
 
     p: int
@@ -143,8 +154,10 @@ class PrimeGroupParams:
     r: int = field(init=False)
     s: int = field(init=False)
     c: int = field(init=False)
+    sqrt_exp: int = field(init=False, repr=False, compare=False)
     sqrt_log: dict[int, int] = field(init=False, repr=False, compare=False)
-    sqrt_windows: tuple[tuple[int, tuple[int, ...], tuple[int | None, ...]],
+    sqrt_windows: tuple[tuple[int, int, tuple[int, ...],
+                              tuple[int | None, ...]],
                         ...] = field(init=False, repr=False, compare=False)
 
     variants = ("inverse", "collatz")
@@ -165,9 +178,11 @@ class PrimeGroupParams:
         self.r = r
         self.s = s
         self.c = pow(self.a, s, self.p)
+        self.sqrt_exp = (s + 1) // 2
         self.sqrt_log, self.sqrt_windows = _sqrt_tables(self.p, r, self.c)
         if self.factors_of_order is not None:
             self.factors_of_order = tuple(self.factors_of_order)
+            cofactor = self.p - 1
             for q in self.factors_of_order:
                 if (self.p - 1) % q != 0 or not is_probable_prime(q):
                     raise ValueError(f"{q} is not a prime factor of p-1")
@@ -175,6 +190,12 @@ class PrimeGroupParams:
                     raise ValueError(
                         f"{self.a} is not a primitive root mod {self.p}"
                         f" (order divides (p-1)/{q})")
+                while cofactor % q == 0:
+                    cofactor //= q
+            if cofactor > 1:
+                raise ValueError(
+                    f"factors_of_order misses the cofactor {cofactor} of"
+                    f" p-1 = {self.p - 1}, so primitivity is not verified")
 
     @property
     def order(self) -> int:
@@ -210,7 +231,8 @@ class PrimeGroupParams:
 
 def _sqrt_tables(p: int, r: int, c: int):
     """PrimeGroupParams.sqrt_log and .sqrt_windows for c of order 2^r."""
-    w = min(_WINDOW_BITS, r)
+    count = -(-r // _MAX_WINDOW_BITS)
+    w = -(-r // count)  # balanced: the last window overlaps by < count bits
     log = dict(zip(_powers(pow(c, 1 << (r - w), p), w, p), range(1 << w)))
     c_inv = pow(c, -1, p)
     windows = []
@@ -221,7 +243,7 @@ def _sqrt_tables(p: int, r: int, c: int):
         else:
             y_fix = tuple(None if j % 2 else t_fix[j // 2]
                           for j in range(1 << w))
-        windows.append((r - pos - w, t_fix, y_fix))
+        windows.append((pos, r - pos - w, t_fix, y_fix))
     return log, tuple(windows)
 
 
@@ -295,47 +317,62 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
     return -1 if e == params.p - 1 else e
 
 
-def sqrt_mod_p(x: int, params: PrimeGroupParams) -> tuple[int, int, int] | None:
-    """Both square roots of x as (min, max, squares), or None if x is a
-    non-residue; bit 0 of squares is set iff min is a square, bit 1 iff max is.
+def sqrt_mod_p(x: int, params: PrimeGroupParams,
+               e: int | None = None) -> tuple[int, int, int] | None:
+    """Both square roots of x as (min, max, e_min), or None if x is a
+    non-residue; e_min is min's 2-Sylow log: min^s = c^e_min.
 
-    Tonelli-Shanks with the 2-Sylow discrete log solved from tables
-    (Bernstein, "Faster square roots in annoying finite fields", 2001):
-    z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and t = z*y = x^s, so
-    y^2 = t*x and t = c^e for some e < 2^r.  Then y*c^(-e/2) is a root
-    when e is even, and by Euler's criterion e is odd exactly when x is a
-    non-residue.  The windows of params.sqrt_windows find e from the low
-    bits up: with the bits below pos already cleared from t, t^(2^(r-pos-w))
-    is zeta^j, params.sqrt_log gives the digit j, and t and y are
-    multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).  An odd digit in the
-    first window (pos = 0) has no half: x is a non-residue.  Once t = 1,
-    y is a root.
+    max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
+    even.  e, when given, is x's own log (x^s = c^e, 0 <= e < 2^r): an odd
+    e returns None, and an even one gives the root R = x^((s+1)/2) *
+    c^(-e/2), one y_fix entry per window of e's digits, checked by R^2 = x
+    (ValueError if not: a wrong e never yields a non-root).  R^s = c^(e/2)
+    and (-R)^s = c^(e/2 + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
 
-    For r = 1, -1 is a non-square, so of the two roots only
-    y = x^((p+1)/4) = (w^((p+1)/4))^2 (w either root) is a square.  For
-    r >= 2, a root R has R^((p-1)/2) = t^(2^(r-2)) = c^(e*2^(r-2)), which is
-    1 iff 4 | e; the first window's digit holds e mod 4 (e = 0 if t = 1).
+    Without e, Tonelli-Shanks finds it, with the 2-Sylow discrete log
+    solved from tables (Bernstein, "Faster square roots in annoying finite
+    fields", 2001): z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and
+    t = z*y = x^s = c^e.  e is odd exactly when x is a non-residue, by
+    Euler's criterion.  The windows of params.sqrt_windows find e from the
+    low bits up: with the bits below pos already cleared from t,
+    t^(2^(r-pos-w)) is zeta^j, params.sqrt_log gives the digit j, e gains
+    j*2^pos, and t and y are multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).
+    An odd digit in the first window (pos = 0) has no half: x is a
+    non-residue.  Once t = 1, e is complete and y is the root R above.
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
-    z = pow(x, (params.s - 1) // 2, p)
-    y = z * x % p
-    t = z * y % p
-    squares = 3  # for r >= 2: both roots are squares iff 4 | e
-    if t != 1:
+    if e is None:
+        z = pow(x, params.sqrt_exp - 1, p)
+        y = z * x % p
+        t = z * y % p
+        e = 0
         log = params.sqrt_log
-        for i, (squarings, t_fix, y_fix) in enumerate(params.sqrt_windows):
+        for pos, squarings, t_fix, y_fix in params.sqrt_windows:
+            if t == 1:
+                break
             j = log[pow(t, 1 << squarings, p)]
             if y_fix[j] is None:
                 return None
-            if not i and j & 3:
-                squares = 0
             y = y * y_fix[j] % p
             t = t * t_fix[j] % p
-            if t == 1:
-                break
-    if params.r == 1:
-        squares = 1 if y < p - y else 2  # y itself is the square
-    return (y, p - y, squares) if y < p - y else (p - y, y, squares)
+            e += j << pos
+    elif e & 1:
+        return None
+    else:
+        y = pow(x, params.sqrt_exp, p)
+        if e:  # always 0 for r = 1
+            # digits from the top window down: the last window may overlap
+            # the one before, and the bits it took are gone from the rest
+            rest = e
+            for pos, _, _, y_fix in reversed(params.sqrt_windows):
+                j = rest >> pos
+                y = y * y_fix[j] % p
+                rest -= j << pos
+        if y * y % p != x:
+            raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
+    if y < p - y:
+        return y, p - y, e >> 1
+    return p - y, y, (e >> 1) ^ (1 << (params.r - 1))

@@ -4,10 +4,13 @@ Three walk variants share one engine.  Over a prime field, a step attempts
 a square root: on a residue it halves the exponent and moves to one of the
 two roots at random; on a non-residue (the exponent is odd) it divides by
 the generator instead, peeling one off.  The 3x+1 variant replaces division
-by b <- b^3 * a.  Either fallback lands on a residue, and a root comes with
-its quadratic character, so a root is attempted only where it may exist:
-one fails only on the first step of a segment.  Over GF(2^m) square roots
-are unique, so a random bit decides the branch instead.
+by b <- b^3 * a.  Either fallback lands on a residue.  The walk carries the
+value's log e in the 2-Sylow subgroup (value^s = c^e): a root comes with
+its log, division makes it e - 1 and the 3x+1 step 3e + 1.  So a root is
+attempted only where it exists (e even), one fails only on the first step
+of a segment, and once e is known a root costs no Tonelli-Shanks search.
+Over GF(2^m) square roots are unique, so a random bit decides the branch
+instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
 unknown n).  Two lookups drive collision detection:
@@ -245,21 +248,30 @@ class _Walk:
     def _segment_prime(self, value, expr):
         params, table, seen, forks = self.params, self.table, self.seen, self.forks
         p, a, inv_a = params.p, params.a, self.inv_a
+        top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
         next_bit, trace, segment = self.next_bit, self.trace, self.segment
-        # a root carries its quadratic character into the next step, so only
-        # a segment's first step can attempt the root of a non-residue
-        non_residue = False
+        # e is the value's 2-Sylow log (value^s = c^e), unknown only until the
+        # first root: a root comes with its log, and div and cube move it to
+        # e - 1 and 3e + 1.  So a root is attempted only where it exists,
+        # and found without the search for e, except on a segment's first
+        # step (and the one after, if that first step finds no root).
+        e = None
         for _ in range(self.max_steps):
             self.steps_taken += 1
-            roots = None if non_residue else sqrt_mod_p(value, params)
+            roots = (None if e is not None and e & 1
+                     else sqrt_mod_p(value, params, e))
             if roots is None:
                 if inv_a is None:
                     new = value * value % p * value % p * a % p
                     nexpr = expr.triple_plus_one()
+                    if e is not None:
+                        e = (3 * e + 1) & mask
                 else:
                     new = value * inv_a % p
                     nexpr = expr.dec()
+                    if e is not None:
+                        e -= 1
                 outcome = None
                 if new in table or new in seen:
                     outcome = self._attempt(new, nexpr)
@@ -267,9 +279,8 @@ class _Walk:
                     trace.append(TraceRecord(self.steps_taken, segment, value,
                                              fallback, nexpr, result=new))
                 seen.setdefault(new, nexpr)
-                non_residue = False
             else:
-                r1, r2, squares = roots
+                r1, r2, e = roots
                 nexpr = expr.halve()
                 outcome = None
                 if r1 in table or r1 in seen:
@@ -283,7 +294,8 @@ class _Walk:
                     new, other = (r1, r2) if bit == 0 else (r2, r1)
                 else:
                     bit, new, other = None, r1, r2
-                non_residue = not squares & (2 if bit else 1)
+                if bit:
+                    e ^= top
                 if new not in seen or other not in seen:
                     forks.append((other, nexpr))
                     seen.setdefault(new, nexpr)

@@ -31,6 +31,16 @@ def test_params_primitivity_check():
             PrimeGroupParams(p, a)
 
 
+def test_params_rejects_incomplete_factors_of_order():
+    # 3^7 has order (p-1)/7, which the factor list (2,) cannot see
+    with pytest.raises(ValueError, match="cofactor 7 "):
+        PrimeGroupParams(7340033, pow(3, 7, 7340033), factors_of_order=(2,))
+    with pytest.raises(ValueError, match="cofactor 7 "):
+        PrimeGroupParams(7340033, 3, factors_of_order=(2,))
+    # a prime factor listed once covers all its powers: 2^31 - 2 = 2*3^2*...
+    PrimeGroupParams(2**31 - 1, 7, factors_of_order=(2, 3, 7, 11, 31, 151, 331))
+
+
 @pytest.mark.parametrize("p", [4, 9, 15, 91, 1])
 def test_params_rejects_composites(p):
     with pytest.raises(ValueError):
@@ -137,11 +147,12 @@ def test_sqrt_known_values():
     assert sqrt_mod_p(58, P103)[:2] == (26, 77)
     assert sqrt_mod_p(1, P103)[:2] == (1, 102)
     assert sqrt_mod_p(5, P101)[:2] == (45, 56)  # exercises Tonelli-Shanks, r = 2
-    # the character bits: 26 = 51^2 is a square and 77 = -26 is not (r = 1);
-    # for r = 2 both roots of 5 are squares (45 = 34^2, 56 = 37^2)
-    assert sqrt_mod_p(58, P103)[2] == 0b01
-    assert sqrt_mod_p(1, P103)[2] == 0b01
-    assert sqrt_mod_p(5, P101)[2] == 0b11
+    # the low root's 2-Sylow log: 26 = 51^2 is a square (log 0) and 77 = -26
+    # is not (log 0 ^ 1, r = 1); for r = 2 both roots of 5 are squares
+    # (45 = 34^2 with log 2, 56 = 37^2 with log 2 ^ 2 = 0)
+    assert sqrt_mod_p(58, P103) == (26, 77, 0)
+    assert sqrt_mod_p(1, P103) == (1, 102, 0)
+    assert sqrt_mod_p(5, P101) == (45, 56, 2)
 
 
 def test_sqrt_errors():
@@ -170,21 +181,27 @@ def _assert_root_or_none(params, xs):
         if legendre_euler(x, params) == -1:
             assert sqrt_mod_p(x, params) is None
         else:
-            lo, hi, squares = sqrt_mod_p(x, params)
+            lo, hi, e_lo = sqrt_mod_p(x, params)
             assert lo * lo % p == x and hi * hi % p == x
-            # bit 0 is lo's quadratic character, bit 1 is hi's
-            assert bool(squares & 1) == (legendre_euler(lo, params) == 1), x
-            assert bool(squares & 2) == (legendre_euler(hi, params) == 1), x
-            assert squares < 4, x
+            # the 2-Sylow logs of both roots, and so their characters
+            e_hi = e_lo ^ 2**(params.r - 1)
+            assert 0 <= e_lo < 2**params.r, x
+            assert pow(lo, params.s, p) == pow(params.c, e_lo, p), x
+            assert pow(hi, params.s, p) == pow(params.c, e_hi, p), x
+            assert (e_lo % 2 == 0) == (legendre_euler(lo, params) == 1), x
+            assert (e_hi % 2 == 0) == (legendre_euler(hi, params) == 1), x
 
 
-# Primes whose r (p - 1 = 2^r * s) is below, at and above the window width
-# of 8 bits, with a short last window when 8 does not divide r.
-@pytest.mark.parametrize("p,a,r", [
+# Primes whose r (p - 1 = 2^r * s) gives one window (r <= 11) or several,
+# equal (r = 22) or with the last one overlapping the one before.
+WINDOW_SHAPES = [
     (13, 2, 2), (41, 6, 3), (641, 3, 7), (257, 3, 8), (7681, 17, 9),
-    (65537, 3, 16), (1179649, 19, 17), (998244353, 3, 23),
-    (2013265921, 31, 27), (2**64 - 2**32 + 1, 7, 32),
-])
+    (18433, 5, 11), (65537, 3, 16), (1179649, 19, 17), (104857601, 3, 22),
+    (998244353, 3, 23), (2013265921, 31, 27), (2**64 - 2**32 + 1, 7, 32),
+]
+
+
+@pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)
 def test_sqrt_across_window_shapes(p, a, r):
     params = PrimeGroupParams(p, a, prime_factors(p - 1))
     assert params.r == r
@@ -211,6 +228,36 @@ def test_sqrt_roundtrip_random_residues(params):
         assert hi * hi % p == x
         assert lo + hi == p
         assert lo < hi
+
+
+@pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)
+def test_sqrt_from_a_known_log_matches_the_search(p, a, r):
+    # x's log is twice lo's: x^s = (lo^s)^2 = c^(2*e_lo)
+    params = PrimeGroupParams(p, a)
+    rng = random.Random(p + 1)
+    for _ in range(300):
+        x = rng.randrange(1, p)
+        roots = sqrt_mod_p(x, params)
+        if roots is None:
+            continue
+        e = 2 * roots[2] % 2**r
+        assert sqrt_mod_p(x, params, e) == roots, x
+
+
+@pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)
+def test_sqrt_from_a_wrong_log(p, a, r):
+    params = PrimeGroupParams(p, a)
+    rng = random.Random(p + 2)
+    for _ in range(50):
+        y = rng.randrange(1, p)
+        x = y * y % p
+        e = 2 * sqrt_mod_p(x, params)[2] % 2**r
+        # an odd log is a non-residue's
+        assert sqrt_mod_p(x, params, e ^ 1) is None
+        if r > 1:  # r = 1 has one even log only
+            wrong = (e + 2 * rng.randrange(1, 2**(r - 1))) % 2**r
+            with pytest.raises(ValueError, match="not the 2-Sylow log"):
+                sqrt_mod_p(x, params, wrong)
 
 
 def test_mod_inverse():

@@ -6,6 +6,8 @@ and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
 every trace row, in the history dict and in the list of restart forks.
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -88,12 +90,13 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
     c = params.c
     assert params.r == r
     assert pow(c, 2**(r - 1), p) == p - 1  # c has order 2^r exactly
-    w = min(8, r)
+    count = math.ceil(r / 11)  # balanced windows of at most 11 bits
+    w = math.ceil(r / count)
     zeta = pow(c, 2**(r - w), p)
     assert params.sqrt_log == {pow(zeta, j, p): j for j in range(2**w)}
     starts = []
-    for squarings, t_fix, y_fix in params.sqrt_windows:
-        pos = r - w - squarings
+    for pos, squarings, t_fix, y_fix in params.sqrt_windows:
+        assert squarings == r - w - pos
         starts.append(pos)
         assert t_fix == tuple(pow(c, -j * 2**pos, p) for j in range(2**w))
         if pos:

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from dlogwalk import walk
 from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
-from dlogwalk.primefield import PrimeGroupParams, legendre_euler
+from dlogwalk.primefield import PrimeGroupParams, legendre_euler, sqrt_mod_p
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
                            WalkConfig, build_table_one, default_max_steps,
@@ -14,7 +15,7 @@ from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
-P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: every root runs Tonelli-Shanks
+P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 GF27 = BinaryFieldParams(7, 0x83)
 
 
@@ -276,6 +277,44 @@ def test_fallback_follows_a_non_residue_root(params, variant):
                 assert (rec.branch != "sqrt") == non_residue
                 fallbacks += non_residue
     assert fallbacks > 50
+
+
+@pytest.mark.parametrize("params,variant", [
+    (P103, "inverse"), (P101, "collatz"), (P257, "inverse"), (P257, "collatz"),
+])
+def test_roots_search_for_the_log_only_at_a_segment_start(
+        params, variant, monkeypatch):
+    # the walk carries each value's 2-Sylow log, so a root searches for it
+    # (e is None) only on a segment's first step, or on its second when the
+    # first found no root; every other root is given the value's true log
+    calls = []
+
+    def spy(x, params, e=None):
+        calls.append(e)
+        if e is not None:
+            assert pow(x, params.s, params.p) == pow(params.c, e, params.p)
+        return sqrt_mod_p(x, params, e)
+
+    monkeypatch.setattr(walk, "sqrt_mod_p", spy)
+    rng = random.Random(params.p)
+    carried = 0
+    for seed in range(40):
+        calls.clear()
+        trace = run_dlog(params, rng.randrange(1, params.p), WalkConfig(
+            variant=variant, seed=seed, max_steps=12, trace=True)).trace
+        searches = []  # for each root attempt: does it search?
+        for i, rec in enumerate(trace):
+            first = i == 0 or trace[i - 1].segment != rec.segment
+            after_a_failed_first = (
+                not first and trace[i - 1].branch != "sqrt"
+                and (i == 1 or trace[i - 2].segment != rec.segment))
+            if rec.branch == "sqrt" or first:
+                searches.append(first or after_a_failed_first)
+        assert len(calls) == len(searches)
+        for e, may_search in zip(calls, searches):
+            assert (e is None) == may_search
+            carried += e is not None
+    assert carried > 100
 
 
 def test_restart_statistics_and_budget_invariant():
