@@ -3,20 +3,20 @@
 Everything here works on plain Python ints (arbitrary precision); a
 :class:`PrimeGroupParams` carries the prime p, a primitive root a, the
 decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
-of c from which `sqrt_mod_p` solves a discrete log in the 2-Sylow subgroup
-<c>, one window of up to 11 bits at a time.
+of c from which `sqrt_mod_p` builds a square root.
 
-That log is what the walk carries.  For x with x^s = c^e (0 <= e < 2^r),
-e is odd exactly for a non-residue, so `sqrt_mod_p` decides residuosity
-(it returns None) and the walk computes no Legendre symbol; `legendre`
-and `jacobi` remain for the generator's square check and as tested
-library functions.  For even e the root R = x^((s+1)/2) * c^(-e/2) has
-R^s = (x^s)^((s+1)/2) * c^(-e*s/2) = c^(e/2), and -R, with s odd and
--1 = c^(2^(r-1)), has (-R)^s = c^(e/2 + 2^(r-1)): the log of each root is
+The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
+with 0 <= e < 2^r.  e is odd exactly for a non-residue, so `sqrt_mod_p`
+decides residuosity (it returns None) and the walk computes no Legendre
+symbol; `legendre` and `jacobi` remain for the generator's square check and
+as tested library functions.  For even e = 2h the root R = x^((s+1)/2) *
+c^(-h) has R^s = (x^s)^((s+1)/2) * c^(-h*s) = c^h, and -R, with s odd and
+-1 = c^(2^(r-1)), has (-R)^s = c^(h + 2^(r-1)): the log of each root is
 known once e is, and a root is a square iff its log is even.  The walk's
 other steps move the log just as predictably: x/a has log e - 1 and
-x^3 * a has 3e + 1 (mod 2^r), since a^s = c.  Given e, a root costs one
-power and one table entry per window instead of the search for e.
+x^3 * a has 3e + 1 (mod 2^r), since a^s = c.  So a root costs one power and
+one table entry per window of h's bits, and only a segment's first root
+searches for e.
 """
 
 from dataclasses import dataclass, field
@@ -27,8 +27,8 @@ import random
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
 
-# Most bits of the 2-Sylow discrete log that one table lookup in
-# `sqrt_mod_p` handles; each window's tables hold up to 2^11 entries.
+# Most bits of the half log h that one table lookup in `sqrt_mod_p`
+# handles; each window's table holds up to 2^11 entries.
 _MAX_WINDOW_BITS = 11
 
 
@@ -132,17 +132,12 @@ class PrimeGroupParams:
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r; sqrt_exp = (s + 1)/2, so x^sqrt_exp is a root of
-    any x with x^s = 1.  The square-root tables are derived from c: r bits
-    are split into ceil(r/11) windows of w = ceil(r/ceil(r/11)) bits (two of
-    10 bits for r = 20), and zeta = c^(2^(r-w)) has order 2^w.  sqrt_log
-    maps zeta^j to j for j < 2^w, and sqrt_windows holds one entry
-    (pos, r - pos - w, t_fix, y_fix) for each window of w bits starting at
-    bit pos = 0, w, 2w, ..., the last one at pos = r - w (it may overlap the
-    one before).  t_fix[j] = c^(-j*2^pos) and y_fix[j] = c^(-j*2^(pos-1));
-    at pos = 0, y_fix[j] = c^(-j/2) for even j and None for odd j, which
-    has no half.  A square is never a primitive root, so a with Jacobi
-    symbol (a/p) = +1 is rejected.
+    which has order 2^r; sqrt_exp = (s + 1)/2.  sqrt_windows = (w, tables)
+    gives c^(-h) for the half log h < 2^(r-1) of `sqrt_mod_p`: h's r - 1
+    bits are split into count = ceil((r-1)/11) windows of
+    w = ceil((r-1)/count) bits (two of 10 for r = 20, none for r = 1), and
+    window i's table holds c^(-j*2^(i*w)) for j < 2^w.  A square is never a
+    primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order is given, it must list every prime factor of
     p - 1 (ValueError names a cofactor it leaves), and primitivity of a is
     verified in full; without it the caller's claim is trusted.
@@ -155,10 +150,8 @@ class PrimeGroupParams:
     s: int = field(init=False)
     c: int = field(init=False)
     sqrt_exp: int = field(init=False, repr=False, compare=False)
-    sqrt_log: dict[int, int] = field(init=False, repr=False, compare=False)
-    sqrt_windows: tuple[tuple[int, int, tuple[int, ...],
-                              tuple[int | None, ...]],
-                        ...] = field(init=False, repr=False, compare=False)
+    sqrt_windows: tuple[int, tuple[tuple[int, ...], ...]] = field(
+        init=False, repr=False, compare=False)
 
     variants = ("inverse", "collatz")
 
@@ -179,7 +172,7 @@ class PrimeGroupParams:
         self.s = s
         self.c = pow(self.a, s, self.p)
         self.sqrt_exp = (s + 1) // 2
-        self.sqrt_log, self.sqrt_windows = _sqrt_tables(self.p, r, self.c)
+        self.sqrt_windows = _sqrt_windows(self.p, r, self.c)
         if self.factors_of_order is not None:
             self.factors_of_order = tuple(self.factors_of_order)
             cofactor = self.p - 1
@@ -229,22 +222,16 @@ class PrimeGroupParams:
         return str(self.p)
 
 
-def _sqrt_tables(p: int, r: int, c: int):
-    """PrimeGroupParams.sqrt_log and .sqrt_windows for c of order 2^r."""
-    count = -(-r // _MAX_WINDOW_BITS)
-    w = -(-r // count)  # balanced: the last window overlaps by < count bits
-    log = dict(zip(_powers(pow(c, 1 << (r - w), p), w, p), range(1 << w)))
-    c_inv = pow(c, -1, p)
-    windows = []
-    for pos in [*range(0, r - w, w), r - w]:
-        t_fix = _powers(pow(c_inv, 1 << pos, p), w, p)
-        if pos:
-            y_fix = _powers(pow(c_inv, 1 << (pos - 1), p), w, p)
-        else:
-            y_fix = tuple(None if j % 2 else t_fix[j // 2]
-                          for j in range(1 << w))
-        windows.append((pos, r - pos - w, t_fix, y_fix))
-    return log, tuple(windows)
+def _sqrt_windows(p: int, r: int, c: int):
+    """PrimeGroupParams.sqrt_windows for c of order 2^r."""
+    count = -(-(r - 1) // _MAX_WINDOW_BITS)
+    w = -(-(r - 1) // max(count, 1))  # 0 for r = 1, which has no windows
+    g = pow(c, -1, p)  # c^(-2^(i*w)) for window i
+    tables = []
+    for _ in range(count):
+        tables.append(_powers(g, w, p))
+        g = pow(g, 1 << w, p)
+    return w, tuple(tables)
 
 
 def _powers(g: int, w: int, p: int) -> tuple[int, ...]:
@@ -323,56 +310,47 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
     non-residue; e_min is min's 2-Sylow log: min^s = c^e_min.
 
     max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
-    even.  e, when given, is x's own log (x^s = c^e, 0 <= e < 2^r): an odd
-    e returns None, and an even one gives the root R = x^((s+1)/2) *
-    c^(-e/2), one y_fix entry per window of e's digits, checked by R^2 = x
-    (ValueError if not: a wrong e never yields a non-root).  R^s = c^(e/2)
-    and (-R)^s = c^(e/2 + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
+    even.  e is x's own log (x^s = c^e, 0 <= e < 2^r; ValueError outside
+    that range): an odd e returns None, and an even e = 2h gives the root
+    R = x^((s+1)/2) * c^(-h), one table entry per window of h's bits,
+    checked by R^2 = x (ValueError if not: a wrong e never yields a
+    non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
+    (-1)^s = -1 = c^(2^(r-1)).
 
-    Without e, Tonelli-Shanks finds it, with the 2-Sylow discrete log
-    solved from tables (Bernstein, "Faster square roots in annoying finite
-    fields", 2001): z = x^((s-1)/2) gives y = z*x = x^((s+1)/2) and
-    t = z*y = x^s = c^e.  e is odd exactly when x is a non-residue, by
-    Euler's criterion.  The windows of params.sqrt_windows find e from the
-    low bits up: with the bits below pos already cleared from t,
-    t^(2^(r-pos-w)) is zeta^j, params.sqrt_log gives the digit j, e gains
-    j*2^pos, and t and y are multiplied by c^(-j*2^pos) and c^(-j*2^(pos-1)).
-    An odd digit in the first window (pos = 0) has no half: x is a
-    non-residue.  Once t = 1, e is complete and y is the root R above.
+    Without e, the search of Tonelli (1891) and Shanks (1973) finds it, bit
+    by bit from the lowest, in t = x^s = c^e: with the bits below i
+    cleared, t = c^(m*2^i) and t^(2^(r-1-i)) = (-1)^m, so bit i is m's
+    parity, and c^(-2^i) clears it.  Bit 0 set is Euler's criterion for a
+    non-residue, x^((p-1)/2) = -1.
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     if e is None:
-        z = pow(x, params.sqrt_exp - 1, p)
-        y = z * x % p
-        t = z * y % p
-        e = 0
-        log = params.sqrt_log
-        for pos, squarings, t_fix, y_fix in params.sqrt_windows:
-            if t == 1:
-                break
-            j = log[pow(t, 1 << squarings, p)]
-            if y_fix[j] is None:
-                return None
-            y = y * y_fix[j] % p
-            t = t * t_fix[j] % p
-            e += j << pos
+        r = params.r
+        t = pow(x, params.s, p)
+        if pow(t, 1 << (r - 1), p) != 1:
+            return None
+        e, f = 0, pow(params.c, -1, p)
+        for i in range(1, r):
+            f = f * f % p  # c^(-2^i)
+            if pow(t, 1 << (r - 1 - i), p) != 1:
+                t = t * f % p
+                e |= 1 << i
+    elif e and e >> params.r:
+        raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
     elif e & 1:
         return None
-    else:
-        y = pow(x, params.sqrt_exp, p)
-        if e:  # always 0 for r = 1
-            # digits from the top window down: the last window may overlap
-            # the one before, and the bits it took are gone from the rest
-            rest = e
-            for pos, _, _, y_fix in reversed(params.sqrt_windows):
-                j = rest >> pos
-                y = y * y_fix[j] % p
-                rest -= j << pos
-        if y * y % p != x:
-            raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
+    y = pow(x, params.sqrt_exp, p)
+    if e:  # always 0 for r = 1
+        w, tables = params.sqrt_windows
+        h, mask = e >> 1, (1 << w) - 1
+        for table in tables:
+            y = y * table[h & mask] % p
+            h >>= w
+    if y * y % p != x:
+        raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
     if y < p - y:
         return y, p - y, e >> 1
     return p - y, y, (e >> 1) ^ (1 << (params.r - 1))

@@ -192,12 +192,14 @@ def _assert_root_or_none(params, xs):
             assert (e_hi % 2 == 0) == (legendre_euler(hi, params) == 1), x
 
 
-# Primes whose r (p - 1 = 2^r * s) gives one window (r <= 11) or several,
-# equal (r = 22) or with the last one overlapping the one before.
+# Primes whose r (p - 1 = 2^r * s) splits the r - 1 bits of the half log
+# into one window (r <= 12) or several, which cover them exactly (r = 17,
+# 23) or with spare top bits in the last window (r = 16, 22, 27, 32).
 WINDOW_SHAPES = [
     (13, 2, 2), (41, 6, 3), (641, 3, 7), (257, 3, 8), (7681, 17, 9),
-    (18433, 5, 11), (65537, 3, 16), (1179649, 19, 17), (104857601, 3, 22),
-    (998244353, 3, 23), (2013265921, 31, 27), (2**64 - 2**32 + 1, 7, 32),
+    (18433, 5, 11), (12289, 11, 12), (65537, 3, 16), (1179649, 19, 17),
+    (104857601, 3, 22), (998244353, 3, 23), (2013265921, 31, 27),
+    (2**64 - 2**32 + 1, 7, 32),
 ]
 
 
@@ -257,6 +259,23 @@ def test_sqrt_from_a_wrong_log(p, a, r):
         if r > 1:  # r = 1 has one even log only
             wrong = (e + 2 * rng.randrange(1, 2**(r - 1))) % 2**r
             with pytest.raises(ValueError, match="not the 2-Sylow log"):
+                sqrt_mod_p(x, params, wrong)
+
+
+@pytest.mark.parametrize("params", [
+    P103, P101, PrimeGroupParams(257, 3), PrimeGroupParams(7340033, 3),
+])
+def test_sqrt_from_a_log_out_of_range(params):
+    # the same log mod 2^r, one period above or below [0, 2^r); at
+    # p = 7340033, 4 has log 41956, and 41956 + 2^20 once raised IndexError
+    r = params.r
+    for x in (4, 9, params.p - 1):
+        roots = sqrt_mod_p(x, params)
+        if roots is None:
+            continue
+        e = 2 * roots[2] % 2**r
+        for wrong in (e + 2**r, e - 2**r, e + 1 + 2**r, e + 1 - 2**r):
+            with pytest.raises(ValueError, match=rf"outside 0 <= e < 2\^{r}$"):
                 sqrt_mod_p(x, params, wrong)
 
 

@@ -90,23 +90,18 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
     c = params.c
     assert params.r == r
     assert pow(c, 2**(r - 1), p) == p - 1  # c has order 2^r exactly
-    count = math.ceil(r / 11)  # balanced windows of at most 11 bits
-    w = math.ceil(r / count)
-    zeta = pow(c, 2**(r - w), p)
-    assert params.sqrt_log == {pow(zeta, j, p): j for j in range(2**w)}
-    starts = []
-    for pos, squarings, t_fix, y_fix in params.sqrt_windows:
-        assert squarings == r - w - pos
-        starts.append(pos)
-        assert t_fix == tuple(pow(c, -j * 2**pos, p) for j in range(2**w))
-        if pos:
-            assert y_fix == tuple(pow(c, -j * 2**(pos - 1), p)
-                                  for j in range(2**w))
-        else:
-            assert y_fix == tuple(None if j % 2 else pow(c, -(j // 2), p)
-                                  for j in range(2**w))
-    # windows of w bits from bit 0 up; the last one ends at bit r
-    assert starts == sorted(set(range(0, r - w, w)) | {r - w})
+    w, tables = params.sqrt_windows
+    if r == 1:  # the half log h < 2^(r-1) is always 0
+        assert tables == ()
+        return
+    count = math.ceil((r - 1) / 11)  # balanced windows of at most 11 bits
+    assert w == math.ceil((r - 1) / count)
+    assert len(tables) == count
+    for i, table in enumerate(tables):
+        pos = i * w
+        assert table == tuple(pow(c, -j * 2**pos, p) for j in range(2**w))
+    # the windows cover the r - 1 bits of h, with less than a window spare
+    assert (count - 1) * w < r - 1 <= count * w
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),

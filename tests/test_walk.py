@@ -317,6 +317,39 @@ def test_roots_search_for_the_log_only_at_a_segment_start(
     assert carried > 100
 
 
+@pytest.mark.parametrize("variant", ["inverse", "collatz"])
+def test_roots_search_at_most_twice_per_segment_deep_r(variant, monkeypatch):
+    # r = 20: the Tonelli-Shanks search is the slow root, and full solves
+    # run it only at a segment's start, so at most twice per segment
+    params = PrimeGroupParams(7340033, 3)
+    calls = []
+
+    def spy(x, params, e=None):
+        calls.append(e)
+        return sqrt_mod_p(x, params, e)
+
+    monkeypatch.setattr(walk, "sqrt_mod_p", spy)
+    rng = random.Random(7340033)
+    for seed in range(4):
+        calls.clear()
+        result = run_dlog(params, rng.randrange(1, params.p), WalkConfig(
+            variant=variant, seed=seed, trace=True))
+        assert result.n is not None
+        trace = result.trace
+        may_search = []  # for each root attempt: may it search?
+        for i, rec in enumerate(trace):
+            first = i == 0 or trace[i - 1].segment != rec.segment
+            after_a_failed_first = (
+                not first and trace[i - 1].branch != "sqrt"
+                and (i == 1 or trace[i - 2].segment != rec.segment))
+            if rec.branch == "sqrt" or first:
+                may_search.append(first or after_a_failed_first)
+        assert len(calls) == len(may_search)
+        searches = [e is None for e in calls]
+        assert all(may for search, may in zip(searches, may_search) if search)
+        assert 0 < sum(searches) <= 2 * (result.restarts + 1)
+
+
 def test_restart_statistics_and_budget_invariant():
     solved_after_restart = 0
     for seed in range(30):
