@@ -15,7 +15,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .walk import WalkConfig, build_table_one, run_dlog
 
@@ -67,7 +67,7 @@ def run_trials(params, variant: str, trial_count: int, seed_base: int,
         seed = seed_base + i
         n_true = random.Random(seed).randrange(order)
         target = params.pow(params.generator, n_true)
-        cfg = replace(config, seed=seed)
+        cfg = config.replace(seed=seed)
         t0 = time.perf_counter_ns()
         result = run_dlog(params, target, cfg, table=table)
         nanos = time.perf_counter_ns() - t0 if timing else 0

@@ -9,7 +9,7 @@ x^7+x+1 is 0x83).
 import argparse
 import sys
 
-from . import __version__, bench
+from . import __version__
 from .gf2m import BinaryFieldParams
 from .oracles import brute_force_dlog, bsgs_dlog
 from .primefield import PrimeGroupParams, prime_factors
@@ -148,6 +148,8 @@ def cmd_oracle(parser, args) -> int:
 
 
 def cmd_bench(parser, args) -> int:
+    from . import bench  # only here: solve and the other commands skip it
+
     params = _params(parser, args)
     config = _walk_config(parser, args, params)
     try:

@@ -12,7 +12,7 @@ Each field precomputes that map once, as one xor table per byte of an
 element, so a root costs one table lookup per byte.
 """
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 GENERATOR = 0b10  # the element x
 
@@ -49,8 +49,7 @@ def is_irreducible(f: int) -> bool:
     return True
 
 
-@dataclass
-class BinaryFieldParams:
+class BinaryFieldParams(Record):
     """The group GF(2^m)* of an irreducible modulus polynomial f of degree m.
 
     f is checked for irreducibility whatever m is.  The generator is x.
@@ -60,32 +59,31 @@ class BinaryFieldParams:
     element, entry b of table i being the root of b * x^(8i).
     """
 
-    m: int
-    poly: int
-    sqrt_tables: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("m", "poly")
+    __slots__ = _fields + ("sqrt_tables",)
 
     generator = GENERATOR
     variants = ("char2",)
 
-    def __post_init__(self):
-        if self.m < 2:
+    def __init__(self, m: int, poly: int):
+        if m < 2:
             raise ValueError("extension degree must be >= 2:"
                              " x is not an element of GF(2)")
-        if self.poly >> self.m != 1:  # also rejects negative ints
-            raise ValueError(f"{self.poly:#x} is not a polynomial"
-                             f" of degree m = {self.m}")
-        if self.poly & 1 == 0:
+        if poly >> m != 1:  # also rejects negative ints
+            raise ValueError(f"{poly:#x} is not a polynomial"
+                             f" of degree m = {m}")
+        if poly & 1 == 0:
             raise ValueError("modulus must have constant term 1")
-        if not is_irreducible(self.poly):
-            raise ValueError(f"0x{self.poly:x} is reducible over GF(2)")
-        root_x = gf_pow(GENERATOR, 1 << (self.m - 1), self)  # x^(2^(m-1))
+        if not is_irreducible(poly):
+            raise ValueError(f"0x{poly:x} is reducible over GF(2)")
+        self._assign(m, poly)
+        root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
         # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
         basis = [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
-                 for j in range(self.m)]
+                 for j in range(m)]
         tables = []
-        for lo in range(0, self.m, 8):
-            table = [0] * (1 << min(8, self.m - lo))
+        for lo in range(0, m, 8):
+            table = [0] * (1 << min(8, m - lo))
             for b in range(1, len(table)):
                 low = b & -b  # b's root is the root of b - low, plus low's
                 table[b] = table[b ^ low] ^ basis[lo + low.bit_length() - 1]

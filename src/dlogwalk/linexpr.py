@@ -12,7 +12,6 @@ LinExpr is a named tuple (A, B, k) because the walk builds one per step,
 and a tuple costs about half as much to build as a frozen dataclass.
 """
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -80,8 +79,7 @@ class LinExpr(NamedTuple):
         return f"{num}/{1 << self.k}"
 
 
-@dataclass(frozen=True)
-class CongruenceSolution:
+class CongruenceSolution(NamedTuple):
     """Solutions of a linear congruence mod the group order N.
 
     The full solution set is {residue + t*modulus : 0 <= t < count} mod N,

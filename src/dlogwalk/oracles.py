@@ -1,14 +1,13 @@
 """Independent discrete-log solvers used as correctness oracles and baselines."""
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 BRUTE_FORCE_LIMIT = 10**7
 BSGS_LIMIT = 10**12  # ceil(sqrt(N)) baby steps: at most 10^6 entries
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     n: int
     method: str
 

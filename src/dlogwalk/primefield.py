@@ -19,9 +19,10 @@ one table entry per window of h's bits, and only a segment's first root
 searches for e.
 """
 
-from dataclasses import dataclass, field
 import math
 import random
+
+from ._record import Record
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -127,8 +128,7 @@ def _brent_divisor(n: int) -> int:
         c += 1
 
 
-@dataclass
-class PrimeGroupParams:
+class PrimeGroupParams(Record):
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
@@ -136,59 +136,52 @@ class PrimeGroupParams:
     gives c^(-h) for the half log h < 2^(r-1) of `sqrt_mod_p`: h's r - 1
     bits are split into count = ceil((r-1)/11) windows of
     w = ceil((r-1)/count) bits (two of 10 for r = 20, none for r = 1), and
-    window i's table holds c^(-j*2^(i*w)) for j < 2^w.  A square is never a
+    window i's table holds c^(-j*2^(i*w)) for j < 2^w, the last window's
+    only for the bits left (2^9 entries for r = 20).  A square is never a
     primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order is given, it must list every prime factor of
     p - 1 (ValueError names a cofactor it leaves), and primitivity of a is
     verified in full; without it the caller's claim is trusted.
     """
 
-    p: int
-    a: int
-    factors_of_order: tuple[int, ...] | None = None
-    r: int = field(init=False)
-    s: int = field(init=False)
-    c: int = field(init=False)
-    sqrt_exp: int = field(init=False, repr=False, compare=False)
-    sqrt_windows: tuple[int, tuple[tuple[int, ...], ...]] = field(
-        init=False, repr=False, compare=False)
+    _fields = ("p", "a", "factors_of_order", "r", "s", "c")
+    __slots__ = _fields + ("sqrt_exp", "sqrt_windows")
 
     variants = ("inverse", "collatz")
 
-    def __post_init__(self):
-        if self.p < 3 or self.p % 2 == 0 or not is_probable_prime(self.p):
-            raise ValueError(f"p = {self.p} is not an odd prime")
-        if not 1 <= self.a <= self.p - 1:
-            raise ValueError(f"generator {self.a} out of range for p = {self.p}")
-        if jacobi(self.a, self.p) != -1:
-            raise ValueError(f"{self.a} is a square mod {self.p},"
+    def __init__(self, p: int, a: int,
+                 factors_of_order: tuple[int, ...] | None = None):
+        if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+            raise ValueError(f"p = {p} is not an odd prime")
+        if not 1 <= a <= p - 1:
+            raise ValueError(f"generator {a} out of range for p = {p}")
+        if jacobi(a, p) != -1:
+            raise ValueError(f"{a} is a square mod {p},"
                              f" so it is not a primitive root")
-        s = self.p - 1
+        s = p - 1
         r = 0
         while s % 2 == 0:
             s //= 2
             r += 1
-        self.r = r
-        self.s = s
-        self.c = pow(self.a, s, self.p)
-        self.sqrt_exp = (s + 1) // 2
-        self.sqrt_windows = _sqrt_windows(self.p, r, self.c)
-        if self.factors_of_order is not None:
-            self.factors_of_order = tuple(self.factors_of_order)
-            cofactor = self.p - 1
-            for q in self.factors_of_order:
-                if (self.p - 1) % q != 0 or not is_probable_prime(q):
+        if factors_of_order is not None:
+            factors_of_order = tuple(factors_of_order)
+            cofactor = p - 1
+            for q in factors_of_order:
+                if (p - 1) % q != 0 or not is_probable_prime(q):
                     raise ValueError(f"{q} is not a prime factor of p-1")
-                if pow(self.a, (self.p - 1) // q, self.p) == 1:
+                if pow(a, (p - 1) // q, p) == 1:
                     raise ValueError(
-                        f"{self.a} is not a primitive root mod {self.p}"
+                        f"{a} is not a primitive root mod {p}"
                         f" (order divides (p-1)/{q})")
                 while cofactor % q == 0:
                     cofactor //= q
             if cofactor > 1:
                 raise ValueError(
                     f"factors_of_order misses the cofactor {cofactor} of"
-                    f" p-1 = {self.p - 1}, so primitivity is not verified")
+                    f" p-1 = {p - 1}, so primitivity is not verified")
+        self._assign(p, a, factors_of_order, r, s, pow(a, s, p))
+        self.sqrt_exp = (s + 1) // 2
+        self.sqrt_windows = _sqrt_windows(p, r, self.c)
 
     @property
     def order(self) -> int:
@@ -228,16 +221,16 @@ def _sqrt_windows(p: int, r: int, c: int):
     w = -(-(r - 1) // max(count, 1))  # 0 for r = 1, which has no windows
     g = pow(c, -1, p)  # c^(-2^(i*w)) for window i
     tables = []
-    for _ in range(count):
-        tables.append(_powers(g, w, p))
+    for i in range(count):
+        tables.append(_powers(g, min(w, r - 1 - i * w), p))
         g = pow(g, 1 << w, p)
     return w, tuple(tables)
 
 
-def _powers(g: int, w: int, p: int) -> tuple[int, ...]:
-    """g^j mod p for j < 2^w, as running products."""
+def _powers(g: int, bits: int, p: int) -> tuple[int, ...]:
+    """g^j mod p for j < 2^bits, as running products."""
     powers = [1]
-    for _ in range((1 << w) - 1):
+    for _ in range((1 << bits) - 1):
         powers.append(powers[-1] * g % p)
     return tuple(powers)
 
@@ -329,7 +322,9 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
         raise ValueError("x is 0 mod p")
     if e is None:
         r = params.r
-        t = pow(x, params.s, p)
+        z = pow(x, params.sqrt_exp - 1, p)  # x^((s-1)/2): one power for both
+        y = z * x % p  # x^((s+1)/2), the root's first factor
+        t = y * z % p  # x^s = c^e
         if pow(t, 1 << (r - 1), p) != 1:
             return None
         e, f = 0, pow(params.c, -1, p)
@@ -342,7 +337,8 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
         raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
     elif e & 1:
         return None
-    y = pow(x, params.sqrt_exp, p)
+    else:
+        y = pow(x, params.sqrt_exp, p)
     if e:  # always 0 for r = 1
         w, tables = params.sqrt_windows
         h, mask = e >> 1, (1 << w) - 1

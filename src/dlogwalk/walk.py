@@ -34,9 +34,10 @@ calls may share, and touches no global state.
 
 import math
 import random
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
+
+from ._record import Record
 
 # gf_pow and mod_pow are not called here (params.pow calls them), and
 # legendre is not called at all, but the layer tracer in perfbench/ wraps
@@ -59,8 +60,7 @@ class UnsupportedGroupError(ValueError):
     """Group/variant combination violates a precondition (e.g. 3 | p-1 for 3x+1)."""
 
 
-@dataclass
-class WalkConfig:
+class WalkConfig(Record):
     """Tunables for one solver run.
 
     `seed` and `choices` are mutually exclusive: a seed drives a PRNG, a
@@ -68,35 +68,38 @@ class WalkConfig:
     Unset sizes fall back to order-dependent defaults at run time.
     """
 
-    variant: str = "inverse"
-    table_size: int | None = None
-    sequence: str = "pow2"
-    max_steps: int | None = None
-    max_restarts: int = 32
-    d_max: int = 65536
-    seed: int | None = None
-    choices: list[int] | None = None
-    trace: bool = False
+    _fields = __slots__ = ("variant", "table_size", "sequence", "max_steps",
+                           "max_restarts", "d_max", "seed", "choices", "trace")
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.sequence not in SEQUENCES:
-            raise ValueError(f"unknown sequence kind {self.sequence!r}")
-        if self.seed is not None and self.choices is not None:
+    def __init__(self, variant: str = "inverse", table_size: int | None = None,
+                 sequence: str = "pow2", max_steps: int | None = None,
+                 max_restarts: int = 32, d_max: int = 65536,
+                 seed: int | None = None, choices: list[int] | None = None,
+                 trace: bool = False):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        if sequence not in SEQUENCES:
+            raise ValueError(f"unknown sequence kind {sequence!r}")
+        if seed is not None and choices is not None:
             raise ValueError("seed and scripted choices are mutually exclusive")
-        if self.max_steps is not None and self.max_steps < 1:
+        if max_steps is not None and max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if self.table_size is not None and self.table_size < 0:
+        if table_size is not None and table_size < 0:
             raise ValueError("table_size must be >= 0")
-        if self.max_restarts < 0:
+        if max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.d_max < 1:
+        if d_max < 1:
             raise ValueError("d_max must be >= 1")
-        if self.choices is not None:
-            for b in self.choices:
+        if choices is not None:
+            for b in choices:
                 if b not in (0, 1):
                     raise ValueError(f"scripted choices must be bits, got {b!r}")
+        self._assign(variant, table_size, sequence, max_steps, max_restarts,
+                     d_max, seed, choices, trace)
+
+    def replace(self, **changes) -> "WalkConfig":
+        """A copy with `changes` applied, checked as the constructor checks."""
+        return WalkConfig(**dict(zip(self._fields, self._values()), **changes))
 
 
 class TraceRecord(NamedTuple):
@@ -111,18 +114,20 @@ class TraceRecord(NamedTuple):
     decision: int | None = None
 
 
-@dataclass
-class DlogResult:
+class DlogResult(Record):
     """Outcome of a solver run; n is None when every restart budget ran out."""
 
-    n: int | None
-    steps_taken: int = 0
-    restarts: int = 0
-    collisions_tested: int = 0
-    candidates_tried: int = 0
-    congruence: CongruenceSolution | None = None
-    candidates: list[int] | None = None
-    trace: list[TraceRecord] | None = None
+    _fields = __slots__ = ("n", "steps_taken", "restarts", "collisions_tested",
+                           "candidates_tried", "congruence", "candidates",
+                           "trace")
+
+    def __init__(self, n: int | None, steps_taken: int = 0, restarts: int = 0,
+                 collisions_tested: int = 0, candidates_tried: int = 0,
+                 congruence: CongruenceSolution | None = None,
+                 candidates: list[int] | None = None,
+                 trace: list[TraceRecord] | None = None):
+        self._assign(n, steps_taken, restarts, collisions_tested,
+                     candidates_tried, congruence, candidates, trace)
 
     @property
     def success(self) -> bool:
@@ -257,8 +262,8 @@ class _Walk:
         # and found without the search for e, except on a segment's first
         # step (and the one after, if that first step finds no root).
         e = None
-        for _ in range(self.max_steps):
-            self.steps_taken += 1
+        first = self.steps_taken + 1  # steps is stored back where it is read
+        for steps in range(first, first + self.max_steps):
             roots = (None if e is not None and e & 1
                      else sqrt_mod_p(value, params, e))
             if roots is None:
@@ -274,21 +279,25 @@ class _Walk:
                         e -= 1
                 outcome = None
                 if new in table or new in seen:
+                    self.steps_taken = steps
                     outcome = self._attempt(new, nexpr)
                 if trace is not None:
-                    trace.append(TraceRecord(self.steps_taken, segment, value,
-                                             fallback, nexpr, result=new))
+                    trace.append(TraceRecord(steps, segment, value, fallback,
+                                             nexpr, result=new))
                 seen.setdefault(new, nexpr)
             else:
                 r1, r2, e = roots
                 nexpr = expr.halve()
+                hit = r1 in table or r1 in seen or r2 in table or r2 in seen
                 outcome = None
-                if r1 in table or r1 in seen:
-                    outcome = self._attempt(r1, nexpr)
-                if (outcome is None or outcome is _RESTART) and (
-                        r2 in table or r2 in seen):
-                    # a verified second root outranks a restart from the first
-                    outcome = self._attempt(r2, nexpr) or outcome
+                if hit:
+                    self.steps_taken = steps
+                    if r1 in table or r1 in seen:
+                        outcome = self._attempt(r1, nexpr)
+                    if (outcome is None or outcome is _RESTART) and (
+                            r2 in table or r2 in seen):
+                        # a verified second root outranks a restart from the first
+                        outcome = self._attempt(r2, nexpr) or outcome
                 if outcome is None:
                     bit = next_bit()
                     new, other = (r1, r2) if bit == 0 else (r2, r1)
@@ -296,18 +305,22 @@ class _Walk:
                     bit, new, other = None, r1, r2
                 if bit:
                     e ^= top
-                if new not in seen or other not in seen:
+                if not hit:  # neither root is stored yet
+                    seen[new] = seen[other] = nexpr
+                    forks.append((other, nexpr))
+                elif new not in seen or other not in seen:
                     forks.append((other, nexpr))
                     seen.setdefault(new, nexpr)
                     seen.setdefault(other, nexpr)
                 if trace is not None:
                     trace.append(TraceRecord(
-                        self.steps_taken, segment, value, "sqrt", nexpr,
+                        steps, segment, value, "sqrt", nexpr,
                         roots=(r1, r2), chosen=None if bit is None else new,
                         decision=bit))
             if outcome is not None:
                 return outcome
             value, expr = new, nexpr
+        self.steps_taken = steps
         return _RESTART  # budget exhausted
 
     def _segment_char2(self, value, expr):

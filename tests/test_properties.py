@@ -97,11 +97,14 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
     count = math.ceil((r - 1) / 11)  # balanced windows of at most 11 bits
     assert w == math.ceil((r - 1) / count)
     assert len(tables) == count
+    # the windows cover the r - 1 bits of h, the last one only the bits left
+    assert (count - 1) * w < r - 1 <= count * w
     for i, table in enumerate(tables):
         pos = i * w
-        assert table == tuple(pow(c, -j * 2**pos, p) for j in range(2**w))
-    # the windows cover the r - 1 bits of h, with less than a window spare
-    assert (count - 1) * w < r - 1 <= count * w
+        bits = min(w, r - 1 - pos)
+        assert table == tuple(pow(c, -j * 2**pos, p) for j in range(2**bits))
+    if r == 20:
+        assert [len(table) for table in tables] == [1024, 512]
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),

@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -538,7 +537,7 @@ def test_trace_does_not_change_the_walk(variant):
             config = WalkConfig(variant=variant, seed=seed, max_steps=8,
                                 max_restarts=16, d_max=d_max)
             plain = run_dlog(params, target, config)
-            traced = run_dlog(params, target, replace(config, trace=True))
+            traced = run_dlog(params, target, config.replace(trace=True))
             assert _counts(traced) == _counts(plain)
             assert len(traced.trace) == traced.steps_taken
             assert [r.index for r in traced.trace] == \
