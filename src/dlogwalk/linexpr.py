@@ -23,7 +23,7 @@ class NoSolutionError(ValueError):
 
 
 class DegenerateCollisionError(ValueError):
-    """Both sides of the collision congruence vanish identically (self-collision)."""
+    """Both sides of the collision congruence vanish mod N: every n solves it."""
 
 
 class TooManyCandidatesError(ValueError):
@@ -120,14 +120,18 @@ def collision_solve(e1: LinExpr, e2: LinExpr, order: int) -> CongruenceSolution:
     the walk took.  Resulting congruence:
 
         (2^(K-k1)*A1 - 2^(K-k2)*A2) * n  =  2^(K-k2)*B2 - 2^(K-k1)*B1  (mod order)
+
+    When both sides are 0 mod order the congruence says nothing about n
+    (a self-collision, or a cycle such as 2^m = 1 in GF(2^m)*):
+    DegenerateCollisionError.
     """
     big_k = max(e1.k, e2.k)
     m1 = 1 << (big_k - e1.k)
     m2 = 1 << (big_k - e2.k)
     coef = m1 * e1.A - m2 * e2.A
     rhs = m2 * e2.B - m1 * e1.B
-    if coef == 0 and rhs == 0:
-        raise DegenerateCollisionError("expressions are identical up to scaling")
+    if coef % order == 0 and rhs % order == 0:
+        raise DegenerateCollisionError("0 = 0 (mod order): no constraint on n")
     return solve_linear(coef, rhs, order)
 
 

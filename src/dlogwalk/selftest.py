@@ -5,7 +5,7 @@ and symbolic exponent, plus the final congruence and answer.  These runs
 double as an end-to-end smoke test for the CLI (`dlogwalk selftest`).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2m import BinaryFieldParams
 from .linexpr import CongruenceSolution
@@ -13,8 +13,7 @@ from .primefield import PrimeGroupParams
 from .walk import WalkConfig, run_dlog
 
 
-@dataclass(frozen=True)
-class ReplayCase:
+class ReplayCase(NamedTuple):
     name: str
     params: object
     target: int

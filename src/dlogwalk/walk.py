@@ -22,14 +22,16 @@ unknown n).  Two lookups drive collision detection:
 
 A collision yields a linear congruence for n whose solutions are verified by
 exponentiation; the first verified candidate wins.  A walk runs in segments,
-each in one frame with its value and exponent in locals: from the target or
-a fork, at most max_steps steps.  A step looks each new value up in both
-tables and calls the collision handling only on a hit; it builds a trace
-record only when tracing is on.  A segment ends with the answer, or with a
-restart on too many solutions or an exhausted budget; the next one starts
-from a random fork (an untaken square root) or, once mid-walk restarts are
-used up, from scratch.  A walk is sequential; it only reads Table I, which
-calls may share, and touches no global state.
+each in one frame with its value and exponent in locals, of at most
+max_steps steps.  A step looks each new value up in both tables and calls
+the collision handling only on a hit; it builds a trace record only when
+tracing is on.  A segment ends with the answer, or with a restart on too
+many solutions or an exhausted budget.  The first segment starts at the
+target with exponent n; every later one at target * g^j for a random j,
+with exponent n + j.  The history is never cleared: whatever segment stored
+an entry, 2^k * log(value) = A*n + B (mod N) holds for it, so a later
+segment collides with every earlier one.  A walk is sequential; it only
+reads Table I, which calls may share, and touches no global state.
 """
 
 import math
@@ -205,12 +207,9 @@ class _Walk:
 
         # Tables II and III: the first exponent stored for each value
         self.seen: dict[int, LinExpr] = {self.target: LinExpr()}
-        # untaken square roots in walk order, which restarts resume from
-        self.forks: list[tuple[int, LinExpr]] = []
         self.segment = 0
         self.steps_taken = 0
         self.restarts = 0
-        self.mid_restarts = 0
         self.collisions_tested = 0
         self.candidates_tried = 0
         self.trace: list[TraceRecord] | None = [] if config.trace else None
@@ -236,22 +235,20 @@ class _Walk:
             value, expr = self._restart()
 
     def _restart(self) -> tuple[int, LinExpr]:
-        """The next segment's start: a random fork, or the target afresh."""
+        """The next segment's start: target * g^j, exponent n + j, for a
+        random j; stored in the history unless the value is there already."""
         self.segment += 1
-        forks = self.forks
-        if forks and self.mid_restarts < self.config.max_restarts // 2:
-            self.mid_restarts += 1
-            return forks[self.rng.randrange(len(forks))]
-        # fresh walk from the target; Table I survives, history does not
-        self.seen.clear()
-        forks.clear()
-        expr = self.seen[self.target] = LinExpr()
-        return self.target, expr
+        params = self.params
+        j = self.rng.randrange(self.order)
+        value = params.mul(self.target, params.pow(params.generator, j))
+        expr = LinExpr(1, j, 0)
+        self.seen.setdefault(value, expr)
+        return value, expr
 
     # -- segments: each returns _RESTART or the DlogResult --------------------
 
     def _segment_prime(self, value, expr):
-        params, table, seen, forks = self.params, self.table, self.seen, self.forks
+        params, table, seen = self.params, self.table, self.seen
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
@@ -307,9 +304,7 @@ class _Walk:
                     e ^= top
                 if not hit:  # neither root is stored yet
                     seen[new] = seen[other] = nexpr
-                    forks.append((other, nexpr))
-                elif new not in seen or other not in seen:
-                    forks.append((other, nexpr))
+                else:
                     seen.setdefault(new, nexpr)
                     seen.setdefault(other, nexpr)
                 if trace is not None:
@@ -324,7 +319,7 @@ class _Walk:
         return _RESTART  # budget exhausted
 
     def _segment_char2(self, value, expr):
-        params, table, seen, forks = self.params, self.table, self.seen, self.forks
+        params, table, seen = self.params, self.table, self.seen
         next_bit, trace, segment = self.next_bit, self.trace, self.segment
         for _ in range(self.max_steps):
             self.steps_taken += 1
@@ -340,8 +335,6 @@ class _Walk:
             else:
                 outcome = self._attempt(new, nexpr) if new in table else None
                 seen[new] = nexpr
-                if bit == 0:
-                    forks.append((new, nexpr))
             if trace is not None:
                 trace.append(TraceRecord(self.steps_taken, segment, value,
                                          "div" if bit else "sqrt", nexpr,

@@ -95,6 +95,16 @@ def test_selftest_only_collatz(capsys):
     assert "collatz: ok (n = 41)" in out
 
 
+def test_selftest_unknown_example_is_usage_error(capsys):
+    from dlogwalk.selftest import CASE_NAMES
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--only", "prime3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown example 'prime3'" in err
+    assert all(name in err for name in CASE_NAMES)
+
+
 def test_selftest_catches_corrupted_table(capsys, monkeypatch):
     import dlogwalk.walk as walk_mod
     real = walk_mod.build_table_one

@@ -31,6 +31,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_cli_import_leaves_bench_out():
+    # bench and selftest load only for their own commands, and with them
+    # dataclasses
     modules = _fresh_modules("import dlogwalk.cli")
     assert "dlogwalk.cli" in modules
     assert "dlogwalk.bench" not in modules
+    assert "dlogwalk.selftest" not in modules
+    assert "dataclasses" not in modules

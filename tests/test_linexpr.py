@@ -145,6 +145,13 @@ def test_collision_solve_degenerate():
     # identical after clearing: (2n-6)/4 is the same function as (n-3)/2
     with pytest.raises(DegenerateCollisionError):
         collision_solve(LinExpr(2, -6, 2), LinExpr(1, -3, 1), 102)
+    # 19 roots in a row return to the same value in GF(2^19)*: 2^19 n = n,
+    # so coef = 2^19 - 1 = N and rhs = 0, true for every n
+    with pytest.raises(DegenerateCollisionError):
+        collision_solve(LinExpr(1, 0, 0), LinExpr(1, 0, 19), 2**19 - 1)
+    # prime order: coef = 101 and rhs = -101 are nonzero, but both are 0 mod N
+    with pytest.raises(DegenerateCollisionError):
+        collision_solve(LinExpr(102, 101, 0), LinExpr(1, 0, 0), 101)
 
 
 def test_collision_solve_dec_is_unsatisfiable():

@@ -7,9 +7,10 @@ from dlogwalk import walk
 from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
 from dlogwalk.primefield import PrimeGroupParams, legendre_euler, sqrt_mod_p
 from dlogwalk.selftest import CASES, replay
+from dlogwalk.linexpr import LinExpr
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
-                           WalkConfig, build_table_one, default_max_steps,
-                           run_dlog)
+                           WalkConfig, _Walk, build_table_one,
+                           default_max_steps, run_dlog)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -372,44 +373,32 @@ def test_failure_reports_statistics():
 
 
 # (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
-# 0-9 with max_steps=8, max_restarts=16: the prime rows that give up pass
-# through 8 mid-walk restarts and then fresh ones.
+# 0-9 with max_steps=8, max_restarts=16.  Every segment after the first
+# starts at target * g^j and the history is kept, so every row solves.
 GOLDEN_SHORT_SEGMENTS = {
-    "inverse": [(1098, 19, 2, 1, 1), (None, 136, 17, 7, 0), (1098, 58, 7, 1, 1),
-                (1098, 53, 6, 1, 4), (None, 136, 17, 2, 0), (None, 136, 17, 0, 0),
-                (None, 136, 17, 0, 0), (None, 136, 17, 11, 0), (1098, 14, 1, 1, 1),
-                (1098, 56, 6, 5, 4)],
-    "collatz": [(None, 136, 17, 12, 0), (1098, 46, 5, 11, 1), (1098, 18, 2, 1, 4),
-                (None, 136, 17, 25, 0), (None, 136, 17, 7, 0), (1098, 64, 7, 1, 1),
-                (1098, 66, 8, 1, 1), (1098, 53, 6, 1, 1), (1098, 60, 7, 1, 4),
-                (1098, 36, 4, 5, 1)],
-    "char2": [(38, 10, 1, 1, 1), (38, 4, 0, 1, 1), (38, 7, 0, 1, 1), (38, 8, 0, 1, 1),
-              (38, 43, 5, 11, 1), (38, 23, 2, 5, 1), (38, 38, 4, 7, 1),
-              (38, 41, 5, 6, 39), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
+    "inverse": [(1098, 72, 8, 1, 1), (1098, 17, 2, 1, 1), (1098, 45, 5, 1, 1),
+                (1098, 24, 2, 1, 1), (1098, 28, 3, 1, 1), (1098, 10, 1, 1, 1),
+                (1098, 84, 10, 3, 1), (1098, 43, 5, 1, 1), (1098, 20, 2, 1, 1),
+                (1098, 39, 4, 1, 1)],
+    "collatz": [(1098, 35, 4, 1, 1), (1098, 17, 2, 1, 8), (1098, 73, 9, 1, 2),
+                (1098, 21, 2, 1, 1), (1098, 22, 2, 1, 1), (1098, 30, 3, 1, 1),
+                (1098, 21, 2, 3, 2), (1098, 14, 1, 1, 1), (1098, 62, 7, 1, 1),
+                (1098, 49, 6, 1, 4)],
+    "char2": [(38, 17, 2, 1, 1), (38, 4, 0, 1, 1), (38, 7, 0, 1, 1), (38, 8, 0, 1, 1),
+              (38, 31, 3, 4, 1), (38, 9, 1, 1, 1), (38, 25, 3, 1, 1),
+              (38, 14, 1, 1, 1), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
 }
-# SHA-256 of the (seed, segment, value, A, B, k) rows taken from the first
-# trace row of every segment after the first, for the same runs: where each
-# restart resumes.  102, 87 and 17 rows.
-GOLDEN_RESUME_POINTS_SHA256 = {
-    "inverse": "7f5516074fe76aa5339d5f088e4b89cf14937c34534814ebca786c8ff209b170",
-    "collatz": "39ea4fdf9a51c0972008ab4622c871732cd5caa673fa669270fef60250937e4a",
-    "char2": "143e846a9515c4b82e620a2e9b9ac85fdf85eb5d898dbd92aa19bd43a0551f4e",
-}
-# The same rows and resume-point digests on P257 (r = 8, target 100 =
-# 3^206), where every root step runs the table-driven Tonelli-Shanks.
+# The same rows on P257 (r = 8, target 100 = 3^206), where every root step
+# runs the table-driven Tonelli-Shanks.
 GOLDEN_SHORT_SEGMENTS_P257 = {
-    "inverse": [(206, 15, 1, 1, 1), (206, 23, 2, 1, 1), (206, 23, 2, 1, 1),
-                (206, 30, 3, 1, 1), (206, 14, 1, 1, 1), (206, 19, 2, 1, 1),
-                (206, 21, 2, 1, 1), (206, 53, 6, 7, 1), (206, 28, 3, 1, 1),
-                (206, 13, 1, 1, 1)],
-    "collatz": [(206, 56, 6, 6, 1), (206, 22, 2, 1, 1), (206, 32, 3, 4, 1),
-                (206, 31, 3, 1, 1), (206, 28, 3, 1, 1), (206, 24, 2, 1, 1),
-                (206, 10, 1, 1, 1), (206, 26, 3, 1, 1), (206, 18, 2, 1, 1),
-                (206, 47, 5, 7, 1)],
-}
-GOLDEN_RESUME_POINTS_SHA256_P257 = {   # 23 and 30 rows
-    "inverse": "6aa0820a514d5cc1ebc96efdac8a52ffecce63ce41a535bb84d46c95bcef4d2d",
-    "collatz": "ebd4c40ce16961f05ef59666f0d3e2ea2529be68fd082271c05116e51dace64f",
+    "inverse": [(206, 11, 1, 1, 1), (206, 10, 1, 1, 1), (206, 24, 2, 1, 1),
+                (206, 13, 1, 1, 1), (206, 18, 2, 2, 1), (206, 20, 2, 1, 1),
+                (206, 15, 1, 1, 1), (206, 41, 5, 2, 1), (206, 9, 1, 1, 1),
+                (206, 9, 1, 1, 1)],
+    "collatz": [(206, 26, 3, 1, 1), (206, 16, 1, 1, 1), (206, 24, 2, 1, 1),
+                (206, 13, 1, 1, 1), (206, 13, 1, 1, 2), (206, 9, 1, 1, 1),
+                (206, 28, 3, 4, 1), (206, 35, 4, 2, 1), (206, 15, 1, 1, 1),
+                (206, 29, 3, 1, 1)],
 }
 GOLDEN_BENCH_CSV_SHA256 = (
     "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
@@ -426,33 +415,11 @@ def _short_segment_counts(params, target, variant):
         for seed in range(10)]
 
 
-def _resume_points_sha256(params, target, variant):
-    rows = []
-    for seed in range(10):
-        trace = run_dlog(params, target, WalkConfig(
-            variant=variant, seed=seed, max_steps=8, max_restarts=16,
-            trace=True)).trace
-        segments = {0}
-        for rec in trace:
-            if rec.segment not in segments:
-                segments.add(rec.segment)
-                rows.append((seed, rec.segment, rec.value,
-                             rec.expr.A, rec.expr.B, rec.expr.k))
-    return hashlib.sha256(repr(rows).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS))
 def test_golden_step_counts(variant):
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     assert _short_segment_counts(params, target, variant) == \
         GOLDEN_SHORT_SEGMENTS[variant]
-
-
-@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256))
-def test_golden_resume_points(variant):
-    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
-    assert _resume_points_sha256(params, target, variant) == \
-        GOLDEN_RESUME_POINTS_SHA256[variant]
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS_P257))
@@ -461,16 +428,72 @@ def test_golden_step_counts_deep_r(variant):
         GOLDEN_SHORT_SEGMENTS_P257[variant]
 
 
-@pytest.mark.parametrize("variant", sorted(GOLDEN_RESUME_POINTS_SHA256_P257))
-def test_golden_resume_points_deep_r(variant):
-    assert _resume_points_sha256(P257, 100, variant) == \
-        GOLDEN_RESUME_POINTS_SHA256_P257[variant]
+# the first op of a segment: what its first trace row applied to the start
+_BRANCH_OPS = {"div": LinExpr.dec, "cube": LinExpr.triple_plus_one,
+               "sqrt": LinExpr.halve}
+
+
+def _check_restart_starts(params, target, variant):
+    """Every segment after the first starts at target * g^j with exponent
+    n + j, for the j its restart drew, and the start is stored; returns the
+    number of such starts."""
+    starts = 0
+    for seed in range(10):
+        w = _Walk(params, target, WalkConfig(
+            variant=variant, seed=seed, max_steps=8, max_restarts=16,
+            trace=True), None)
+        draws = []
+        randrange = w.rng.randrange
+        w.rng.randrange = lambda order: draws.append(randrange(order)) or draws[-1]
+        trace = w.run().trace
+        firsts = [rec for prev, rec in zip(trace, trace[1:])
+                  if rec.segment != prev.segment]
+        assert len(firsts) == len(draws)
+        for segment, (j, rec) in enumerate(zip(draws, firsts), 1):
+            assert rec.segment == segment
+            assert rec.value == params.mul(target, params.pow(params.generator, j))
+            assert rec.value in w.seen
+            assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0))
+        starts += len(firsts)
+    return starts
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS))
+def test_restart_starts_at_target_times_g_power(variant):
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    assert _check_restart_starts(params, target, variant) >= 10
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SHORT_SEGMENTS_P257))
+def test_restart_starts_at_target_times_g_power_deep_r(variant):
+    assert _check_restart_starts(P257, 100, variant) >= 10
+
+
+@pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
+def test_history_survives_restarts(variant):
+    # a restart keeps every value stored before it, and the target keeps
+    # the exponent n it was stored with
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    earlier = 0
+    for seed in range(10):
+        w = _Walk(params, target, WalkConfig(
+            variant=variant, seed=seed, max_steps=8, max_restarts=16,
+            trace=True), None)
+        result = w.run()
+        for rec in result.trace:
+            if rec.segment < w.segment:
+                for v in [rec.result] if rec.roots is None else rec.roots:
+                    assert v in w.seen
+                    earlier += 1
+        assert w.seen[w.target] == LinExpr()
+    assert earlier > 50
 
 
 def test_golden_too_many_candidates_restart():
-    # d_max=1 turns two collisions into too-many-candidates restarts
+    # d_max=1 turns the first of two collisions into a too-many-candidates
+    # restart; the second, in the next segment, solves
     assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1))) == \
-        (1098, 86, 2, 3, 1)
+        (1098, 112, 1, 2, 1)
 
 
 def test_golden_bench_csv():
@@ -509,7 +532,6 @@ def test_finished_walk_is_freed_without_gc(variant):
     # collection; over many solves that shows up as peak memory
     import gc
     import weakref
-    from dlogwalk.walk import _Walk
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     gc.disable()
     try:
@@ -528,8 +550,8 @@ def test_trace_disabled_by_default():
 
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_trace_does_not_change_the_walk(variant):
-    # short segments force mid-walk and fresh restarts, d_max=1 restarts on
-    # too many candidates; each row must walk alike with the trace on or off
+    # short segments force restarts, and d_max=1 restarts on too many
+    # candidates; each row must walk alike with the trace on or off
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     restarted = 0
     for seed in range(10):
