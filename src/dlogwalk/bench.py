@@ -15,7 +15,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .walk import WalkConfig, build_table_one, run_dlog
 
@@ -23,8 +23,7 @@ CSV_COLUMNS = ("variant", "prime_or_field", "n_true", "seed", "steps",
                "restarts", "success", "nanos")
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     variant: str
     prime_or_field: str
     n_true: int
@@ -35,8 +34,7 @@ class TrialRecord:
     nanos: int
 
 
-@dataclass(frozen=True)
-class StepStats:
+class StepStats(NamedTuple):
     trials: int
     successes: int
     success_rate: float
@@ -118,7 +116,7 @@ def write_csv(records: list[TrialRecord], path: str):
 def stats_to_json(stats: StepStats) -> str:
     """Strict JSON: a step statistic with no successful trial (NaN) is null."""
     fields = {name: None if isinstance(v, float) and not math.isfinite(v) else v
-              for name, v in stats.__dict__.items()}
+              for name, v in stats._asdict().items()}
     return json.dumps(fields, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 

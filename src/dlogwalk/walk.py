@@ -13,17 +13,15 @@ Over GF(2^m) square roots are unique, so a random bit decides the branch
 instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
-unknown n).  Two lookups drive collision detection:
-
-* Table I         - precomputed generator powers (exponent known exactly),
-* Tables II + III - the walk history: one dict from each visited value (and
-                    each untaken square root) to the first exponent stored
-                    for it.
+unknown n) in one dict, the walk history: from each visited value (and each
+untaken square root) to the first exponent stored for it.  It starts as a
+copy of Table I, precomputed generator powers g^k stored as LinExpr(0, k, 0)
+(exponent known exactly); they go in first and are never overwritten.
 
 A collision yields a linear congruence for n whose solutions are verified by
 exponentiation; the first verified candidate wins.  A walk runs in segments,
 each in one frame with its value and exponent in locals, of at most
-max_steps steps.  A step looks each new value up in both tables and calls
+max_steps steps.  A step looks each new value up in the history and calls
 the collision handling only on a hit; it builds a trace record only when
 tracing is on.  A segment ends with the answer, or with a restart on too
 many solutions or an exhausted budget.  The first segment starts at the
@@ -197,7 +195,8 @@ class _Walk:
         elif config.variant == "collatz" and math.gcd(3, self.order) != 1:
             raise UnsupportedGroupError(
                 f"3x+1 variant needs gcd(3, p-1) = 1; p-1 = {self.order}")
-        self.table = table if table is not None else build_table_one(params, config)
+        if table is None:
+            table = build_table_one(params, config)
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:
@@ -205,8 +204,11 @@ class _Walk:
         else:
             self.next_bit = partial(self.rng.getrandbits, 1)
 
-        # Tables II and III: the first exponent stored for each value
-        self.seen: dict[int, LinExpr] = {self.target: LinExpr()}
+        # the history: Table I first, then the first exponent stored for
+        # each value the walk reaches
+        self.seen: dict[int, LinExpr] = {v: LinExpr(0, k, 0)
+                                         for v, k in table.items()}
+        self.seen.setdefault(self.target, LinExpr())
         self.segment = 0
         self.steps_taken = 0
         self.restarts = 0
@@ -215,9 +217,9 @@ class _Walk:
         self.trace: list[TraceRecord] | None = [] if config.trace else None
 
     def run(self) -> DlogResult:
-        hit = self.table.get(self.target)
-        if hit is not None:
-            n = hit % self.order
+        known = self.seen[self.target]
+        if known.A == 0:  # the target is in Table I
+            n = known.B % self.order
             if self._verify(n):
                 return self._result(n, CongruenceSolution(n, self.order, 1), [n])
         # bound here, not on self: a stored bound method would be a reference
@@ -229,9 +231,9 @@ class _Walk:
             outcome = segment(value, expr)
             if outcome is not _RESTART:
                 return outcome
-            self.restarts += 1
-            if self.restarts > self.config.max_restarts:
+            if self.restarts == self.config.max_restarts:
                 return self._result(None)
+            self.restarts += 1
             value, expr = self._restart()
 
     def _restart(self) -> tuple[int, LinExpr]:
@@ -248,7 +250,7 @@ class _Walk:
     # -- segments: each returns _RESTART or the DlogResult --------------------
 
     def _segment_prime(self, value, expr):
-        params, table, seen = self.params, self.table, self.seen
+        params, seen = self.params, self.seen
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
@@ -275,7 +277,7 @@ class _Walk:
                     if e is not None:
                         e -= 1
                 outcome = None
-                if new in table or new in seen:
+                if new in seen:
                     self.steps_taken = steps
                     outcome = self._attempt(new, nexpr)
                 if trace is not None:
@@ -285,14 +287,13 @@ class _Walk:
             else:
                 r1, r2, e = roots
                 nexpr = expr.halve()
-                hit = r1 in table or r1 in seen or r2 in table or r2 in seen
+                hit = r1 in seen or r2 in seen
                 outcome = None
                 if hit:
                     self.steps_taken = steps
-                    if r1 in table or r1 in seen:
+                    if r1 in seen:
                         outcome = self._attempt(r1, nexpr)
-                    if (outcome is None or outcome is _RESTART) and (
-                            r2 in table or r2 in seen):
+                    if (outcome is None or outcome is _RESTART) and r2 in seen:
                         # a verified second root outranks a restart from the first
                         outcome = self._attempt(r2, nexpr) or outcome
                 if outcome is None:
@@ -319,10 +320,10 @@ class _Walk:
         return _RESTART  # budget exhausted
 
     def _segment_char2(self, value, expr):
-        params, table, seen = self.params, self.table, self.seen
+        params, seen = self.params, self.seen
         next_bit, trace, segment = self.next_bit, self.trace, self.segment
-        for _ in range(self.max_steps):
-            self.steps_taken += 1
+        first = self.steps_taken + 1  # steps is stored back where it is read
+        for steps in range(first, first + self.max_steps):
             bit = next_bit()
             if bit == 1:
                 new = gf_div_by_x(value, params)
@@ -331,33 +332,34 @@ class _Walk:
                 new = gf_sqrt(value, params)
                 nexpr = expr.halve()
             if new in seen:
+                self.steps_taken = steps
                 outcome = self._attempt(new, nexpr)
             else:
-                outcome = self._attempt(new, nexpr) if new in table else None
+                outcome = None
                 seen[new] = nexpr
             if trace is not None:
-                trace.append(TraceRecord(self.steps_taken, segment, value,
+                trace.append(TraceRecord(steps, segment, value,
                                          "div" if bit else "sqrt", nexpr,
                                          result=new, decision=bit))
             if outcome is not None:
                 return outcome
             value, expr = new, nexpr
+        self.steps_taken = steps
         return _RESTART  # budget exhausted
 
     # -- collision handling -------------------------------------------------
 
     def _attempt(self, value: int, expr: LinExpr):
-        """Solve the collision of a value found in Table I or the history.
+        """Solve the collision of a value found in the history.
 
-        Table I wins when the value is in both.  Returns None (hit discarded
-        as spurious/degenerate), _RESTART (too many candidates), or the
-        verified DlogResult.
+        A Table I entry (A = 0) is never overwritten, so a value in Table I
+        collides with its known exponent.  Returns None (hit discarded as
+        spurious/degenerate), _RESTART (too many candidates), or the verified
+        DlogResult.
         """
-        known = self.table.get(value)
-        stored = self.seen[value] if known is None else LinExpr(0, known, 0)
         self.collisions_tested += 1
         try:
-            sol = collision_solve(expr, stored, self.order)
+            sol = collision_solve(expr, self.seen[value], self.order)
             candidates = enumerate_candidates(sol, self.order, self.config.d_max)
         except (NoSolutionError, DegenerateCollisionError):
             return None  # spurious or self-collision: walk on

@@ -114,7 +114,7 @@ def test_json_summary(tmp_path):
     write_json(stats, str(path))
     parsed = json.loads(path.read_text())
     assert parsed["trials"] == 5
-    assert set(parsed) == set(StepStats.__dataclass_fields__)
+    assert set(parsed) == set(StepStats._fields)
     assert stats_to_json(stats) == stats_to_json(summarize(records, 102))
 
 

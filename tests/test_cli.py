@@ -126,6 +126,15 @@ def test_solver_failure_exit_code(capsys):
     assert "no solution" in err
 
 
+def test_give_up_counts_only_restarts_made(capsys):
+    # one segment and no restart budget: the walk gives up without a restart
+    code, _, err = run_cli(capsys, "solve", "--p", "1000000007", "--gen", "5",
+                           "--target", "3", "--max-steps", "3",
+                           "--max-restarts", "0")
+    assert code == 1
+    assert "no solution found: steps=3 restarts=0" in err
+
+
 def test_scripted_exhaustion_is_solver_failure(capsys):
     code, _, err = run_cli(capsys, "solve", "--p", "103", "--gen", "5",
                            "--target", "99", "--choices", "0")

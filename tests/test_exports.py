@@ -30,9 +30,14 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert "inspect" not in modules
 
 
+def test_bench_import_loads_no_dataclasses():
+    modules = _fresh_modules("import dlogwalk.bench")
+    assert "dlogwalk.bench" in modules
+    assert "dataclasses" not in modules
+
+
 def test_cli_import_leaves_bench_out():
-    # bench and selftest load only for their own commands, and with them
-    # dataclasses
+    # bench and selftest load only for their own commands
     modules = _fresh_modules("import dlogwalk.cli")
     assert "dlogwalk.cli" in modules
     assert "dlogwalk.bench" not in modules
