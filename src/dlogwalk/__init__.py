@@ -14,7 +14,7 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
 from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
 from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
                          legendre_euler, mod_inverse, mod_pow, prime_factors,
-                         sqrt_mod_p)
+                         sqrt_mod_p, sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
                    WalkConfig, build_table_one, run_dlog)
 
@@ -27,4 +27,5 @@ __all__ = [
     "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",
     "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_inverse",
     "mod_pow", "prime_factors", "run_dlog", "solve_linear", "sqrt_mod_p",
+    "sylow_log",
 ]

@@ -6,17 +6,14 @@ decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
 of c from which `sqrt_mod_p` builds a square root.
 
 The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
-with 0 <= e < 2^r.  e is odd exactly for a non-residue, so `sqrt_mod_p`
-decides residuosity (it returns None) and the walk computes no Legendre
-symbol; `legendre` and `jacobi` remain for the generator's square check and
-as tested library functions.  For even e = 2h the root R = x^((s+1)/2) *
-c^(-h) has R^s = (x^s)^((s+1)/2) * c^(-h*s) = c^h, and -R, with s odd and
--1 = c^(2^(r-1)), has (-R)^s = c^(h + 2^(r-1)): the log of each root is
-known once e is, and a root is a square iff its log is even.  The walk's
-other steps move the log just as predictably: x/a has log e - 1 and
-x^3 * a has 3e + 1 (mod 2^r), since a^s = c.  So a root costs one power and
-one table entry per window of h's bits, and only a segment's first root
-searches for e.
+with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
+computes no Legendre symbol; `legendre` and `jacobi` remain for the
+generator's square check and as tested library functions.  `sylow_log`
+finds e by the Tonelli-Shanks search, which a walk runs once, on its
+target.  Every later log follows from an earlier one, since a^s = c:
+target * a^j has log e + j, x/a has e - 1 and x^3 * a has 3e + 1
+(mod 2^r), and `sqrt_mod_p` returns the log of each root.  So a root costs
+one power and one table entry per window of e/2's bits.
 """
 
 import math
@@ -297,6 +294,29 @@ def legendre_euler(x: int, params: PrimeGroupParams) -> int:
     return -1 if e == params.p - 1 else e
 
 
+def sylow_log(x: int, params: PrimeGroupParams) -> int:
+    """x's log in the 2-Sylow subgroup <c>: the e in [0, 2^r) with x^s = c^e.
+
+    Since a^s = c, e is n mod 2^r for x = a^n, the 2-part of Pohlig-Hellman
+    (1978).  The search of Tonelli (1891) and Shanks (1973) finds it bit by
+    bit from the lowest, in t = x^s: with the bits below i cleared,
+    t = c^(m*2^i) and t^(2^(r-1-i)) = (-1)^m, so bit i is m's parity, and
+    c^(-2^i) clears it.  Bit 0 set is Euler's criterion for a non-residue,
+    x^((p-1)/2) = -1.
+    """
+    p, r = params.p, params.r
+    if x % p == 0:
+        raise ValueError("x is 0 mod p")
+    t = pow(x, params.s, p)
+    e, f = 0, pow(params.c, -1, p)
+    for i in range(r):
+        if pow(t, 1 << (r - 1 - i), p) != 1:
+            t = t * f % p
+            e |= 1 << i
+        f = f * f % p  # c^(-2^(i+1))
+    return e
+
+
 def sqrt_mod_p(x: int, params: PrimeGroupParams,
                e: int | None = None) -> tuple[int, int, int] | None:
     """Both square roots of x as (min, max, e_min), or None if x is a
@@ -304,41 +324,23 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
 
     max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
     even.  e is x's own log (x^s = c^e, 0 <= e < 2^r; ValueError outside
-    that range): an odd e returns None, and an even e = 2h gives the root
-    R = x^((s+1)/2) * c^(-h), one table entry per window of h's bits,
-    checked by R^2 = x (ValueError if not: a wrong e never yields a
-    non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
-    (-1)^s = -1 = c^(2^(r-1)).
-
-    Without e, the search of Tonelli (1891) and Shanks (1973) finds it, bit
-    by bit from the lowest, in t = x^s = c^e: with the bits below i
-    cleared, t = c^(m*2^i) and t^(2^(r-1-i)) = (-1)^m, so bit i is m's
-    parity, and c^(-2^i) clears it.  Bit 0 set is Euler's criterion for a
-    non-residue, x^((p-1)/2) = -1.
+    that range), `sylow_log(x, params)` when not given: an odd e returns
+    None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one
+    table entry per window of h's bits, checked by R^2 = x (ValueError if
+    not: a wrong e never yields a non-root).  R^s = c^h and
+    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     if e is None:
-        r = params.r
-        z = pow(x, params.sqrt_exp - 1, p)  # x^((s-1)/2): one power for both
-        y = z * x % p  # x^((s+1)/2), the root's first factor
-        t = y * z % p  # x^s = c^e
-        if pow(t, 1 << (r - 1), p) != 1:
-            return None
-        e, f = 0, pow(params.c, -1, p)
-        for i in range(1, r):
-            f = f * f % p  # c^(-2^i)
-            if pow(t, 1 << (r - 1 - i), p) != 1:
-                t = t * f % p
-                e |= 1 << i
+        e = sylow_log(x, params)
     elif e and e >> params.r:
         raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
-    elif e & 1:
+    if e & 1:
         return None
-    else:
-        y = pow(x, params.sqrt_exp, p)
+    y = pow(x, params.sqrt_exp, p)
     if e:  # always 0 for r = 1
         w, tables = params.sqrt_windows
         h, mask = e >> 1, (1 << w) - 1

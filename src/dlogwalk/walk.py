@@ -1,16 +1,16 @@
 """Random-walk discrete-log solver: the inverse of square-and-multiply.
 
-Three walk variants share one engine.  Over a prime field, a step attempts
-a square root: on a residue it halves the exponent and moves to one of the
-two roots at random; on a non-residue (the exponent is odd) it divides by
-the generator instead, peeling one off.  The 3x+1 variant replaces division
-by b <- b^3 * a.  Either fallback lands on a residue.  The walk carries the
-value's log e in the 2-Sylow subgroup (value^s = c^e): a root comes with
-its log, division makes it e - 1 and the 3x+1 step 3e + 1.  So a root is
-attempted only where it exists (e even), one fails only on the first step
-of a segment, and once e is known a root costs no Tonelli-Shanks search.
-Over GF(2^m) square roots are unique, so a random bit decides the branch
-instead.
+Three walk variants share one engine.  Over a prime field, a step from a
+residue halves the exponent and moves to one of the value's two square
+roots at random; from a non-residue (the exponent is odd) it divides by the
+generator instead, peeling one off.  The 3x+1 variant replaces division by
+b <- b^3 * a.  Either fallback lands on a residue.  The walk carries the
+value's log e in the 2-Sylow subgroup (value^s = c^e), whose parity is the
+residuosity: one Tonelli-Shanks search finds the target's, a segment that
+starts at target * g^j starts at e + j, a root comes with its log, division
+makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
+it exists, and costs no search.  Over GF(2^m) square roots are unique, so
+a random bit decides the branch instead.
 
 Every visited value is stored with its symbolic exponent (a LinExpr in the
 unknown n) in one dict, the walk history: from each visited value (and each
@@ -46,7 +46,8 @@ from .gf2m import gf_div_by_x, gf_pow, gf_sqrt  # noqa: F401
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates)
-from .primefield import legendre, mod_inverse, mod_pow, sqrt_mod_p  # noqa: F401
+from .primefield import (legendre, mod_inverse, mod_pow,  # noqa: F401
+                         sqrt_mod_p, sylow_log)
 
 VARIANTS = ("inverse", "collatz", "char2")
 SEQUENCES = ("pow2", "consec")
@@ -195,6 +196,8 @@ class _Walk:
         elif config.variant == "collatz" and math.gcd(3, self.order) != 1:
             raise UnsupportedGroupError(
                 f"3x+1 variant needs gcd(3, p-1) = 1; p-1 = {self.order}")
+        if config.variant != "char2":  # the walk's only search for a log
+            self.e_target = sylow_log(self.target, params)
         if table is None:
             table = build_table_one(params, config)
         self.max_steps = config.max_steps or default_max_steps(self.order)
@@ -255,27 +258,22 @@ class _Walk:
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
         next_bit, trace, segment = self.next_bit, self.trace, self.segment
-        # e is the value's 2-Sylow log (value^s = c^e), unknown only until the
-        # first root: a root comes with its log, and div and cube move it to
-        # e - 1 and 3e + 1.  So a root is attempted only where it exists,
-        # and found without the search for e, except on a segment's first
-        # step (and the one after, if that first step finds no root).
-        e = None
+        # e is the value's 2-Sylow log (value^s = c^e).  A segment starts at
+        # target * a^j with exponent LinExpr(1, j, 0), so at log e_target + j
+        # since a^s = c; a root comes with its log, and div and cube move it
+        # to e - 1 and 3e + 1.  So a root is taken exactly where it exists.
+        e = (self.e_target + expr.B) & mask
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
-            roots = (None if e is not None and e & 1
-                     else sqrt_mod_p(value, params, e))
-            if roots is None:
+            if e & 1:
                 if inv_a is None:
                     new = value * value % p * value % p * a % p
                     nexpr = expr.triple_plus_one()
-                    if e is not None:
-                        e = (3 * e + 1) & mask
+                    e = (3 * e + 1) & mask
                 else:
                     new = value * inv_a % p
                     nexpr = expr.dec()
-                    if e is not None:
-                        e -= 1
+                    e -= 1
                 outcome = None
                 if new in seen:
                     self.steps_taken = steps
@@ -285,29 +283,24 @@ class _Walk:
                                              nexpr, result=new))
                 seen.setdefault(new, nexpr)
             else:
-                r1, r2, e = roots
+                r1, r2, e = sqrt_mod_p(value, params, e)
                 nexpr = expr.halve()
-                hit = r1 in seen or r2 in seen
                 outcome = None
-                if hit:
+                if r1 in seen or r2 in seen:
                     self.steps_taken = steps
                     if r1 in seen:
                         outcome = self._attempt(r1, nexpr)
                     if (outcome is None or outcome is _RESTART) and r2 in seen:
                         # a verified second root outranks a restart from the first
                         outcome = self._attempt(r2, nexpr) or outcome
-                if outcome is None:
-                    bit = next_bit()
-                    new, other = (r1, r2) if bit == 0 else (r2, r1)
+                    seen.setdefault(r1, nexpr)
+                    seen.setdefault(r2, nexpr)
                 else:
-                    bit, new, other = None, r1, r2
+                    seen[r1] = seen[r2] = nexpr
+                bit = next_bit() if outcome is None else None
+                new = r2 if bit else r1
                 if bit:
                     e ^= top
-                if not hit:  # neither root is stored yet
-                    seen[new] = seen[other] = nexpr
-                else:
-                    seen.setdefault(new, nexpr)
-                    seen.setdefault(other, nexpr)
                 if trace is not None:
                     trace.append(TraceRecord(
                         steps, segment, value, "sqrt", nexpr,

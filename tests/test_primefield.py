@@ -6,7 +6,7 @@ import pytest
 from dlogwalk.primefield import (PrimeGroupParams, _rho_factors,
                                  is_probable_prime, jacobi, legendre,
                                  legendre_euler, mod_inverse, mod_pow,
-                                 prime_factors, sqrt_mod_p)
+                                 prime_factors, sqrt_mod_p, sylow_log)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -160,6 +160,8 @@ def test_sqrt_errors():
     assert sqrt_mod_p(84, P103) is None
     with pytest.raises(ValueError):
         sqrt_mod_p(0, P103)
+    with pytest.raises(ValueError):
+        sylow_log(0, P103)
 
 
 @pytest.mark.parametrize("params,xs", [
@@ -231,6 +233,19 @@ def test_sqrt_roundtrip_random_residues(params):
         assert hi * hi % p == x
         assert lo + hi == p
         assert lo < hi
+
+
+@pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)
+def test_sylow_log_is_the_log_mod_2_to_the_r(p, a, r):
+    # a^s = c, so a^n has 2-Sylow log n mod 2^r: the 2-part of Pohlig-Hellman
+    params = PrimeGroupParams(p, a)
+    rng = random.Random(p + 3)
+    for _ in range(300):
+        n = rng.randrange(p - 1)
+        x = pow(a, n, p)
+        e = sylow_log(x, params)
+        assert e == n % 2**r, n
+        assert sqrt_mod_p(x, params) == sqrt_mod_p(x, params, e), n
 
 
 @pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)

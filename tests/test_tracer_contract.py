@@ -63,12 +63,9 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
     else:
-        # a root is attempted on every root step, and on a fallback step
-        # only where the segment opens: elsewhere the step before it knew
-        # its value for a non-residue
-        segments = [None] + [rec.segment for rec in result.trace]
-        attempts = sum(rec.branch == "sqrt" or segments[i] != rec.segment
-                       for i, rec in enumerate(result.trace))
+        # the walk knows every value's 2-Sylow log, so a root is computed
+        # on exactly the root steps
+        attempts = sum(rec.branch == "sqrt" for rec in result.trace)
         assert t.calls["primefield.sqrt_mod_p"] == attempts
         assert 0 < attempts < result.steps_taken
         assert t.calls["primefield.legendre"] == 0

@@ -5,7 +5,8 @@ import pytest
 
 from dlogwalk import walk
 from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
-from dlogwalk.primefield import PrimeGroupParams, legendre_euler, sqrt_mod_p
+from dlogwalk.primefield import (PrimeGroupParams, legendre_euler, sqrt_mod_p,
+                                 sylow_log)
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.linexpr import LinExpr
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
@@ -16,6 +17,7 @@ P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
+P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
 GF27 = BinaryFieldParams(7, 0x83)
 
 
@@ -260,94 +262,61 @@ def test_first_branch_matches_parity_for_p_3_mod_4():
     (P257, "inverse"), (P257, "collatz"),
 ])
 def test_fallback_follows_a_non_residue_root(params, variant):
-    # a root step knows its chosen root's quadratic character, so within a
-    # segment the step after it divides or cubes exactly when that root is
-    # a non-residue; only a segment's first step may find no root
+    # the walk knows every value's quadratic character, a segment's first
+    # value included: a step takes a root exactly when its value is a
+    # residue, and divides or cubes after a non-residue root
     rng = random.Random(params.p)
-    fallbacks = 0
+    fallbacks = starts = 0
     for seed in range(60):
         target = rng.randrange(1, params.p)
         trace = run_dlog(params, target, WalkConfig(
             variant=variant, seed=seed, max_steps=12, trace=True)).trace
-        for prev, rec in zip(trace, trace[1:]):
-            if rec.segment != prev.segment:
-                continue
-            if prev.branch == "sqrt":
-                non_residue = legendre_euler(prev.chosen, params) == -1
-                assert (rec.branch != "sqrt") == non_residue
+        for prev, rec in zip([None] + trace, trace):
+            non_residue = legendre_euler(rec.value, params) == -1
+            assert (rec.branch != "sqrt") == non_residue
+            if prev is None or prev.segment != rec.segment:
+                starts += non_residue
+            elif prev.branch == "sqrt":
                 fallbacks += non_residue
     assert fallbacks > 50
+    assert starts > 10
 
 
 @pytest.mark.parametrize("params,variant", [
     (P103, "inverse"), (P101, "collatz"), (P257, "inverse"), (P257, "collatz"),
+    (P7340033, "inverse"), (P7340033, "collatz"),
 ])
-def test_roots_search_for_the_log_only_at_a_segment_start(
+def test_roots_are_given_the_log_found_once_per_solve(
         params, variant, monkeypatch):
-    # the walk carries each value's 2-Sylow log, so a root searches for it
-    # (e is None) only on a segment's first step, or on its second when the
-    # first found no root; every other root is given the value's true log
-    calls = []
+    # the walk searches for the 2-Sylow log once, on the target, and a
+    # segment that restarts at target * g^j starts from it; every root step
+    # is given its value's true log (x^s = c^e)
+    roots, searches = [], []
 
-    def spy(x, params, e=None):
-        calls.append(e)
-        if e is not None:
-            assert pow(x, params.s, params.p) == pow(params.c, e, params.p)
+    def spy_sqrt(x, params, e):
+        assert pow(x, params.s, params.p) == pow(params.c, e, params.p)
+        roots.append(x)
         return sqrt_mod_p(x, params, e)
 
-    monkeypatch.setattr(walk, "sqrt_mod_p", spy)
+    def spy_log(x, params):
+        searches.append(x)
+        return sylow_log(x, params)
+
+    monkeypatch.setattr(walk, "sqrt_mod_p", spy_sqrt)
+    monkeypatch.setattr(walk, "sylow_log", spy_log)
     rng = random.Random(params.p)
-    carried = 0
+    restarts = 0
     for seed in range(40):
-        calls.clear()
-        trace = run_dlog(params, rng.randrange(1, params.p), WalkConfig(
-            variant=variant, seed=seed, max_steps=12, trace=True)).trace
-        searches = []  # for each root attempt: does it search?
-        for i, rec in enumerate(trace):
-            first = i == 0 or trace[i - 1].segment != rec.segment
-            after_a_failed_first = (
-                not first and trace[i - 1].branch != "sqrt"
-                and (i == 1 or trace[i - 2].segment != rec.segment))
-            if rec.branch == "sqrt" or first:
-                searches.append(first or after_a_failed_first)
-        assert len(calls) == len(searches)
-        for e, may_search in zip(calls, searches):
-            assert (e is None) == may_search
-            carried += e is not None
-    assert carried > 100
-
-
-@pytest.mark.parametrize("variant", ["inverse", "collatz"])
-def test_roots_search_at_most_twice_per_segment_deep_r(variant, monkeypatch):
-    # r = 20: the Tonelli-Shanks search is the slow root, and full solves
-    # run it only at a segment's start, so at most twice per segment
-    params = PrimeGroupParams(7340033, 3)
-    calls = []
-
-    def spy(x, params, e=None):
-        calls.append(e)
-        return sqrt_mod_p(x, params, e)
-
-    monkeypatch.setattr(walk, "sqrt_mod_p", spy)
-    rng = random.Random(7340033)
-    for seed in range(4):
-        calls.clear()
-        result = run_dlog(params, rng.randrange(1, params.p), WalkConfig(
-            variant=variant, seed=seed, trace=True))
-        assert result.n is not None
-        trace = result.trace
-        may_search = []  # for each root attempt: may it search?
-        for i, rec in enumerate(trace):
-            first = i == 0 or trace[i - 1].segment != rec.segment
-            after_a_failed_first = (
-                not first and trace[i - 1].branch != "sqrt"
-                and (i == 1 or trace[i - 2].segment != rec.segment))
-            if rec.branch == "sqrt" or first:
-                may_search.append(first or after_a_failed_first)
-        assert len(calls) == len(may_search)
-        searches = [e is None for e in calls]
-        assert all(may for search, may in zip(searches, may_search) if search)
-        assert 0 < sum(searches) <= 2 * (result.restarts + 1)
+        roots.clear()
+        searches.clear()
+        target = rng.randrange(1, params.p)
+        result = run_dlog(params, target, WalkConfig(
+            variant=variant, seed=seed, max_steps=12, trace=True))
+        assert searches == [target]
+        assert roots == [rec.value for rec in result.trace
+                         if rec.branch == "sqrt"]
+        restarts += result.restarts
+    assert restarts > 5
 
 
 def test_restart_statistics_and_budget_invariant():
