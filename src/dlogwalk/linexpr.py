@@ -1,12 +1,18 @@
 """Symbolic exponent tracking and the collision congruence.
 
 While the walk transforms a group element it transforms the element's
-unknown discrete log n alongside, as m = (A*n + B) / 2^k with exact signed
-A and B, so 2^k * m = A*n + B (mod N) for the group order N.  A halving
-raises k instead of dividing A and B by 2, which is impossible mod the even
-p - 1; clearing that denominator at a collision, by multiplying both sides
-with 2^K, is what makes the square-root sign ambiguity vanish.  Reducing A
-and B mod N would be sound; it is dividing by 2 that is not.
+unknown discrete log n alongside, as m = (A*n + B) / 2^k, so
+2^k * m = A*n + B (mod N) for the group order N.  A halving raises k
+instead of dividing A and B by 2, which is impossible mod the even p - 1;
+clearing that denominator at a collision, by multiplying both sides with
+2^K, is what makes the square-root sign ambiguity vanish.  Reducing A and B
+mod N is sound, since only their residues enter the congruence; it is
+dividing by 2 that is not.  So the ops keep A and B inside (-N, N) and
+take t = 2^k mod N from the caller: a value stays as it is until it
+leaves that range.  k itself stays exact, a small int, because the
+collision scales 2^(K - k) need it: scaling each side by the other's t
+instead would multiply the congruence by a further 2^min(k1, k2), and its
+gcd with N, hence the candidate count, by up to the 2^r dividing N.
 
 LinExpr is a named tuple (A, B, k) because the walk builds one per step,
 and a tuple costs about half as much to build as a frozen dataclass.
@@ -38,7 +44,9 @@ class TooManyCandidatesError(ValueError):
 class LinExpr(NamedTuple):
     """The walk exponent m = (A*n + B) / 2^k as a function of the unknown n.
 
-    Immutable, hashable and equal by value.  The ops unpack the tuple and
+    Immutable, hashable and equal by value.  The walk keeps A and B inside
+    (-N, N) and k exact (see the module docstring); dec and
+    triple_plus_one take t = 2^k mod N and N.  The ops unpack the tuple and
     build the result with tuple.__new__, which skips the argument handling
     of the generated __new__.  dec, halve and triple_plus_one stay methods
     on the class, where the layer tracer in perfbench/ replaces them.
@@ -48,20 +56,31 @@ class LinExpr(NamedTuple):
     B: int = 0
     k: int = 0
 
-    def dec(self) -> "LinExpr":
-        """m - 1: subtracting 1 from (A*n + B)/2^k lowers B by 2^k."""
+    def dec(self, t: int, order: int) -> "LinExpr":
+        """m - 1: subtracting 1 from (A*n + B)/2^k lowers B by 2^k = t,
+        and by N less if that leaves (-N, N)."""
         A, B, k = self
-        return tuple.__new__(LinExpr, (A, B - (1 << k), k))
+        B -= t
+        if B <= -order:
+            B += order
+        return tuple.__new__(LinExpr, (A, B, k))
 
     def halve(self) -> "LinExpr":
         """m / 2: one more halving."""
         A, B, k = self
         return tuple.__new__(LinExpr, (A, B, k + 1))
 
-    def triple_plus_one(self) -> "LinExpr":
-        """3m + 1: triples A and B, and folds the +1 into B as 2^k."""
+    def triple_plus_one(self, t: int, order: int) -> "LinExpr":
+        """3m + 1: triples A and B, and folds the +1 into B as 2^k = t;
+        A or B that leaves (-N, N) is reduced mod N."""
         A, B, k = self
-        return tuple.__new__(LinExpr, (3 * A, 3 * B + (1 << k), k))
+        A *= 3
+        B = 3 * B + t
+        if not -order < A < order:
+            A %= order
+        if not -order < B < order:
+            B %= order
+        return tuple.__new__(LinExpr, (A, B, k))
 
     def __str__(self):
         if self.A == 0:
@@ -117,7 +136,8 @@ def collision_solve(e1: LinExpr, e2: LinExpr, order: int) -> CongruenceSolution:
     Both sides are scaled by 2^(K - k_i), K = max(k1, k2), which clears the
     denominators exactly and absorbs the +-(order/2) root ambiguity: the
     invariant 2^k * exponent = A*n + B (mod order) holds for whichever root
-    the walk took.  Resulting congruence:
+    the walk took.  The k_i are exact, so the scales are exact powers of 2,
+    taken mod order like A and B.  Resulting congruence:
 
         (2^(K-k1)*A1 - 2^(K-k2)*A2) * n  =  2^(K-k2)*B2 - 2^(K-k1)*B1  (mod order)
 
@@ -126,8 +146,8 @@ def collision_solve(e1: LinExpr, e2: LinExpr, order: int) -> CongruenceSolution:
     DegenerateCollisionError.
     """
     big_k = max(e1.k, e2.k)
-    m1 = 1 << (big_k - e1.k)
-    m2 = 1 << (big_k - e2.k)
+    m1 = pow(2, big_k - e1.k, order)
+    m2 = pow(2, big_k - e2.k, order)
     coef = m1 * e1.A - m2 * e2.A
     rhs = m2 * e2.B - m1 * e1.B
     if coef % order == 0 and rhs % order == 0:

@@ -304,12 +304,17 @@ def sylow_log(x: int, params: PrimeGroupParams) -> int:
     c^(-2^i) clears it.  Bit 0 set is Euler's criterion for a non-residue,
     x^((p-1)/2) = -1.
     """
-    p, r = params.p, params.r
+    p = params.p
     if x % p == 0:
         raise ValueError("x is 0 mod p")
-    t = pow(x, params.s, p)
-    e, f = 0, pow(params.c, -1, p)
-    for i in range(r):
+    return _sylow_search(pow(x, params.s, p), 0, params)
+
+
+def _sylow_search(t: int, low: int, params: PrimeGroupParams) -> int:
+    """The log e of x from t = x^s, when e's bits below `low` are 0."""
+    p, r = params.p, params.r
+    e, f = 0, pow(params.c, -1 << low, p)
+    for i in range(low, r):
         if pow(t, 1 << (r - 1 - i), p) != 1:
             t = t * f % p
             e |= 1 << i
@@ -324,23 +329,33 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
 
     max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
     even.  e is x's own log (x^s = c^e, 0 <= e < 2^r; ValueError outside
-    that range), `sylow_log(x, params)` when not given: an odd e returns
-    None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one
-    table entry per window of h's bits, checked by R^2 = x (ValueError if
-    not: a wrong e never yields a non-root).  R^s = c^h and
-    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
+    that range), searched for as `sylow_log` does when not given: an odd e
+    returns None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h),
+    one table entry per window of h's bits, checked by R^2 = x (ValueError
+    if not: a wrong e never yields a non-root).  R^s = c^h and
+    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).  The search
+    takes its x^s = u^2 * x from the root's power, u = x^((s-1)/2) and
+    x^((s+1)/2) = u * x, and stops at Euler's criterion, bit 0 of e, on a
+    non-residue.
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     if e is None:
-        e = sylow_log(x, params)
-    elif e and e >> params.r:
-        raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
-    if e & 1:
-        return None
-    y = pow(x, params.sqrt_exp, p)
+        u = pow(x, params.s >> 1, p)
+        y = u * x % p
+        t = u * y % p  # x^s
+        if pow(t, 1 << (params.r - 1), p) != 1:
+            return None
+        e = _sylow_search(t, 1, params)
+    else:
+        if e and e >> params.r:
+            raise ValueError(
+                f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
+        if e & 1:
+            return None
+        y = pow(x, params.sqrt_exp, p)
     if e:  # always 0 for r = 1
         w, tables = params.sqrt_windows
         h, mask = e >> 1, (1 << w) - 1

@@ -15,8 +15,12 @@ a random bit decides the branch instead.
 Every visited value is stored with its symbolic exponent (a LinExpr in the
 unknown n) in one dict, the walk history: from each visited value (and each
 untaken square root) to the first exponent stored for it.  It starts as a
-copy of Table I, precomputed generator powers g^k stored as LinExpr(0, k, 0)
-(exponent known exactly); they go in first and are never overwritten.
+copy of Table I, precomputed generator powers g^k stored as
+LinExpr(0, k mod N, 0) (exponent known exactly); they go in first and are
+never overwritten.  Each segment carries t = 2^k mod N beside its exponent,
+doubled on every root, so the ops keep A and B inside (-N, N), and k, the
+roots taken since the segment's start, is a small int: each history entry
+is O(1) words, and the history's memory is linear in the steps.
 
 A collision yields a linear congruence for n whose solutions are verified by
 exponentiation; the first verified candidate wins.  A walk runs in segments,
@@ -209,7 +213,7 @@ class _Walk:
 
         # the history: Table I first, then the first exponent stored for
         # each value the walk reaches
-        self.seen: dict[int, LinExpr] = {v: LinExpr(0, k, 0)
+        self.seen: dict[int, LinExpr] = {v: LinExpr(0, k % self.order, 0)
                                          for v, k in table.items()}
         self.seen.setdefault(self.target, LinExpr())
         self.segment = 0
@@ -253,7 +257,7 @@ class _Walk:
     # -- segments: each returns _RESTART or the DlogResult --------------------
 
     def _segment_prime(self, value, expr):
-        params, seen = self.params, self.seen
+        params, seen, order = self.params, self.seen, self.order
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
@@ -263,16 +267,17 @@ class _Walk:
         # since a^s = c; a root comes with its log, and div and cube move it
         # to e - 1 and 3e + 1.  So a root is taken exactly where it exists.
         e = (self.e_target + expr.B) & mask
+        t = pow(2, expr.k, order)  # 2^k mod N, for the ops and each root
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             if e & 1:
                 if inv_a is None:
                     new = value * value % p * value % p * a % p
-                    nexpr = expr.triple_plus_one()
+                    nexpr = expr.triple_plus_one(t, order)
                     e = (3 * e + 1) & mask
                 else:
                     new = value * inv_a % p
-                    nexpr = expr.dec()
+                    nexpr = expr.dec(t, order)
                     e -= 1
                 outcome = None
                 if new in seen:
@@ -285,6 +290,9 @@ class _Walk:
             else:
                 r1, r2, e = sqrt_mod_p(value, params, e)
                 nexpr = expr.halve()
+                t += t
+                if t >= order:
+                    t -= order
                 outcome = None
                 if r1 in seen or r2 in seen:
                     self.steps_taken = steps
@@ -313,17 +321,21 @@ class _Walk:
         return _RESTART  # budget exhausted
 
     def _segment_char2(self, value, expr):
-        params, seen = self.params, self.seen
+        params, seen, order = self.params, self.seen, self.order
         next_bit, trace, segment = self.next_bit, self.trace, self.segment
+        t = pow(2, expr.k, order)  # 2^k mod N, for dec and each root
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             bit = next_bit()
             if bit == 1:
                 new = gf_div_by_x(value, params)
-                nexpr = expr.dec()
+                nexpr = expr.dec(t, order)
             else:
                 new = gf_sqrt(value, params)
                 nexpr = expr.halve()
+                t += t
+                if t >= order:
+                    t -= order
             if new in seen:
                 self.steps_taken = steps
                 outcome = self._attempt(new, nexpr)

@@ -10,10 +10,52 @@ from dlogwalk.linexpr import (CongruenceSolution, DegenerateCollisionError,
                               solve_linear)
 
 
+ORDERS = (101, 102, 127, 256, 360, 2**19 - 1)
+
+
+def _closed_form(e, op, c):
+    """The op's exact result on e = (A, B, k), with c standing for 2^k."""
+    A, B, k = e
+    return {"dec": (A, B - c, k), "halve": (A, B, k + 1),
+            "triple": (3 * A, 3 * B + c, k)}[op]
+
+
+def _apply(e, op, order):
+    """e's op as the walk applies it, checked against the closed form: the
+    result is congruent to it mod N entrywise, inside (-N, N), and equal to
+    it with t = 2^k mod N for 2^k wherever that lies inside already."""
+    t = pow(2, e.k, order)
+    got = {"dec": lambda: e.dec(t, order), "halve": e.halve,
+           "triple": lambda: e.triple_plus_one(t, order)}[op]()
+    exact, with_t = _closed_form(e, op, 2**e.k), _closed_form(e, op, t)
+    assert type(got) is LinExpr
+    assert got.k == exact[2]
+    for x, y, z in zip(got[:2], exact[:2], with_t[:2]):
+        assert (x - y) % order == 0
+        assert -order < x < order
+        if -order < z < order:
+            assert x == z
+    return got
+
+
+def _random_bounded_exprs(rng, order, count):
+    return [LinExpr(rng.randrange(1 - order, order),
+                    rng.randrange(1 - order, order), rng.randrange(0, 12))
+            for _ in range(count)]
+
+
 def test_dec():
-    assert LinExpr(1, 0, 0).dec() == LinExpr(1, -1, 0)
-    assert LinExpr(1, -1, 1).dec() == LinExpr(1, -3, 1)
-    assert LinExpr(0, 9, 0).dec() == LinExpr(0, 8, 0)
+    # t = 2^k mod N: m - 1 lowers B by t, congruent to 2^k
+    assert LinExpr(1, 0, 0).dec(1, 102) == LinExpr(1, -1, 0)
+    assert LinExpr(1, -1, 1).dec(2, 102) == LinExpr(1, -3, 1)
+    assert LinExpr(0, 9, 0).dec(1, 102) == LinExpr(0, 8, 0)
+    # B - t at or below -N gains N once: -100 - 2^7 = -228 = -24 (mod 102)
+    assert LinExpr(1, -100, 7).dec(128 % 102, 102) == LinExpr(1, -24, 7)
+    assert LinExpr(1, -101, 0).dec(1, 102) == LinExpr(1, 0, 0)
+    rng = random.Random(13)
+    for order in ORDERS:
+        for e in _random_bounded_exprs(rng, order, 200):
+            _apply(e, "dec", order)
 
 
 def test_halve():
@@ -23,10 +65,19 @@ def test_halve():
 
 
 def test_triple_plus_one():
-    assert LinExpr(1, 0, 0).triple_plus_one() == LinExpr(3, 1, 0)
-    assert LinExpr(0, 0, 0).triple_plus_one() == LinExpr(0, 1, 0)
+    assert LinExpr(1, 0, 0).triple_plus_one(1, 100) == LinExpr(3, 1, 0)
+    assert LinExpr(0, 0, 0).triple_plus_one(1, 100) == LinExpr(0, 1, 0)
     # 3 * (3n+1)/16 + 1 = (9n + 19)/16
-    assert LinExpr(3, 1, 4).triple_plus_one() == LinExpr(9, 19, 4)
+    assert LinExpr(3, 1, 4).triple_plus_one(16, 100) == LinExpr(9, 19, 4)
+    # out of (-N, N), A and B are reduced mod N: 3*(-40) = -120 = 80 and
+    # 3*30 + 16 = 106 = 6 (mod 100); an A or B still inside stays signed
+    assert LinExpr(-40, 30, 4).triple_plus_one(16, 100) == LinExpr(80, 6, 4)
+    assert LinExpr(-20, -30, 4).triple_plus_one(16, 100) == \
+        LinExpr(-60, -74, 4)
+    rng = random.Random(14)
+    for order in ORDERS:
+        for e in _random_bounded_exprs(rng, order, 200):
+            _apply(e, "triple", order)
 
 
 def test_str():
@@ -51,21 +102,21 @@ def test_value_semantics():
     assert LinExpr(B=5) == LinExpr(1, 5, 0)
 
 def test_ops_track_rational_value():
-    """Applying ops symbolically must match applying them to a concrete m."""
+    """Applying ops symbolically must match applying them to a concrete m:
+    2^k * m is an integer, and A*n0 + B equals it mod N."""
     rng = random.Random(20)
     for _ in range(300):
+        order = rng.choice(ORDERS)
         n0 = rng.randrange(-50, 10**6)
         expr = LinExpr()
         m = Fraction(n0)
         for _ in range(rng.randrange(1, 40)):
             op = rng.choice(("dec", "halve", "triple"))
-            if op == "dec":
-                expr, m = expr.dec(), m - 1
-            elif op == "halve":
-                expr, m = expr.halve(), m / 2
-            else:
-                expr, m = expr.triple_plus_one(), 3 * m + 1
-            assert Fraction(expr.A * n0 + expr.B, 2 ** expr.k) == m
+            expr = _apply(expr, op, order)
+            m = {"dec": m - 1, "halve": m / 2, "triple": 3 * m + 1}[op]
+            scaled = 2 ** expr.k * m
+            assert scaled.denominator == 1
+            assert (scaled.numerator - (expr.A * n0 + expr.B)) % order == 0
 
 
 def test_solve_linear_known():
@@ -155,11 +206,13 @@ def test_collision_solve_degenerate():
 
 
 def test_collision_solve_dec_is_unsatisfiable():
-    # e and e-1 can only collide spuriously (0*n = -2^k with N not a 2-power)
+    # e and e-1 can only collide spuriously (0*n = -2^k with N not a 2-power),
+    # also where dec wraps B round: (n - N + 1)/2^7 - 1
     for order in (101, 102, 127, 360):
-        for e in (LinExpr(), LinExpr(1, -3, 1), LinExpr(3, 1, 2)):
+        for e in (LinExpr(), LinExpr(1, -3, 1), LinExpr(3, 1, 2),
+                  LinExpr(1, 1 - order, 7)):
             with pytest.raises(NoSolutionError):
-                collision_solve(e.dec(), e, order)
+                collision_solve(_apply(e, "dec", order), e, order)
 
 
 def test_collision_solutions_satisfy_congruence():

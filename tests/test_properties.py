@@ -112,14 +112,29 @@ EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
 
 
 @settings(max_examples=300, deadline=None)
-@given(EXPRS)
-def test_linexpr_ops_closed_form(e):
-    A, B, k = e
-    for got, want in ((e.dec(), (A, B - 2**k, k)),
-                      (e.halve(), (A, B, k + 1)),
-                      (e.triple_plus_one(), (3 * A, 3 * B + 2**k, k))):
+@given(st.integers(2, 400), st.integers(-10**6, 10**6),
+       st.integers(-10**6, 10**6), st.integers(0, 12))
+@example(101, 0, -100, 0)   # dec reaches -N exactly: 0
+@example(100, -40, 99, 4)   # triple: 3A = -120 and 3B + t = 313 leave (-N, N)
+def test_linexpr_ops_closed_form(order, a, b, k):
+    # an exponent as the walk keeps it, A and B inside (-N, N), with
+    # t = 2^k mod N; each op's result is congruent mod N to its exact
+    # closed form, inside (-N, N), and equal to it wherever the closed form
+    # with t for 2^k already lies inside
+    A, B = a % (2 * order - 1) - order + 1, b % (2 * order - 1) - order + 1
+    e, t = LinExpr(A, B, k), pow(2, k, order)
+    for got, exact, with_t in (
+            (e.dec(t, order), (A, B - 2**k, k), (A, B - t, k)),
+            (e.halve(), (A, B, k + 1), (A, B, k + 1)),
+            (e.triple_plus_one(t, order), (3 * A, 3 * B + 2**k, k),
+             (3 * A, 3 * B + t, k))):
         assert type(got) is LinExpr
-        assert got == LinExpr(*want)
+        assert got.k == exact[2]
+        for x, y, z in zip(got[:2], exact[:2], with_t[:2]):
+            assert (x - y) % order == 0
+            assert -order < x < order
+            if -order < z < order:
+                assert x == z
 
 @settings(max_examples=300, deadline=None)
 @given(EXPRS, EXPRS, st.integers(min_value=1, max_value=300))
@@ -158,14 +173,20 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         return params.pow(v, 1 << expr.k) == \
             params.pow(g, (expr.A * n + expr.B) % params.order)
 
+    def bounded(expr):  # A and B are kept inside (-N, N)
+        return -params.order < expr.A < params.order and \
+            -params.order < expr.B < params.order
+
     walk = _Walk(params, params.pow(g, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
     result = walk.run()
     for rec in result.trace:
+        assert bounded(rec.expr)
         for v in [rec.result] if rec.roots is None else rec.roots:
             assert holds(v, rec.expr)
     # what the walk stored, which collisions read: every segment's start too
     for v, expr in walk.seen.items():
+        assert bounded(expr)
         assert holds(v, expr)
     if result.success:
         assert result.n == n

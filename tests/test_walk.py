@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -18,7 +19,9 @@ P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
+P16776899 = PrimeGroupParams(16776899, 2)  # 2 * 8388449: a safe prime
 GF27 = BinaryFieldParams(7, 0x83)
+GF219 = BinaryFieldParams(19, 0x80027)
 
 
 def dlog_table(mul, order):
@@ -397,9 +400,11 @@ def test_golden_step_counts_deep_r(variant):
         GOLDEN_SHORT_SEGMENTS_P257[variant]
 
 
-# the first op of a segment: what its first trace row applied to the start
-_BRANCH_OPS = {"div": LinExpr.dec, "cube": LinExpr.triple_plus_one,
-               "sqrt": LinExpr.halve}
+# the first op of a segment: what its first trace row applied to the start,
+# whose k = 0 gives t = 2^0 = 1
+_BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
+               "cube": lambda e, order: e.triple_plus_one(1, order),
+               "sqrt": lambda e, order: e.halve()}
 
 
 def _check_restart_starts(params, target, variant):
@@ -422,7 +427,8 @@ def _check_restart_starts(params, target, variant):
             assert rec.segment == segment
             assert rec.value == params.mul(target, params.pow(params.generator, j))
             assert rec.value in w.seen
-            assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0))
+            assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0),
+                                                       params.order)
         starts += len(firsts)
     return starts
 
@@ -461,8 +467,8 @@ def test_history_survives_restarts(variant):
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_table_one_seeds_the_history(variant):
     # the history is the one collision store: it starts with every Table I
-    # entry g^k as LinExpr(0, k, 0), and no step or restart overwrites one;
-    # the shared table itself is only read
+    # entry g^k as LinExpr(0, k mod N, 0), and no step or restart overwrites
+    # one; the shared table itself is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     table = build_table_one(params, WalkConfig(variant=variant))
     before = dict(table)
@@ -475,9 +481,33 @@ def test_table_one_seeds_the_history(variant):
             values = [rec.result] if rec.roots is None else rec.roots
             reached += any(v in table for v in values)
         for v, k in table.items():
-            assert w.seen[v] == LinExpr(0, k, 0)
+            assert w.seen[v] == LinExpr(0, k % params.order, 0)
     assert table == before
     assert reached > 0  # some steps land on Table I entries
+
+
+@pytest.mark.parametrize("params,variant", [
+    (P16776899, "inverse"), (P16776899, "collatz"), (GF219, "char2"),
+    (P257, "inverse"),  # Table I's last entry g^(2^8) has exponent N = 256
+])
+def test_history_exponents_stay_within_the_order(params, variant):
+    # unreduced, a division lowers B by 2^k and every root raises k, so
+    # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
+    # A and B has at most N's bits however long the walk
+    order = params.order
+    steps = 0
+    for seed in range(1, 4):
+        n = random.Random(seed).randrange(order)
+        w = _Walk(params, params.pow(params.generator, n),
+                  WalkConfig(variant=variant, seed=seed), None)
+        result = w.run()
+        assert result.n == n
+        steps += result.steps_taken
+        assert max(max(abs(e.A).bit_length(), abs(e.B).bit_length())
+                   for e in w.seen.values()) <= order.bit_length()
+        assert all(-order < e.A < order and -order < e.B < order
+                   for e in w.seen.values())
+    assert steps > math.isqrt(order)
 
 
 def test_golden_too_many_candidates_restart():
