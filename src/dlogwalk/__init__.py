@@ -13,8 +13,8 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       enumerate_candidates, solve_linear)
 from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
 from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
-                         legendre_euler, mod_inverse, mod_pow, prime_factors,
-                         sqrt_mod_p, sylow_log)
+                         legendre_euler, mod_pow, prime_factors, sqrt_mod_p,
+                         sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
                    WalkConfig, build_table_one, run_dlog)
 
@@ -25,7 +25,6 @@ __all__ = [
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
     "brute_force_dlog", "bsgs_dlog", "build_table_one", "collision_solve",
     "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",
-    "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_inverse",
-    "mod_pow", "prime_factors", "run_dlog", "solve_linear", "sqrt_mod_p",
-    "sylow_log",
+    "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_pow",
+    "prime_factors", "run_dlog", "solve_linear", "sqrt_mod_p", "sylow_log",
 ]

@@ -35,7 +35,7 @@ def _add_walk_flags(sub):
     sub.add_argument("--max-steps", type=int, default=None)
     sub.add_argument("--max-restarts", type=int, default=32)
     sub.add_argument("--d-max", type=int, default=65536,
-                     help="candidate-count limit before restarting")
+                     help="candidate-count limit: a collision with more is skipped")
 
 
 def _add_solve_flags(sub):

@@ -21,8 +21,6 @@ and a tuple costs about half as much to build as a frozen dataclass.
 from math import gcd
 from typing import NamedTuple
 
-from .primefield import mod_inverse
-
 
 class NoSolutionError(ValueError):
     """gcd(coef, N) does not divide the right-hand side: spurious collision."""
@@ -126,7 +124,7 @@ def solve_linear(coef: int, rhs: int, order: int) -> CongruenceSolution:
     modulus = order // d
     if modulus == 1:
         return CongruenceSolution(0, 1, d)
-    residue = rhs // d * mod_inverse(coef // d, modulus) % modulus
+    residue = rhs // d * pow(coef // d, -1, modulus) % modulus
     return CongruenceSolution(residue, modulus, d)
 
 
@@ -159,9 +157,11 @@ def enumerate_candidates(sol: CongruenceSolution, order: int,
                          d_max: int = 65536) -> list[int]:
     """All d solutions mod the group order, ascending.
 
-    Raises TooManyCandidatesError past d_max so the caller can restart the
-    walk instead of grinding through trial verification.
+    Raises TooManyCandidatesError past d_max so the caller can walk on
+    instead of grinding through trial verification.  residue < modulus and
+    modulus * count = order, so the range needs neither a sort nor a
+    reduction.
     """
     if sol.count > d_max:
         raise TooManyCandidatesError(sol.count, d_max)
-    return sorted((sol.residue + t * sol.modulus) % order for t in range(sol.count))
+    return list(range(sol.residue, order, sol.modulus))

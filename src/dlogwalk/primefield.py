@@ -142,9 +142,7 @@ class PrimeGroupParams(Record):
     """
 
     _fields = ("p", "a", "factors_of_order", "r", "s", "c")
-    __slots__ = _fields + ("sqrt_exp", "sqrt_windows")
-
-    variants = ("inverse", "collatz")
+    __slots__ = _fields + ("sqrt_exp", "sqrt_windows", "variants")
 
     def __init__(self, p: int, a: int,
                  factors_of_order: tuple[int, ...] | None = None):
@@ -179,6 +177,10 @@ class PrimeGroupParams(Record):
         self._assign(p, a, factors_of_order, r, s, pow(a, s, p))
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_windows = _sqrt_windows(p, r, self.c)
+        # cubing, the 3x+1 step, is a bijection of the group only when
+        # gcd(3, p - 1) = 1
+        self.variants = (("inverse", "collatz") if (p - 1) % 3
+                         else ("inverse",))
 
     @property
     def order(self) -> int:
@@ -230,14 +232,6 @@ def _powers(g: int, bits: int, p: int) -> tuple[int, ...]:
     for _ in range((1 << bits) - 1):
         powers.append(powers[-1] * g % p)
     return tuple(powers)
-
-
-def mod_inverse(x: int, modulus: int) -> int:
-    """Inverse of x modulo `modulus`; modulus need not be prime.
-
-    Raises ValueError when gcd(x, modulus) > 1.
-    """
-    return pow(x, -1, modulus)
 
 
 def mod_pow(base: int, exponent: int, params: PrimeGroupParams) -> int:

@@ -23,17 +23,19 @@ roots taken since the segment's start, is a small int: each history entry
 is O(1) words, and the history's memory is linear in the steps.
 
 A collision yields a linear congruence for n whose solutions are verified by
-exponentiation; the first verified candidate wins.  A walk runs in segments,
-each in one frame with its value and exponent in locals, of at most
-max_steps steps.  A step looks each new value up in the history and calls
-the collision handling only on a hit; it builds a trace record only when
-tracing is on.  A segment ends with the answer, or with a restart on too
-many solutions or an exhausted budget.  The first segment starts at the
-target with exponent n; every later one at target * g^j for a random j,
-with exponent n + j.  The history is never cleared: whatever segment stored
-an entry, 2^k * log(value) = A*n + B (mod N) holds for it, so a later
-segment collides with every earlier one.  A walk is sequential; it only
-reads Table I, which calls may share, and touches no global state.
+exponentiation; the first verified candidate wins.  A collision that
+verifies nothing (spurious, degenerate, or with more than d_max solutions)
+is walked past: the walk is random, so it cannot be trapped.  A walk runs
+in segments, each in one frame with its value and exponent in locals, of at
+most max_steps steps.  A step looks each new value up in the history and
+calls the collision handling only on a hit; it builds a trace record only
+when tracing is on.  A segment ends with the answer or with its budget
+spent, and then the walk restarts.  The first segment starts at the target
+with exponent n; every later one at target * g^j for a random j, with
+exponent n + j; each at k = 0.  The history is never cleared: whatever
+segment stored an entry, 2^k * log(value) = A*n + B (mod N) holds for it,
+so a later segment collides with every earlier one.  A walk is sequential;
+it only reads Table I, which calls may share, and touches no global state.
 """
 
 import math
@@ -50,8 +52,7 @@ from .gf2m import gf_div_by_x, gf_pow, gf_sqrt  # noqa: F401
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates)
-from .primefield import (legendre, mod_inverse, mod_pow,  # noqa: F401
-                         sqrt_mod_p, sylow_log)
+from .primefield import legendre, mod_pow, sqrt_mod_p, sylow_log  # noqa: F401
 
 VARIANTS = ("inverse", "collatz", "char2")
 SEQUENCES = ("pow2", "consec")
@@ -62,7 +63,7 @@ class DecisionsExhaustedError(RuntimeError):
 
 
 class UnsupportedGroupError(ValueError):
-    """Group/variant combination violates a precondition (e.g. 3 | p-1 for 3x+1)."""
+    """A variant the group does not run (e.g. 3x+1 when 3 | p-1)."""
 
 
 class WalkConfig(Record):
@@ -171,11 +172,6 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     return table
 
 
-# Restart outcome of a segment: too many candidates or the step budget
-# exhausted, apply the restart policy.
-_RESTART = object()
-
-
 def _scripted_bits(bits):
     yield from bits
     raise DecisionsExhaustedError(
@@ -190,16 +186,14 @@ class _Walk:
         self.order = params.order
 
         if config.variant not in params.variants:
-            raise TypeError(f"variant {config.variant!r} does not run on"
-                            f" {type(params).__name__}")
+            raise UnsupportedGroupError(
+                f"variant {config.variant!r} does not run on {params};"
+                f" it runs {', '.join(params.variants)}")
         self.target = params.element(target)
         # the prime fallback step: divide by a (inverse), or cube when None
         self.inv_a = None
         if config.variant == "inverse":
-            self.inv_a = mod_inverse(params.a, params.p)
-        elif config.variant == "collatz" and math.gcd(3, self.order) != 1:
-            raise UnsupportedGroupError(
-                f"3x+1 variant needs gcd(3, p-1) = 1; p-1 = {self.order}")
+            self.inv_a = pow(params.a, -1, params.p)
         if config.variant != "char2":  # the walk's only search for a log
             self.e_target = sylow_log(self.target, params)
         if table is None:
@@ -216,7 +210,6 @@ class _Walk:
         self.seen: dict[int, LinExpr] = {v: LinExpr(0, k % self.order, 0)
                                          for v, k in table.items()}
         self.seen.setdefault(self.target, LinExpr())
-        self.segment = 0
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0
@@ -233,41 +226,36 @@ class _Walk:
         # cycle that keeps every finished walk's history alive until a full GC
         segment = (self._segment_char2 if self.config.variant == "char2"
                    else self._segment_prime)
-        value, expr = self.target, LinExpr()
+        params = self.params
+        value, expr = self.target, LinExpr()  # target * g^0
         while True:
             outcome = segment(value, expr)
-            if outcome is not _RESTART:
+            if outcome is not None:
                 return outcome
             if self.restarts == self.config.max_restarts:
                 return self._result(None)
             self.restarts += 1
-            value, expr = self._restart()
+            # the next segment starts at target * g^j, exponent n + j, for a
+            # random j; stored unless the value is in the history already
+            j = self.rng.randrange(self.order)
+            value = params.mul(self.target, params.pow(params.generator, j))
+            expr = LinExpr(1, j, 0)
+            self.seen.setdefault(value, expr)
 
-    def _restart(self) -> tuple[int, LinExpr]:
-        """The next segment's start: target * g^j, exponent n + j, for a
-        random j; stored in the history unless the value is there already."""
-        self.segment += 1
-        params = self.params
-        j = self.rng.randrange(self.order)
-        value = params.mul(self.target, params.pow(params.generator, j))
-        expr = LinExpr(1, j, 0)
-        self.seen.setdefault(value, expr)
-        return value, expr
-
-    # -- segments: each returns _RESTART or the DlogResult --------------------
+    # -- segments: each returns the DlogResult, or None with its budget spent -
 
     def _segment_prime(self, value, expr):
         params, seen, order = self.params, self.seen, self.order
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
-        next_bit, trace, segment = self.next_bit, self.trace, self.segment
+        next_bit, trace, segment = self.next_bit, self.trace, self.restarts
         # e is the value's 2-Sylow log (value^s = c^e).  A segment starts at
         # target * a^j with exponent LinExpr(1, j, 0), so at log e_target + j
         # since a^s = c; a root comes with its log, and div and cube move it
         # to e - 1 and 3e + 1.  So a root is taken exactly where it exists.
         e = (self.e_target + expr.B) & mask
-        t = pow(2, expr.k, order)  # 2^k mod N, for the ops and each root
+        t = 1  # 2^k mod N, for the ops and each root: every start has k = 0
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             if e & 1:
@@ -281,8 +269,7 @@ class _Walk:
                     e -= 1
                 outcome = None
                 if new in seen:
-                    self.steps_taken = steps
-                    outcome = self._attempt(new, nexpr)
+                    outcome = self._attempt(new, nexpr, steps)
                 if trace is not None:
                     trace.append(TraceRecord(steps, segment, value, fallback,
                                              nexpr, result=new))
@@ -295,12 +282,10 @@ class _Walk:
                     t -= order
                 outcome = None
                 if r1 in seen or r2 in seen:
-                    self.steps_taken = steps
                     if r1 in seen:
-                        outcome = self._attempt(r1, nexpr)
-                    if (outcome is None or outcome is _RESTART) and r2 in seen:
-                        # a verified second root outranks a restart from the first
-                        outcome = self._attempt(r2, nexpr) or outcome
+                        outcome = self._attempt(r1, nexpr, steps)
+                    if outcome is None and r2 in seen:
+                        outcome = self._attempt(r2, nexpr, steps)
                     seen.setdefault(r1, nexpr)
                     seen.setdefault(r2, nexpr)
                 else:
@@ -318,12 +303,12 @@ class _Walk:
                 return outcome
             value, expr = new, nexpr
         self.steps_taken = steps
-        return _RESTART  # budget exhausted
+        return None  # budget spent
 
     def _segment_char2(self, value, expr):
         params, seen, order = self.params, self.seen, self.order
-        next_bit, trace, segment = self.next_bit, self.trace, self.segment
-        t = pow(2, expr.k, order)  # 2^k mod N, for dec and each root
+        next_bit, trace, segment = self.next_bit, self.trace, self.restarts
+        t = 1  # 2^k mod N, for dec and each root: every start has k = 0
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             bit = next_bit()
@@ -337,8 +322,7 @@ class _Walk:
                 if t >= order:
                     t -= order
             if new in seen:
-                self.steps_taken = steps
-                outcome = self._attempt(new, nexpr)
+                outcome = self._attempt(new, nexpr, steps)
             else:
                 outcome = None
                 seen[new] = nexpr
@@ -350,26 +334,26 @@ class _Walk:
                 return outcome
             value, expr = new, nexpr
         self.steps_taken = steps
-        return _RESTART  # budget exhausted
+        return None  # budget spent
 
     # -- collision handling -------------------------------------------------
 
-    def _attempt(self, value: int, expr: LinExpr):
-        """Solve the collision of a value found in the history.
+    def _attempt(self, value: int, expr: LinExpr, steps: int):
+        """Solve the collision, at step `steps`, of a value in the history.
 
         A Table I entry (A = 0) is never overwritten, so a value in Table I
-        collides with its known exponent.  Returns None (hit discarded as
-        spurious/degenerate), _RESTART (too many candidates), or the verified
-        DlogResult.
+        collides with its known exponent.  Returns the verified DlogResult,
+        or None to walk on: a spurious or degenerate collision says nothing
+        about n, and one with more than d_max candidates is not verified.
         """
+        self.steps_taken = steps
         self.collisions_tested += 1
         try:
             sol = collision_solve(expr, self.seen[value], self.order)
             candidates = enumerate_candidates(sol, self.order, self.config.d_max)
-        except (NoSolutionError, DegenerateCollisionError):
-            return None  # spurious or self-collision: walk on
-        except TooManyCandidatesError:
-            return _RESTART
+        except (NoSolutionError, DegenerateCollisionError,
+                TooManyCandidatesError):
+            return None
         for n in candidates:
             if self._verify(n):
                 return self._result(n, sol, candidates)

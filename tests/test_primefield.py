@@ -5,8 +5,8 @@ import pytest
 
 from dlogwalk.primefield import (PrimeGroupParams, _rho_factors,
                                  is_probable_prime, jacobi, legendre,
-                                 legendre_euler, mod_inverse, mod_pow,
-                                 prime_factors, sqrt_mod_p, sylow_log)
+                                 legendre_euler, mod_pow, prime_factors,
+                                 sqrt_mod_p, sylow_log)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -293,24 +293,6 @@ def test_sqrt_from_a_log_out_of_range(params):
         for wrong in (e + 2**r, e - 2**r, e + 1 + 2**r, e + 1 - 2**r):
             with pytest.raises(ValueError, match=rf"outside 0 <= e < 2\^{r}$"):
                 sqrt_mod_p(x, params, wrong)
-
-
-def test_mod_inverse():
-    assert mod_inverse(1, 77) == 1
-    assert mod_inverse(3, 100) == 67
-    assert 84 * mod_inverse(5, 103) % 103 == 58
-    with pytest.raises(ValueError):
-        mod_inverse(6, 102)
-
-
-def test_mod_inverse_brute_force_oracle():
-    for m in (7, 100, 103, 256):
-        for x in range(1, m):
-            from math import gcd
-            if gcd(x, m) != 1:
-                continue
-            expected = next(y for y in range(1, m) if x * y % m == 1)
-            assert mod_inverse(x, m) == expected
 
 
 @pytest.mark.parametrize("p,a", [(103, 5), (101, 2), (199, 3), (193, 5)])

@@ -110,9 +110,13 @@ def test_config_validation():
 
 
 def test_variant_params_mismatch():
-    with pytest.raises(TypeError):
+    # the group names the variants it runs; 3x+1 only where cubing is a
+    # bijection, gcd(3, p - 1) = 1
+    assert P103.variants == ("inverse",)  # 3 | 102
+    assert P101.variants == ("inverse", "collatz")
+    with pytest.raises(UnsupportedGroupError):
         run_dlog(GF27, 5, WalkConfig(variant="inverse"))
-    with pytest.raises(TypeError):
+    with pytest.raises(UnsupportedGroupError):
         run_dlog(P103, 5, WalkConfig(variant="char2"))
 
 
@@ -408,9 +412,9 @@ _BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
 
 
 def _check_restart_starts(params, target, variant):
-    """Every segment after the first starts at target * g^j with exponent
-    n + j, for the j its restart drew, and the start is stored; returns the
-    number of such starts."""
+    """Every segment starts at target * g^j with exponent n + j, for j = 0
+    in the first and the j its restart drew in each later one, and the
+    start is stored; returns the number of later starts."""
     starts = 0
     for seed in range(10):
         w = _Walk(params, target, WalkConfig(
@@ -420,16 +424,16 @@ def _check_restart_starts(params, target, variant):
         randrange = w.rng.randrange
         w.rng.randrange = lambda order: draws.append(randrange(order)) or draws[-1]
         trace = w.run().trace
-        firsts = [rec for prev, rec in zip(trace, trace[1:])
-                  if rec.segment != prev.segment]
-        assert len(firsts) == len(draws)
-        for segment, (j, rec) in enumerate(zip(draws, firsts), 1):
+        firsts = [rec for prev, rec in zip([None] + trace, trace)
+                  if prev is None or rec.segment != prev.segment]
+        assert len(firsts) == len(draws) + 1
+        for segment, (j, rec) in enumerate(zip([0] + draws, firsts)):
             assert rec.segment == segment
             assert rec.value == params.mul(target, params.pow(params.generator, j))
             assert rec.value in w.seen
             assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0),
                                                        params.order)
-        starts += len(firsts)
+        starts += len(draws)
     return starts
 
 
@@ -456,7 +460,7 @@ def test_history_survives_restarts(variant):
             trace=True), None)
         result = w.run()
         for rec in result.trace:
-            if rec.segment < w.segment:
+            if rec.segment < w.restarts:
                 for v in [rec.result] if rec.roots is None else rec.roots:
                     assert v in w.seen
                     earlier += 1
@@ -510,11 +514,21 @@ def test_history_exponents_stay_within_the_order(params, variant):
     assert steps > math.isqrt(order)
 
 
-def test_golden_too_many_candidates_restart():
-    # d_max=1 turns the first of two collisions into a too-many-candidates
-    # restart; the second, in the next segment, solves
+def test_golden_too_many_candidates_skipped():
+    # d_max=1 makes every collision with two or more candidates one the
+    # walk passes by without a restart; a later one with a single
+    # candidate solves
     assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1))) == \
-        (1098, 112, 1, 2, 1)
+        (1098, 88, 0, 7, 1)
+
+
+def test_too_many_candidates_do_not_end_the_segment():
+    # a too-many collision tells no more than a spurious one: with no
+    # restart to spend, the walk still goes on within its step budget
+    result = run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1, max_restarts=0))
+    assert result.n == 1098
+    assert result.restarts == 0
+    assert result.steps_taken < default_max_steps(P2003.order)
 
 
 def test_golden_bench_csv():
@@ -523,7 +537,7 @@ def test_golden_bench_csv():
     assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_BENCH_CSV_SHA256
 
 
-def test_d_max_forces_restarts_but_still_solves():
+def test_d_max_skips_collisions_but_still_solves():
     result = run_dlog(P2003, 777, WalkConfig(seed=2, d_max=1))
     assert result.success
     assert pow(5, result.n, 2003) == 777
@@ -571,8 +585,9 @@ def test_trace_disabled_by_default():
 
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_trace_does_not_change_the_walk(variant):
-    # short segments force restarts, and d_max=1 restarts on too many
-    # candidates; each row must walk alike with the trace on or off
+    # short segments force restarts, and d_max=1 walks past collisions
+    # with too many candidates; each row must walk alike with the trace on
+    # or off
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     restarted = 0
     for seed in range(10):
