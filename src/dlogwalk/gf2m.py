@@ -142,8 +142,8 @@ def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
     The root is linear in u over GF(2) (Frobenius is additive), so it is
     the xor of one precomputed entry per byte of u: params.sqrt_tables.
     """
-    _check_elem(u, params)
-    if u == 0:
+    if u <= 0 or u.bit_length() > params.m:  # _check_elem only on failure
+        _check_elem(u, params)
         raise ValueError("0 has no multiplicative square root")
     r = 0
     for table in params.sqrt_tables:
@@ -158,8 +158,8 @@ def gf_div_by_x(u: int, params: BinaryFieldParams) -> int:
     If the constant term of u is clear this is a plain right shift; otherwise
     adding f first clears it (f has constant term 1) and the shift stays exact.
     """
-    _check_elem(u, params)
-    if u == 0:
+    if u <= 0 or u.bit_length() > params.m:  # _check_elem only on failure
+        _check_elem(u, params)
         raise ValueError("0 cannot be divided by the generator")
     if u & 1:
         u ^= params.poly

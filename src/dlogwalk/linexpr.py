@@ -14,8 +14,8 @@ collision scales 2^(K - k) need it: scaling each side by the other's t
 instead would multiply the congruence by a further 2^min(k1, k2), and its
 gcd with N, hence the candidate count, by up to the 2^r dividing N.
 
-LinExpr is a named tuple (A, B, k) because the walk builds one per step,
-and a tuple costs about half as much to build as a frozen dataclass.
+LinExpr is a named tuple (A, B, k) because the prime walk builds one per
+step, and a tuple costs about half as much to build as a frozen dataclass.
 """
 
 from math import gcd
@@ -93,7 +93,8 @@ class LinExpr(NamedTuple):
             return num
         if self.A != 0 and self.B != 0:
             num = f"({num})"
-        return f"{num}/{1 << self.k}"
+        # a denominator past 2^10 prints as a power, not as k bits of digits
+        return f"{num}/{1 << self.k if self.k <= 10 else f'2^{self.k}'}"
 
 
 class CongruenceSolution(NamedTuple):

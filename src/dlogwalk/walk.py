@@ -12,15 +12,19 @@ makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
 it exists, and costs no search.  Over GF(2^m) square roots are unique, so
 a random bit decides the branch instead.
 
-Every visited value is stored with its symbolic exponent (a LinExpr in the
-unknown n) in one dict, the walk history: from each visited value (and each
-untaken square root) to the first exponent stored for it.  It starts as a
-copy of Table I, precomputed generator powers g^k stored as
-LinExpr(0, k mod N, 0) (exponent known exactly); they go in first and are
-never overwritten.  Each segment carries t = 2^k mod N beside its exponent,
-doubled on every root, so the ops keep A and B inside (-N, N), and k, the
-roots taken since the segment's start, is a small int: each history entry
-is O(1) words, and the history's memory is linear in the steps.
+Every visited value is stored with its exponent, a linear function of the
+unknown n, in one dict, the walk history: from each visited value (and
+each untaken square root) to the first exponent stored for it.  It starts
+as a copy of Table I, precomputed generator powers g^k stored with A = 0
+and B = k mod N (exponent known exactly); they go in first and are never
+overwritten.  Over GF(2^m) the order N = 2^m - 1 is odd, so halving an
+exponent is multiplying it by (N + 1)/2: an entry is a plain pair (A, B)
+of residues mod N, with log(value) = A*n + B.  Over a prime field N is
+even and an entry is a LinExpr (A, B, k), with 2^k * log(value) = A*n + B
+(mod N); each segment carries t = 2^k mod N beside its exponent, doubled
+on every root, so the ops keep A and B inside (-N, N), and k, the roots
+taken since the segment's start, is a small int.  Either way each history
+entry is O(1) words, and the history's memory is linear in the steps.
 
 A collision yields a linear congruence for n whose solutions are verified by
 exponentiation; the first verified candidate wins.  A collision that
@@ -33,9 +37,9 @@ when tracing is on.  A segment ends with the answer or with its budget
 spent, and then the walk restarts.  The first segment starts at the target
 with exponent n; every later one at target * g^j for a random j, with
 exponent n + j; each at k = 0.  The history is never cleared: whatever
-segment stored an entry, 2^k * log(value) = A*n + B (mod N) holds for it,
-so a later segment collides with every earlier one.  A walk is sequential;
-it only reads Table I, which calls may share, and touches no global state.
+segment stored an entry, its invariant holds, so a later segment collides
+with every earlier one.  A walk is sequential; it only reads Table I, which
+calls may share, and touches no global state.
 """
 
 import math
@@ -172,6 +176,18 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     return table
 
 
+def _pair(A: int, B: int) -> tuple[int, int]:
+    return A, B
+
+
+def _scaled(A: int, B: int, k: int, order: int) -> LinExpr:
+    """A residue pair after k roots as the (A, B, k) exponent a trace row
+    shows: A*2^k and B*2^k mod N, each reduced into (-N/2, N/2]."""
+    t, half = pow(2, k, order), order >> 1
+    A, B = A * t % order, B * t % order
+    return LinExpr(A - order if A > half else A, B - order if B > half else B, k)
+
+
 def _scripted_bits(bits):
     yield from bits
     raise DecisionsExhaustedError(
@@ -206,10 +222,11 @@ class _Walk:
             self.next_bit = partial(self.rng.getrandbits, 1)
 
         # the history: Table I first, then the first exponent stored for
-        # each value the walk reaches
-        self.seen: dict[int, LinExpr] = {v: LinExpr(0, k % self.order, 0)
-                                         for v, k in table.items()}
-        self.seen.setdefault(self.target, LinExpr())
+        # each value the walk reaches, as a LinExpr on a prime field and as
+        # a residue pair (A, B) on GF(2^m)* (see _segment_char2)
+        self.entry = _pair if config.variant == "char2" else LinExpr
+        self.seen = {v: self.entry(0, k % self.order) for v, k in table.items()}
+        self.seen.setdefault(self.target, self.entry(1, 0))
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0
@@ -218,8 +235,8 @@ class _Walk:
 
     def run(self) -> DlogResult:
         known = self.seen[self.target]
-        if known.A == 0:  # the target is in Table I
-            n = known.B % self.order
+        if known[0] == 0:  # the target is in Table I
+            n = known[1] % self.order
             if self._verify(n):
                 return self._result(n, CongruenceSolution(n, self.order, 1), [n])
         # bound here, not on self: a stored bound method would be a reference
@@ -227,7 +244,7 @@ class _Walk:
         segment = (self._segment_char2 if self.config.variant == "char2"
                    else self._segment_prime)
         params = self.params
-        value, expr = self.target, LinExpr()  # target * g^0
+        value, expr = self.target, self.entry(1, 0)  # target * g^0
         while True:
             outcome = segment(value, expr)
             if outcome is not None:
@@ -239,7 +256,7 @@ class _Walk:
             # random j; stored unless the value is in the history already
             j = self.rng.randrange(self.order)
             value = params.mul(self.target, params.pow(params.generator, j))
-            expr = LinExpr(1, j, 0)
+            expr = self.entry(1, j)
             self.seen.setdefault(value, expr)
 
     # -- segments: each returns the DlogResult, or None with its budget spent -
@@ -306,33 +323,40 @@ class _Walk:
         return None  # budget spent
 
     def _segment_char2(self, value, expr):
+        """The unique-root walk on a residue pair (A, B) in locals: a
+        collision's congruence is the k-scaled one times the unit 2^(-K),
+        so it has the same solutions.  k is read only by trace rows."""
         params, seen, order = self.params, self.seen, self.order
+        # read from the module once per segment: a layer tracer wraps them
+        root, down = gf_sqrt, gf_div_by_x
+        h = (order + 1) >> 1  # 1/2 mod N
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
-        t = 1  # 2^k mod N, for dec and each root: every start has k = 0
+        A, B = expr
+        k = 0  # roots taken since the start
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             bit = next_bit()
             if bit == 1:
-                new = gf_div_by_x(value, params)
-                nexpr = expr.dec(t, order)
+                new = down(value, params)
+                B = B - 1 if B else order - 1
             else:
-                new = gf_sqrt(value, params)
-                nexpr = expr.halve()
-                t += t
-                if t >= order:
-                    t -= order
+                new = root(value, params)
+                A = A * h % order
+                B = B * h % order
+                k += 1
             if new in seen:
-                outcome = self._attempt(new, nexpr, steps)
+                outcome = self._attempt(new, LinExpr(A, B, 0), steps)
             else:
                 outcome = None
-                seen[new] = nexpr
+                seen[new] = (A, B)
             if trace is not None:
                 trace.append(TraceRecord(steps, segment, value,
-                                         "div" if bit else "sqrt", nexpr,
+                                         "div" if bit else "sqrt",
+                                         _scaled(A, B, k, order),
                                          result=new, decision=bit))
             if outcome is not None:
                 return outcome
-            value, expr = new, nexpr
+            value = new
         self.steps_taken = steps
         return None  # budget spent
 
@@ -348,8 +372,8 @@ class _Walk:
         """
         self.steps_taken = steps
         self.collisions_tested += 1
-        try:
-            sol = collision_solve(expr, self.seen[value], self.order)
+        try:  # a stored pair (A, B) is LinExpr(A, B, 0)
+            sol = collision_solve(expr, LinExpr(*self.seen[value]), self.order)
             candidates = enumerate_candidates(sol, self.order, self.config.d_max)
         except (NoSolutionError, DegenerateCollisionError,
                 TooManyCandidatesError):

@@ -39,6 +39,13 @@ def test_solve_verbose_trace(capsys):
     assert any("(n-3)/2" in line for line in lines)
 
 
+def test_solve_verbose_prints_large_denominators_as_powers(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--p", "2003", "--gen", "5",
+                           "--target", "777", "--seed", "3", "-v")
+    assert code == 0
+    assert out.splitlines()[-1].split()[-1] == "(n-1754)/2^49"
+
+
 def test_solve_collatz(capsys):
     code, out, _ = run_cli(capsys, "solve", "--p", "101", "--gen", "2",
                            "--target", "72", "--variant", "collatz",

@@ -86,6 +86,23 @@ def test_element_range_checks():
         gf_sqrt(1 << 13, GF213)
 
 
+@pytest.mark.parametrize("op,zero", [
+    (gf_sqrt, "0 has no multiplicative square root"),
+    (gf_div_by_x, "0 cannot be divided by the generator"),
+])
+def test_step_ops_reject_non_elements(op, zero):
+    # the step ops test the range inline; each bad input still raises the
+    # exact error of the full element check
+    for u, message in [(0, zero),
+                       (-5, "0x-5 is not an element of GF(2^7)"),
+                       (0x80, "0x80 is not an element of GF(2^7)"),
+                       (1 << 200, f"0x{1 << 200:x} is not an element of GF(2^7)")]:
+        with pytest.raises(ValueError) as info:
+            op(u, GF27)
+        assert str(info.value) == message, u
+    assert op(0x7F, GF27) > 0  # the widest element passes
+
+
 @pytest.mark.parametrize("params", [GF27, GF213])
 def test_field_axioms_random(params):
     rng = random.Random(params.m)

@@ -87,6 +87,10 @@ def test_str():
     assert str(LinExpr(1, 0, 1)) == "n/2"
     assert str(LinExpr(3, 1, 4)) == "(3n+1)/16"
     assert str(LinExpr(0, 64, 0)) == "64"
+    # from k = 11 on the denominator prints as a power of 2
+    assert str(LinExpr(1, 5, 10)) == "(n+5)/1024"
+    assert str(LinExpr(1, 5, 11)) == "(n+5)/2^11"
+    assert str(LinExpr(0, 0, 64)) == "0/2^64"
 
 
 def test_value_semantics():

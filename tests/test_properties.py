@@ -1,9 +1,12 @@
 """Property tests over random inputs: group laws, BSGS, both square roots,
 the collision congruence and the walk invariants.
 
-Each walk stores values together with their symbolic exponent (A, B, k),
+A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
 every trace row and in the history dict, which keeps every segment's start.
+The char2 walk stores residue pairs (A, B) mod the odd order N, with
+v = g^(A*n + B); its trace rows show (A*2^k, B*2^k, k), for which the
+first invariant holds.
 """
 
 import math
@@ -23,6 +26,7 @@ from dlogwalk.walk import WalkConfig, _Walk
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: deep roots; collatz runs
 GF27 = BinaryFieldParams(7, 0x83)
+GF213 = BinaryFieldParams(13, 0x201B)
 GROUPS = st.sampled_from([P2003, GF27])
 EXPONENTS = st.integers(min_value=0, max_value=10**6)
 
@@ -177,19 +181,60 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         return -params.order < expr.A < params.order and \
             -params.order < expr.B < params.order
 
+    def pair_holds(v, pair):  # char2 stores residues: v = g^(A*n + B)
+        A, B = pair
+        return type(pair) is tuple and 0 <= A < params.order and \
+            0 <= B < params.order and \
+            v == params.pow(g, (A * n + B) % params.order)
+
     walk = _Walk(params, params.pow(g, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
     result = walk.run()
     for rec in result.trace:
         assert bounded(rec.expr)
+        if variant == "char2":  # a row renders into (-N/2, N/2]
+            assert 2 * abs(rec.expr.A) < params.order
+            assert 2 * abs(rec.expr.B) < params.order
         for v in [rec.result] if rec.roots is None else rec.roots:
             assert holds(v, rec.expr)
     # what the walk stored, which collisions read: every segment's start too
     for v, expr in walk.seen.items():
-        assert bounded(expr)
-        assert holds(v, expr)
+        if variant == "char2":
+            assert pair_holds(v, expr)
+        else:
+            assert bounded(expr)
+            assert holds(v, expr)
     if result.success:
         assert result.n == n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GF27, GF213]), EXPONENTS,
+       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
+def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
+    # a char2 row shows its residue pair (A, B) after k roots as
+    # (A*2^k, B*2^k, k) reduced into (-N/2, N/2]: the LinExpr ops applied
+    # from the segment's start n + j, mod N, with k exact
+    order = params.order
+    walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
+        variant="char2", seed=seed, max_steps=max_steps, trace=True), None)
+    draws = [0]
+    randrange = walk.rng.randrange
+    walk.rng.randrange = lambda n: draws.append(randrange(n)) or draws[-1]
+    segment = -1
+    for rec in walk.run().trace:
+        if rec.segment != segment:
+            assert rec.segment == segment + 1
+            segment = rec.segment
+            expr, t = LinExpr(1, draws[segment], 0), 1
+        if rec.branch == "div":
+            expr = expr.dec(t, order)
+        else:
+            expr, t = expr.halve(), 2 * t % order
+        assert rec.expr.k == expr.k
+        for got, want in zip(rec.expr[:2], expr[:2]):
+            assert (got - want) % order == 0
+            assert -order < 2 * got <= order
 
 
 @settings(max_examples=100, deadline=None)

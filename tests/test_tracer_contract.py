@@ -59,10 +59,17 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
     # the tracer counts a solve only when DlogResult.congruence is the very
     # object collision_solve returned
     assert t.events["linexpr.outcome.solved"] == 1
+    ops = sum(t.calls[f"linexpr.LinExpr.{method}"]
+              for method in tracer.LINEXPR_METHODS)
     if variant == "char2":
+        # every step is one field op through a spanned name; the exponent
+        # is a residue pair in locals, so no LinExpr op runs
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
+        assert ops == 0
     else:
+        # every step builds exactly one exponent through a spanned method
+        assert ops == result.steps_taken
         # the walk knows every value's 2-Sylow log, so a root is computed
         # on exactly the root steps
         attempts = sum(rec.branch == "sqrt" for rec in result.trace)
@@ -71,6 +78,3 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         assert t.calls["primefield.legendre"] == 0
     assert t.calls["primefield.mod_pow"] + t.calls["gf2m.gf_pow"] >= \
         result.candidates_tried
-    # every step builds exactly one exponent through a spanned method
-    assert sum(t.calls[f"linexpr.LinExpr.{method}"]
-               for method in tracer.LINEXPR_METHODS) == result.steps_taken

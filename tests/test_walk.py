@@ -411,10 +411,25 @@ _BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
                "sqrt": lambda e, order: e.halve()}
 
 
+def _centred(expr, order):
+    """expr with A and B reduced into (-N/2, N/2] mod the odd N: how a
+    char2 trace row shows the residue pair it stored."""
+    def c(x):
+        x %= order
+        return x - order if 2 * x > order else x
+    return LinExpr(c(expr.A), c(expr.B), expr.k)
+
+
+def _start(variant, j):
+    """The history entry of a segment start target * g^j: n + j."""
+    return (1, j) if variant == "char2" else LinExpr(1, j, 0)
+
+
 def _check_restart_starts(params, target, variant):
     """Every segment starts at target * g^j with exponent n + j, for j = 0
-    in the first and the j its restart drew in each later one, and the
-    start is stored; returns the number of later starts."""
+    in the first and the j its restart drew in each later one, the start is
+    stored, and the first row is one op from n + j; returns the number of
+    later starts."""
     starts = 0
     for seed in range(10):
         w = _Walk(params, target, WalkConfig(
@@ -431,8 +446,13 @@ def _check_restart_starts(params, target, variant):
             assert rec.segment == segment
             assert rec.value == params.mul(target, params.pow(params.generator, j))
             assert rec.value in w.seen
-            assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0),
-                                                       params.order)
+            first = _BRANCH_OPS[rec.branch](LinExpr(1, j, 0), params.order)
+            if variant == "char2":
+                first = _centred(first, params.order)
+            assert rec.expr == first
+        # the target (in no Table I here) is stored as n
+        assert w.seen[target] == _start(variant, 0)
+        assert type(w.seen[target]) is type(_start(variant, 0))
         starts += len(draws)
     return starts
 
@@ -451,7 +471,7 @@ def test_restart_starts_at_target_times_g_power_deep_r(variant):
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_history_survives_restarts(variant):
     # a restart keeps every value stored before it, and the target keeps
-    # the exponent n it was stored with
+    # the exponent n it was stored with: (1, 0) on char2, LinExpr() else
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     earlier = 0
     for seed in range(10):
@@ -464,15 +484,17 @@ def test_history_survives_restarts(variant):
                 for v in [rec.result] if rec.roots is None else rec.roots:
                     assert v in w.seen
                     earlier += 1
-        assert w.seen[w.target] == LinExpr()
+        assert w.seen[w.target] == _start(variant, 0)
+        assert type(w.seen[w.target]) is type(_start(variant, 0))
     assert earlier > 50
 
 
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_table_one_seeds_the_history(variant):
     # the history is the one collision store: it starts with every Table I
-    # entry g^k as LinExpr(0, k mod N, 0), and no step or restart overwrites
-    # one; the shared table itself is only read
+    # entry g^k as LinExpr(0, k mod N, 0), or as the pair (0, k mod N) on
+    # char2, and no step or restart overwrites one; the shared table itself
+    # is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     table = build_table_one(params, WalkConfig(variant=variant))
     before = dict(table)
@@ -485,7 +507,11 @@ def test_table_one_seeds_the_history(variant):
             values = [rec.result] if rec.roots is None else rec.roots
             reached += any(v in table for v in values)
         for v, k in table.items():
-            assert w.seen[v] == LinExpr(0, k % params.order, 0)
+            known = w.seen[v]
+            if variant == "char2":
+                assert type(known) is tuple and known == (0, k % params.order)
+            else:
+                assert known == LinExpr(0, k % params.order, 0)
     assert table == before
     assert reached > 0  # some steps land on Table I entries
 
@@ -497,7 +523,8 @@ def test_table_one_seeds_the_history(variant):
 def test_history_exponents_stay_within_the_order(params, variant):
     # unreduced, a division lowers B by 2^k and every root raises k, so
     # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
-    # A and B has at most N's bits however long the walk
+    # A and B has at most N's bits however long the walk.  char2 stores
+    # residue pairs 0 <= A, B < N, each the exponent of its value
     order = params.order
     steps = 0
     for seed in range(1, 4):
@@ -507,10 +534,16 @@ def test_history_exponents_stay_within_the_order(params, variant):
         result = w.run()
         assert result.n == n
         steps += result.steps_taken
-        assert max(max(abs(e.A).bit_length(), abs(e.B).bit_length())
-                   for e in w.seen.values()) <= order.bit_length()
-        assert all(-order < e.A < order and -order < e.B < order
-                   for e in w.seen.values())
+        if variant == "char2":
+            g = params.generator
+            for v, (A, B) in w.seen.items():
+                assert 0 <= A < order and 0 <= B < order
+                assert v == params.pow(g, (A * n + B) % order)
+        else:
+            assert max(max(abs(e.A).bit_length(), abs(e.B).bit_length())
+                       for e in w.seen.values()) <= order.bit_length()
+            assert all(-order < e.A < order and -order < e.B < order
+                       for e in w.seen.values())
     assert steps > math.isqrt(order)
 
 
