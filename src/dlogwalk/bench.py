@@ -44,19 +44,16 @@ class StepStats(NamedTuple):
     ratio_mean_to_sqrt_order: float
 
 
-def run_trials(params, variant: str, trial_count: int, seed_base: int,
-               config: WalkConfig | None = None,
+def run_trials(params, config: WalkConfig, trial_count: int, seed_base: int,
                timing: bool = False) -> list[TrialRecord]:
-    """Run `trial_count` independent solves; failures are recorded, not raised."""
+    """Run `trial_count` independent solves of `config.variant`, trial i
+    with seed seed_base + i, so `config` sets neither seed nor choices.
+    Failures are recorded, not raised; a variant the group does not run
+    raises UnsupportedGroupError, a ValueError, before any step."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")
-    if config is None:
-        config = WalkConfig(variant=variant)
-    else:
-        if config.variant != variant:
-            raise ValueError("config.variant disagrees with variant argument")
-        if config.seed is not None or config.choices is not None:
-            raise ValueError("per-trial seeds are derived from seed_base")
+    if config.seed is not None or config.choices is not None:
+        raise ValueError("per-trial seeds are derived from seed_base")
     order = params.order
     label = str(params)
     table = build_table_one(params, config)
@@ -70,8 +67,8 @@ def run_trials(params, variant: str, trial_count: int, seed_base: int,
         result = run_dlog(params, target, cfg, table=table)
         nanos = time.perf_counter_ns() - t0 if timing else 0
         records.append(TrialRecord(
-            variant=variant, prime_or_field=label, n_true=n_true, seed=seed,
-            steps=result.steps_taken, restarts=result.restarts,
+            variant=config.variant, prime_or_field=label, n_true=n_true,
+            seed=seed, steps=result.steps_taken, restarts=result.restarts,
             success=result.success, nanos=nanos))
     return records
 

@@ -1,4 +1,4 @@
-"""Command-line front end: solve, solve-gf2m, oracle, bench, selftest.
+"""Command-line front end: solve (alias solve-gf2m), oracle, bench, selftest.
 
 Exit codes: 0 success, 1 solver failure or selftest mismatch, 2 bad usage
 or unwritable output.  Prime-field elements are decimal, binary-field
@@ -13,7 +13,8 @@ from . import __version__
 from .gf2m import BinaryFieldParams
 from .oracles import brute_force_dlog, bsgs_dlog
 from .primefield import PrimeGroupParams, prime_factors
-from .walk import DecisionsExhaustedError, WalkConfig, run_dlog
+from .walk import (SEQUENCES, VARIANTS, DecisionsExhaustedError, WalkConfig,
+                   run_dlog)
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -26,27 +27,29 @@ def _parse_bits(text: str) -> list[int]:
     return bits
 
 
+def _add_group_flags(sub):
+    """The group of solve, oracle and bench: --p with --gen, or --m with --poly."""
+    sub.add_argument("--p", type=int, help="odd prime modulus")
+    sub.add_argument("--gen", type=int, help="primitive root mod p")
+    sub.add_argument("--m", type=int, help="GF(2^m) extension degree")
+    sub.add_argument("--poly", help="modulus polynomial, hex (x^7+x+1 = 0x83)")
+
+
 def _add_walk_flags(sub):
-    """Walk tunables shared by solve, solve-gf2m and bench."""
-    sub.add_argument("--table-size", type=int, default=None,
-                     help="Table I size B (default: bit length of group order)")
-    sub.add_argument("--seq", choices=("pow2", "consec"), default="pow2",
-                     help="Table I exponents: 2^j or consecutive")
-    sub.add_argument("--max-steps", type=int, default=None)
-    sub.add_argument("--max-restarts", type=int, default=32)
-    sub.add_argument("--d-max", type=int, default=65536,
-                     help="candidate-count limit: a collision with more is skipped")
-
-
-def _add_solve_flags(sub):
-    _add_walk_flags(sub)
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed for random decisions (default 0)")
-    group.add_argument("--choices", type=_parse_bits, default=None, metavar="BITS",
-                       help="scripted decision bits, e.g. 0,1,1,0")
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="print the walk trace table")
+    """Walk tunables shared by solve and bench.  Each dest is a WalkConfig
+    field, and a flag left out is absent from the parsed args, so the
+    WalkConfig defaults are the only ones."""
+    walk = sub.add_argument_group("walk", argument_default=argparse.SUPPRESS)
+    walk.add_argument("--variant", choices=VARIANTS,
+                      help="default: the group's first (inverse, or char2)")
+    walk.add_argument("--table-size", type=int,
+                      help="Table I size B (default: bit length of group order)")
+    walk.add_argument("--seq", dest="sequence", choices=SEQUENCES,
+                      help="Table I exponents: 2^j (default) or consecutive")
+    walk.add_argument("--max-steps", type=int)
+    walk.add_argument("--max-restarts", type=int)
+    walk.add_argument("--d-max", type=int,
+                      help="candidate-count limit: a collision with more is skipped")
 
 
 def _params(parser, args):
@@ -82,16 +85,12 @@ def _target(parser, args, params) -> int:
         parser.error(f"bad target {args.target!r}: {exc}")
 
 
-def _walk_config(parser, args, params, **solve_options) -> WalkConfig:
-    variant = args.variant or params.variants[0]
-    if variant not in params.variants:
-        parser.error(f"variant {variant} does not run on {params};"
-                     f" choose from {', '.join(params.variants)}")
+def _walk_config(parser, args, params) -> WalkConfig:
+    """The WalkConfig of every parsed flag whose dest is one of its fields."""
+    options = {k: v for k, v in vars(args).items() if k in WalkConfig._fields}
+    options.setdefault("variant", params.variants[0])
     try:
-        return WalkConfig(variant=variant, table_size=args.table_size,
-                          sequence=args.seq, max_steps=args.max_steps,
-                          max_restarts=args.max_restarts, d_max=args.d_max,
-                          **solve_options)
+        return WalkConfig(**options)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -109,11 +108,10 @@ def _print_trace(result, fmt):
 
 
 def cmd_solve(parser, args) -> int:
-    """solve and solve-gf2m: one walk over the group the flags name."""
+    """One walk over the group the flags name."""
     params = _params(parser, args)
     target = _target(parser, args, params)
-    config = _walk_config(parser, args, params, seed=args.seed,
-                          choices=args.choices, trace=args.verbose)
+    config = _walk_config(parser, args, params)
     try:
         result = run_dlog(params, target, config)
     except ValueError as exc:
@@ -152,8 +150,8 @@ def cmd_bench(parser, args) -> int:
     params = _params(parser, args)
     config = _walk_config(parser, args, params)
     try:
-        records = bench.run_trials(params, config.variant, args.trials, args.seed,
-                                   config, timing=args.timing)
+        records = bench.run_trials(params, config, args.trials, args.seed_base,
+                                   timing=args.timing)
     except ValueError as exc:
         parser.error(str(exc))
     stats = bench.summarize(records, params.order)
@@ -190,49 +188,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", help="solve a prime-field discrete log")
-    solve.add_argument("--p", type=int, required=True, help="odd prime modulus")
-    solve.add_argument("--gen", type=int, required=True, help="primitive root")
-    solve.add_argument("--target", required=True)
-    solve.add_argument("--variant", choices=("inverse", "collatz"),
-                       default="inverse")
-    solve.set_defaults(m=None, poly=None)
-    _add_solve_flags(solve)
-
-    sgf = subs.add_parser("solve-gf2m", help="solve a GF(2^m) discrete log to base x")
-    sgf.add_argument("--m", type=int, required=True, help="extension degree")
-    sgf.add_argument("--poly", required=True,
-                     help="modulus polynomial, hex (x^7+x+1 = 0x83)")
-    sgf.add_argument("--target", required=True, help="target element, hex")
-    sgf.set_defaults(p=None, gen=None, variant=None)
-    _add_solve_flags(sgf)
+    solve = subs.add_parser("solve", aliases=["solve-gf2m"],
+                            help="solve a prime-field or GF(2^m) discrete log")
+    _add_group_flags(solve)
+    solve.add_argument("--target", required=True,
+                       help="decimal, or hex on GF(2^m)")
+    _add_walk_flags(solve)
+    decisions = solve.add_mutually_exclusive_group()
+    decisions.add_argument("--seed", type=int,
+                           help="PRNG seed for random decisions (default 0)")
+    decisions.add_argument("--choices", type=_parse_bits, metavar="BITS",
+                           help="scripted decision bits, e.g. 0,1,1,0")
+    solve.add_argument("-v", "--verbose", dest="trace", action="store_true",
+                       help="print the walk trace table")
+    solve.set_defaults(run=cmd_solve)
 
     oracle = subs.add_parser("oracle", help="brute-force / BSGS reference solvers")
     oracle.add_argument("--method", choices=("brute", "bsgs"), required=True)
-    oracle.add_argument("--p", type=int)
-    oracle.add_argument("--gen", type=int, default=None)
-    oracle.add_argument("--m", type=int)
-    oracle.add_argument("--poly")
+    _add_group_flags(oracle)
     oracle.add_argument("--target", required=True)
+    oracle.set_defaults(run=cmd_oracle)
 
     b = subs.add_parser("bench", help="measure walk step counts over random targets")
-    b.add_argument("--p", type=int)
-    b.add_argument("--gen", type=int)
-    b.add_argument("--m", type=int)
-    b.add_argument("--poly")
-    b.add_argument("--variant", choices=("inverse", "collatz", "char2"),
-                   help="default: the field's first (inverse or char2)")
+    _add_group_flags(b)
+    _add_walk_flags(b)
     b.add_argument("--trials", type=int, required=True)
-    b.add_argument("--seed", type=int, required=True)
+    b.add_argument("--seed", dest="seed_base", metavar="SEED", type=int,
+                   required=True, help="trial i walks with seed SEED + i")
     b.add_argument("--csv", help="write per-trial records here")
     b.add_argument("--json", help="write the summary here")
-    _add_walk_flags(b)
     b.add_argument("--timing", action="store_true",
                    help="record wall time (off by default so CSVs are reproducible)")
+    b.set_defaults(run=cmd_bench)
 
     st = subs.add_parser("selftest", help="replay the five worked examples")
     st.add_argument("--only", default=None, metavar="NAME",
                     help="replay one example; an unknown name lists them")
+    st.set_defaults(run=cmd_selftest)
 
     return parser
 
@@ -240,13 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("solve", "solve-gf2m"):
-        return cmd_solve(parser, args)
-    if args.command == "oracle":
-        return cmd_oracle(parser, args)
-    if args.command == "bench":
-        return cmd_bench(parser, args)
-    return cmd_selftest(parser, args)
+    return args.run(parser, args)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
 with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
 computes no Legendre symbol; `legendre` and `jacobi` remain for the
 generator's square check and as tested library functions.  `sylow_log`
-finds e by the Tonelli-Shanks search, which a walk runs once, on its
-target.  Every later log follows from an earlier one, since a^s = c:
+holds the one Tonelli-Shanks search for e; a walk runs it once, on its
+target, and `sqrt_mod_p` runs it only when its caller passes no log.
+Every later log follows from an earlier one, since a^s = c:
 target * a^j has log e + j, x/a has e - 1 and x^3 * a has 3e + 1
 (mod 2^r), and `sqrt_mod_p` returns the log of each root.  So a root costs
 one power and one table entry per window of e/2's bits.
@@ -298,17 +299,12 @@ def sylow_log(x: int, params: PrimeGroupParams) -> int:
     c^(-2^i) clears it.  Bit 0 set is Euler's criterion for a non-residue,
     x^((p-1)/2) = -1.
     """
-    p = params.p
+    p, r = params.p, params.r
     if x % p == 0:
         raise ValueError("x is 0 mod p")
-    return _sylow_search(pow(x, params.s, p), 0, params)
-
-
-def _sylow_search(t: int, low: int, params: PrimeGroupParams) -> int:
-    """The log e of x from t = x^s, when e's bits below `low` are 0."""
-    p, r = params.p, params.r
-    e, f = 0, pow(params.c, -1 << low, p)
-    for i in range(low, r):
+    t = pow(x, params.s, p)
+    e, f = 0, pow(params.c, -1, p)
+    for i in range(r):
         if pow(t, 1 << (r - 1 - i), p) != 1:
             t = t * f % p
             e |= 1 << i
@@ -323,33 +319,23 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
 
     max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
     even.  e is x's own log (x^s = c^e, 0 <= e < 2^r; ValueError outside
-    that range), searched for as `sylow_log` does when not given: an odd e
-    returns None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h),
-    one table entry per window of h's bits, checked by R^2 = x (ValueError
-    if not: a wrong e never yields a non-root).  R^s = c^h and
-    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).  The search
-    takes its x^s = u^2 * x from the root's power, u = x^((s-1)/2) and
-    x^((s+1)/2) = u * x, and stops at Euler's criterion, bit 0 of e, on a
-    non-residue.
+    that range), asked of `sylow_log` when not given: an odd e returns
+    None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one
+    table entry per window of h's bits, checked by R^2 = x (ValueError if
+    not: a wrong e never yields a non-root).  R^s = c^h and
+    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
     """
     p = params.p
     x %= p
     if x == 0:
         raise ValueError("x is 0 mod p")
     if e is None:
-        u = pow(x, params.s >> 1, p)
-        y = u * x % p
-        t = u * y % p  # x^s
-        if pow(t, 1 << (params.r - 1), p) != 1:
-            return None
-        e = _sylow_search(t, 1, params)
-    else:
-        if e and e >> params.r:
-            raise ValueError(
-                f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
-        if e & 1:
-            return None
-        y = pow(x, params.sqrt_exp, p)
+        e = sylow_log(x, params)
+    elif e >> params.r:
+        raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
+    if e & 1:
+        return None
+    y = pow(x, params.sqrt_exp, p)
     if e:  # always 0 for r = 1
         w, tables = params.sqrt_windows
         h, mask = e >> 1, (1 << w) - 1

@@ -209,7 +209,8 @@ def test_criterion_7_sqrt_scaling():
         means = {}
         for p, a in ((1009, 11), (10007, 5), (100003, 2)):
             params = PrimeGroupParams(p, a)
-            records = run_trials(params, "inverse", 200, seed_base=20_000 + p)
+            records = run_trials(params, WalkConfig(), 200,
+                                 seed_base=20_000 + p)
             stats = summarize(records, params.order)
             assert stats.success_rate >= 0.95, (p, stats.success_rate)
             means[p] = stats.mean_steps

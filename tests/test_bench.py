@@ -15,7 +15,7 @@ P2003 = PrimeGroupParams(2003, 5)
 
 
 def test_run_trials_all_solvable_small_prime():
-    records = run_trials(P103, "inverse", 100, seed_base=0)
+    records = run_trials(P103, WalkConfig(), 100, seed_base=0)
     assert len(records) == 100
     assert all(r.success for r in records)
     for r in records[:10]:  # spot-check against an independent solver
@@ -24,22 +24,22 @@ def test_run_trials_all_solvable_small_prime():
 
 
 def test_trials_are_deterministic():
-    a = run_trials(P2003, "inverse", 50, seed_base=9)
-    b = run_trials(P2003, "inverse", 50, seed_base=9)
+    a = run_trials(P2003, WalkConfig(), 50, seed_base=9)
+    b = run_trials(P2003, WalkConfig(), 50, seed_base=9)
     assert a == b
     assert records_to_csv(a) == records_to_csv(b)
 
 
 def test_same_seed_draws_same_exponent_across_variants():
-    a = run_trials(P2003, "inverse", 30, seed_base=4)
-    b = run_trials(P2003, "collatz", 30, seed_base=4)
+    a = run_trials(P2003, WalkConfig(variant="inverse"), 30, seed_base=4)
+    b = run_trials(P2003, WalkConfig(variant="collatz"), 30, seed_base=4)
     assert [r.n_true for r in a] == [r.n_true for r in b]
     assert [r.seed for r in a] == [r.seed for r in b]
 
 
 def test_trial_budget_invariant():
     config = WalkConfig(max_steps=10, max_restarts=8)
-    records = run_trials(P2003, "inverse", 40, seed_base=2, config=config)
+    records = run_trials(P2003, config, 40, seed_base=2)
     for r in records:
         assert r.steps <= 10 * (r.restarts + 1)
 
@@ -50,18 +50,16 @@ def test_steps_metric_counts_walk_iterations():
     from dlogwalk.walk import run_dlog
     result = run_dlog(P103, 84, WalkConfig(table_size=7, choices=[1]))
     assert result.steps_taken == 3
-    record = run_trials(P103, "inverse", 1, seed_base=5)[0]
+    record = run_trials(P103, WalkConfig(), 1, seed_base=5)[0]
     target = pow(5, record.n_true, 103) if record.n_true else 1
     assert record.steps == run_dlog(P103, target, WalkConfig(seed=5)).steps_taken
 
 
 def test_run_trials_argument_checks():
     with pytest.raises(ValueError):
-        run_trials(P103, "inverse", 0, seed_base=0)
+        run_trials(P103, WalkConfig(), 0, seed_base=0)
     with pytest.raises(ValueError):
-        run_trials(P103, "collatz", 5, seed_base=0, config=WalkConfig())
-    with pytest.raises(ValueError):
-        run_trials(P103, "inverse", 5, seed_base=0, config=WalkConfig(seed=3))
+        run_trials(P103, WalkConfig(seed=3), 5, seed_base=0)
 
 
 def test_summarize_basic():
@@ -90,7 +88,7 @@ def test_summarize_empty_raises():
 
 
 def test_csv_format(tmp_path):
-    records = run_trials(P103, "inverse", 5, seed_base=1)
+    records = run_trials(P103, WalkConfig(), 5, seed_base=1)
     text = records_to_csv(records)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -102,13 +100,13 @@ def test_csv_format(tmp_path):
 
 
 def test_timing_flag_records_wall_time():
-    records = run_trials(P103, "inverse", 3, seed_base=1, timing=True)
+    records = run_trials(P103, WalkConfig(), 3, seed_base=1, timing=True)
     assert all(r.nanos > 0 for r in records)
 
 
 def test_json_summary(tmp_path):
     import json
-    records = run_trials(P103, "inverse", 5, seed_base=1)
+    records = run_trials(P103, WalkConfig(), 5, seed_base=1)
     stats = summarize(records, 102)
     path = tmp_path / "stats.json"
     write_json(stats, str(path))
@@ -120,7 +118,7 @@ def test_json_summary(tmp_path):
 
 def test_gf2m_trials():
     gf = BinaryFieldParams(7, 0x83)
-    records = run_trials(gf, "char2", 25, seed_base=3)
+    records = run_trials(gf, WalkConfig(variant="char2"), 25, seed_base=3)
     assert all(r.success for r in records)
     assert records[0].prime_or_field == "gf2^7/0x83"
     assert str(P103) == "103"

@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from dlogwalk.cli import main
+from dlogwalk.cli import _params, _walk_config, build_parser, main
 from dlogwalk.selftest import CASES
+from dlogwalk.walk import WalkConfig
 
 
 def run_cli(capsys, *argv):
@@ -55,10 +56,42 @@ def test_solve_collatz(capsys):
 
 
 def test_solve_gf2m_worked_example(capsys):
-    code, out, _ = run_cli(capsys, "solve-gf2m", "--m", "7", "--poly", "0x83",
-                           "--target", "0x1D", "--choices", "0,1,1,1")
+    # solve takes either group, and solve-gf2m is its alias
+    argv = ("--m", "7", "--poly", "0x83", "--target", "0x1D",
+            "--choices", "0,1,1,1")
+    code, out, _ = run_cli(capsys, "solve", *argv)
     assert code == 0
-    assert out.splitlines()[0] == "38"
+    assert out.splitlines() == ["38", "steps=4 restarts=0 collisions=1 candidates=1"]
+    assert run_cli(capsys, "solve-gf2m", *argv) == (code, out, "")
+
+
+@pytest.mark.parametrize("group", (["--p", "103", "--gen", "5"],
+                                   ["--m", "7", "--poly", "0x83"]))
+def test_walk_config_defaults_live_in_walk_config(group):
+    # no walk flag given: every field but the group's variant is WalkConfig's
+    # own default, for both commands that walk
+    parser = build_parser()
+    for argv in (["solve", *group, "--target", "3"],
+                 ["bench", *group, "--trials", "1", "--seed", "0"]):
+        args = parser.parse_args(argv)
+        params = _params(parser, args)
+        assert (_walk_config(parser, args, params)
+                == WalkConfig(variant=params.variants[0]))
+
+
+def test_unsupported_variant_names_the_groups_variants(capsys):
+    for argv, runs in (
+        (["solve", "--p", "103", "--gen", "5", "--target", "84",
+          "--variant", "char2"], "inverse"),                     # 3 | 102
+        (["solve", "--m", "7", "--poly", "0x83", "--target", "0x1D",
+          "--variant", "collatz"], "char2"),
+        (["bench", "--p", "101", "--gen", "2", "--variant", "char2",
+          "--trials", "3", "--seed", "0"], "inverse, collatz"),
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        assert f"it runs {runs}\n" in capsys.readouterr().err, argv
 
 
 def test_solve_gf2m_verbose_hex_roundtrip(capsys):
@@ -196,6 +229,11 @@ def test_usage_errors_exit_two(capsys):
          "--method", "bsgs"],                                      # x not in GF(2)
         ["bench", "--m", "7", "--poly", "0x83", "--variant", "collatz",
          "--trials", "3", "--seed", "0"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--variant", "char2"],
+        ["solve", "--m", "7", "--poly", "0x83", "--target", "0x1D",
+         "--variant", "collatz"],
+        ["solve", "--target", "84"],                               # no field given
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

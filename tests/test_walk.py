@@ -566,7 +566,7 @@ def test_too_many_candidates_do_not_end_the_segment():
 
 def test_golden_bench_csv():
     from dlogwalk.bench import records_to_csv, run_trials
-    csv_text = records_to_csv(run_trials(P2003, "inverse", 50, seed_base=9))
+    csv_text = records_to_csv(run_trials(P2003, WalkConfig(), 50, seed_base=9))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_BENCH_CSV_SHA256
 
 
