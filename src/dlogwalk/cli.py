@@ -18,13 +18,11 @@ from .walk import (SEQUENCES, VARIANTS, DecisionsExhaustedError, WalkConfig,
 
 
 def _parse_bits(text: str) -> list[int]:
+    """Comma-separated ints; WalkConfig checks that each is a bit."""
     try:
-        bits = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad choice list {text!r}")
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise argparse.ArgumentTypeError("choices must be a comma-separated bit list")
-    return bits
 
 
 def _add_group_flags(sub):
@@ -56,10 +54,10 @@ def _params(parser, args):
     """The group named by --p/--gen or by --m/--poly."""
     if (args.p is None) == (args.m is None):
         parser.error("give exactly one field: --p with --gen, or --m with --poly")
-    if args.p is not None and args.gen is None:
-        parser.error("--gen is required with --p")
-    if args.m is not None and args.poly is None:
-        parser.error("--poly is required with --m")
+    if (args.p is None) != (args.gen is None):
+        parser.error("--gen goes with --p, and only with it")
+    if (args.m is None) != (args.poly is None):
+        parser.error("--poly goes with --m, and only with it")
     try:
         if args.p is not None:
             params = PrimeGroupParams(args.p, args.gen)

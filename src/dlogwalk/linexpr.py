@@ -155,7 +155,7 @@ def collision_solve(e1: LinExpr, e2: LinExpr, order: int) -> CongruenceSolution:
 
 
 def enumerate_candidates(sol: CongruenceSolution, order: int,
-                         d_max: int = 65536) -> list[int]:
+                         d_max: int) -> list[int]:
     """All d solutions mod the group order, ascending.
 
     Raises TooManyCandidatesError past d_max so the caller can walk on

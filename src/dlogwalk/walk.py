@@ -26,20 +26,20 @@ on every root, so the ops keep A and B inside (-N, N), and k, the roots
 taken since the segment's start, is a small int.  Either way each history
 entry is O(1) words, and the history's memory is linear in the steps.
 
-A collision yields a linear congruence for n whose solutions are verified by
-exponentiation; the first verified candidate wins.  A collision that
-verifies nothing (spurious, degenerate, or with more than d_max solutions)
-is walked past: the walk is random, so it cannot be trapped.  A walk runs
-in segments, each in one frame with its value and exponent in locals, of at
-most max_steps steps.  A step looks each new value up in the history and
-calls the collision handling only on a hit; it builds a trace record only
-when tracing is on.  A segment ends with the answer or with its budget
-spent, and then the walk restarts.  The first segment starts at the target
-with exponent n; every later one at target * g^j for a random j, with
-exponent n + j; each at k = 0.  The history is never cleared: whatever
-segment stored an entry, its invariant holds, so a later segment collides
-with every earlier one.  A walk is sequential; it only reads Table I, which
-calls may share, and touches no global state.
+A reached value meets the history one way: each segment start and each
+value a step produces (the fallback's, or both roots) is looked up once; a
+hit is a collision for _attempt, and a miss is stored.  A collision yields
+a linear congruence for n whose candidates are verified by exponentiation;
+the first verified one wins.  A collision that verifies nothing (spurious,
+degenerate, or with more than d_max solutions) is walked past: the walk is
+random, so it cannot be trapped.  A walk runs in segments, each in one
+frame with its value and exponent in locals, of at most max_steps steps,
+until the answer or the budget's end.  The first segment starts at the
+target with exponent n, every later one at target * g^j for a random j,
+with exponent n + j, each at k = 0.  The history is never cleared, and
+each entry's invariant holds whichever segment stored it, so a segment
+collides with every earlier one, at its start too.  A walk is sequential;
+it only reads Table I, which calls may share, and touches no global state.
 """
 
 import math
@@ -226,7 +226,6 @@ class _Walk:
         # a residue pair (A, B) on GF(2^m)* (see _segment_char2)
         self.entry = _pair if config.variant == "char2" else LinExpr
         self.seen = {v: self.entry(0, k % self.order) for v, k in table.items()}
-        self.seen.setdefault(self.target, self.entry(1, 0))
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0
@@ -234,30 +233,30 @@ class _Walk:
         self.trace: list[TraceRecord] | None = [] if config.trace else None
 
     def run(self) -> DlogResult:
-        known = self.seen[self.target]
-        if known[0] == 0:  # the target is in Table I
-            n = known[1] % self.order
-            if self._verify(n):
-                return self._result(n, CongruenceSolution(n, self.order, 1), [n])
         # bound here, not on self: a stored bound method would be a reference
         # cycle that keeps every finished walk's history alive until a full GC
         segment = (self._segment_char2 if self.config.variant == "char2"
                    else self._segment_prime)
-        params = self.params
-        value, expr = self.target, self.entry(1, 0)  # target * g^0
+        params, seen = self.params, self.seen
+        value, j = self.target, 0
         while True:
-            outcome = segment(value, expr)
+            # a segment starts at target * g^j with exponent n + j; a start
+            # already in the history is a collision like any other
+            expr = self.entry(1, j)
+            outcome = None
+            if value in seen:
+                outcome = self._attempt(value, expr, self.steps_taken)
+            else:
+                seen[value] = expr
+            if outcome is None:
+                outcome = segment(value, expr)
             if outcome is not None:
                 return outcome
             if self.restarts == self.config.max_restarts:
                 return self._result(None)
             self.restarts += 1
-            # the next segment starts at target * g^j, exponent n + j, for a
-            # random j; stored unless the value is in the history already
             j = self.rng.randrange(self.order)
             value = params.mul(self.target, params.pow(params.generator, j))
-            expr = self.entry(1, j)
-            self.seen.setdefault(value, expr)
 
     # -- segments: each returns the DlogResult, or None with its budget spent -
 
@@ -275,6 +274,7 @@ class _Walk:
         t = 1  # 2^k mod N, for the ops and each root: every start has k = 0
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
+            outcome = None
             if e & 1:
                 if inv_a is None:
                     new = value * value % p * value % p * a % p
@@ -284,29 +284,28 @@ class _Walk:
                     new = value * inv_a % p
                     nexpr = expr.dec(t, order)
                     e -= 1
-                outcome = None
                 if new in seen:
                     outcome = self._attempt(new, nexpr, steps)
+                else:
+                    seen[new] = nexpr
                 if trace is not None:
                     trace.append(TraceRecord(steps, segment, value, fallback,
                                              nexpr, result=new))
-                seen.setdefault(new, nexpr)
             else:
                 r1, r2, e = sqrt_mod_p(value, params, e)
                 nexpr = expr.halve()
                 t += t
                 if t >= order:
                     t -= order
-                outcome = None
-                if r1 in seen or r2 in seen:
-                    if r1 in seen:
-                        outcome = self._attempt(r1, nexpr, steps)
-                    if outcome is None and r2 in seen:
-                        outcome = self._attempt(r2, nexpr, steps)
-                    seen.setdefault(r1, nexpr)
-                    seen.setdefault(r2, nexpr)
+                if r1 in seen:
+                    outcome = self._attempt(r1, nexpr, steps)
                 else:
-                    seen[r1] = seen[r2] = nexpr
+                    seen[r1] = nexpr
+                if outcome is None:
+                    if r2 in seen:
+                        outcome = self._attempt(r2, nexpr, steps)
+                    else:
+                        seen[r2] = nexpr
                 bit = next_bit() if outcome is None else None
                 new = r2 if bit else r1
                 if bit:
@@ -345,7 +344,7 @@ class _Walk:
                 B = B * h % order
                 k += 1
             if new in seen:
-                outcome = self._attempt(new, LinExpr(A, B, 0), steps)
+                outcome = self._attempt(new, (A, B), steps)
             else:
                 outcome = None
                 seen[new] = (A, B)
@@ -362,30 +361,29 @@ class _Walk:
 
     # -- collision handling -------------------------------------------------
 
-    def _attempt(self, value: int, expr: LinExpr, steps: int):
+    def _attempt(self, value: int, expr, steps: int):
         """Solve the collision, at step `steps`, of a value in the history.
 
-        A Table I entry (A = 0) is never overwritten, so a value in Table I
-        collides with its known exponent.  Returns the verified DlogResult,
+        Every start or step value found in the history comes here, with the
+        exponent `expr` it was reached by; a pair (A, B) is LinExpr(A, B, 0).
+        No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None to walk on: a spurious or degenerate collision says nothing
         about n, and one with more than d_max candidates is not verified.
         """
         self.steps_taken = steps
         self.collisions_tested += 1
-        try:  # a stored pair (A, B) is LinExpr(A, B, 0)
-            sol = collision_solve(expr, LinExpr(*self.seen[value]), self.order)
+        try:
+            sol = collision_solve(LinExpr(*expr), LinExpr(*self.seen[value]),
+                                  self.order)
             candidates = enumerate_candidates(sol, self.order, self.config.d_max)
         except (NoSolutionError, DegenerateCollisionError,
                 TooManyCandidatesError):
             return None
         for n in candidates:
-            if self._verify(n):
+            self.candidates_tried += 1
+            if self.params.pow(self.params.generator, n) == self.target:
                 return self._result(n, sol, candidates)
         return None  # cannot happen for genuine matches; treated as spurious
-
-    def _verify(self, n: int) -> bool:
-        self.candidates_tried += 1
-        return self.params.pow(self.params.generator, n) == self.target
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -122,6 +122,14 @@ def test_oracle_commands(capsys):
                        "--target", "-1", "--method", method)[1].strip() == "51"
 
 
+def test_oracle_failure_exits_one(capsys):
+    # the group is valid, but its order is past the brute-force limit
+    code, out, err = run_cli(capsys, "oracle", "--p", "1000000007", "--gen",
+                             "5", "--target", "3", "--method", "brute")
+    assert (code, out) == (1, "")
+    assert "oracle failed" in err
+
+
 def test_selftest_all(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
@@ -234,6 +242,16 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "--m", "7", "--poly", "0x83", "--target", "0x1D",
          "--variant", "collatz"],
         ["solve", "--target", "84"],                               # no field given
+        ["solve", "--m", "7", "--poly", "0x83", "--gen", "5",
+         "--target", "0x1D"],                                      # stray --gen
+        ["solve", "--p", "103", "--gen", "5", "--poly", "0x83",
+         "--target", "84"],                                        # stray --poly
+        ["solve", "--p", "103", "--target", "84"],                 # no --gen
+        ["solve", "--m", "7", "--target", "0x1D"],                 # no --poly
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--choices", "0,2"],                                      # not a bit
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--choices", "x"],                                        # not an int
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -240,9 +240,12 @@ def test_collision_solutions_satisfy_congruence():
 
 
 def test_enumerate_candidates():
-    assert enumerate_candidates(CongruenceSolution(3, 34, 3), 102) == [3, 37, 71]
-    assert enumerate_candidates(CongruenceSolution(29, 102, 1), 102) == [29]
-    assert enumerate_candidates(CongruenceSolution(1, 5, 4), 20) == [1, 6, 11, 16]
+    assert enumerate_candidates(CongruenceSolution(3, 34, 3), 102,
+                                d_max=3) == [3, 37, 71]
+    assert enumerate_candidates(CongruenceSolution(29, 102, 1), 102,
+                                d_max=1) == [29]
+    assert enumerate_candidates(CongruenceSolution(1, 5, 4), 20,
+                                d_max=4) == [1, 6, 11, 16]
 
 
 def test_enumerate_candidates_limit():

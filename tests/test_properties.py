@@ -160,7 +160,7 @@ def test_collision_solve_matches_scan(e1, e2, order):
             collision_solve(e1, e2, order)
     else:
         sol = collision_solve(e1, e2, order)
-        assert enumerate_candidates(sol, order) == scan
+        assert enumerate_candidates(sol, order, d_max=order) == scan
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,8 @@ from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
 from dlogwalk.primefield import (PrimeGroupParams, legendre_euler, sqrt_mod_p,
                                  sylow_log)
 from dlogwalk.selftest import CASES, replay
-from dlogwalk.linexpr import LinExpr
+from dlogwalk.linexpr import CongruenceSolution, LinExpr
+from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
                            WalkConfig, _Walk, build_table_one,
                            default_max_steps, run_dlog)
@@ -165,6 +166,18 @@ def test_immediate_table_hit():
     result = run_dlog(P103, 5, WalkConfig(table_size=7))
     assert result.n == 1
     assert result.steps_taken == 0
+    # the target is the first segment's start: a Table I entry g^k there
+    # is one collision, n + 0 = k, with the single candidate k mod N
+    for params, variant in ((P103, "inverse"), (P257, "collatz"),
+                            (GF27, "char2")):
+        order = params.order
+        config = WalkConfig(variant=variant, seed=0)
+        for v, k in build_table_one(params, config).items():
+            result = run_dlog(params, v, config)
+            n = k % order
+            assert (result.n, result.congruence, result.candidates) == \
+                (n, CongruenceSolution(n, order, 1), [n])
+            assert _counts(result) == (n, 0, 0, 1, 1)
 
 
 def test_target_one_resolves_to_zero():
@@ -350,18 +363,20 @@ def test_failure_reports_statistics():
 
 # (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
 # 0-9 with max_steps=8, max_restarts=16.  Every segment after the first
-# starts at target * g^j and the history is kept, so every row solves.
+# starts at target * g^j and the history is kept, so every row solves; a
+# start already in the history is a collision (inverse seeds 1, 6 and 7,
+# collatz 2, 6 and 9, char2 6 here, and P257 inverse 7 and collatz 5).
 GOLDEN_SHORT_SEGMENTS = {
-    "inverse": [(1098, 72, 8, 1, 1), (1098, 17, 2, 1, 1), (1098, 45, 5, 1, 1),
+    "inverse": [(1098, 72, 8, 1, 1), (1098, 16, 2, 1, 1), (1098, 45, 5, 1, 1),
                 (1098, 24, 2, 1, 1), (1098, 28, 3, 1, 1), (1098, 10, 1, 1, 1),
-                (1098, 84, 10, 3, 1), (1098, 43, 5, 1, 1), (1098, 20, 2, 1, 1),
+                (1098, 84, 10, 4, 1), (1098, 32, 4, 1, 1), (1098, 20, 2, 1, 1),
                 (1098, 39, 4, 1, 1)],
-    "collatz": [(1098, 35, 4, 1, 1), (1098, 17, 2, 1, 8), (1098, 73, 9, 1, 2),
+    "collatz": [(1098, 35, 4, 1, 1), (1098, 17, 2, 1, 8), (1098, 72, 9, 1, 1),
                 (1098, 21, 2, 1, 1), (1098, 22, 2, 1, 1), (1098, 30, 3, 1, 1),
-                (1098, 21, 2, 3, 2), (1098, 14, 1, 1, 1), (1098, 62, 7, 1, 1),
-                (1098, 49, 6, 1, 4)],
+                (1098, 21, 2, 4, 2), (1098, 14, 1, 1, 1), (1098, 62, 7, 1, 1),
+                (1098, 48, 6, 1, 4)],
     "char2": [(38, 17, 2, 1, 1), (38, 4, 0, 1, 1), (38, 7, 0, 1, 1), (38, 8, 0, 1, 1),
-              (38, 31, 3, 4, 1), (38, 9, 1, 1, 1), (38, 25, 3, 1, 1),
+              (38, 31, 3, 4, 1), (38, 9, 1, 1, 1), (38, 25, 3, 2, 1),
               (38, 14, 1, 1, 1), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
 }
 # The same rows on P257 (r = 8, target 100 = 3^206), where every root step
@@ -369,10 +384,10 @@ GOLDEN_SHORT_SEGMENTS = {
 GOLDEN_SHORT_SEGMENTS_P257 = {
     "inverse": [(206, 11, 1, 1, 1), (206, 10, 1, 1, 1), (206, 24, 2, 1, 1),
                 (206, 13, 1, 1, 1), (206, 18, 2, 2, 1), (206, 20, 2, 1, 1),
-                (206, 15, 1, 1, 1), (206, 41, 5, 2, 1), (206, 9, 1, 1, 1),
+                (206, 15, 1, 1, 1), (206, 24, 3, 1, 1), (206, 9, 1, 1, 1),
                 (206, 9, 1, 1, 1)],
     "collatz": [(206, 26, 3, 1, 1), (206, 16, 1, 1, 1), (206, 24, 2, 1, 1),
-                (206, 13, 1, 1, 1), (206, 13, 1, 1, 2), (206, 9, 1, 1, 1),
+                (206, 13, 1, 1, 1), (206, 13, 1, 1, 2), (206, 8, 1, 1, 1),
                 (206, 28, 3, 4, 1), (206, 35, 4, 2, 1), (206, 15, 1, 1, 1),
                 (206, 29, 3, 1, 1)],
 }
@@ -428,8 +443,9 @@ def _start(variant, j):
 def _check_restart_starts(params, target, variant):
     """Every segment starts at target * g^j with exponent n + j, for j = 0
     in the first and the j its restart drew in each later one, the start is
-    stored, and the first row is one op from n + j; returns the number of
-    later starts."""
+    in the history, and the first row is one op from n + j; a last segment
+    whose start was stored before solves there and has no row.  Returns
+    the number of later starts."""
     starts = 0
     for seed in range(10):
         w = _Walk(params, target, WalkConfig(
@@ -438,10 +454,17 @@ def _check_restart_starts(params, target, variant):
         draws = []
         randrange = w.rng.randrange
         w.rng.randrange = lambda order: draws.append(randrange(order)) or draws[-1]
-        trace = w.run().trace
+        result = w.run()
+        trace = result.trace
         firsts = [rec for prev, rec in zip([None] + trace, trace)
                   if prev is None or rec.segment != prev.segment]
-        assert len(firsts) == len(draws) + 1
+        if len(firsts) == len(draws):
+            j = draws[-1]
+            start = params.mul(target, params.pow(params.generator, j))
+            assert result.success and trace[-1].segment == len(draws) - 1
+            assert w.seen[start] != _start(variant, j)  # stored before
+        else:
+            assert len(firsts) == len(draws) + 1
         for segment, (j, rec) in enumerate(zip([0] + draws, firsts)):
             assert rec.segment == segment
             assert rec.value == params.mul(target, params.pow(params.generator, j))
@@ -545,6 +568,31 @@ def test_history_exponents_stay_within_the_order(params, variant):
             assert all(-order < e.A < order and -order < e.B < order
                        for e in w.seen.values())
     assert steps > math.isqrt(order)
+
+
+@pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
+def test_stored_restart_start_solves_without_a_step(variant):
+    # a restart drawing j whose start target * g^j the first segment
+    # already reached collides there: the answer comes before any step of
+    # the second segment
+    params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
+    order = params.order
+    n = bsgs_dlog(params, target).n
+    config = WalkConfig(variant=variant, seed=0, max_steps=4,
+                        max_restarts=1, trace=True)
+    first = run_dlog(params, target, config.replace(max_restarts=0))
+    assert not first.success
+    # a value reached after a root, whose exponent is not n + j for any j
+    rec = [rec for rec in first.trace if rec.expr.k > 0][-1]
+    reached = rec.result if rec.roots is None else rec.roots[0]
+    j = (bsgs_dlog(params, reached).n - n) % order
+    w = _Walk(params, target, config, None)
+    w.rng.randrange = lambda _: j
+    result = w.run()
+    assert result.n == n
+    assert (result.steps_taken, result.restarts) == (4, 1)
+    assert result.collisions_tested == first.collisions_tested + 1
+    assert result.trace == first.trace
 
 
 def test_golden_too_many_candidates_skipped():
