@@ -14,8 +14,11 @@ collision scales 2^(K - k) need it: scaling each side by the other's t
 instead would multiply the congruence by a further 2^min(k1, k2), and its
 gcd with N, hence the candidate count, by up to the 2^r dividing N.
 
-LinExpr is a named tuple (A, B, k) because the prime walk builds one per
-step, and a tuple costs about half as much to build as a frozen dataclass.
+LinExpr's ops are the reference form of the walk's exponent arithmetic.
+The prime walk does the same arithmetic inline on plain (A, B, k) tuples,
+which the cyclic GC stops tracking, and builds a LinExpr only for a trace
+row; the tests pin its steps to these ops, and a collision reads both of
+its sides as LinExpr(*entry).
 """
 
 from math import gcd
@@ -42,12 +45,12 @@ class TooManyCandidatesError(ValueError):
 class LinExpr(NamedTuple):
     """The walk exponent m = (A*n + B) / 2^k as a function of the unknown n.
 
-    Immutable, hashable and equal by value.  The walk keeps A and B inside
-    (-N, N) and k exact (see the module docstring); dec and
-    triple_plus_one take t = 2^k mod N and N.  The ops unpack the tuple and
-    build the result with tuple.__new__, which skips the argument handling
-    of the generated __new__.  dec, halve and triple_plus_one stay methods
-    on the class, where the layer tracer in perfbench/ replaces them.
+    Immutable, hashable and equal by value, also to the plain (A, B, k)
+    tuple the walk stores.  The ops keep A and B inside (-N, N) and k
+    exact (see the module docstring); dec and triple_plus_one take
+    t = 2^k mod N and N.  They are the reference the prime walk's inline
+    steps are tested against, and they stay methods on the class under
+    these names, which the layer tracer in perfbench/ looks up.
     """
 
     A: int = 1

@@ -20,11 +20,14 @@ and B = k mod N (exponent known exactly); they go in first and are never
 overwritten.  Over GF(2^m) the order N = 2^m - 1 is odd, so halving an
 exponent is multiplying it by (N + 1)/2: an entry is a plain pair (A, B)
 of residues mod N, with log(value) = A*n + B.  Over a prime field N is
-even and an entry is a LinExpr (A, B, k), with 2^k * log(value) = A*n + B
-(mod N); each segment carries t = 2^k mod N beside its exponent, doubled
-on every root, so the ops keep A and B inside (-N, N), and k, the roots
-taken since the segment's start, is a small int.  Either way each history
-entry is O(1) words, and the history's memory is linear in the steps.
+even and an entry is a plain tuple (A, B, k), with 2^k * log(value) =
+A*n + B (mod N).  The segment applies LinExpr's dec, triple_plus_one and
+halve inline to three int locals, with the same reductions, so it stores
+the ops' own representatives; it carries t = 2^k mod N, doubled on every
+root, so A and B stay inside (-N, N), and k, the roots taken since the
+segment's start, is a small int.  A LinExpr is built only for a trace
+row.  Either way each history entry is a tuple of a few ints, which the
+cyclic GC stops tracking, and the history's memory is linear in the steps.
 
 A reached value meets the history one way: each segment start and each
 value a step produces (the fallback's, or both roots) is looked up once; a
@@ -180,6 +183,10 @@ def _pair(A: int, B: int) -> tuple[int, int]:
     return A, B
 
 
+def _triple(A: int, B: int) -> tuple[int, int, int]:
+    return A, B, 0
+
+
 def _scaled(A: int, B: int, k: int, order: int) -> LinExpr:
     """A residue pair after k roots as the (A, B, k) exponent a trace row
     shows: A*2^k and B*2^k mod N, each reduced into (-N/2, N/2]."""
@@ -222,9 +229,9 @@ class _Walk:
             self.next_bit = partial(self.rng.getrandbits, 1)
 
         # the history: Table I first, then the first exponent stored for
-        # each value the walk reaches, as a LinExpr on a prime field and as
-        # a residue pair (A, B) on GF(2^m)* (see _segment_char2)
-        self.entry = _pair if config.variant == "char2" else LinExpr
+        # each value the walk reaches, as a plain tuple (A, B, k) on a prime
+        # field and as a residue pair (A, B) on GF(2^m)* (see the segments)
+        self.entry = _pair if config.variant == "char2" else _triple
         self.seen = {v: self.entry(0, k % self.order) for v, k in table.items()}
         self.steps_taken = 0
         self.restarts = 0
@@ -261,63 +268,76 @@ class _Walk:
     # -- segments: each returns the DlogResult, or None with its budget spent -
 
     def _segment_prime(self, value, expr):
+        """The sign-ignorant walk on (A, B, k) in locals, stored as a plain
+        tuple: the LinExpr ops inline, and a LinExpr only for a trace row."""
         params, seen, order = self.params, self.seen, self.order
+        root = sqrt_mod_p  # read once per segment: a layer tracer wraps it
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = 1 << (params.r - 1), (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
+        A, B, k = expr
         # e is the value's 2-Sylow log (value^s = c^e).  A segment starts at
-        # target * a^j with exponent LinExpr(1, j, 0), so at log e_target + j
-        # since a^s = c; a root comes with its log, and div and cube move it
-        # to e - 1 and 3e + 1.  So a root is taken exactly where it exists.
-        e = (self.e_target + expr.B) & mask
+        # target * a^j with exponent (1, j, 0), so at log e_target + j since
+        # a^s = c; a root comes with its log, and div and cube move it to
+        # e - 1 and 3e + 1.  So a root is taken exactly where it exists.
+        e = (self.e_target + B) & mask
         t = 1  # 2^k mod N, for the ops and each root: every start has k = 0
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             outcome = None
             if e & 1:
-                if inv_a is None:
+                if inv_a is None:  # 3m + 1: the +1 is 2^k = t in B
                     new = value * value % p * value % p * a % p
-                    nexpr = expr.triple_plus_one(t, order)
+                    A *= 3
+                    B = 3 * B + t
+                    if not -order < A < order:
+                        A %= order
+                    if not -order < B < order:
+                        B %= order
                     e = (3 * e + 1) & mask
-                else:
+                else:  # m - 1: B falls by 2^k = t
                     new = value * inv_a % p
-                    nexpr = expr.dec(t, order)
+                    B -= t
+                    if B <= -order:
+                        B += order
                     e -= 1
+                expr = (A, B, k)
                 if new in seen:
-                    outcome = self._attempt(new, nexpr, steps)
+                    outcome = self._attempt(new, expr, steps)
                 else:
-                    seen[new] = nexpr
+                    seen[new] = expr
                 if trace is not None:
                     trace.append(TraceRecord(steps, segment, value, fallback,
-                                             nexpr, result=new))
-            else:
-                r1, r2, e = sqrt_mod_p(value, params, e)
-                nexpr = expr.halve()
+                                             LinExpr(*expr), result=new))
+            else:  # m / 2: one more root taken
+                r1, r2, e = root(value, params, e)
+                k += 1
                 t += t
                 if t >= order:
                     t -= order
+                expr = (A, B, k)
                 if r1 in seen:
-                    outcome = self._attempt(r1, nexpr, steps)
+                    outcome = self._attempt(r1, expr, steps)
                 else:
-                    seen[r1] = nexpr
+                    seen[r1] = expr
                 if outcome is None:
                     if r2 in seen:
-                        outcome = self._attempt(r2, nexpr, steps)
+                        outcome = self._attempt(r2, expr, steps)
                     else:
-                        seen[r2] = nexpr
+                        seen[r2] = expr
                 bit = next_bit() if outcome is None else None
                 new = r2 if bit else r1
                 if bit:
                     e ^= top
                 if trace is not None:
                     trace.append(TraceRecord(
-                        steps, segment, value, "sqrt", nexpr,
+                        steps, segment, value, "sqrt", LinExpr(*expr),
                         roots=(r1, r2), chosen=None if bit is None else new,
                         decision=bit))
             if outcome is not None:
                 return outcome
-            value, expr = new, nexpr
+            value = new
         self.steps_taken = steps
         return None  # budget spent
 
@@ -365,7 +385,8 @@ class _Walk:
         """Solve the collision, at step `steps`, of a value in the history.
 
         Every start or step value found in the history comes here, with the
-        exponent `expr` it was reached by; a pair (A, B) is LinExpr(A, B, 0).
+        exponent `expr` it was reached by, a plain (A, B, k) or, on GF(2^m),
+        a pair (A, B), which is LinExpr(A, B, 0).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None to walk on: a spurious or degenerate collision says nothing
         about n, and one with more than d_max candidates is not verified.

@@ -25,6 +25,7 @@ from dlogwalk.walk import WalkConfig, _Walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: deep roots; collatz runs
+P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots; collatz runs
 GF27 = BinaryFieldParams(7, 0x83)
 GF213 = BinaryFieldParams(13, 0x201B)
 GROUPS = st.sampled_from([P2003, GF27])
@@ -174,12 +175,14 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
     g = params.generator
 
     def holds(v, expr):
-        return params.pow(v, 1 << expr.k) == \
-            params.pow(g, (expr.A * n + expr.B) % params.order)
+        A, B, k = expr
+        return params.pow(v, 1 << k) == \
+            params.pow(g, (A * n + B) % params.order)
 
     def bounded(expr):  # A and B are kept inside (-N, N)
-        return -params.order < expr.A < params.order and \
-            -params.order < expr.B < params.order
+        A, B, _ = expr
+        return -params.order < A < params.order and \
+            -params.order < B < params.order
 
     def pair_holds(v, pair):  # char2 stores residues: v = g^(A*n + B)
         A, B = pair
@@ -201,7 +204,8 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
     for v, expr in walk.seen.items():
         if variant == "char2":
             assert pair_holds(v, expr)
-        else:
+        else:  # a plain tuple (A, B, k)
+            assert type(expr) is tuple
             assert bounded(expr)
             assert holds(v, expr)
     if result.success:
@@ -235,6 +239,40 @@ def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
         for got, want in zip(rec.expr[:2], expr[:2]):
             assert (got - want) % order == 0
             assert -order < 2 * got <= order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P2003, P257, P7340033]),
+       st.sampled_from(["inverse", "collatz"]), EXPONENTS,
+       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
+@example(P2003, "inverse", 928, 282, None)  # row 21: B - t = -N exactly
+def test_prime_rows_follow_the_reference_ops(params, variant, n, seed,
+                                             max_steps):
+    # the prime segment does its exponent arithmetic inline: each row's
+    # (A, B, k) is the LinExpr op of its branch applied to the row before
+    # it, or to the segment's start n + j, with t = 2^k mod N, so every
+    # reduction lands on the reference op's representative
+    order = params.order
+    walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
+        variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
+    draws = [0]
+    randrange = walk.rng.randrange
+    walk.rng.randrange = lambda n: draws.append(randrange(n)) or draws[-1]
+    segment = -1
+    for rec in walk.run().trace:
+        if rec.segment != segment:
+            assert rec.segment == segment + 1
+            segment = rec.segment
+            expr = LinExpr(1, draws[segment], 0)
+        t = pow(2, expr.k, order)
+        if rec.branch == "div":
+            expr = expr.dec(t, order)
+        elif rec.branch == "cube":
+            expr = expr.triple_plus_one(t, order)
+        else:
+            expr = expr.halve()
+        assert type(rec.expr) is LinExpr
+        assert rec.expr == expr
 
 
 @settings(max_examples=100, deadline=None)

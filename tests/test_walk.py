@@ -437,7 +437,7 @@ def _centred(expr, order):
 
 def _start(variant, j):
     """The history entry of a segment start target * g^j: n + j."""
-    return (1, j) if variant == "char2" else LinExpr(1, j, 0)
+    return (1, j) if variant == "char2" else (1, j, 0)
 
 
 def _check_restart_starts(params, target, variant):
@@ -494,7 +494,7 @@ def test_restart_starts_at_target_times_g_power_deep_r(variant):
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_history_survives_restarts(variant):
     # a restart keeps every value stored before it, and the target keeps
-    # the exponent n it was stored with: (1, 0) on char2, LinExpr() else
+    # the exponent n it was stored with: (1, 0) on char2, (1, 0, 0) else
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     earlier = 0
     for seed in range(10):
@@ -515,9 +515,9 @@ def test_history_survives_restarts(variant):
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_table_one_seeds_the_history(variant):
     # the history is the one collision store: it starts with every Table I
-    # entry g^k as LinExpr(0, k mod N, 0), or as the pair (0, k mod N) on
-    # char2, and no step or restart overwrites one; the shared table itself
-    # is only read
+    # entry g^k as the plain tuple (0, k mod N, 0), or as the pair
+    # (0, k mod N) on char2, and no step or restart overwrites one; the
+    # shared table itself is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     table = build_table_one(params, WalkConfig(variant=variant))
     before = dict(table)
@@ -534,7 +534,8 @@ def test_table_one_seeds_the_history(variant):
             if variant == "char2":
                 assert type(known) is tuple and known == (0, k % params.order)
             else:
-                assert known == LinExpr(0, k % params.order, 0)
+                assert type(known) is tuple
+                assert known == (0, k % params.order, 0)
     assert table == before
     assert reached > 0  # some steps land on Table I entries
 
@@ -563,10 +564,10 @@ def test_history_exponents_stay_within_the_order(params, variant):
                 assert 0 <= A < order and 0 <= B < order
                 assert v == params.pow(g, (A * n + B) % order)
         else:
-            assert max(max(abs(e.A).bit_length(), abs(e.B).bit_length())
-                       for e in w.seen.values()) <= order.bit_length()
-            assert all(-order < e.A < order and -order < e.B < order
-                       for e in w.seen.values())
+            assert max(max(abs(A).bit_length(), abs(B).bit_length())
+                       for A, B, _ in w.seen.values()) <= order.bit_length()
+            assert all(-order < A < order and -order < B < order
+                       for A, B, _ in w.seen.values())
     assert steps > math.isqrt(order)
 
 
