@@ -135,7 +135,10 @@ class PrimeGroupParams(Record):
     bits are split into count = ceil((r-1)/11) windows of
     w = ceil((r-1)/count) bits (two of 10 for r = 20, none for r = 1), and
     window i's table holds c^(-j*2^(i*w)) for j < 2^w, the last window's
-    only for the bits left (2^9 entries for r = 20).  A square is never a
+    only for the bits left (2^9 entries for r = 20).  sqrt_mask = 2^w - 1
+    picks a window's bits of h, and sqrt_top = 2^(r-1) is the top bit of
+    a log, which tells a root from its negative.  These four are derived
+    from p and a once, so == does not compare them.  A square is never a
     primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order is given, it must list every prime factor of
     p - 1 (ValueError names a cofactor it leaves), and primitivity of a is
@@ -143,7 +146,8 @@ class PrimeGroupParams(Record):
     """
 
     _fields = ("p", "a", "factors_of_order", "r", "s", "c")
-    __slots__ = _fields + ("sqrt_exp", "sqrt_windows", "variants")
+    __slots__ = _fields + ("sqrt_exp", "sqrt_windows", "sqrt_mask",
+                           "sqrt_top", "variants")
 
     def __init__(self, p: int, a: int,
                  factors_of_order: tuple[int, ...] | None = None):
@@ -178,6 +182,8 @@ class PrimeGroupParams(Record):
         self._assign(p, a, factors_of_order, r, s, pow(a, s, p))
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_windows = _sqrt_windows(p, r, self.c)
+        self.sqrt_mask = (1 << self.sqrt_windows[0]) - 1
+        self.sqrt_top = 1 << (r - 1)
         # cubing, the 3x+1 step, is a bijection of the group only when
         # gcd(3, p - 1) = 1
         self.variants = (("inverse", "collatz") if (p - 1) % 3
@@ -318,32 +324,37 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
     non-residue; e_min is min's 2-Sylow log: min^s = c^e_min.
 
     max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
-    even.  e is x's own log (x^s = c^e, 0 <= e < 2^r; ValueError outside
-    that range), asked of `sylow_log` when not given: an odd e returns
-    None, and an even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one
-    table entry per window of h's bits, checked by R^2 = x (ValueError if
-    not: a wrong e never yields a non-root).  R^s = c^h and
-    (-R)^s = c^(h + 2^(r-1)), since (-1)^s = -1 = c^(2^(r-1)).
+    even.  x is reduced mod p only when it lies outside [1, p).  e is x's
+    own log (x^s = c^e, 0 <= e < 2^r; ValueError outside that range),
+    asked of `sylow_log` when not given: an odd e returns None, and an
+    even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one table entry
+    per window of h's bits (picked by params.sqrt_mask), checked by
+    R^2 = x (ValueError naming e if not: a wrong e never yields a
+    non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
+    (-1)^s = -1 = c^(2^(r-1)), so the log of -R is h ^ params.sqrt_top.
     """
     p = params.p
-    x %= p
-    if x == 0:
-        raise ValueError("x is 0 mod p")
+    if not 0 < x < p:
+        x %= p
+        if x == 0:
+            raise ValueError("x is 0 mod p")
     if e is None:
         e = sylow_log(x, params)
     elif e >> params.r:
         raise ValueError(f"log {e} of {x} is outside 0 <= e < 2^{params.r}")
     if e & 1:
         return None
+    h = e >> 1
     y = pow(x, params.sqrt_exp, p)
-    if e:  # always 0 for r = 1
+    if h:  # always 0 for r = 1
         w, tables = params.sqrt_windows
-        h, mask = e >> 1, (1 << w) - 1
+        mask, bits = params.sqrt_mask, h
         for table in tables:
-            y = y * table[h & mask] % p
-            h >>= w
+            y = y * table[bits & mask] % p
+            bits >>= w
     if y * y % p != x:
         raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
-    if y < p - y:
-        return y, p - y, e >> 1
-    return p - y, y, (e >> 1) ^ (1 << (params.r - 1))
+    q = p - y
+    if y < q:
+        return y, q, h
+    return q, y, h ^ params.sqrt_top

@@ -23,11 +23,13 @@ of residues mod N, with log(value) = A*n + B.  Over a prime field N is
 even and an entry is a plain tuple (A, B, k), with 2^k * log(value) =
 A*n + B (mod N).  The segment applies LinExpr's dec, triple_plus_one and
 halve inline to three int locals, with the same reductions, so it stores
-the ops' own representatives; it carries t = 2^k mod N, doubled on every
-root, so A and B stay inside (-N, N), and k, the roots taken since the
-segment's start, is a small int.  A LinExpr is built only for a trace
-row.  Either way each history entry is a tuple of a few ints, which the
-cyclic GC stops tracking, and the history's memory is linear in the steps.
+the ops' own representatives (a collatz segment never subtracts, so its A
+and B are never negative and 3m + 1 tests only A, B < N); it carries
+t = 2^k mod N, doubled on every root, so A and B stay inside (-N, N), and
+k, the roots taken since the segment's start, is a small int.  A LinExpr
+is built only for a trace row.  Either way each history entry is a tuple
+of a few ints, which the cyclic GC stops tracking, and the history's
+memory is linear in the steps.
 
 A reached value meets the history one way: each segment start and each
 value a step produces (the fallback's, or both roots) is looked up once; a
@@ -273,7 +275,7 @@ class _Walk:
         params, seen, order = self.params, self.seen, self.order
         root = sqrt_mod_p  # read once per segment: a layer tracer wraps it
         p, a, inv_a = params.p, params.a, self.inv_a
-        top, mask = 1 << (params.r - 1), (1 << params.r) - 1
+        top, mask = params.sqrt_top, (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
         A, B, k = expr
@@ -288,12 +290,13 @@ class _Walk:
             outcome = None
             if e & 1:
                 if inv_a is None:  # 3m + 1: the +1 is 2^k = t in B
+                    # A, B >= 0: a collatz segment starts at (1, j, 0)
                     new = value * value % p * value % p * a % p
                     A *= 3
                     B = 3 * B + t
-                    if not -order < A < order:
+                    if A >= order:
                         A %= order
-                    if not -order < B < order:
+                    if B >= order:
                         B %= order
                     e = (3 * e + 1) & mask
                 else:  # m - 1: B falls by 2^k = t

@@ -274,8 +274,30 @@ def test_sqrt_from_a_wrong_log(p, a, r):
         assert sqrt_mod_p(x, params, e ^ 1) is None
         if r > 1:  # r = 1 has one even log only
             wrong = (e + 2 * rng.randrange(1, 2**(r - 1))) % 2**r
-            with pytest.raises(ValueError, match="not the 2-Sylow log"):
+            # the message names the log passed in, not the half log
+            with pytest.raises(
+                    ValueError,
+                    match=rf"^{wrong} is not the 2-Sylow log of {x} mod {p}$"):
                 sqrt_mod_p(x, params, wrong)
+
+
+@pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)
+def test_sqrt_of_unreduced_inputs(p, a, r):
+    # x outside [1, p) is reduced first: every x + k*p has x's roots, with
+    # or without its log, and a multiple of p is 0 mod p
+    params = PrimeGroupParams(p, a)
+    rng = random.Random(p + 4)
+    for _ in range(20):
+        x = rng.randrange(1, p)
+        e = sylow_log(x, params)
+        roots = sqrt_mod_p(x, params)
+        for k in (-3, -1, 1, 2):
+            assert sqrt_mod_p(x + k * p, params) == roots, (x, k)
+            assert sqrt_mod_p(x + k * p, params, e) == roots, (x, k)
+    for zero in (0, p, -p, 2 * p):
+        for e in (None, 0):
+            with pytest.raises(ValueError, match="^x is 0 mod p$"):
+                sqrt_mod_p(zero, params, e)
 
 
 @pytest.mark.parametrize("params", [

@@ -96,6 +96,9 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
     assert params.r == r
     assert pow(c, 2**(r - 1), p) == p - 1  # c has order 2^r exactly
     w, tables = params.sqrt_windows
+    # the derived constants of sqrt_mod_p: a window's mask and the sign bit
+    assert params.sqrt_mask == 2**w - 1
+    assert params.sqrt_top == 2**(r - 1)
     if r == 1:  # the half log h < 2^(r-1) is always 0
         assert tables == ()
         return
@@ -246,6 +249,7 @@ def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
        st.sampled_from(["inverse", "collatz"]), EXPONENTS,
        st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
 @example(P2003, "inverse", 928, 282, None)  # row 21: B - t = -N exactly
+@example(P2003, "collatz", 1944, 399, None)  # row 22: 3B + t = N exactly
 def test_prime_rows_follow_the_reference_ops(params, variant, n, seed,
                                              max_steps):
     # the prime segment does its exponent arithmetic inline: each row's

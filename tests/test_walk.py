@@ -548,7 +548,8 @@ def test_history_exponents_stay_within_the_order(params, variant):
     # unreduced, a division lowers B by 2^k and every root raises k, so
     # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
     # A and B has at most N's bits however long the walk.  char2 stores
-    # residue pairs 0 <= A, B < N, each the exponent of its value
+    # residue pairs 0 <= A, B < N, each the exponent of its value; a
+    # collatz segment never subtracts, so its A and B stay inside [0, N)
     order = params.order
     steps = 0
     for seed in range(1, 4):
@@ -568,6 +569,9 @@ def test_history_exponents_stay_within_the_order(params, variant):
                        for A, B, _ in w.seen.values()) <= order.bit_length()
             assert all(-order < A < order and -order < B < order
                        for A, B, _ in w.seen.values())
+            if variant == "collatz":
+                assert all(0 <= A < order and 0 <= B < order
+                           for A, B, _ in w.seen.values())
     assert steps > math.isqrt(order)
 
 
