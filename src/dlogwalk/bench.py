@@ -19,10 +19,6 @@ from typing import NamedTuple
 
 from .walk import WalkConfig, build_table_one, run_dlog
 
-CSV_COLUMNS = ("variant", "prime_or_field", "n_true", "seed", "steps",
-               "restarts", "success", "nanos")
-
-
 class TrialRecord(NamedTuple):
     variant: str
     prime_or_field: str
@@ -32,6 +28,9 @@ class TrialRecord(NamedTuple):
     restarts: int
     success: bool
     nanos: int
+
+
+CSV_COLUMNS = TrialRecord._fields
 
 
 class StepStats(NamedTuple):
@@ -99,9 +98,7 @@ def records_to_csv(records: list[TrialRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow([r.variant, r.prime_or_field, r.n_true, r.seed,
-                         r.steps, r.restarts, int(r.success), r.nanos])
+    writer.writerows(r._replace(success=int(r.success)) for r in records)
     return buf.getvalue()
 
 

@@ -23,7 +23,7 @@ def brute_force_dlog(params, target: int) -> OracleResult:
         if acc == target:
             return OracleResult(e, "brute")
         acc = mul(acc, gen)
-    raise ValueError(f"{target} is not a power of the generator")
+    raise ValueError(f"{params.format(target)} is not a power of the generator")
 
 
 def bsgs_dlog(params, target: int) -> OracleResult:
@@ -46,4 +46,4 @@ def bsgs_dlog(params, target: int) -> OracleResult:
         if j is not None:
             return OracleResult((i * m + j) % order, "bsgs")
         cur = mul(cur, stride)
-    raise ValueError(f"{target} is not a power of the generator")
+    raise ValueError(f"{params.format(target)} is not a power of the generator")

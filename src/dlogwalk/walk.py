@@ -17,19 +17,18 @@ unknown n, in one dict, the walk history: from each visited value (and
 each untaken square root) to the first exponent stored for it.  It starts
 as a copy of Table I, precomputed generator powers g^k stored with A = 0
 and B = k mod N (exponent known exactly); they go in first and are never
-overwritten.  Over GF(2^m) the order N = 2^m - 1 is odd, so halving an
-exponent is multiplying it by (N + 1)/2: an entry is a plain pair (A, B)
-of residues mod N, with log(value) = A*n + B.  Over a prime field N is
-even and an entry is a plain tuple (A, B, k), with 2^k * log(value) =
-A*n + B (mod N).  The segment applies LinExpr's dec, triple_plus_one and
-halve inline to three int locals, with the same reductions, so it stores
-the ops' own representatives (a collatz segment never subtracts, so its A
-and B are never negative and 3m + 1 tests only A, B < N); it carries
-t = 2^k mod N, doubled on every root, so A and B stay inside (-N, N), and
-k, the roots taken since the segment's start, is a small int.  A LinExpr
-is built only for a trace row.  Either way each history entry is a tuple
-of a few ints, which the cyclic GC stops tracking, and the history's
-memory is linear in the steps.
+overwritten.  Every entry is a plain tuple (A, B, k), with 2^k *
+log(value) = A*n + B (mod N).  Over GF(2^m) the order N = 2^m - 1 is odd,
+so halving an exponent is multiplying it by (N + 1)/2: an entry is
+(A, B, 0) with A and B residues mod N.  The prime segment applies LinExpr's
+dec, triple_plus_one and halve inline to three int locals, with the same
+reductions, so it stores the ops' own representatives (a collatz segment
+never subtracts, so its A and B are never negative and 3m + 1 tests only
+A, B < N); it carries t = 2^k mod N, doubled on every root, so A and B
+stay inside (-N, N), and k, the roots taken since the segment's start, is
+a small int.  A LinExpr is built only for a trace row.  So each history
+entry is a tuple of three ints, which the cyclic GC stops tracking, and
+the history's memory is linear in the steps.
 
 A reached value meets the history one way: each segment start and each
 value a step produces (the fallback's, or both roots) is looked up once; a
@@ -181,14 +180,6 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     return table
 
 
-def _pair(A: int, B: int) -> tuple[int, int]:
-    return A, B
-
-
-def _triple(A: int, B: int) -> tuple[int, int, int]:
-    return A, B, 0
-
-
 def _scaled(A: int, B: int, k: int, order: int) -> LinExpr:
     """A residue pair after k roots as the (A, B, k) exponent a trace row
     shows: A*2^k and B*2^k mod N, each reduced into (-N/2, N/2]."""
@@ -231,10 +222,9 @@ class _Walk:
             self.next_bit = partial(self.rng.getrandbits, 1)
 
         # the history: Table I first, then the first exponent stored for
-        # each value the walk reaches, as a plain tuple (A, B, k) on a prime
-        # field and as a residue pair (A, B) on GF(2^m)* (see the segments)
-        self.entry = _pair if config.variant == "char2" else _triple
-        self.seen = {v: self.entry(0, k % self.order) for v, k in table.items()}
+        # each value the walk reaches, as a plain tuple (A, B, k), with
+        # k = 0 on GF(2^m)* (see the segments)
+        self.seen = {v: (0, k % self.order, 0) for v, k in table.items()}
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0
@@ -251,7 +241,7 @@ class _Walk:
         while True:
             # a segment starts at target * g^j with exponent n + j; a start
             # already in the history is a collision like any other
-            expr = self.entry(1, j)
+            expr = (1, j, 0)
             outcome = None
             if value in seen:
                 outcome = self._attempt(value, expr, self.steps_taken)
@@ -345,16 +335,16 @@ class _Walk:
         return None  # budget spent
 
     def _segment_char2(self, value, expr):
-        """The unique-root walk on a residue pair (A, B) in locals: a
-        collision's congruence is the k-scaled one times the unit 2^(-K),
-        so it has the same solutions.  k is read only by trace rows."""
+        """The unique-root walk on a residue pair (A, B) in locals, stored
+        as (A, B, 0): a collision's congruence is the k-scaled one times the
+        unit 2^(-K), so it has the same solutions.  The local k is read only
+        by trace rows."""
         params, seen, order = self.params, self.seen, self.order
         # read from the module once per segment: a layer tracer wraps them
         root, down = gf_sqrt, gf_div_by_x
         h = (order + 1) >> 1  # 1/2 mod N
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
-        A, B = expr
-        k = 0  # roots taken since the start
+        A, B, k = expr  # k = 0, then the roots taken since the start
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             bit = next_bit()
@@ -367,10 +357,10 @@ class _Walk:
                 B = B * h % order
                 k += 1
             if new in seen:
-                outcome = self._attempt(new, (A, B), steps)
+                outcome = self._attempt(new, (A, B, 0), steps)
             else:
                 outcome = None
-                seen[new] = (A, B)
+                seen[new] = (A, B, 0)
             if trace is not None:
                 trace.append(TraceRecord(steps, segment, value,
                                          "div" if bit else "sqrt",
@@ -388,8 +378,8 @@ class _Walk:
         """Solve the collision, at step `steps`, of a value in the history.
 
         Every start or step value found in the history comes here, with the
-        exponent `expr` it was reached by, a plain (A, B, k) or, on GF(2^m),
-        a pair (A, B), which is LinExpr(A, B, 0).
+        exponent `expr` it was reached by, a plain (A, B, k), which is
+        (A, B, 0) on GF(2^m).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None to walk on: a spurious or degenerate collision says nothing
         about n, and one with more than d_max candidates is not verified.

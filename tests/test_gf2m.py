@@ -76,6 +76,8 @@ def test_pow_known_values():
     assert gf_pow(GENERATOR, 38, GF27) == 0x1D
     with pytest.raises(ValueError):
         gf_pow(0, 0, GF27)
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        gf_pow(3, -1, GF27)
     assert gf_pow(0, 3, GF27) == 0
 
 

@@ -140,6 +140,8 @@ def test_solve_linear_no_solution():
 def test_solve_linear_degenerate_order_one():
     assert solve_linear(0, 0, 1) == CongruenceSolution(0, 1, 1)
     assert solve_linear(0, 0, 12) == CongruenceSolution(0, 1, 12)
+    with pytest.raises(ValueError, match="order must be positive"):
+        solve_linear(1, 1, 0)
 
 
 def _scan_solutions(coef, rhs, order):

@@ -48,9 +48,17 @@ def test_targets_reduced_and_checked_like_the_walk():
     for target, n in ((104, 0), (-1, 51)):
         assert brute_force_dlog(params, target).n == n
         assert bsgs_dlog(params, target).n == n
+    # generators taken on trust: -1 mod 103 has order 2, x mod
+    # x^4 + x^3 + x^2 + x + 1 has order 5
+    untrusted = ((PrimeGroupParams(103, 102), 5, "5"),
+                 (BinaryFieldParams(4, 0x1f), 0x3, "0x3"))
     for solver in (brute_force_dlog, bsgs_dlog):
         for group, target in ((params, 0), (GF27, 0), (GF27, 0x80)):
             with pytest.raises(ValueError):
+                solver(group, target)
+        for group, target, shown in untrusted:
+            with pytest.raises(ValueError, match=f"^{shown} is not a power"
+                                                 " of the generator$"):
                 solver(group, target)
 
 

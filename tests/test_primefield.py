@@ -94,6 +94,8 @@ def test_mod_pow_known_values():
     assert mod_pow(5, 2**6, P103) == 36
     assert mod_pow(2, 2**6, P101) == 79
     assert mod_pow(7, 0, P103) == 1
+    with pytest.raises(ValueError, match="exponent must be nonnegative"):
+        mod_pow(3, -1, P103)
 
 
 def test_mod_pow_against_builtin():
@@ -118,6 +120,8 @@ def test_legendre_known_values():
     assert legendre(1, P101) == 1
     with pytest.raises(ValueError):
         legendre(0, P103)
+    with pytest.raises(ValueError, match="x is 0 mod p"):
+        legendre_euler(103, P103)
 
 
 @pytest.mark.parametrize("params", [

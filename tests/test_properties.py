@@ -4,9 +4,9 @@ the collision congruence and the walk invariants.
 A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
 every trace row and in the history dict, which keeps every segment's start.
-The char2 walk stores residue pairs (A, B) mod the odd order N, with
-v = g^(A*n + B); its trace rows show (A*2^k, B*2^k, k), for which the
-first invariant holds.
+The char2 walk stores (A, B, 0) with A and B residues mod the odd order
+N, so v = g^(A*n + B); its trace rows show (A*2^k, B*2^k, k), for which
+the same invariant holds.
 """
 
 import math
@@ -187,12 +187,6 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         return -params.order < A < params.order and \
             -params.order < B < params.order
 
-    def pair_holds(v, pair):  # char2 stores residues: v = g^(A*n + B)
-        A, B = pair
-        return type(pair) is tuple and 0 <= A < params.order and \
-            0 <= B < params.order and \
-            v == params.pow(g, (A * n + B) % params.order)
-
     walk = _Walk(params, params.pow(g, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
     result = walk.run()
@@ -204,13 +198,13 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         for v in [rec.result] if rec.roots is None else rec.roots:
             assert holds(v, rec.expr)
     # what the walk stored, which collisions read: every segment's start too
-    for v, expr in walk.seen.items():
-        if variant == "char2":
-            assert pair_holds(v, expr)
-        else:  # a plain tuple (A, B, k)
-            assert type(expr) is tuple
-            assert bounded(expr)
-            assert holds(v, expr)
+    for v, expr in walk.seen.items():  # a plain tuple (A, B, k)
+        assert type(expr) is tuple
+        assert bounded(expr)
+        assert holds(v, expr)
+        if variant == "char2":  # residues mod N, stored with k = 0
+            A, B, k = expr
+            assert k == 0 and 0 <= A < params.order and 0 <= B < params.order
     if result.success:
         assert result.n == n
 

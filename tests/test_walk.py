@@ -9,7 +9,7 @@ from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
 from dlogwalk.primefield import (PrimeGroupParams, legendre_euler, sqrt_mod_p,
                                  sylow_log)
 from dlogwalk.selftest import CASES, replay
-from dlogwalk.linexpr import CongruenceSolution, LinExpr
+from dlogwalk.linexpr import CongruenceSolution, LinExpr, collision_solve
 from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
                            WalkConfig, _Walk, build_table_one,
@@ -22,6 +22,7 @@ P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
 P16776899 = PrimeGroupParams(16776899, 2)  # 2 * 8388449: a safe prime
 GF27 = BinaryFieldParams(7, 0x83)
+GF213 = BinaryFieldParams(13, 0x201B)
 GF219 = BinaryFieldParams(19, 0x80027)
 
 
@@ -158,6 +159,30 @@ def test_replay_detects_corruption(monkeypatch):
 
     monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
     assert replay(CASES[0]) is not None
+
+
+_BY_NAME = {case.name: case for case in CASES}
+
+
+@pytest.mark.parametrize("name,changes,message", [
+    ("gf2m1", lambda c: {"rows": c.rows + c.rows[-1:]},
+     "row 5: walk ended early (expected value 0x28)"),
+    ("prime1", lambda c: {"rows": c.rows[:2]}, "walk took 3 rows, expected 2"),
+    ("prime1", lambda c: {"rows": c.rows[:2] + ((77, "div", 37, None, None,
+                                                   (1, -3, 1)),)},
+     "row 3: expected (77, 'div', 37, None, None, (1, -3, 1)),"
+     " got (77, 'div', 36, None, None, (1, -3, 1))"),
+    ("prime2", lambda c: {"congruence": CongruenceSolution(3, 34, 1)},
+     "congruence CongruenceSolution(residue=3, modulus=34, count=3),"
+     " expected CongruenceSolution(residue=3, modulus=34, count=1)"),
+    ("prime2", lambda c: {"candidates": (3, 37)},
+     "candidates [3, 37, 71], expected [3, 37]"),
+    ("collatz", lambda c: {"n": 40}, "n = 41, expected 40"),
+], ids=["extra-row", "dropped-row", "altered-row", "congruence", "candidates",
+        "n"])
+def test_replay_names_each_divergence(name, changes, message):
+    case = _BY_NAME[name]
+    assert replay(case._replace(**changes(case))) == message
 
 
 # -- solving behaviour -----------------------------------------------------
@@ -428,16 +453,11 @@ _BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
 
 def _centred(expr, order):
     """expr with A and B reduced into (-N/2, N/2] mod the odd N: how a
-    char2 trace row shows the residue pair it stored."""
+    char2 trace row shows the residues A and B it stored."""
     def c(x):
         x %= order
         return x - order if 2 * x > order else x
     return LinExpr(c(expr.A), c(expr.B), expr.k)
-
-
-def _start(variant, j):
-    """The history entry of a segment start target * g^j: n + j."""
-    return (1, j) if variant == "char2" else (1, j, 0)
 
 
 def _check_restart_starts(params, target, variant):
@@ -462,7 +482,7 @@ def _check_restart_starts(params, target, variant):
             j = draws[-1]
             start = params.mul(target, params.pow(params.generator, j))
             assert result.success and trace[-1].segment == len(draws) - 1
-            assert w.seen[start] != _start(variant, j)  # stored before
+            assert w.seen[start] != (1, j, 0)  # stored before
         else:
             assert len(firsts) == len(draws) + 1
         for segment, (j, rec) in enumerate(zip([0] + draws, firsts)):
@@ -474,8 +494,7 @@ def _check_restart_starts(params, target, variant):
                 first = _centred(first, params.order)
             assert rec.expr == first
         # the target (in no Table I here) is stored as n
-        assert w.seen[target] == _start(variant, 0)
-        assert type(w.seen[target]) is type(_start(variant, 0))
+        assert type(w.seen[target]) is tuple and w.seen[target] == (1, 0, 0)
         starts += len(draws)
     return starts
 
@@ -494,7 +513,7 @@ def test_restart_starts_at_target_times_g_power_deep_r(variant):
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_history_survives_restarts(variant):
     # a restart keeps every value stored before it, and the target keeps
-    # the exponent n it was stored with: (1, 0) on char2, (1, 0, 0) else
+    # the exponent n it was stored with, (1, 0, 0)
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     earlier = 0
     for seed in range(10):
@@ -507,17 +526,16 @@ def test_history_survives_restarts(variant):
                 for v in [rec.result] if rec.roots is None else rec.roots:
                     assert v in w.seen
                     earlier += 1
-        assert w.seen[w.target] == _start(variant, 0)
-        assert type(w.seen[w.target]) is type(_start(variant, 0))
+        assert type(w.seen[w.target]) is tuple
+        assert w.seen[w.target] == (1, 0, 0)
     assert earlier > 50
 
 
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_table_one_seeds_the_history(variant):
     # the history is the one collision store: it starts with every Table I
-    # entry g^k as the plain tuple (0, k mod N, 0), or as the pair
-    # (0, k mod N) on char2, and no step or restart overwrites one; the
-    # shared table itself is only read
+    # entry g^k as the plain tuple (0, k mod N, 0), and no step or restart
+    # overwrites one; the shared table itself is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     table = build_table_one(params, WalkConfig(variant=variant))
     before = dict(table)
@@ -531,11 +549,7 @@ def test_table_one_seeds_the_history(variant):
             reached += any(v in table for v in values)
         for v, k in table.items():
             known = w.seen[v]
-            if variant == "char2":
-                assert type(known) is tuple and known == (0, k % params.order)
-            else:
-                assert type(known) is tuple
-                assert known == (0, k % params.order, 0)
+            assert type(known) is tuple and known == (0, k % params.order, 0)
     assert table == before
     assert reached > 0  # some steps land on Table I entries
 
@@ -548,7 +562,7 @@ def test_history_exponents_stay_within_the_order(params, variant):
     # unreduced, a division lowers B by 2^k and every root raises k, so
     # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
     # A and B has at most N's bits however long the walk.  char2 stores
-    # residue pairs 0 <= A, B < N, each the exponent of its value; a
+    # (A, B, 0) with residues 0 <= A, B < N, the exponent of its value; a
     # collatz segment never subtracts, so its A and B stay inside [0, N)
     order = params.order
     steps = 0
@@ -561,8 +575,8 @@ def test_history_exponents_stay_within_the_order(params, variant):
         steps += result.steps_taken
         if variant == "char2":
             g = params.generator
-            for v, (A, B) in w.seen.items():
-                assert 0 <= A < order and 0 <= B < order
+            for v, (A, B, k) in w.seen.items():
+                assert k == 0 and 0 <= A < order and 0 <= B < order
                 assert v == params.pow(g, (A * n + B) % order)
         else:
             assert max(max(abs(A).bit_length(), abs(B).bit_length())
@@ -598,6 +612,50 @@ def test_stored_restart_start_solves_without_a_step(variant):
     assert (result.steps_taken, result.restarts) == (4, 1)
     assert result.collisions_tested == first.collisions_tested + 1
     assert result.trace == first.trace
+
+
+def _solving_ops(params, variant, seed):
+    """Solve a seeded instance; return the op that reached the solving
+    collision's value and the op that stored it: "div", "cube", "sqrt",
+    "start" (a segment start) or "table" (Table I)."""
+    n = random.Random(seed).randrange(params.order)
+    w = _Walk(params, params.pow(params.generator, n),
+              WalkConfig(variant=variant, seed=seed, trace=True), None)
+    origin = dict.fromkeys(w.seen, "table")
+    hits = []
+    attempt = w._attempt
+    w._attempt = lambda v, expr, steps: hits.append((v, expr)) or \
+        attempt(v, expr, steps)
+    result = w.run()
+    assert result.n == n
+    # replay the stores in walk order: a value keeps its first op
+    for prev, rec in zip([None] + result.trace, result.trace):
+        if prev is None or rec.segment != prev.segment:
+            origin.setdefault(rec.value, "start")
+        for v in [rec.result] if rec.roots is None else rec.roots:
+            origin.setdefault(v, rec.branch)
+    assert set(w.seen) <= set(origin)
+    # the solving collision: the last hit, whose congruence is the result's
+    v, expr = hits[-1]
+    assert collision_solve(LinExpr(*expr), LinExpr(*w.seen[v]),
+                           params.order) == result.congruence
+    last = result.trace[-1] if result.trace else None
+    op = last.branch if last and last.segment == w.restarts else "start"
+    return op, origin[v]
+
+
+@pytest.mark.parametrize("params,variant", [
+    (P2003, "inverse"), (P2003, "collatz"), (P257, "inverse"),
+    (P257, "collatz"), (GF27, "char2"), (GF213, "char2"),
+])
+def test_solving_collisions_pair_different_ops(params, variant):
+    # every step is injective once its op is chosen, so a value can meet
+    # one stored by the same op only one step after their inputs met, with
+    # the same congruence: a collision that solves pairs different ops
+    fallback = {"inverse": "div", "collatz": "cube", "char2": "div"}[variant]
+    pairs = [_solving_ops(params, variant, seed) for seed in range(200)]
+    assert all(op != stored for op, stored in pairs)
+    assert ("sqrt", fallback) in pairs and (fallback, "sqrt") in pairs
 
 
 def test_golden_too_many_candidates_skipped():
