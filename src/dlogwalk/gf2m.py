@@ -8,13 +8,21 @@ its inverse, the square root, is a GF(2)-linear map: sqrt(u) is the xor of
 sqrt(x^j) over the bits j set in u, where sqrt(x^(2t)) = x^t and
 sqrt(x^(2t+1)) = x^t * sqrt(x) (Fong, Hankerson, Lopez and Menezes, "Field
 inversion and point halving revisited", IEEE Trans. Computers 53(8), 2004).
-Each field precomputes that map once, as one xor table per byte of an
-element, so a root costs one table lookup per byte.
+Squaring, the Frobenius map itself, is GF(2)-linear too.  Each field
+precomputes both maps once, as one xor table per window of at most 11 bits
+of an element (`_linear_tables`), so a root or a square costs one table
+lookup per window: two for m <= 22, three for m <= 33.  `gf_pow` squares
+through the square tables and calls `gf_mul` only to multiply by its base.
 """
 
 from ._record import Record
 
 GENERATOR = 0b10  # the element x
+
+# Most bits of an element that one lookup in a linear map's table handles;
+# each window's table holds up to 2^11 entries.
+_MAX_WINDOW_BITS = 11
+_WINDOW_MASK = (1 << _MAX_WINDOW_BITS) - 1
 
 
 def _poly_mod(v: int, f: int) -> int:
@@ -55,12 +63,13 @@ class BinaryFieldParams(Record):
     f is checked for irreducibility whatever m is.  The generator is x.
     When 2^m - 1 is prime every element besides 1 generates the group, so
     x does; otherwise that is taken on trust (the CLI checks it).
-    sqrt_tables is derived: the square-root map, one table per byte of an
-    element, entry b of table i being the root of b * x^(8i).
+    sqrt_tables and square_tables are derived, and == ignores them: the
+    square-root map and the squaring map, one table per 11-bit window of an
+    element, entry b of table i being the root (the square) of b * x^(11i).
     """
 
     _fields = ("m", "poly")
-    __slots__ = _fields + ("sqrt_tables",)
+    __slots__ = _fields + ("sqrt_tables", "square_tables")
 
     generator = GENERATOR
     variants = ("char2",)
@@ -77,18 +86,14 @@ class BinaryFieldParams(Record):
         if not is_irreducible(poly):
             raise ValueError(f"0x{poly:x} is reducible over GF(2)")
         self._assign(m, poly)
+        # gf_pow squares through these: (x^j)^2 = x^(2j) mod f
+        self.square_tables = _linear_tables(
+            [_poly_mod(1 << (2 * j), poly) for j in range(m)], m)
         root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
         # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
-        basis = [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
-                 for j in range(m)]
-        tables = []
-        for lo in range(0, m, 8):
-            table = [0] * (1 << min(8, m - lo))
-            for b in range(1, len(table)):
-                low = b & -b  # b's root is the root of b - low, plus low's
-                table[b] = table[b ^ low] ^ basis[lo + low.bit_length() - 1]
-            tables.append(tuple(table))
-        self.sqrt_tables = tuple(tables)
+        self.sqrt_tables = _linear_tables(
+            [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
+             for j in range(m)], m)
 
     @property
     def order(self) -> int:
@@ -118,6 +123,20 @@ class BinaryFieldParams(Record):
         return f"gf2^{self.m}/0x{self.poly:x}"
 
 
+def _linear_tables(images: list[int], m: int) -> tuple[tuple[int, ...], ...]:
+    """A GF(2)-linear map on GF(2^m), given by its images of x^j for j < m,
+    as one xor table per window of _MAX_WINDOW_BITS bits (the last window
+    takes the rest): entry b of table i is the image of b * x^(11i)."""
+    tables = []
+    for lo in range(0, m, _MAX_WINDOW_BITS):
+        table = [0]
+        for image in images[lo:lo + _MAX_WINDOW_BITS]:
+            # entries b + 2^j: the image of b, plus that of bit j
+            table += [t ^ image for t in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
 def _check_elem(u: int, params: BinaryFieldParams):
     if u < 0 or u.bit_length() > params.m:
         raise ValueError(f"0x{u:x} is not an element of GF(2^{params.m})")
@@ -125,8 +144,10 @@ def _check_elem(u: int, params: BinaryFieldParams):
 
 def gf_mul(u: int, v: int, params: BinaryFieldParams) -> int:
     """Carry-less product of u and v, reduced mod the field polynomial."""
-    _check_elem(u, params)
-    _check_elem(v, params)
+    m = params.m
+    if u < 0 or v < 0 or u.bit_length() > m or v.bit_length() > m:
+        _check_elem(u, params)  # only on failure: it raises for u or v
+        _check_elem(v, params)
     r = 0
     while v:
         if v & 1:
@@ -140,15 +161,16 @@ def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
     """The unique square root of u != 0, i.e. u^(2^(m-1)).
 
     The root is linear in u over GF(2) (Frobenius is additive), so it is
-    the xor of one precomputed entry per byte of u: params.sqrt_tables.
+    the xor of one precomputed entry per 11-bit window of u:
+    params.sqrt_tables.
     """
     if u <= 0 or u.bit_length() > params.m:  # _check_elem only on failure
         _check_elem(u, params)
         raise ValueError("0 has no multiplicative square root")
     r = 0
     for table in params.sqrt_tables:
-        r ^= table[u & 0xFF]
-        u >>= 8
+        r ^= table[u & _WINDOW_MASK]
+        u >>= _MAX_WINDOW_BITS
     return r
 
 
@@ -167,7 +189,12 @@ def gf_div_by_x(u: int, params: BinaryFieldParams) -> int:
 
 
 def gf_pow(u: int, e: int, params: BinaryFieldParams) -> int:
-    """u^e by square-and-multiply."""
+    """u^e by left-to-right square-and-multiply.
+
+    Each square is one lookup per window in params.square_tables; gf_mul
+    runs only on e's set bits, always by the fixed base u (for the
+    generator x, a two-iteration loop).
+    """
     _check_elem(u, params)
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -175,10 +202,12 @@ def gf_pow(u: int, e: int, params: BinaryFieldParams) -> int:
         if e == 0:
             raise ValueError("0^0 is undefined")
         return 0
+    tables = params.square_tables
     r = 1
-    while e:
-        if e & 1:
-            r = gf_mul(r, u, params)
-        u = gf_mul(u, u, params)
-        e >>= 1
+    for bit in f"{e:b}":  # "0" for e = 0: one square of 1
+        s = 0
+        for table in tables:
+            s ^= table[r & _WINDOW_MASK]
+            r >>= _MAX_WINDOW_BITS
+        r = gf_mul(s, u, params) if bit == "1" else s
     return r

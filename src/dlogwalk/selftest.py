@@ -89,6 +89,17 @@ CASES = (
 CASE_NAMES = tuple(c.name for c in CASES)
 
 
+def _show(row: tuple, params, elements: tuple[int, ...]) -> str:
+    """row as its tuple repr, with the group elements (the fields at
+    `elements`: an element, a pair of them or None) in params.format."""
+    def element(u):
+        if isinstance(u, tuple):
+            return f"({', '.join(map(element, u))})"
+        return "None" if u is None else params.format(u)
+    return "(" + ", ".join(element(x) if i in elements else repr(x)
+                           for i, x in enumerate(row)) + ")"
+
+
 def replay(case: ReplayCase) -> str | None:
     """Run one case; None on exact match, else a message naming the divergence."""
     config = WalkConfig(variant=case.variant, table_size=case.table_size,
@@ -106,11 +117,15 @@ def replay(case: ReplayCase) -> str | None:
         if case.variant == "char2":
             got = (rec.value, rec.branch, rec.result, rec.decision,
                    (rec.expr.A, rec.expr.B, rec.expr.k))
+            elements = (0, 2)
         else:
             got = (rec.value, rec.branch, rec.result, rec.roots, rec.chosen,
                    (rec.expr.A, rec.expr.B, rec.expr.k))
+            elements = (0, 2, 3, 4)
         if got != expected:
-            return f"row {i + 1}: expected {expected}, got {got}"
+            return (f"row {i + 1}:"
+                    f" expected {_show(expected, case.params, elements)},"
+                    f" got {_show(got, case.params, elements)}")
     if len(trace) != len(case.rows):
         return f"walk took {len(trace)} rows, expected {len(case.rows)}"
     if result.congruence != case.congruence:

@@ -48,7 +48,6 @@ it only reads Table I, which calls may share, and touches no global state.
 
 import math
 import random
-from functools import partial
 from typing import NamedTuple
 
 from ._record import Record
@@ -189,9 +188,17 @@ def _scaled(A: int, B: int, k: int, order: int) -> LinExpr:
 
 
 def _scripted_bits(bits):
-    yield from bits
-    raise DecisionsExhaustedError(
-        f"scripted choices exhausted after {len(bits)} decisions")
+    """Scripted choices as a next_bit: called as next_bit(1), the way the
+    seeded walk calls its PRNG's getrandbits."""
+    remaining = iter(bits)
+
+    def next_bit(_):
+        for bit in remaining:
+            return bit
+        raise DecisionsExhaustedError(
+            f"scripted choices exhausted after {len(bits)} decisions")
+
+    return next_bit
 
 
 class _Walk:
@@ -217,9 +224,9 @@ class _Walk:
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:
-            self.next_bit = _scripted_bits(list(config.choices)).__next__
-        else:
-            self.next_bit = partial(self.rng.getrandbits, 1)
+            self.next_bit = _scripted_bits(list(config.choices))
+        else:  # one getrandbits(1) per decision, called as next_bit(1)
+            self.next_bit = self.rng.getrandbits
 
         # the history: Table I first, then the first exponent stored for
         # each value the walk reaches, as a plain tuple (A, B, k), with
@@ -319,7 +326,7 @@ class _Walk:
                         outcome = self._attempt(r2, expr, steps)
                     else:
                         seen[r2] = expr
-                bit = next_bit() if outcome is None else None
+                bit = next_bit(1) if outcome is None else None
                 new = r2 if bit else r1
                 if bit:
                     e ^= top
@@ -347,7 +354,7 @@ class _Walk:
         A, B, k = expr  # k = 0, then the roots taken since the start
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
-            bit = next_bit()
+            bit = next_bit(1)
             if bit == 1:
                 new = down(value, params)
                 B = B - 1 if B else order - 1

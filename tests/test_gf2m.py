@@ -7,6 +7,11 @@ from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
 
 GF27 = BinaryFieldParams(7, 0x83)       # x^7 + x + 1
 GF213 = BinaryFieldParams(13, 0x201B)   # x^13 + x^4 + x^3 + x + 1
+GF219 = BinaryFieldParams(19, 0x80027)  # the benchmark's char2_m19
+# one full 11-bit window, one full window and a 1-bit one, two full windows
+GF211 = BinaryFieldParams(11, 0x805)       # x^11 + x^2 + 1
+GF212 = BinaryFieldParams(12, 0x1053)      # x^12 + x^6 + x^4 + x + 1
+GF222 = BinaryFieldParams(22, 0x400003)    # x^22 + x + 1
 NONZERO_27 = range(1, 128)
 
 
@@ -81,6 +86,81 @@ def test_pow_known_values():
     assert gf_pow(0, 3, GF27) == 0
 
 
+def _pow_reference(u, e, params):
+    """Right-to-left square-and-multiply on gf_mul alone."""
+    r = 1
+    while e:
+        if e & 1:
+            r = gf_mul(r, u, params)
+        u = gf_mul(u, u, params)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("params", [GF27, GF213, GF219])
+def test_pow_matches_square_and_multiply_on_gf_mul(params):
+    rng = random.Random(params.poly)
+    top, order = 1 << params.m, params.order
+    cases = [(rng.randrange(1, top), rng.randrange(order)) for _ in range(200)]
+    cases += [(rng.randrange(1, top), 0), (1, rng.randrange(order)), (1, 0),
+              (rng.randrange(1, top), order), (GENERATOR, order + 5),
+              (rng.randrange(1, top), rng.randrange(order, 1 << 3 * params.m)),
+              (GENERATOR, 1), (top - 1, 2), (top >> 1, 3)]
+    for u, e in cases:
+        assert gf_pow(u, e, params) == _pow_reference(u, e, params), (u, e)
+    assert gf_pow(GENERATOR, order, params) == 1
+
+
+@pytest.mark.parametrize("params,windows", [
+    (GF27, [128]), (GF211, [2048]), (GF212, [2048, 2]),
+    (GF219, [2048, 256]), (GF222, [2048, 2048]),
+    (BinaryFieldParams(23, 0x800021), [2048, 2048, 2]),  # x^23 + x^5 + 1
+])
+def test_linear_map_tables_have_11_bit_windows(params, windows):
+    assert [len(t) for t in params.sqrt_tables] == windows
+    assert [len(t) for t in params.square_tables] == windows
+
+
+def _table_square(u, params):
+    """u^2 as the xor of one square_tables entry per 11-bit window."""
+    r = 0
+    for table in params.square_tables:
+        r ^= table[u & 0x7FF]
+        u >>= 11
+    return r
+
+
+@pytest.mark.parametrize("params", [GF211, GF212, GF222])
+def test_root_and_square_tables_at_window_edges(params):
+    m = params.m
+    rng = random.Random(m)
+    edges = [1, (1 << m) - 1, 1 << (m - 1)]  # one, all ones, top bit only
+    for lo in range(0, m, 11):  # each window's lowest and highest bit
+        edges += [1 << lo, 1 << min(lo + 10, m - 1),
+                  ((1 << min(11, m - lo)) - 1) << lo]
+    for u in edges + [rng.randrange(1, 1 << m) for _ in range(2000)]:
+        square = gf_mul(u, u, params)
+        assert gf_sqrt(square, params) == u, hex(u)
+        # the table square, one lookup per window, and through gf_pow
+        assert _table_square(u, params) == square, hex(u)
+        assert gf_pow(u, 2, params) == square, hex(u)
+
+
+def test_mul_rejects_non_elements_in_either_argument():
+    # gf_mul tests the range inline; each bad input still raises the exact
+    # error of the full element check
+    for bad in (-5, 0x80, 1 << 200):
+        message = f"0x{bad:x} is not an element of GF(2^7)"
+        for args in ((bad, 1), (1, bad), (bad, bad), (0x7F, bad)):
+            with pytest.raises(ValueError) as info:
+                gf_mul(*args, GF27)
+            assert str(info.value) == message, args
+        with pytest.raises(ValueError) as info:
+            gf_pow(bad, 3, GF27)
+        assert str(info.value) == message
+    assert gf_mul(0x7F, 0x7F, GF27) == gf_pow(0x7F, 2, GF27)
+
+
 def test_element_range_checks():
     with pytest.raises(ValueError):
         gf_mul(0x80, 0x01, GF27)  # degree 7 is not an element of GF(2^7)
@@ -127,7 +207,7 @@ def test_inverse_via_pow(params):
 
 
 def test_sqrt_roundtrip_exhaustive_m7():
-    # and every element of GF(2^13), whose top byte is partial
+    # and every element of GF(2^13), whose second 11-bit window is partial
     for params in (GF27, GF213):
         for u in range(1, 1 << params.m):
             assert gf_sqrt(gf_mul(u, u, params), params) == u

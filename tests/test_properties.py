@@ -79,10 +79,31 @@ def _sqrt_by_squaring(u, params):
 @example(16, 0x2B, 0xFFFF)
 @example(9, 0x11, 0x1FF)    # one spare bit
 @example(17, 0x09, 0x1FFFF)
+@example(11, 0x05, 0x7FF)   # exact 11-bit window boundaries
+@example(22, 0x03, 0x3FFFFF)
+@example(12, 0x53, 0xFFF)   # one spare bit past a window
+@example(23, 0x21, 0x7FFFFF)
 def test_sqrt_table_matches_repeated_squaring(m, low, u):
     params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
     u = u % params.order or params.order
     assert gf_sqrt(u, params) == _sqrt_by_squaring(u, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=64),
+       st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=2**64 - 1),
+       st.integers(min_value=1, max_value=2**70))
+@example(11, 0x05, 0x7FF, 2)
+@example(22, 0x03, 0x3FFFFF, 2**22)
+@example(23, 0x21, 0x7FFFFF, 2**23 - 1)
+def test_table_square_and_pow_match_gf_mul(m, low, u, e):
+    # gf_pow squares through params.square_tables and multiplies by u:
+    # u^2 = u * u, and u^e = u^(e-1) * u for exponents past the order too
+    params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+    u = u % params.order or params.order
+    assert params.pow(u, 2) == gf_mul(u, u, params)
+    assert params.pow(u, e) == gf_mul(params.pow(u, e - 1), u, params)
 
 
 @pytest.mark.parametrize("p,a,r", [

@@ -126,7 +126,7 @@ def test_equality():
     assert BinaryFieldParams(7, 0x83) == BinaryFieldParams(7, 0x83)
     assert BinaryFieldParams(7, 0x83) != BinaryFieldParams(7, 0x89)
     tweaked = BinaryFieldParams(7, 0x83)
-    tweaked.sqrt_tables = ()
+    tweaked.sqrt_tables = tweaked.square_tables = ()
     assert tweaked == BinaryFieldParams(7, 0x83)
     assert BinaryFieldParams(7, 0x83) != PrimeGroupParams(131, 2)
 

@@ -178,8 +178,13 @@ _BY_NAME = {case.name: case for case in CASES}
     ("prime2", lambda c: {"candidates": (3, 37)},
      "candidates [3, 37, 71], expected [3, 37]"),
     ("collatz", lambda c: {"n": 40}, "n = 41, expected 40"),
+    # GF(2^m) elements print in hex, as the CLI prints them
+    ("gf2m1", lambda c: {"rows": ((0x1D, "sqrt", 0x24, 0, (1, 0, 1)),)
+                         + c.rows[1:]},
+     "row 1: expected (0x1d, 'sqrt', 0x24, 0, (1, 0, 1)),"
+     " got (0x1d, 'sqrt', 0x23, 0, (1, 0, 1))"),
 ], ids=["extra-row", "dropped-row", "altered-row", "congruence", "candidates",
-        "n"])
+        "n", "altered-row-gf2m"])
 def test_replay_names_each_divergence(name, changes, message):
     case = _BY_NAME[name]
     assert replay(case._replace(**changes(case))) == message
@@ -218,9 +223,39 @@ def test_char2_self_collision_at_one():
     assert result.trace[0].result == 1
 
 
+@pytest.mark.parametrize("params,variant,target", [
+    (GF213, "char2", 0x1234),
+    (P2003, "inverse", 777),
+    (P2003, "collatz", 777),
+    (P7340033, "inverse", 777),
+])
+def test_seeded_decisions_are_getrandbits_in_order(params, variant, target):
+    # one PRNG bit per decision, drawn as Random(seed).getrandbits(1), so a
+    # seed names the same walk whatever draws it; a restart draws its j from
+    # the same PRNG, so the first segment's rows are compared
+    for seed in range(5):
+        result = run_dlog(params, target, WalkConfig(variant=variant, seed=seed,
+                                                     trace=True))
+        rows = [rec for rec in result.trace if rec.segment == 0]
+        if variant == "char2":  # every step is a decision
+            assert all(rec.decision is not None for rec in rows)
+        else:  # a root step's, unless its roots collided first
+            assert all(rec.decision is None for rec in rows
+                       if rec.branch != "sqrt")
+        decisions = [rec.decision for rec in rows if rec.decision is not None]
+        assert len(decisions) >= 10
+        rng = random.Random(seed)
+        assert decisions == [rng.getrandbits(1) for _ in decisions]
+
+
 def test_scripted_exhaustion_raises():
     with pytest.raises(DecisionsExhaustedError):
         run_dlog(P103, 99, WalkConfig(choices=[0]))
+    # gf2m1 needs four decisions; the message counts the scripted ones
+    with pytest.raises(DecisionsExhaustedError,
+                       match="^scripted choices exhausted after 3 decisions$"):
+        run_dlog(GF27, 0x1D, WalkConfig(variant="char2", table_size=7,
+                                        choices=[0, 1, 1]))
 
 
 def test_determinism_full_result():
