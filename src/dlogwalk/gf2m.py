@@ -43,8 +43,11 @@ def is_irreducible(f: int) -> bool:
     gcd(f, x^(2^i) - x) = 1 for every 1 <= i <= m/2.
 
     An irreducible factor of degree d divides x^(2^i) - x exactly when d
-    divides i, and a reducible f has a factor of degree <= m/2.
+    divides i, and a reducible f has a factor of degree <= m/2.  A
+    negative f is no polynomial: ValueError.
     """
+    if f < 0:
+        raise ValueError(f"{f:#x} is not a polynomial over GF(2)")
     m = f.bit_length() - 1
     if m < 1:
         return False
@@ -164,7 +167,7 @@ def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
     the xor of one precomputed entry per 11-bit window of u:
     params.sqrt_tables.
     """
-    if u <= 0 or u.bit_length() > params.m:  # _check_elem only on failure
+    if u <= 0 or u >> params.m:  # _check_elem only on failure
         _check_elem(u, params)
         raise ValueError("0 has no multiplicative square root")
     r = 0
@@ -180,7 +183,7 @@ def gf_div_by_x(u: int, params: BinaryFieldParams) -> int:
     If the constant term of u is clear this is a plain right shift; otherwise
     adding f first clears it (f has constant term 1) and the shift stays exact.
     """
-    if u <= 0 or u.bit_length() > params.m:  # _check_elem only on failure
+    if u <= 0 or u >> params.m:  # _check_elem only on failure
         _check_elem(u, params)
         raise ValueError("0 cannot be divided by the generator")
     if u & 1:

@@ -15,10 +15,10 @@ instead would multiply the congruence by a further 2^min(k1, k2), and its
 gcd with N, hence the candidate count, by up to the 2^r dividing N.
 
 LinExpr's ops are the reference form of the walk's exponent arithmetic.
-The prime walk does the same arithmetic inline on plain (A, B, k) tuples,
-which the cyclic GC stops tracking, and builds a LinExpr only for a trace
-row; the tests pin its steps to these ops, and a collision reads both of
-its sides as LinExpr(*entry).
+The walk does the same arithmetic inline on plain (A, B, k) tuples, on
+both fields, which the cyclic GC stops tracking, and builds a LinExpr only
+for a trace row; the tests pin its steps to these ops, and a collision
+reads both of its sides as LinExpr(*entry).
 """
 
 from math import gcd
@@ -48,8 +48,8 @@ class LinExpr(NamedTuple):
     Immutable, hashable and equal by value, also to the plain (A, B, k)
     tuple the walk stores.  The ops keep A and B inside (-N, N) and k
     exact (see the module docstring); dec and triple_plus_one take
-    t = 2^k mod N and N.  They are the reference the prime walk's inline
-    steps are tested against, and they stay methods on the class under
+    t = 2^k mod N and N.  They are the reference the walk's inline steps
+    are tested against, and they stay methods on the class under
     these names, which the layer tracer in perfbench/ looks up.
     """
 

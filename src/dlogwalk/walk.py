@@ -18,17 +18,17 @@ each untaken square root) to the first exponent stored for it.  It starts
 as a copy of Table I, precomputed generator powers g^k stored with A = 0
 and B = k mod N (exponent known exactly); they go in first and are never
 overwritten.  Every entry is a plain tuple (A, B, k), with 2^k *
-log(value) = A*n + B (mod N).  Over GF(2^m) the order N = 2^m - 1 is odd,
-so halving an exponent is multiplying it by (N + 1)/2: an entry is
-(A, B, 0) with A and B residues mod N.  The prime segment applies LinExpr's
-dec, triple_plus_one and halve inline to three int locals, with the same
-reductions, so it stores the ops' own representatives (a collatz segment
+log(value) = A*n + B (mod N).  Both segments apply LinExpr's dec,
+triple_plus_one and halve inline to three int locals, with the same
+reductions, so they store the ops' own representatives (a collatz segment
 never subtracts, so its A and B are never negative and 3m + 1 tests only
-A, B < N); it carries t = 2^k mod N, doubled on every root, so A and B
+A, B < N); each carries t = 2^k mod N, doubled on every root, so A and B
 stay inside (-N, N), and k, the roots taken since the segment's start, is
-a small int.  A LinExpr is built only for a trace row.  So each history
-entry is a tuple of three ints, which the cyclic GC stops tracking, and
-the history's memory is linear in the steps.
+a small int.  The char2 segment is the inverse branch alone: a division
+lowers B by t, a root raises k and doubles t, and A stays 1.  A LinExpr is
+built only for a trace row.  So each history entry is a tuple of three ints,
+which the cyclic GC stops tracking, and the history's memory is linear in
+the steps.
 
 A reached value meets the history one way: each segment start and each
 value a step produces (the fallback's, or both roots) is looked up once; a
@@ -179,11 +179,12 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     return table
 
 
-def _scaled(A: int, B: int, k: int, order: int) -> LinExpr:
-    """A residue pair after k roots as the (A, B, k) exponent a trace row
-    shows: A*2^k and B*2^k mod N, each reduced into (-N/2, N/2]."""
-    t, half = pow(2, k, order), order >> 1
-    A, B = A * t % order, B * t % order
+def _centred(A: int, B: int, k: int, order: int) -> LinExpr:
+    """A char2 exponent as its trace row shows it: A and B reduced into
+    (-N/2, N/2] mod the odd N, so the row is the same whatever
+    representative inside (-N, N) the walk holds."""
+    half = order >> 1
+    A, B = A % order, B % order
     return LinExpr(A - order if A > half else A, B - order if B > half else B, k)
 
 
@@ -229,8 +230,7 @@ class _Walk:
             self.next_bit = self.rng.getrandbits
 
         # the history: Table I first, then the first exponent stored for
-        # each value the walk reaches, as a plain tuple (A, B, k), with
-        # k = 0 on GF(2^m)* (see the segments)
+        # each value the walk reaches, as a plain tuple (A, B, k)
         self.seen = {v: (0, k % self.order, 0) for v, k in table.items()}
         self.steps_taken = 0
         self.restarts = 0
@@ -342,39 +342,42 @@ class _Walk:
         return None  # budget spent
 
     def _segment_char2(self, value, expr):
-        """The unique-root walk on a residue pair (A, B) in locals, stored
-        as (A, B, 0): a collision's congruence is the k-scaled one times the
-        unit 2^(-K), so it has the same solutions.  The local k is read only
-        by trace rows."""
+        """The unique-root walk on (A, B, k) in locals, stored as a plain
+        tuple: the inverse branch of _segment_prime, with a random bit for
+        the branch.  A is never touched: every segment starts at A = 1."""
         params, seen, order = self.params, self.seen, self.order
         # read from the module once per segment: a layer tracer wraps them
         root, down = gf_sqrt, gf_div_by_x
-        h = (order + 1) >> 1  # 1/2 mod N
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
-        A, B, k = expr  # k = 0, then the roots taken since the start
+        A, B, k = expr
+        t = 1  # 2^k mod N: every start has k = 0
+        low = -order  # negated once, not on every division
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
             bit = next_bit(1)
-            if bit == 1:
+            if bit:  # m - 1: B falls by 2^k = t
                 new = down(value, params)
-                B = B - 1 if B else order - 1
-            else:
+                B -= t
+                if B <= low:
+                    B += order
+            else:  # m / 2: one more root taken
                 new = root(value, params)
-                A = A * h % order
-                B = B * h % order
                 k += 1
-            if new in seen:
-                outcome = self._attempt(new, (A, B, 0), steps)
-            else:
-                outcome = None
-                seen[new] = (A, B, 0)
-            if trace is not None:
+                t += t
+                if t >= order:
+                    t -= order
+            expr = (A, B, k)
+            if trace is not None:  # a row does not depend on the collision
                 trace.append(TraceRecord(steps, segment, value,
                                          "div" if bit else "sqrt",
-                                         _scaled(A, B, k, order),
+                                         _centred(A, B, k, order),
                                          result=new, decision=bit))
-            if outcome is not None:
-                return outcome
+            if new in seen:
+                outcome = self._attempt(new, expr, steps)
+                if outcome is not None:
+                    return outcome
+            else:
+                seen[new] = expr
             value = new
         self.steps_taken = steps
         return None  # budget spent
@@ -385,8 +388,7 @@ class _Walk:
         """Solve the collision, at step `steps`, of a value in the history.
 
         Every start or step value found in the history comes here, with the
-        exponent `expr` it was reached by, a plain (A, B, k), which is
-        (A, B, 0) on GF(2^m).
+        exponent `expr` it was reached by, a plain (A, B, k).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None to walk on: a spurious or degenerate collision says nothing
         about n, and one with more than d_max candidates is not verified.

@@ -51,6 +51,15 @@ def test_is_irreducible_matches_trial_division():
         assert is_irreducible(f) == _irreducible_by_trial_division(f), hex(f)
 
 
+def test_is_irreducible_rejects_negative_polynomials():
+    # reducing by a negative f never shrinks the remainder, so it must be
+    # refused, not tested: the loop would never end
+    for f in (-0x83, -1):
+        with pytest.raises(ValueError, match=f"^{f:#x} is not a polynomial"):
+            is_irreducible(f)
+    assert not is_irreducible(0) and not is_irreducible(1)
+
+
 def test_mul_known_values():
     # x * (x^6 + x^4) = x^5 + x + 1 after reduction
     assert gf_mul(0x02, 0x50, GF27) == 0x23

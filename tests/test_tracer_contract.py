@@ -65,8 +65,8 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
     # the tracer counts a solve only when DlogResult.congruence is the very
     # object collision_solve returned
     assert t.events["linexpr.outcome.solved"] == 1
-    # the exponent is a residue pair (char2) or an (A, B, k) tuple (prime)
-    # in locals, so no LinExpr op runs
+    # the exponent is an (A, B, k) tuple in locals, on either field, so
+    # no LinExpr op runs
     assert sum(t.calls[f"linexpr.LinExpr.{method}"]
                for method in tracer.LINEXPR_METHODS) == 0
     if variant == "char2":

@@ -453,6 +453,19 @@ GOLDEN_SHORT_SEGMENTS_P257 = {
 }
 GOLDEN_BENCH_CSV_SHA256 = (
     "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
+# Long char2 segments on GF(2^13), where t = 2^k mod N wraps many times and
+# B passes -N: seeds 0-19 at the default budget for target 0x1234, and the
+# bench CSV of 200 trials with max_steps=60, which restart.
+GOLDEN_LONG_CHAR2 = [
+    (1507, 212, 0, 1, 1), (1507, 219, 0, 1, 1), (1507, 35, 0, 1, 1),
+    (1507, 35, 0, 1, 1), (1507, 143, 0, 1, 1), (1507, 161, 0, 1, 1),
+    (1507, 161, 0, 1, 1), (1507, 66, 0, 1, 1), (1507, 282, 0, 1, 1),
+    (1507, 115, 0, 1, 1), (1507, 468, 0, 5, 1), (1507, 212, 0, 1, 1),
+    (1507, 45, 0, 1, 1), (1507, 146, 0, 1, 1), (1507, 181, 0, 1, 1),
+    (1507, 231, 0, 1, 1), (1507, 251, 0, 1, 1), (1507, 236, 0, 1, 1),
+    (1507, 171, 0, 1, 1), (1507, 227, 0, 1, 1)]
+GOLDEN_CHAR2_BENCH_CSV_SHA256 = (
+    "b83fd684926ffe0141524256f97ecc9e764dcc4ceb882845aeebf9a16b0403f9")
 
 
 def _counts(result):
@@ -488,7 +501,7 @@ _BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
 
 def _centred(expr, order):
     """expr with A and B reduced into (-N/2, N/2] mod the odd N: how a
-    char2 trace row shows the residues A and B it stored."""
+    char2 trace row shows the A and B it stored."""
     def c(x):
         x %= order
         return x - order if 2 * x > order else x
@@ -596,9 +609,9 @@ def test_table_one_seeds_the_history(variant):
 def test_history_exponents_stay_within_the_order(params, variant):
     # unreduced, a division lowers B by 2^k and every root raises k, so
     # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
-    # A and B has at most N's bits however long the walk.  char2 stores
-    # (A, B, 0) with residues 0 <= A, B < N, the exponent of its value; a
-    # collatz segment never subtracts, so its A and B stay inside [0, N)
+    # A and B has at most N's bits however long the walk.  A collatz
+    # segment never subtracts, so its A and B stay inside [0, N); char2
+    # divides and roots as the inverse walk does
     order = params.order
     steps = 0
     for seed in range(1, 4):
@@ -608,19 +621,18 @@ def test_history_exponents_stay_within_the_order(params, variant):
         result = w.run()
         assert result.n == n
         steps += result.steps_taken
-        if variant == "char2":
+        assert max(max(abs(A).bit_length(), abs(B).bit_length())
+                   for A, B, _ in w.seen.values()) <= order.bit_length()
+        assert all(-order < A < order and -order < B < order
+                   for A, B, _ in w.seen.values())
+        if variant == "collatz":
+            assert all(0 <= A < order and 0 <= B < order
+                       for A, B, _ in w.seen.values())
+        if variant == "char2":  # v^(2^k) = g^(A*n + B), 2^k taken mod N
             g = params.generator
             for v, (A, B, k) in w.seen.items():
-                assert k == 0 and 0 <= A < order and 0 <= B < order
-                assert v == params.pow(g, (A * n + B) % order)
-        else:
-            assert max(max(abs(A).bit_length(), abs(B).bit_length())
-                       for A, B, _ in w.seen.values()) <= order.bit_length()
-            assert all(-order < A < order and -order < B < order
-                       for A, B, _ in w.seen.values())
-            if variant == "collatz":
-                assert all(0 <= A < order and 0 <= B < order
-                           for A, B, _ in w.seen.values())
+                assert params.pow(v, pow(2, k, order)) == \
+                    params.pow(g, (A * n + B) % order)
     assert steps > math.isqrt(order)
 
 
@@ -714,6 +726,17 @@ def test_golden_bench_csv():
     from dlogwalk.bench import records_to_csv, run_trials
     csv_text = records_to_csv(run_trials(P2003, WalkConfig(), 50, seed_base=9))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == GOLDEN_BENCH_CSV_SHA256
+
+
+def test_golden_long_char2_segments():
+    from dlogwalk.bench import records_to_csv, run_trials
+    assert [_counts(run_dlog(GF213, 0x1234, WalkConfig(variant="char2",
+                                                       seed=seed)))
+            for seed in range(20)] == GOLDEN_LONG_CHAR2
+    csv_text = records_to_csv(run_trials(
+        GF213, WalkConfig(variant="char2", max_steps=60), 200, seed_base=5))
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == \
+        GOLDEN_CHAR2_BENCH_CSV_SHA256
 
 
 def test_d_max_skips_collisions_but_still_solves():
