@@ -12,9 +12,8 @@ import sys
 from . import __version__
 from .gf2m import BinaryFieldParams
 from .oracles import brute_force_dlog, bsgs_dlog
-from .primefield import PrimeGroupParams, prime_factors
-from .walk import (SEQUENCES, VARIANTS, DecisionsExhaustedError, WalkConfig,
-                   run_dlog)
+from .primefield import PrimeGroupParams, check_generator, prime_factors
+from .walk import VARIANTS, DecisionsExhaustedError, WalkConfig, run_dlog
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -42,8 +41,6 @@ def _add_walk_flags(sub):
                       help="default: the group's first (inverse, or char2)")
     walk.add_argument("--table-size", type=int,
                       help="Table I size B (default: bit length of group order)")
-    walk.add_argument("--seq", dest="sequence", choices=SEQUENCES,
-                      help="Table I exponents: 2^j (default) or consecutive")
     walk.add_argument("--max-steps", type=int)
     walk.add_argument("--max-restarts", type=int)
     walk.add_argument("--d-max", type=int,
@@ -63,16 +60,12 @@ def _params(parser, args):
             params = PrimeGroupParams(args.p, args.gen)
         else:
             params = BinaryFieldParams(args.m, int(args.poly, 16))
+        # the group is checked before its order is factored; then the
+        # generator in full, since a generator of a subgroup walks its
+        # whole budget for a target outside it
+        check_generator(params, prime_factors(params.order))
     except ValueError as exc:
         parser.error(str(exc))
-    # the group is checked before its order is factored; then the generator
-    # in full, since a generator of a subgroup walks its whole budget for a
-    # target outside it
-    g, order = params.generator, params.order
-    for q in prime_factors(order):
-        if params.pow(g, order // q) == 1:
-            parser.error(f"{params.format(g)} is not a generator:"
-                         f" its order divides {order}/{q}")
     return params
 
 

@@ -84,6 +84,27 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factors + _rho_factors(n)))
 
 
+def check_generator(params, factors) -> None:
+    """ValueError unless params.generator has the whole group order N.
+
+    factors must be the distinct primes of N, as `prime_factors` gives
+    them (else ValueError); g has order N iff g^(N/q) != 1 for each q.
+    """
+    g, order = params.generator, params.order
+    cofactor = order
+    for q in factors:
+        if not is_probable_prime(q) or order % q:
+            raise ValueError(f"{q} is not a prime factor of the order {order}")
+        if params.pow(g, order // q) == 1:
+            raise ValueError(f"{params.format(g)} is not a generator:"
+                             f" its order divides {order}/{q}")
+        while cofactor % q == 0:
+            cofactor //= q
+    if cofactor > 1:
+        raise ValueError(f"the factors miss the cofactor {cofactor} of the"
+                         f" order {order}, so the generator is not verified")
+
+
 def _rho_factors(n: int) -> list[int]:
     """The distinct prime factors of n >= 1, by Brent's rho alone."""
     factors, todo = set(), [n]
@@ -140,12 +161,12 @@ class PrimeGroupParams(Record):
     a log, which tells a root from its negative.  These four are derived
     from p and a once, so == does not compare them.  A square is never a
     primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
-    If factors_of_order is given, it must list every prime factor of
-    p - 1 (ValueError names a cofactor it leaves), and primitivity of a is
-    verified in full; without it the caller's claim is trusted.
+    If factors_of_order is given, `check_generator` verifies a against it
+    in full, as the CLI does; it is not stored, so the same group is equal
+    however it was built.  Without it the caller's claim is trusted.
     """
 
-    _fields = ("p", "a", "factors_of_order", "r", "s", "c")
+    _fields = ("p", "a", "r", "s", "c")
     __slots__ = _fields + ("sqrt_exp", "sqrt_windows", "sqrt_mask",
                            "sqrt_top", "variants")
 
@@ -163,23 +184,9 @@ class PrimeGroupParams(Record):
         while s % 2 == 0:
             s //= 2
             r += 1
+        self._assign(p, a, r, s, pow(a, s, p))
         if factors_of_order is not None:
-            factors_of_order = tuple(factors_of_order)
-            cofactor = p - 1
-            for q in factors_of_order:
-                if (p - 1) % q != 0 or not is_probable_prime(q):
-                    raise ValueError(f"{q} is not a prime factor of p-1")
-                if pow(a, (p - 1) // q, p) == 1:
-                    raise ValueError(
-                        f"{a} is not a primitive root mod {p}"
-                        f" (order divides (p-1)/{q})")
-                while cofactor % q == 0:
-                    cofactor //= q
-            if cofactor > 1:
-                raise ValueError(
-                    f"factors_of_order misses the cofactor {cofactor} of"
-                    f" p-1 = {p - 1}, so primitivity is not verified")
-        self._assign(p, a, factors_of_order, r, s, pow(a, s, p))
+            check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_windows = _sqrt_windows(p, r, self.c)
         self.sqrt_mask = (1 << self.sqrt_windows[0]) - 1

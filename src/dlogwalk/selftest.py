@@ -103,7 +103,7 @@ def _show(row: tuple, params, elements: tuple[int, ...]) -> str:
 def replay(case: ReplayCase) -> str | None:
     """Run one case; None on exact match, else a message naming the divergence."""
     config = WalkConfig(variant=case.variant, table_size=case.table_size,
-                        sequence="pow2", choices=list(case.choices), trace=True)
+                        choices=list(case.choices), trace=True)
     try:
         result = run_dlog(case.params, case.target, config)
     except Exception as exc:  # a corrupted build shows up as a walk error

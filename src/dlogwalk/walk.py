@@ -62,7 +62,6 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
 from .primefield import legendre, mod_pow, sqrt_mod_p, sylow_log  # noqa: F401
 
 VARIANTS = ("inverse", "collatz", "char2")
-SEQUENCES = ("pow2", "consec")
 
 
 class DecisionsExhaustedError(RuntimeError):
@@ -81,18 +80,15 @@ class WalkConfig(Record):
     Unset sizes fall back to order-dependent defaults at run time.
     """
 
-    _fields = __slots__ = ("variant", "table_size", "sequence", "max_steps",
+    _fields = __slots__ = ("variant", "table_size", "max_steps",
                            "max_restarts", "d_max", "seed", "choices", "trace")
 
     def __init__(self, variant: str = "inverse", table_size: int | None = None,
-                 sequence: str = "pow2", max_steps: int | None = None,
-                 max_restarts: int = 32, d_max: int = 65536,
-                 seed: int | None = None, choices: list[int] | None = None,
-                 trace: bool = False):
+                 max_steps: int | None = None, max_restarts: int = 32,
+                 d_max: int = 65536, seed: int | None = None,
+                 choices: list[int] | None = None, trace: bool = False):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if sequence not in SEQUENCES:
-            raise ValueError(f"unknown sequence kind {sequence!r}")
         if seed is not None and choices is not None:
             raise ValueError("seed and scripted choices are mutually exclusive")
         if max_steps is not None and max_steps < 1:
@@ -107,8 +103,8 @@ class WalkConfig(Record):
             for b in choices:
                 if b not in (0, 1):
                     raise ValueError(f"scripted choices must be bits, got {b!r}")
-        self._assign(variant, table_size, sequence, max_steps, max_restarts,
-                     d_max, seed, choices, trace)
+        self._assign(variant, table_size, max_steps, max_restarts, d_max,
+                     seed, choices, trace)
 
     def replace(self, **changes) -> "WalkConfig":
         """A copy with `changes` applied, checked as the constructor checks."""
@@ -157,12 +153,12 @@ def default_table_size(order: int) -> int:
 
 
 def build_table_one(params, config: WalkConfig) -> dict[int, int]:
-    """Table I: a dict from generator^k_j to k_j.
+    """Table I: a dict from generator^(2^j) to 2^j for j < B, the
+    generator's repeated squares, with B = config.table_size (by default
+    the order's bit length).
 
-    pow2 uses k_j = 2^j (repeated squaring), consec uses k_j = j + 1
-    (repeated multiplication), for j < B.  If two exponents produce the same
-    value the smaller exponent is kept.  A B above the group order would
-    only repeat entries: ValueError.
+    If two exponents produce the same value the smaller exponent is kept.
+    A B above the group order would only repeat entries: ValueError.
     """
     size = config.table_size
     if size is None:
@@ -170,12 +166,11 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     if size > params.order:
         raise ValueError(f"table size {size} exceeds the group order"
                          f" {params.order}")
-    v = g = params.generator
-    pow2 = config.sequence == "pow2"
+    v = params.generator
     table: dict[int, int] = {}
     for j in range(size):
-        table.setdefault(v, (1 << j) if pow2 else j + 1)
-        v = params.mul(v, v if pow2 else g)
+        table.setdefault(v, 1 << j)
+        v = params.mul(v, v)
     return table
 
 
@@ -274,6 +269,7 @@ class _Walk:
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = params.sqrt_top, (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
+        low = -order  # negated once, not on every division
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
         A, B, k = expr
         # e is the value's 2-Sylow log (value^s = c^e).  A segment starts at
@@ -299,7 +295,7 @@ class _Walk:
                 else:  # m - 1: B falls by 2^k = t
                     new = value * inv_a % p
                     B -= t
-                    if B <= -order:
+                    if B <= low:
                         B += order
                     e -= 1
                 expr = (A, B, k)

@@ -38,7 +38,7 @@ def criterion(label):
 def test_criterion_1_prime_example_one():
     with criterion("1 (worked example 1, p=103)"):
         params = PrimeGroupParams(103, 5)
-        config = WalkConfig(table_size=7, sequence="pow2", choices=[1], trace=True)
+        config = WalkConfig(table_size=7, choices=[1], trace=True)
         result = run_dlog(params, 84, config)
         assert result.n == 29
         trace = result.trace

@@ -1,9 +1,13 @@
+import itertools
 import json
 import time
 
 import pytest
 
 from dlogwalk.cli import _params, _walk_config, build_parser, main
+from dlogwalk.gf2m import BinaryFieldParams
+from dlogwalk.primefield import (PrimeGroupParams, check_generator, jacobi,
+                                 prime_factors)
 from dlogwalk.selftest import CASES
 from dlogwalk.walk import WalkConfig
 
@@ -17,7 +21,7 @@ def run_cli(capsys, *argv):
 def test_solve_worked_example(capsys):
     code, out, _ = run_cli(capsys, "solve", "--p", "103", "--gen", "5",
                            "--target", "84", "--table-size", "7",
-                           "--seq", "pow2", "--choices", "1")
+                           "--choices", "1")
     assert code == 0
     assert out.splitlines()[0] == "29"
 
@@ -77,6 +81,60 @@ def test_walk_config_defaults_live_in_walk_config(group):
         params = _params(parser, args)
         assert (_walk_config(parser, args, params)
                 == WalkConfig(variant=params.variants[0]))
+
+
+def _check_message(call, *args):
+    """The ValueError message of call(*args), or None if it returns."""
+    try:
+        call(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _cli_message(parser, argv, capsys):
+    """The error line of _params on argv, or None if it accepts the group."""
+    try:
+        _params(parser, parser.parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return capsys.readouterr().err.splitlines()[-1]
+    return None
+
+
+def test_one_generator_check_for_library_and_cli(capsys):
+    # every non-square g mod 41, 103 and 257, and x in GF(2^4) mod 0x13
+    # (primitive) and mod 0x1f (order 5): the check fails exactly when g's
+    # brute-force order is not N, with one message from the library and
+    # the CLI, and a factor list short of a prime of N verifies nothing
+    parser = build_parser()
+    groups = [(PrimeGroupParams(p, g), ["--p", str(p), "--gen", str(g)])
+              for p in (41, 103, 257) for g in range(2, p)
+              if jacobi(g, p) == -1]
+    groups += [(BinaryFieldParams(4, poly), ["--m", "4", "--poly", hex(poly)])
+               for poly in (0x13, 0x1F)]
+    generators = 0
+    for params, flags in groups:
+        g, order = params.generator, params.order
+        v, g_order = g, 1
+        while v != 1:
+            v, g_order = params.mul(v, g), g_order + 1
+        factors = prime_factors(order)
+        message = _check_message(check_generator, params, factors)
+        assert (message is None) == (g_order == order), flags
+        generators += message is None
+        if isinstance(params, PrimeGroupParams):
+            assert _check_message(PrimeGroupParams, params.p, g,
+                                  factors) == message, flags
+        cli = _cli_message(parser, ["oracle", "--method", "bsgs", *flags,
+                                    "--target", "1"], capsys)
+        assert cli == (None if message is None
+                       else f"dlogwalk: error: {message}"), flags
+        for size in range(len(factors)):
+            for short in itertools.combinations(factors, size):
+                assert _check_message(check_generator, params, short), \
+                    (flags, short)
+    assert 0 < generators < len(groups)
 
 
 def test_unsupported_variant_names_the_groups_variants(capsys):
@@ -214,6 +272,8 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
          "--max-restarts", "-4"],
         ["solve", "--p", "103", "--gen", "5", "--target", "84", "--workers", "2"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--seq", "pow2"],                                         # removed flag
         ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x1D",
          "--max-steps", "0"],
         ["bench", "--p", "103", "--gen", "5", "--trials", "3", "--seed", "0",

@@ -10,14 +10,13 @@ from dlogwalk import (BinaryFieldParams, CongruenceSolution, DlogResult,
 
 @pytest.mark.parametrize("kwargs,message", [
     ({"variant": "pollard"}, "unknown variant 'pollard'"),
-    ({"sequence": "fib"}, "unknown sequence kind 'fib'"),
+    ({"choices": [0, 2]}, "scripted choices must be bits, got 2"),
     ({"seed": 1, "choices": [0, 1]},
      "seed and scripted choices are mutually exclusive"),
     ({"max_steps": 0}, "max_steps must be >= 1"),
     ({"table_size": -1}, "table_size must be >= 0"),
     ({"max_restarts": -4}, "max_restarts must be >= 0"),
     ({"d_max": 0}, "d_max must be >= 1"),
-    ({"choices": [0, 2]}, "scripted choices must be bits, got 2"),
 ])
 def test_walk_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -47,11 +46,11 @@ def test_walk_config_replace():
     ((103, 0), "generator 0 out of range for p = 103"),
     ((103, 103), "generator 103 out of range for p = 103"),
     ((103, 25), "25 is a square mod 103, so it is not a primitive root"),
-    ((103, 5, (2, 5)), "5 is not a prime factor of p-1"),
-    ((41, 3, (2, 5)),
-     "3 is not a primitive root mod 41 (order divides (p-1)/5)"),
-    ((7340033, 3, (2,)), "factors_of_order misses the cofactor 7 of"
-     " p-1 = 7340032, so primitivity is not verified"),
+    ((103, 5, (2, 5)), "5 is not a prime factor of the order 102"),
+    ((41, 3, (2, 5)), "3 is not a generator: its order divides 40/5"),
+    ((7340033, 3, (2,)), "the factors miss the cofactor 7 of the order"
+     " 7340032, so the generator is not verified"),
+    ((103, 5, (2, 3, 51)), "51 is not a prime factor of the order 102"),
 ])
 def test_prime_group_checks(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -71,9 +70,9 @@ def test_binary_field_checks(args, message):
 
 def test_repr():
     assert repr(WalkConfig(variant="collatz", choices=[0, 1], trace=True)) == (
-        "WalkConfig(variant='collatz', table_size=None, sequence='pow2',"
-        " max_steps=None, max_restarts=32, d_max=65536, seed=None,"
-        " choices=[0, 1], trace=True)")
+        "WalkConfig(variant='collatz', table_size=None, max_steps=None,"
+        " max_restarts=32, d_max=65536, seed=None, choices=[0, 1],"
+        " trace=True)")
     assert repr(DlogResult(None, 3, 1, 2, 0, CongruenceSolution(1, 2, 3),
                            [1], [])) == (
         "DlogResult(n=None, steps_taken=3, restarts=1, collisions_tested=2,"
@@ -82,13 +81,11 @@ def test_repr():
     assert repr(DlogResult(5)) == (
         "DlogResult(n=5, steps_taken=0, restarts=0, collisions_tested=0,"
         " candidates_tried=0, congruence=None, candidates=None, trace=None)")
-    # the derived root tables stay out of the repr
+    # the derived root tables and the checked factor list stay out of it
     assert repr(PrimeGroupParams(103, 5, [2, 3, 17])) == (
-        "PrimeGroupParams(p=103, a=5, factors_of_order=(2, 3, 17),"
-        " r=1, s=51, c=102)")
+        "PrimeGroupParams(p=103, a=5, r=1, s=51, c=102)")
     assert repr(PrimeGroupParams(257, 3)) == (
-        "PrimeGroupParams(p=257, a=3, factors_of_order=None,"
-        " r=8, s=1, c=3)")
+        "PrimeGroupParams(p=257, a=3, r=8, s=1, c=3)")
     assert repr(BinaryFieldParams(7, 0x83)) == "BinaryFieldParams(m=7, poly=131)"
     assert repr(OracleResult(3, "bsgs")) == "OracleResult(n=3, method='bsgs')"
 
@@ -97,9 +94,8 @@ def test_equality():
     assert WalkConfig() == WalkConfig()
     assert WalkConfig(choices=[0, 1]) == WalkConfig(choices=[0, 1])
     for change in ({"variant": "collatz"}, {"table_size": 3},
-                   {"sequence": "consec"}, {"max_steps": 5},
-                   {"max_restarts": 1}, {"d_max": 7}, {"seed": 0},
-                   {"choices": [1]}, {"trace": True}):
+                   {"max_steps": 5}, {"max_restarts": 1}, {"d_max": 7},
+                   {"seed": 0}, {"choices": [1]}, {"trace": True}):
         assert WalkConfig() != WalkConfig(**change), change
     assert WalkConfig() != "WalkConfig()"
 
@@ -109,11 +105,12 @@ def test_equality():
         assert DlogResult(*full[:i], other, *full[i + 1:]) != DlogResult(*full)
     assert DlogResult(5) != (5, 0, 0, 0, 0, None, None, None)
 
-    # factors_of_order is compared as the tuple it is stored as; the root
-    # tables, derived from p and a, are not compared
+    # factors_of_order is only checked, not stored, so the same group is
+    # equal however it was built; the root tables, derived from p and a,
+    # are not compared
     assert PrimeGroupParams(103, 5, [2, 3, 17]) == \
         PrimeGroupParams(103, 5, (2, 3, 17))
-    assert PrimeGroupParams(103, 5) != PrimeGroupParams(103, 5, (2, 3, 17))
+    assert PrimeGroupParams(103, 5) == PrimeGroupParams(103, 5, (2, 3, 17))
     assert PrimeGroupParams(103, 5) != PrimeGroupParams(103, 6)
     assert PrimeGroupParams(103, 5) != PrimeGroupParams(107, 5)
     tweaked = PrimeGroupParams(257, 3)

@@ -42,7 +42,7 @@ GF_DLOGS = dlog_table(lambda v: gf_mul(v, GENERATOR, GF27), 127)
 # -- Table I -------------------------------------------------------------
 
 def test_table_one_known_values_prime():
-    table = build_table_one(P103, WalkConfig(table_size=7, sequence="pow2"))
+    table = build_table_one(P103, WalkConfig(table_size=7))
     assert table == {5: 1, 25: 2, 7: 4, 49: 8, 32: 16, 97: 32, 36: 64}
 
 
@@ -57,23 +57,14 @@ def test_table_one_empty():
     assert build_table_one(P103, WalkConfig(table_size=0)) == {}
 
 
-def test_table_one_consecutive():
-    table = build_table_one(P103, WalkConfig(table_size=4, sequence="consec"))
-    assert table == {5: 1, 25: 2, 22: 3, 7: 4}
-
-
 def test_table_one_size_is_bounded_by_the_order():
-    # a table as large as the order is the largest accepted: consec then
-    # holds 5^1 .. 5^102, every element once; one entry more only repeats
-    for sequence in ("pow2", "consec"):
-        table = build_table_one(P103, WalkConfig(table_size=102,
-                                                 sequence=sequence))
-        for v, k in table.items():
-            assert pow(5, k, 103) == v
-        if sequence == "consec":
-            assert sorted(table.values()) == list(range(1, 103))
-        with pytest.raises(ValueError):
-            build_table_one(P103, WalkConfig(table_size=103, sequence=sequence))
+    # a table as large as the order is the largest accepted; one entry
+    # more only repeats
+    table = build_table_one(P103, WalkConfig(table_size=102))
+    for v, k in table.items():
+        assert pow(5, k, 103) == v
+    with pytest.raises(ValueError):
+        build_table_one(P103, WalkConfig(table_size=103))
     assert len(build_table_one(GF27, WalkConfig(variant="char2",
                                                 table_size=127))) == 7
     with pytest.raises(ValueError):
@@ -83,7 +74,7 @@ def test_table_one_size_is_bounded_by_the_order():
 def test_table_one_duplicates_keep_smaller_exponent():
     # p = 17: 2^4 = 16 = 2^(4 + 16k), so pow2 exponents collide past j = 2
     params = PrimeGroupParams(17, 3)
-    table = build_table_one(params, WalkConfig(table_size=8, sequence="pow2"))
+    table = build_table_one(params, WalkConfig(table_size=8))
     values = [pow(3, 1 << j, 17) for j in range(8)]
     for v, k in table.items():
         assert pow(3, k, 17) == v
@@ -95,8 +86,6 @@ def test_table_one_duplicates_keep_smaller_exponent():
 def test_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(variant="pollard")
-    with pytest.raises(ValueError):
-        WalkConfig(sequence="fib")
     with pytest.raises(ValueError):
         WalkConfig(seed=1, choices=[0, 1])
     with pytest.raises(ValueError):
@@ -810,12 +799,6 @@ def test_scripted_config_is_reusable():
     config = WalkConfig(table_size=7, choices=[0, 1])
     assert run_dlog(P103, 99, config).n == 37
     assert run_dlog(P103, 99, config).n == 37  # choices not consumed in place
-
-
-def test_consecutive_sequence_solves():
-    for target in (84, 99, 37):
-        result = run_dlog(P103, target, WalkConfig(sequence="consec", seed=4))
-        assert result.success and PRIME_DLOGS[target] == result.n
 
 
 def test_scale_mersenne_prime():
