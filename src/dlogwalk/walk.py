@@ -26,9 +26,9 @@ A, B < N); each carries t = 2^k mod N, doubled on every root, so A and B
 stay inside (-N, N), and k, the roots taken since the segment's start, is
 a small int.  The char2 segment is the inverse branch alone: a division
 lowers B by t, a root raises k and doubles t, and A stays 1.  A LinExpr is
-built only for a trace row.  So each history entry is a tuple of three ints,
-which the cyclic GC stops tracking, and the history's memory is linear in
-the steps.
+built only for a trace row, which on either field shows the (A, B, k) the
+walk stored.  So each history entry is a tuple of three ints, which the
+cyclic GC stops tracking, and the history's memory is linear in the steps.
 
 A reached value meets the history one way: each segment start and each
 value a step produces (the fallback's, or both roots) is looked up once; a
@@ -172,15 +172,6 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
         table.setdefault(v, 1 << j)
         v = params.mul(v, v)
     return table
-
-
-def _centred(A: int, B: int, k: int, order: int) -> LinExpr:
-    """A char2 exponent as its trace row shows it: A and B reduced into
-    (-N/2, N/2] mod the odd N, so the row is the same whatever
-    representative inside (-N, N) the walk holds."""
-    half = order >> 1
-    A, B = A % order, B % order
-    return LinExpr(A - order if A > half else A, B - order if B > half else B, k)
 
 
 def _scripted_bits(bits):
@@ -340,7 +331,8 @@ class _Walk:
     def _segment_char2(self, value, expr):
         """The unique-root walk on (A, B, k) in locals, stored as a plain
         tuple: the inverse branch of _segment_prime, with a random bit for
-        the branch.  A is never touched: every segment starts at A = 1."""
+        the branch, and a trace row of what it stored, as there.  A is never
+        touched: every segment starts at A = 1."""
         params, seen, order = self.params, self.seen, self.order
         # read from the module once per segment: a layer tracer wraps them
         root, down = gf_sqrt, gf_div_by_x
@@ -366,8 +358,8 @@ class _Walk:
             if trace is not None:  # a row does not depend on the collision
                 trace.append(TraceRecord(steps, segment, value,
                                          "div" if bit else "sqrt",
-                                         _centred(A, B, k, order),
-                                         result=new, decision=bit))
+                                         LinExpr(*expr), result=new,
+                                         decision=bit))
             if new in seen:
                 outcome = self._attempt(new, expr, steps)
                 if outcome is not None:

@@ -69,6 +69,59 @@ def test_solve_gf2m_worked_example(capsys):
     assert run_cli(capsys, "solve-gf2m", *argv) == (code, out, "")
 
 
+def test_solve_gf2m_verbose_rows_show_the_stored_exponent(capsys):
+    # a char2 row shows the (A, B, k) the walk stored, as a prime row does,
+    # also in the 20 rows here whose B lies outside (-N/2, N/2]
+    code, out, _ = run_cli(capsys, "solve", "--m", "7", "--poly", "0x83",
+                           "--target", "0x1D", "--seed", "4", "-v")
+    assert code == 0
+    assert out == """\
+38
+steps=40 restarts=0 collisions=2 candidates=1
+step  value          branch  result/roots        chosen      expr
+   1  0x1d           sqrt    0x23                -           n/2
+   2  0x23           sqrt    0x5b                -           n/4
+   3  0x5b           sqrt    0x3b                -           n/8
+   4  0x3b           div     0x5c                -           (n-8)/8
+   5  0x5c           sqrt    0x2a                -           (n-8)/16
+   6  0x2a           sqrt    0x7e                -           (n-8)/32
+   7  0x7e           sqrt    0x70                -           (n-8)/64
+   8  0x70           sqrt    0x44                -           (n-8)/128
+   9  0x44           sqrt    0xa                 -           (n-8)/256
+  10  0xa            sqrt    0x36                -           (n-8)/512
+  11  0x36           sqrt    0x5c                -           (n-8)/1024
+  12  0x5c           div     0x2e                -           (n-16)/1024
+  13  0x2e           div     0x17                -           (n-24)/1024
+  14  0x17           sqrt    0x15                -           (n-24)/2^11
+  15  0x15           div     0x4b                -           (n-40)/2^11
+  16  0x4b           div     0x64                -           (n-56)/2^11
+  17  0x64           div     0x32                -           (n-72)/2^11
+  18  0x32           sqrt    0x5e                -           (n-72)/2^12
+  19  0x5e           sqrt    0x38                -           (n-72)/2^13
+  20  0x38           div     0x1c                -           (n-9)/2^13
+  21  0x1c           div     0xe                 -           (n-73)/2^13
+  22  0xe            sqrt    0x34                -           (n-73)/2^14
+  23  0x34           sqrt    0x4e                -           (n-73)/2^15
+  24  0x4e           div     0x27                -           (n-75)/2^15
+  25  0x27           sqrt    0x59                -           (n-75)/2^16
+  26  0x59           div     0x6d                -           (n-79)/2^16
+  27  0x6d           sqrt    0x67                -           (n-79)/2^17
+  28  0x67           sqrt    0x51                -           (n-79)/2^18
+  29  0x51           sqrt    0xd                 -           (n-79)/2^19
+  30  0xd            div     0x47                -           (n-111)/2^19
+  31  0x47           div     0x62                -           (n-16)/2^19
+  32  0x62           sqrt    0x52                -           (n-16)/2^20
+  33  0x52           div     0x29                -           (n-80)/2^20
+  34  0x29           div     0x55                -           (n-17)/2^20
+  35  0x55           div     0x6b                -           (n-81)/2^20
+  36  0x6b           sqrt    0x77                -           (n-81)/2^21
+  37  0x77           div     0x7a                -           (n-82)/2^21
+  38  0x7a           sqrt    0x72                -           (n-82)/2^22
+  39  0x72           sqrt    0x56                -           (n-82)/2^23
+  40  0x56           sqrt    0x1c                -           (n-82)/2^24
+"""
+
+
 @pytest.mark.parametrize("group", (["--p", "103", "--gen", "5"],
                                    ["--m", "7", "--poly", "0x83"]))
 def test_walk_config_defaults_live_in_walk_config(group):

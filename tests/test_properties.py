@@ -5,8 +5,8 @@ A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
 every trace row and in the history dict, which keeps every segment's start.
 The char2 walk carries t = 2^k mod the odd order N, doubled on every root,
-and stores (A, B, k) with A = 1 (0 in Table I); its trace rows show A and
-B reduced into (-N/2, N/2], for which the same invariant holds.
+and stores (A, B, k) with A = 1 (0 in Table I).  On either field a trace row
+shows the (A, B, k) the walk stored.
 """
 
 import math
@@ -215,9 +215,6 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
     result = walk.run()
     for rec in result.trace:
         assert bounded(rec.expr)
-        if variant == "char2":  # a row renders into (-N/2, N/2]
-            assert 2 * abs(rec.expr.A) < params.order
-            assert 2 * abs(rec.expr.B) < params.order
         for v in [rec.result] if rec.roots is None else rec.roots:
             assert holds(v, rec.expr)
     # what the walk stored, which collisions read: every segment's start too
@@ -231,47 +228,22 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         assert result.n == n
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([GF27, GF213]), EXPONENTS,
-       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
-def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
-    # a char2 row shows its (A, B, k) with A and B reduced into
-    # (-N/2, N/2]: the LinExpr ops applied from the segment's start n + j,
-    # mod N, with k exact
-    order = params.order
-    walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
-        variant="char2", seed=seed, max_steps=max_steps, trace=True), None)
-    draws = [0]
-    randrange = walk.rng.randrange
-    walk.rng.randrange = lambda n: draws.append(randrange(n)) or draws[-1]
-    segment = -1
-    for rec in walk.run().trace:
-        if rec.segment != segment:
-            assert rec.segment == segment + 1
-            segment = rec.segment
-            expr, t = LinExpr(1, draws[segment], 0), 1
-        if rec.branch == "div":
-            expr = expr.dec(t, order)
-        else:
-            expr, t = expr.halve(), 2 * t % order
-        assert rec.expr.k == expr.k
-        for got, want in zip(rec.expr[:2], expr[:2]):
-            assert (got - want) % order == 0
-            assert -order < 2 * got <= order
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([P2003, P257, P7340033]),
-       st.sampled_from(["inverse", "collatz"]), EXPONENTS,
-       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
-@example(P2003, "inverse", 928, 282, None)  # row 21: B - t = -N exactly
-@example(P2003, "collatz", 1944, 399, None)  # row 22: 3B + t = N exactly
-def test_prime_rows_follow_the_reference_ops(params, variant, n, seed,
-                                             max_steps):
-    # the prime segment does its exponent arithmetic inline: each row's
+# half the examples on each field, as many as each had in a test of its own
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from([P2003, P257, P7340033]),
+                           st.sampled_from(["inverse", "collatz"])),
+                 st.tuples(st.sampled_from([GF27, GF213]), st.just("char2"))),
+       EXPONENTS, st.integers(min_value=0, max_value=2**32),
+       st.sampled_from([None, 12]))
+@example((P2003, "inverse"), 928, 282, None)  # row 21: B - t = -N exactly
+@example((P2003, "collatz"), 1944, 399, None)  # row 22: 3B + t = N exactly
+@example((GF27, "char2"), 5, 28, None)  # a division: B - t = -N exactly
+def test_rows_follow_the_reference_ops(case, n, seed, max_steps):
+    # both segments do their exponent arithmetic inline: each row's
     # (A, B, k) is the LinExpr op of its branch applied to the row before
     # it, or to the segment's start n + j, with t = 2^k mod N, so every
     # reduction lands on the reference op's representative
+    params, variant = case
     order = params.order
     walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)

@@ -488,15 +488,6 @@ _BRANCH_OPS = {"div": lambda e, order: e.dec(1, order),
                "sqrt": lambda e, order: e.halve()}
 
 
-def _centred(expr, order):
-    """expr with A and B reduced into (-N/2, N/2] mod the odd N: how a
-    char2 trace row shows the A and B it stored."""
-    def c(x):
-        x %= order
-        return x - order if 2 * x > order else x
-    return LinExpr(c(expr.A), c(expr.B), expr.k)
-
-
 def _check_restart_starts(params, target, variant):
     """Every segment starts at target * g^j with exponent n + j, for j = 0
     in the first and the j its restart drew in each later one, the start is
@@ -526,10 +517,8 @@ def _check_restart_starts(params, target, variant):
             assert rec.segment == segment
             assert rec.value == params.mul(target, params.pow(params.generator, j))
             assert rec.value in w.seen
-            first = _BRANCH_OPS[rec.branch](LinExpr(1, j, 0), params.order)
-            if variant == "char2":
-                first = _centred(first, params.order)
-            assert rec.expr == first
+            assert rec.expr == _BRANCH_OPS[rec.branch](LinExpr(1, j, 0),
+                                                       params.order)
         # the target (in no Table I here) is stored as n
         assert type(w.seen[target]) is tuple and w.seen[target] == (1, 0, 0)
         starts += len(draws)
