@@ -228,22 +228,12 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         assert result.n == n
 
 
-# half the examples on each field, as many as each had in a test of its own
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.tuples(st.sampled_from([P2003, P257, P7340033]),
-                           st.sampled_from(["inverse", "collatz"])),
-                 st.tuples(st.sampled_from([GF27, GF213]), st.just("char2"))),
-       EXPONENTS, st.integers(min_value=0, max_value=2**32),
-       st.sampled_from([None, 12]))
-@example((P2003, "inverse"), 928, 282, None)  # row 21: B - t = -N exactly
-@example((P2003, "collatz"), 1944, 399, None)  # row 22: 3B + t = N exactly
-@example((GF27, "char2"), 5, 28, None)  # a division: B - t = -N exactly
-def test_rows_follow_the_reference_ops(case, n, seed, max_steps):
+def _check_rows_follow_the_reference_ops(params, variant, n, seed,
+                                         max_steps):
     # both segments do their exponent arithmetic inline: each row's
     # (A, B, k) is the LinExpr op of its branch applied to the row before
     # it, or to the segment's start n + j, with t = 2^k mod N, so every
     # reduction lands on the reference op's representative
-    params, variant = case
     order = params.order
     walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
@@ -265,6 +255,26 @@ def test_rows_follow_the_reference_ops(case, n, seed, max_steps):
             expr = expr.halve()
         assert type(rec.expr) is LinExpr
         assert rec.expr == expr
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([GF27, GF213]), EXPONENTS,
+       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
+@example(GF27, 5, 28, None)  # a division: B - t = -N exactly
+def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
+    # a char2 row shows the (A, B, k) the walk stored, as a prime row does
+    _check_rows_follow_the_reference_ops(params, "char2", n, seed, max_steps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([P2003, P257, P7340033]),
+       st.sampled_from(["inverse", "collatz"]), EXPONENTS,
+       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
+@example(P2003, "inverse", 928, 282, None)  # row 21: B - t = -N exactly
+@example(P2003, "collatz", 1944, 399, None)  # row 22: 3B + t = N exactly
+def test_prime_rows_follow_the_reference_ops(params, variant, n, seed,
+                                             max_steps):
+    _check_rows_follow_the_reference_ops(params, variant, n, seed, max_steps)
 
 
 @settings(max_examples=100, deadline=None)
