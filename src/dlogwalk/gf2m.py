@@ -11,16 +11,23 @@ inversion and point halving revisited", IEEE Trans. Computers 53(8), 2004).
 Squaring, the Frobenius map itself, is GF(2)-linear too.  Each field
 precomputes both maps once, as one xor table per window of at most 11 bits
 of an element (`_linear_tables`), so a root or a square costs one table
-lookup per window: two for m <= 22, three for m <= 33.  `gf_pow` squares
-through the square tables and calls `gf_mul` only to multiply by its base.
+lookup per window: two for m <= 22, three for m <= 33.  A prime field's
+root tables, the powers c^(-h) of `sqrt_mod_p`, come from the same builder
+with a product mod p in place of xor, and are read the same way.  `gf_pow`
+squares through the square tables and calls `gf_mul` only to multiply by
+its base.
 """
+
+from itertools import repeat
+from operator import xor
 
 from ._record import Record
 
 GENERATOR = 0b10  # the element x
 
-# Most bits of an element that one lookup in a linear map's table handles;
-# each window's table holds up to 2^11 entries.
+# Most bits of an argument that one lookup in a `_linear_tables` table
+# handles, for GF(2^m) elements and prime roots' half logs alike; each
+# window's table holds up to 2^11 entries.
 _MAX_WINDOW_BITS = 11
 _WINDOW_MASK = (1 << _MAX_WINDOW_BITS) - 1
 
@@ -91,12 +98,12 @@ class BinaryFieldParams(Record):
         self._assign(m, poly)
         # gf_pow squares through these: (x^j)^2 = x^(2j) mod f
         self.square_tables = _linear_tables(
-            [_poly_mod(1 << (2 * j), poly) for j in range(m)], m)
+            [_poly_mod(1 << (2 * j), poly) for j in range(m)])
         root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
         # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
         self.sqrt_tables = _linear_tables(
             [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
-             for j in range(m)], m)
+             for j in range(m)])
 
     @property
     def order(self) -> int:
@@ -126,16 +133,20 @@ class BinaryFieldParams(Record):
         return f"gf2^{self.m}/0x{self.poly:x}"
 
 
-def _linear_tables(images: list[int], m: int) -> tuple[tuple[int, ...], ...]:
-    """A GF(2)-linear map on GF(2^m), given by its images of x^j for j < m,
-    as one xor table per window of _MAX_WINDOW_BITS bits (the last window
-    takes the rest): entry b of table i is the image of b * x^(11i)."""
+def _linear_tables(images: list[int], combine=xor,
+                   unit: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The map f with f(0) = unit and f(b + 2^j) = combine(f(b), images[j])
+    for b < 2^j, as one table per window of _MAX_WINDOW_BITS bits of its
+    argument (the last window takes the bits left): entry b of table i is
+    f(b * 2^(11i)).  With xor and 0 it is a GF(2)-linear map on GF(2^m),
+    images[j] being the image of x^j; `PrimeGroupParams` builds c^(-h)
+    from c^(-2^j) with a product mod p and 1."""
     tables = []
-    for lo in range(0, m, _MAX_WINDOW_BITS):
-        table = [0]
+    for lo in range(0, len(images), _MAX_WINDOW_BITS):
+        table = [unit]
         for image in images[lo:lo + _MAX_WINDOW_BITS]:
-            # entries b + 2^j: the image of b, plus that of bit j
-            table += [t ^ image for t in table]
+            # entries b + 2^j: the image of b, combined with that of bit j
+            table += map(combine, table, repeat(image, len(table)))
         tables.append(tuple(table))
     return tuple(tables)
 

@@ -14,21 +14,20 @@ target, and `sqrt_mod_p` runs it only when its caller passes no log.
 Every later log follows from an earlier one, since a^s = c:
 target * a^j has log e + j, x/a has e - 1 and x^3 * a has 3e + 1
 (mod 2^r), and `sqrt_mod_p` returns the log of each root.  So a root costs
-one power and one table entry per window of e/2's bits.
+one power and one table entry c^(-h) per 11-bit window of the half log
+h = e/2, from tables built and read as gf2m's linear maps are
+(`_linear_tables`).
 """
 
 import math
 import random
 
 from ._record import Record
+from .gf2m import _MAX_WINDOW_BITS, _WINDOW_MASK, _linear_tables
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
-
-# Most bits of the half log h that one table lookup in `sqrt_mod_p`
-# handles; each window's table holds up to 2^11 entries.
-_MAX_WINDOW_BITS = 11
 
 
 def is_probable_prime(n: int) -> bool:
@@ -151,24 +150,21 @@ class PrimeGroupParams(Record):
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r; sqrt_exp = (s + 1)/2.  sqrt_windows = (w, tables)
-    gives c^(-h) for the half log h < 2^(r-1) of `sqrt_mod_p`: h's r - 1
-    bits are split into count = ceil((r-1)/11) windows of
-    w = ceil((r-1)/count) bits (two of 10 for r = 20, none for r = 1), and
-    window i's table holds c^(-j*2^(i*w)) for j < 2^w, the last window's
-    only for the bits left (2^9 entries for r = 20).  sqrt_mask = 2^w - 1
-    picks a window's bits of h, and sqrt_top = 2^(r-1) is the top bit of
-    a log, which tells a root from its negative.  These four are derived
-    from p and a once, so == does not compare them.  A square is never a
-    primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
+    which has order 2^r; sqrt_exp = (s + 1)/2.  sqrt_tables gives c^(-h)
+    for the half log h < 2^(r-1) of `sqrt_mod_p`, one table per 11-bit
+    window of h, built by gf2m's `_linear_tables` (none for r = 1): entry
+    b of table i is c^(-b*2^(11i)), the last table only for the bits left
+    (2^11 and 2^8 entries for r = 20).  sqrt_top = 2^(r-1) is the top bit
+    of a log, which tells a root from its negative.  These three are
+    derived from p and a once, so == does not compare them.  A square is
+    never a primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order is given, `check_generator` verifies a against it
     in full, as the CLI does; it is not stored, so the same group is equal
     however it was built.  Without it the caller's claim is trusted.
     """
 
     _fields = ("p", "a", "r", "s", "c")
-    __slots__ = _fields + ("sqrt_exp", "sqrt_windows", "sqrt_mask",
-                           "sqrt_top", "variants")
+    __slots__ = _fields + ("sqrt_exp", "sqrt_tables", "sqrt_top", "variants")
 
     def __init__(self, p: int, a: int,
                  factors_of_order: tuple[int, ...] | None = None):
@@ -188,8 +184,9 @@ class PrimeGroupParams(Record):
         if factors_of_order is not None:
             check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
-        self.sqrt_windows = _sqrt_windows(p, r, self.c)
-        self.sqrt_mask = (1 << self.sqrt_windows[0]) - 1
+        self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)
+            [pow(self.c, -(1 << j), p) for j in range(r - 1)],
+            lambda u, v: u * v % p, 1)
         self.sqrt_top = 1 << (r - 1)
         # cubing, the 3x+1 step, is a bijection of the group only when
         # gcd(3, p - 1) = 1
@@ -226,26 +223,6 @@ class PrimeGroupParams(Record):
 
     def __str__(self) -> str:
         return str(self.p)
-
-
-def _sqrt_windows(p: int, r: int, c: int):
-    """PrimeGroupParams.sqrt_windows for c of order 2^r."""
-    count = -(-(r - 1) // _MAX_WINDOW_BITS)
-    w = -(-(r - 1) // max(count, 1))  # 0 for r = 1, which has no windows
-    g = pow(c, -1, p)  # c^(-2^(i*w)) for window i
-    tables = []
-    for i in range(count):
-        tables.append(_powers(g, min(w, r - 1 - i * w), p))
-        g = pow(g, 1 << w, p)
-    return w, tuple(tables)
-
-
-def _powers(g: int, bits: int, p: int) -> tuple[int, ...]:
-    """g^j mod p for j < 2^bits, as running products."""
-    powers = [1]
-    for _ in range((1 << bits) - 1):
-        powers.append(powers[-1] * g % p)
-    return tuple(powers)
 
 
 def mod_pow(base: int, exponent: int, params: PrimeGroupParams) -> int:
@@ -334,10 +311,10 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
     even.  x is reduced mod p only when it lies outside [1, p).  e is x's
     own log (x^s = c^e, 0 <= e < 2^r; ValueError outside that range),
     asked of `sylow_log` when not given: an odd e returns None, and an
-    even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one table entry
-    per window of h's bits (picked by params.sqrt_mask), checked by
-    R^2 = x (ValueError naming e if not: a wrong e never yields a
-    non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
+    even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one entry of
+    params.sqrt_tables per 11-bit window of h, as `gf_sqrt` reads its
+    tables, checked by R^2 = x (ValueError naming e if not: a wrong e
+    never yields a non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
     (-1)^s = -1 = c^(2^(r-1)), so the log of -R is h ^ params.sqrt_top.
     """
     p = params.p
@@ -353,12 +330,11 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
         return None
     h = e >> 1
     y = pow(x, params.sqrt_exp, p)
-    if h:  # always 0 for r = 1
-        w, tables = params.sqrt_windows
-        mask, bits = params.sqrt_mask, h
-        for table in tables:
-            y = y * table[bits & mask] % p
-            bits >>= w
+    if h:  # always 0 for r = 1, which has no tables
+        bits = h
+        for table in params.sqrt_tables:
+            y = y * table[bits & _WINDOW_MASK] % p
+            bits >>= _MAX_WINDOW_BITS
     if y * y % p != x:
         raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
     q = p - y

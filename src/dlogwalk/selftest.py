@@ -1,7 +1,8 @@
 """Replays of the five worked toy examples with scripted random choices.
 
-Each case pins the full walk: every intermediate value, branch, root pair
-and symbolic exponent, plus the final congruence and answer.  These runs
+Each case pins the full walk: every intermediate value, branch, root pair,
+random decision and symbolic exponent, plus the final congruence and
+answer.  These runs
 double as an end-to-end smoke test for the CLI (`dlogwalk selftest`).
 """
 
@@ -23,8 +24,7 @@ class ReplayCase(NamedTuple):
     n: int
     congruence: CongruenceSolution
     candidates: tuple[int, ...]
-    # prime rows: (value, branch, result, roots, chosen, (A, B, k))
-    # char2 rows: (value, branch, result, decision, (A, B, k))
+    # (value, branch, result, roots, chosen, decision, (A, B, k))
     rows: tuple
 
 
@@ -38,65 +38,65 @@ CASES = (
         variant="inverse", n=29,
         congruence=CongruenceSolution(29, 102, 1), candidates=(29,),
         rows=(
-            (84, "div", 58, None, None, (1, -1, 0)),
-            (58, "sqrt", None, (26, 77), 77, (1, -1, 1)),
-            (77, "div", 36, None, None, (1, -3, 1)),
+            (84, "div", 58, None, None, None, (1, -1, 0)),
+            (58, "sqrt", None, (26, 77), 77, 1, (1, -1, 1)),
+            (77, "div", 36, None, None, None, (1, -3, 1)),
         )),
     ReplayCase(
         name="prime2", params=_P103, target=99, choices=(0, 1), table_size=7,
         variant="inverse", n=37,
         congruence=CongruenceSolution(3, 34, 3), candidates=(3, 37, 71),
         rows=(
-            (99, "div", 61, None, None, (1, -1, 0)),
-            (61, "sqrt", None, (24, 79), 24, (1, -1, 1)),
-            (24, "div", 46, None, None, (1, -3, 1)),
-            (46, "sqrt", None, (47, 56), 56, (1, -3, 2)),
-            (56, "sqrt", None, (46, 57), None, (1, -3, 3)),
+            (99, "div", 61, None, None, None, (1, -1, 0)),
+            (61, "sqrt", None, (24, 79), 24, 0, (1, -1, 1)),
+            (24, "div", 46, None, None, None, (1, -3, 1)),
+            (46, "sqrt", None, (47, 56), 56, 1, (1, -3, 2)),
+            (56, "sqrt", None, (46, 57), None, None, (1, -3, 3)),
         )),
     ReplayCase(
         name="gf2m1", params=_GF27, target=0x1D, choices=(0, 1, 1, 1),
         table_size=7, variant="char2", n=38,
         congruence=CongruenceSolution(38, 127, 1), candidates=(38,),
         rows=(
-            (0x1D, "sqrt", 0x23, 0, (1, 0, 1)),
-            (0x23, "div", 0x50, 1, (1, -2, 1)),
-            (0x50, "div", 0x28, 1, (1, -4, 1)),
-            (0x28, "div", 0x14, 1, (1, -6, 1)),
+            (0x1D, "sqrt", 0x23, None, None, 0, (1, 0, 1)),
+            (0x23, "div", 0x50, None, None, 1, (1, -2, 1)),
+            (0x50, "div", 0x28, None, None, 1, (1, -4, 1)),
+            (0x28, "div", 0x14, None, None, 1, (1, -6, 1)),
         )),
     ReplayCase(
         name="gf2m2", params=_GF27, target=0x6B, choices=(0, 1, 1, 0),
         table_size=7, variant="char2", n=41,
         congruence=CongruenceSolution(41, 127, 1), candidates=(41,),
         rows=(
-            (0x6B, "sqrt", 0x77, 0, (1, 0, 1)),
-            (0x77, "div", 0x7A, 1, (1, -2, 1)),
-            (0x7A, "div", 0x3D, 1, (1, -4, 1)),
-            (0x3D, "sqrt", 0x6B, 0, (1, -4, 2)),
+            (0x6B, "sqrt", 0x77, None, None, 0, (1, 0, 1)),
+            (0x77, "div", 0x7A, None, None, 1, (1, -2, 1)),
+            (0x7A, "div", 0x3D, None, None, 1, (1, -4, 1)),
+            (0x3D, "sqrt", 0x6B, None, None, 0, (1, -4, 2)),
         )),
     ReplayCase(
         name="collatz", params=_P101, target=72, choices=(1, 0, 1),
         table_size=7, variant="collatz", n=41,
         congruence=CongruenceSolution(41, 100, 1), candidates=(41,),
         rows=(
-            (72, "cube", 5, None, None, (3, 1, 0)),
-            (5, "sqrt", None, (45, 56), 56, (3, 1, 1)),
-            (56, "sqrt", None, (37, 64), 37, (3, 1, 2)),
-            (37, "sqrt", None, (21, 80), 80, (3, 1, 3)),
-            (80, "sqrt", None, (22, 79), None, (3, 1, 4)),
+            (72, "cube", 5, None, None, None, (3, 1, 0)),
+            (5, "sqrt", None, (45, 56), 56, 1, (3, 1, 1)),
+            (56, "sqrt", None, (37, 64), 37, 0, (3, 1, 2)),
+            (37, "sqrt", None, (21, 80), 80, 1, (3, 1, 3)),
+            (80, "sqrt", None, (22, 79), None, None, (3, 1, 4)),
         )),
 )
 
 CASE_NAMES = tuple(c.name for c in CASES)
 
 
-def _show(row: tuple, params, elements: tuple[int, ...]) -> str:
-    """row as its tuple repr, with the group elements (the fields at
-    `elements`: an element, a pair of them or None) in params.format."""
+def _show(row: tuple, params) -> str:
+    """row as its tuple repr, with the group elements (value, result,
+    roots and chosen: an element, a pair of them or None) in params.format."""
     def element(u):
         if isinstance(u, tuple):
             return f"({', '.join(map(element, u))})"
         return "None" if u is None else params.format(u)
-    return "(" + ", ".join(element(x) if i in elements else repr(x)
+    return "(" + ", ".join(element(x) if i in (0, 2, 3, 4) else repr(x)
                            for i, x in enumerate(row)) + ")"
 
 
@@ -114,18 +114,12 @@ def replay(case: ReplayCase) -> str | None:
             return (f"row {i + 1}: walk ended early"
                     f" (expected value {case.params.format(expected[0])})")
         rec = trace[i]
-        if case.variant == "char2":
-            got = (rec.value, rec.branch, rec.result, rec.decision,
-                   (rec.expr.A, rec.expr.B, rec.expr.k))
-            elements = (0, 2)
-        else:
-            got = (rec.value, rec.branch, rec.result, rec.roots, rec.chosen,
-                   (rec.expr.A, rec.expr.B, rec.expr.k))
-            elements = (0, 2, 3, 4)
+        got = (rec.value, rec.branch, rec.result, rec.roots, rec.chosen,
+               rec.decision, (rec.expr.A, rec.expr.B, rec.expr.k))
         if got != expected:
             return (f"row {i + 1}:"
-                    f" expected {_show(expected, case.params, elements)},"
-                    f" got {_show(got, case.params, elements)}")
+                    f" expected {_show(expected, case.params)},"
+                    f" got {_show(got, case.params)}")
     if len(trace) != len(case.rows):
         return f"walk took {len(trace)} rows, expected {len(case.rows)}"
     if result.congruence != case.congruence:

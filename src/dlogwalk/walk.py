@@ -157,8 +157,10 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     generator's repeated squares, with B = config.table_size (by default
     the order's bit length).
 
-    If two exponents produce the same value the smaller exponent is kept.
-    A B above the group order would only repeat entries: ValueError.
+    The squaring stops at the first value it repeats: squaring is
+    deterministic, so nothing new follows, and each value keeps its
+    smallest exponent.  A B above the group order would only repeat
+    entries: ValueError.
     """
     size = config.table_size
     if size is None:
@@ -169,7 +171,9 @@ def build_table_one(params, config: WalkConfig) -> dict[int, int]:
     v = params.generator
     table: dict[int, int] = {}
     for j in range(size):
-        table.setdefault(v, 1 << j)
+        if v in table:
+            break
+        table[v] = 1 << j
         v = params.mul(v, v)
     return table
 

@@ -199,12 +199,13 @@ def _assert_root_or_none(params, xs):
 
 
 # Primes whose r (p - 1 = 2^r * s) splits the r - 1 bits of the half log
-# into no window (r = 1: a root is one power), one window (r <= 12) or
-# several, which are all w bits wide (r = 17, 23) or end in a narrower one
-# (r = 16, 22, 27, 32).
+# into 11-bit windows: none (r = 1: a root is one power), one (r <= 12,
+# full at r = 12) or several, the last taking the bits left, from one bit
+# (r = 13) to a full 11 (r = 23).
 WINDOW_SHAPES = [
     (103, 5, 1), (13, 2, 2), (41, 6, 3), (641, 3, 7), (257, 3, 8), (7681, 17, 9),
-    (18433, 5, 11), (12289, 11, 12), (65537, 3, 16), (1179649, 19, 17),
+    (18433, 5, 11), (12289, 11, 12), (40961, 3, 13), (65537, 3, 16),
+    (1179649, 19, 17),
     (104857601, 3, 22), (998244353, 3, 23), (2013265921, 31, 27),
     (2**64 - 2**32 + 1, 7, 32),
 ]

@@ -116,24 +116,21 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
     c = params.c
     assert params.r == r
     assert pow(c, 2**(r - 1), p) == p - 1  # c has order 2^r exactly
-    w, tables = params.sqrt_windows
-    # the derived constants of sqrt_mod_p: a window's mask and the sign bit
-    assert params.sqrt_mask == 2**w - 1
+    tables = params.sqrt_tables
+    # the derived sign bit of sqrt_mod_p: the top bit of a log
     assert params.sqrt_top == 2**(r - 1)
     if r == 1:  # the half log h < 2^(r-1) is always 0
         assert tables == ()
         return
-    count = math.ceil((r - 1) / 11)  # balanced windows of at most 11 bits
-    assert w == math.ceil((r - 1) / count)
-    assert len(tables) == count
-    # the windows cover the r - 1 bits of h, the last one only the bits left
-    assert (count - 1) * w < r - 1 <= count * w
+    # 11-bit windows, as gf2m's tables have: they cover the r - 1 bits of
+    # h, the last one only the bits left
+    assert len(tables) == math.ceil((r - 1) / 11)
     for i, table in enumerate(tables):
-        pos = i * w
-        bits = min(w, r - 1 - pos)
-        assert table == tuple(pow(c, -j * 2**pos, p) for j in range(2**bits))
+        assert len(table) == 2**min(11, r - 1 - 11 * i)
+        for b, entry in enumerate(table):
+            assert entry == pow(c, -(b << 11 * i), p), (i, b)
     if r == 20:
-        assert [len(table) for table in tables] == [1024, 512]
+        assert [len(table) for table in tables] == [2048, 256]
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),

@@ -114,8 +114,7 @@ def test_equality():
     assert PrimeGroupParams(103, 5) != PrimeGroupParams(103, 6)
     assert PrimeGroupParams(103, 5) != PrimeGroupParams(107, 5)
     tweaked = PrimeGroupParams(257, 3)
-    tweaked.sqrt_exp, tweaked.sqrt_windows = 0, (0, ())
-    tweaked.sqrt_mask, tweaked.sqrt_top = 0, 0
+    tweaked.sqrt_exp, tweaked.sqrt_tables, tweaked.sqrt_top = 0, (), 0
     assert tweaked == PrimeGroupParams(257, 3)
     tweaked.c = 5
     assert tweaked != PrimeGroupParams(257, 3)

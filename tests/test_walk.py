@@ -71,6 +71,33 @@ def test_table_one_size_is_bounded_by_the_order():
         build_table_one(GF27, WalkConfig(variant="char2", table_size=128))
 
 
+class _CountingMul:
+    """params with a count of the squarings build_table_one asks of it."""
+
+    def __init__(self, params):
+        self.params, self.muls = params, 0
+
+    def __getattr__(self, name):
+        return getattr(self.params, name)
+
+    def mul(self, u, v):
+        self.muls += 1
+        return self.params.mul(u, v)
+
+
+def test_table_one_stops_at_the_first_repeated_square():
+    # 5^(2^j) mod 2003 cycles after 61 squares (2 has order 60 mod 1001),
+    # and squaring is deterministic, so nothing new follows a repeat
+    counted = _CountingMul(P2003)
+    table = build_table_one(counted, WalkConfig(table_size=2002))
+    assert counted.muls <= len(table) + 1
+    every, v = {}, P2003.generator  # all 2002 squares, smaller exponent kept
+    for j in range(2002):
+        every.setdefault(v, 1 << j)
+        v = v * v % 2003
+    assert table == every
+
+
 def test_table_one_duplicates_keep_smaller_exponent():
     # p = 17: 2^4 = 16 = 2^(4 + 16k), so pow2 exponents collide past j = 2
     params = PrimeGroupParams(17, 3)
@@ -158,9 +185,9 @@ _BY_NAME = {case.name: case for case in CASES}
      "row 5: walk ended early (expected value 0x28)"),
     ("prime1", lambda c: {"rows": c.rows[:2]}, "walk took 3 rows, expected 2"),
     ("prime1", lambda c: {"rows": c.rows[:2] + ((77, "div", 37, None, None,
-                                                   (1, -3, 1)),)},
-     "row 3: expected (77, 'div', 37, None, None, (1, -3, 1)),"
-     " got (77, 'div', 36, None, None, (1, -3, 1))"),
+                                                   None, (1, -3, 1)),)},
+     "row 3: expected (77, 'div', 37, None, None, None, (1, -3, 1)),"
+     " got (77, 'div', 36, None, None, None, (1, -3, 1))"),
     ("prime2", lambda c: {"congruence": CongruenceSolution(3, 34, 1)},
      "congruence CongruenceSolution(residue=3, modulus=34, count=3),"
      " expected CongruenceSolution(residue=3, modulus=34, count=1)"),
@@ -168,10 +195,10 @@ _BY_NAME = {case.name: case for case in CASES}
      "candidates [3, 37, 71], expected [3, 37]"),
     ("collatz", lambda c: {"n": 40}, "n = 41, expected 40"),
     # GF(2^m) elements print in hex, as the CLI prints them
-    ("gf2m1", lambda c: {"rows": ((0x1D, "sqrt", 0x24, 0, (1, 0, 1)),)
-                         + c.rows[1:]},
-     "row 1: expected (0x1d, 'sqrt', 0x24, 0, (1, 0, 1)),"
-     " got (0x1d, 'sqrt', 0x23, 0, (1, 0, 1))"),
+    ("gf2m1", lambda c: {"rows": ((0x1D, "sqrt", 0x24, None, None, 0,
+                                   (1, 0, 1)),) + c.rows[1:]},
+     "row 1: expected (0x1d, 'sqrt', 0x24, None, None, 0, (1, 0, 1)),"
+     " got (0x1d, 'sqrt', 0x23, None, None, 0, (1, 0, 1))"),
 ], ids=["extra-row", "dropped-row", "altered-row", "congruence", "candidates",
         "n", "altered-row-gf2m"])
 def test_replay_names_each_divergence(name, changes, message):
