@@ -55,7 +55,7 @@ def run_trials(params, config: WalkConfig, trial_count: int, seed_base: int,
         raise ValueError("per-trial seeds are derived from seed_base")
     order = params.order
     label = str(params)
-    table = build_table_one(params, config)
+    table = build_table_one(params)
     records = []
     for i in range(trial_count):
         seed = seed_base + i

@@ -39,8 +39,6 @@ def _add_walk_flags(sub):
     walk = sub.add_argument_group("walk", argument_default=argparse.SUPPRESS)
     walk.add_argument("--variant", choices=VARIANTS,
                       help="default: the group's first (inverse, or char2)")
-    walk.add_argument("--table-size", type=int,
-                      help="Table I size B (default: bit length of group order)")
     walk.add_argument("--max-steps", type=int)
     walk.add_argument("--max-restarts", type=int)
     walk.add_argument("--d-max", type=int,

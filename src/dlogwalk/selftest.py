@@ -2,8 +2,9 @@
 
 Each case pins the full walk: every intermediate value, branch, root pair,
 random decision and symbolic exponent, plus the final congruence and
-answer.  These runs
-double as an end-to-end smoke test for the CLI (`dlogwalk selftest`).
+answer.  Every case walks with its group's own Table I, g^(2^j) for j < 7,
+the bit length of each order (102, 100 and 127).  These runs double as an
+end-to-end smoke test for the CLI (`dlogwalk selftest`).
 """
 
 from typing import NamedTuple
@@ -19,7 +20,6 @@ class ReplayCase(NamedTuple):
     params: object
     target: int
     choices: tuple[int, ...]
-    table_size: int
     variant: str
     n: int
     congruence: CongruenceSolution
@@ -34,7 +34,7 @@ _GF27 = BinaryFieldParams(7, 0x83)
 
 CASES = (
     ReplayCase(
-        name="prime1", params=_P103, target=84, choices=(1,), table_size=7,
+        name="prime1", params=_P103, target=84, choices=(1,),
         variant="inverse", n=29,
         congruence=CongruenceSolution(29, 102, 1), candidates=(29,),
         rows=(
@@ -43,7 +43,7 @@ CASES = (
             (77, "div", 36, None, None, None, (1, -3, 1)),
         )),
     ReplayCase(
-        name="prime2", params=_P103, target=99, choices=(0, 1), table_size=7,
+        name="prime2", params=_P103, target=99, choices=(0, 1),
         variant="inverse", n=37,
         congruence=CongruenceSolution(3, 34, 3), candidates=(3, 37, 71),
         rows=(
@@ -55,7 +55,7 @@ CASES = (
         )),
     ReplayCase(
         name="gf2m1", params=_GF27, target=0x1D, choices=(0, 1, 1, 1),
-        table_size=7, variant="char2", n=38,
+        variant="char2", n=38,
         congruence=CongruenceSolution(38, 127, 1), candidates=(38,),
         rows=(
             (0x1D, "sqrt", 0x23, None, None, 0, (1, 0, 1)),
@@ -65,7 +65,7 @@ CASES = (
         )),
     ReplayCase(
         name="gf2m2", params=_GF27, target=0x6B, choices=(0, 1, 1, 0),
-        table_size=7, variant="char2", n=41,
+        variant="char2", n=41,
         congruence=CongruenceSolution(41, 127, 1), candidates=(41,),
         rows=(
             (0x6B, "sqrt", 0x77, None, None, 0, (1, 0, 1)),
@@ -75,7 +75,7 @@ CASES = (
         )),
     ReplayCase(
         name="collatz", params=_P101, target=72, choices=(1, 0, 1),
-        table_size=7, variant="collatz", n=41,
+        variant="collatz", n=41,
         congruence=CongruenceSolution(41, 100, 1), candidates=(41,),
         rows=(
             (72, "cube", 5, None, None, None, (3, 1, 0)),
@@ -102,8 +102,8 @@ def _show(row: tuple, params) -> str:
 
 def replay(case: ReplayCase) -> str | None:
     """Run one case; None on exact match, else a message naming the divergence."""
-    config = WalkConfig(variant=case.variant, table_size=case.table_size,
-                        choices=list(case.choices), trace=True)
+    config = WalkConfig(variant=case.variant, choices=list(case.choices),
+                        trace=True)
     try:
         result = run_dlog(case.params, case.target, config)
     except Exception as exc:  # a corrupted build shows up as a walk error

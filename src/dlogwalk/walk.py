@@ -72,39 +72,44 @@ class UnsupportedGroupError(ValueError):
     """A variant the group does not run (e.g. 3x+1 when 3 | p-1)."""
 
 
+def _check_count(name: str, value, least: int):
+    """ValueError unless a budget is an int of at least `least`: the walk
+    meets it with int counters, which would step past a fractional one."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 class WalkConfig(Record):
     """Tunables for one solver run.
 
     `seed` and `choices` are mutually exclusive: a seed drives a PRNG, a
     choice list scripts every random decision (for replaying known walks).
-    Unset sizes fall back to order-dependent defaults at run time.
+    An unset max_steps falls back to an order-dependent default at run time.
     """
 
-    _fields = __slots__ = ("variant", "table_size", "max_steps",
-                           "max_restarts", "d_max", "seed", "choices", "trace")
+    _fields = __slots__ = ("variant", "max_steps", "max_restarts", "d_max",
+                           "seed", "choices", "trace")
 
-    def __init__(self, variant: str = "inverse", table_size: int | None = None,
-                 max_steps: int | None = None, max_restarts: int = 32,
-                 d_max: int = 65536, seed: int | None = None,
-                 choices: list[int] | None = None, trace: bool = False):
+    def __init__(self, variant: str = "inverse", max_steps: int | None = None,
+                 max_restarts: int = 32, d_max: int = 65536,
+                 seed: int | None = None, choices: list[int] | None = None,
+                 trace: bool = False):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if seed is not None and choices is not None:
             raise ValueError("seed and scripted choices are mutually exclusive")
-        if max_steps is not None and max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if table_size is not None and table_size < 0:
-            raise ValueError("table_size must be >= 0")
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be >= 0")
-        if d_max < 1:
-            raise ValueError("d_max must be >= 1")
+        if max_steps is not None:
+            _check_count("max_steps", max_steps, 1)
+        _check_count("max_restarts", max_restarts, 0)
+        _check_count("d_max", d_max, 1)
         if choices is not None:
             for b in choices:
                 if b not in (0, 1):
                     raise ValueError(f"scripted choices must be bits, got {b!r}")
-        self._assign(variant, table_size, max_steps, max_restarts, d_max,
-                     seed, choices, trace)
+        self._assign(variant, max_steps, max_restarts, d_max, seed, choices,
+                     trace)
 
     def replace(self, **changes) -> "WalkConfig":
         """A copy with `changes` applied, checked as the constructor checks."""
@@ -148,31 +153,22 @@ def default_max_steps(order: int) -> int:
     return math.ceil(20 * math.sqrt(order))
 
 
-def default_table_size(order: int) -> int:
-    return order.bit_length()
+def build_table_one(params, config=None) -> dict[int, int]:
+    """Table I: a dict from generator^(2^j) to 2^j for j < B, the squares
+    that square-and-multiply computes for an exponent of B bits, with B
+    the group order's bit length.
 
-
-def build_table_one(params, config: WalkConfig) -> dict[int, int]:
-    """Table I: a dict from generator^(2^j) to 2^j for j < B, the
-    generator's repeated squares, with B = config.table_size (by default
-    the order's bit length).
-
-    The squaring stops at the first value it repeats: squaring is
-    deterministic, so nothing new follows, and each value keeps its
-    smallest exponent.  A B above the group order would only repeat
-    entries: ValueError.
+    Each 2^j is at most the order N, so any two differ by less than N:
+    for a generator of the whole group the B squares are distinct.  For a
+    generator of smaller order, which the library takes on trust, a
+    repeated square keeps its last exponent; every entry still has
+    generator^k = v.  `config` is accepted and not read: the
+    benchmark in perfbench/ builds one table per variant, passing that
+    variant's WalkConfig.
     """
-    size = config.table_size
-    if size is None:
-        size = default_table_size(params.order)
-    if size > params.order:
-        raise ValueError(f"table size {size} exceeds the group order"
-                         f" {params.order}")
     v = params.generator
     table: dict[int, int] = {}
-    for j in range(size):
-        if v in table:
-            break
+    for j in range(params.order.bit_length()):
         table[v] = 1 << j
         v = params.mul(v, v)
     return table
@@ -211,7 +207,7 @@ class _Walk:
         if config.variant != "char2":  # the walk's only search for a log
             self.e_target = sylow_log(self.target, params)
         if table is None:
-            table = build_table_one(params, config)
+            table = build_table_one(params)
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:

@@ -38,7 +38,7 @@ def criterion(label):
 def test_criterion_1_prime_example_one():
     with criterion("1 (worked example 1, p=103)"):
         params = PrimeGroupParams(103, 5)
-        config = WalkConfig(table_size=7, choices=[1], trace=True)
+        config = WalkConfig(choices=[1], trace=True)
         result = run_dlog(params, 84, config)
         assert result.n == 29
         trace = result.trace
@@ -64,7 +64,7 @@ def _timed_solve(params, config):
 def test_criterion_2_prime_example_two():
     with criterion("2 (worked example 2, p=103)"):
         params = PrimeGroupParams(103, 5)
-        config = WalkConfig(table_size=7, choices=[0, 1], trace=True)
+        config = WalkConfig(choices=[0, 1], trace=True)
         result = run_dlog(params, 99, config)
         chosen = [rec.chosen for rec in result.trace if rec.chosen is not None]
         assert chosen == [24, 56]               # the scripted root picks
@@ -79,11 +79,11 @@ def test_criterion_3_gf2m_examples():
         for name, expected_n in (("gf2m1", 38), ("gf2m2", 41)):
             case = next(c for c in CASES if c.name == name)
             assert replay(case) is None         # row-exact against the reference tables
-        r1 = run_dlog(GF27, 0x1D, WalkConfig(variant="char2", table_size=7,
+        r1 = run_dlog(GF27, 0x1D, WalkConfig(variant="char2",
                                              choices=[0, 1, 1, 1], trace=True))
         assert r1.n == 38
         assert [rec.result for rec in r1.trace] == [0x23, 0x50, 0x28, 0x14]
-        r2 = run_dlog(GF27, 0x6B, WalkConfig(variant="char2", table_size=7,
+        r2 = run_dlog(GF27, 0x6B, WalkConfig(variant="char2",
                                              choices=[0, 1, 1, 0], trace=True))
         assert r2.n == 41
         assert r2.trace[-1].result == 0x6B      # self-collision with the start
@@ -92,8 +92,8 @@ def test_criterion_3_gf2m_examples():
 def test_criterion_4_collatz_example():
     with criterion("4 (3x+1 example, p=101)"):
         params = PrimeGroupParams(101, 2)
-        config = WalkConfig(variant="collatz", table_size=7,
-                            choices=[1, 0, 1], trace=True)
+        config = WalkConfig(variant="collatz", choices=[1, 0, 1],
+                            trace=True)
         result = run_dlog(params, 72, config)
         chosen = [rec.chosen for rec in result.trace if rec.chosen is not None]
         assert chosen == [56, 37, 80]
@@ -117,7 +117,7 @@ def test_criterion_5_oracle_equivalence():
                 targets = range(1, p)
             else:
                 targets = [rng.randrange(1, p) for _ in range(sample)]
-            table = build_table_one(params, WalkConfig())
+            table = build_table_one(params)
             for target in targets:
                 result = run_dlog(params, target,
                                   WalkConfig(seed=rng.getrandbits(32)),
@@ -238,7 +238,7 @@ def test_criterion_9_char2_randomized():
     with criterion("9 (200 random GF(2^13) targets vs BSGS)"):
         t0 = time.perf_counter()
         rng = random.Random(8191)
-        table = build_table_one(GF213, WalkConfig(variant="char2"))
+        table = build_table_one(GF213)
         for i in range(200):
             n = rng.randrange(1, 8191)
             target = gf_pow(0b10, n, GF213)

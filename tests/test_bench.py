@@ -48,7 +48,7 @@ def test_steps_metric_counts_walk_iterations():
     # the scripted worked example takes exactly 3 iterations, and the bench
     # steps column reports the same engine counter
     from dlogwalk.walk import run_dlog
-    result = run_dlog(P103, 84, WalkConfig(table_size=7, choices=[1]))
+    result = run_dlog(P103, 84, WalkConfig(choices=[1]))
     assert result.steps_taken == 3
     record = run_trials(P103, WalkConfig(), 1, seed_base=5)[0]
     target = pow(5, record.n_true, 103) if record.n_true else 1

@@ -1,5 +1,6 @@
 """Property tests over random inputs: group laws, BSGS, both square roots,
-the collision congruence and the walk invariants.
+the collision congruence, Table I and the walk invariants, on fixed groups
+and on random ones.
 
 A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
@@ -20,8 +21,10 @@ from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, collision_solve,
                               enumerate_candidates)
 from dlogwalk.oracles import bsgs_dlog
-from dlogwalk.primefield import PrimeGroupParams
-from dlogwalk.walk import WalkConfig, _Walk
+from dlogwalk.primefield import (PrimeGroupParams, check_generator,
+                                 is_probable_prime, jacobi, prime_factors)
+from dlogwalk.walk import (VARIANTS, UnsupportedGroupError, WalkConfig, _Walk,
+                           build_table_one)
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: deep roots; collatz runs
@@ -289,3 +292,77 @@ def test_fallback_step_lands_on_a_residue(params, variant, n, seed, max_steps):
         if rec.branch in ("div", "cube") and nxt.segment == rec.segment:
             assert nxt.branch == "sqrt"
             assert nxt.value == rec.result
+
+
+# -- random groups ---------------------------------------------------------
+
+def _prime_group(p):
+    """Z_p^* for the largest prime at or below p >= 3, with its least
+    primitive root: the first non-square a that `check_generator` passes
+    against `prime_factors` of the order."""
+    while not is_probable_prime(p):
+        p -= 1
+    factors = prime_factors(p - 1)
+    for a in range(2, p):
+        if jacobi(a, p) == -1:
+            params = PrimeGroupParams(p, a)
+            try:
+                check_generator(params, factors)
+            except ValueError:
+                continue
+            return params
+
+
+def _binary_group(m, low):
+    """GF(2^m) mod the first irreducible at or above x^m + low, wrapping
+    round, in which x is primitive."""
+    factors = prime_factors((1 << m) - 1)
+    while True:
+        params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+        try:
+            check_generator(params, factors)
+        except ValueError:
+            low = params.poly + 2
+            continue
+        return params
+
+
+GROUPS_AT_RANDOM = st.one_of(
+    st.builds(_prime_group, st.integers(min_value=3, max_value=2**20 - 1)),
+    st.builds(_binary_group, st.integers(min_value=2, max_value=16),
+              st.integers(min_value=0, max_value=2**16 - 1)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(GROUPS_AT_RANDOM, st.integers(min_value=0, max_value=2**20),
+       st.integers(min_value=0, max_value=2**32))
+@example(_prime_group(3), 1, 0)           # the smallest group: N = 2
+@example(_prime_group(1019), 500, 0)      # r = 1: p = 3 (mod 4)
+@example(_prime_group(786433), 12345, 0)  # r = 18 (p = 3 * 2^18 + 1), 3 | N
+@example(_prime_group(257), 200, 1)       # s = 1: p - 1 = 2^8
+@example(_prime_group(65537), 4242, 2)    # s = 1: p - 1 = 2^16
+@example(_prime_group(1009), 77, 3)       # p = 1 (mod 3): no collatz
+@example(_binary_group(2, 0), 2, 0)       # GF(4): N = 3
+@example(_binary_group(16, 0), 54321, 0)  # N = 65535 = 3 * 5 * 17 * 257
+def test_random_group_table_one_and_every_variant(params, n, seed):
+    # Table I holds the order's bit length of squares g^(2^j), distinct
+    order, g = params.order, params.generator
+    table = build_table_one(params)
+    assert len(table) == order.bit_length()
+    for v, k in table.items():
+        assert params.pow(g, k) == v
+    # every variant the group runs solves, as BSGS does, and stores only
+    # exponents that hold; every other variant is refused
+    n %= order
+    target = params.pow(g, n)
+    assert bsgs_dlog(params, target).n == n
+    for variant in VARIANTS:
+        config = WalkConfig(variant=variant, seed=seed)
+        if variant not in params.variants:
+            with pytest.raises(UnsupportedGroupError):
+                _Walk(params, target, config, None)
+            continue
+        walk = _Walk(params, target, config, None)
+        assert walk.run().n == n, variant
+        for v, (A, B, k) in walk.seen.items():
+            assert params.pow(v, 1 << k) == params.pow(g, (A * n + B) % order)

@@ -14,9 +14,12 @@ from dlogwalk import (BinaryFieldParams, CongruenceSolution, DlogResult,
     ({"seed": 1, "choices": [0, 1]},
      "seed and scripted choices are mutually exclusive"),
     ({"max_steps": 0}, "max_steps must be >= 1"),
-    ({"table_size": -1}, "table_size must be >= 0"),
+    ({"max_steps": 2.5}, "max_steps must be an int, got 2.5"),
     ({"max_restarts": -4}, "max_restarts must be >= 0"),
     ({"d_max": 0}, "d_max must be >= 1"),
+    ({"max_restarts": 0.5}, "max_restarts must be an int, got 0.5"),
+    ({"max_restarts": None}, "max_restarts must be an int, got None"),
+    ({"d_max": 1e3}, "d_max must be an int, got 1000.0"),
 ])
 def test_walk_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -70,9 +73,8 @@ def test_binary_field_checks(args, message):
 
 def test_repr():
     assert repr(WalkConfig(variant="collatz", choices=[0, 1], trace=True)) == (
-        "WalkConfig(variant='collatz', table_size=None, max_steps=None,"
-        " max_restarts=32, d_max=65536, seed=None, choices=[0, 1],"
-        " trace=True)")
+        "WalkConfig(variant='collatz', max_steps=None, max_restarts=32,"
+        " d_max=65536, seed=None, choices=[0, 1], trace=True)")
     assert repr(DlogResult(None, 3, 1, 2, 0, CongruenceSolution(1, 2, 3),
                            [1], [])) == (
         "DlogResult(n=None, steps_taken=3, restarts=1, collisions_tested=2,"
@@ -93,9 +95,9 @@ def test_repr():
 def test_equality():
     assert WalkConfig() == WalkConfig()
     assert WalkConfig(choices=[0, 1]) == WalkConfig(choices=[0, 1])
-    for change in ({"variant": "collatz"}, {"table_size": 3},
-                   {"max_steps": 5}, {"max_restarts": 1}, {"d_max": 7},
-                   {"seed": 0}, {"choices": [1]}, {"trace": True}):
+    for change in ({"variant": "collatz"}, {"max_steps": 5},
+                   {"max_restarts": 1}, {"d_max": 7}, {"seed": 0},
+                   {"choices": [1]}, {"trace": True}):
         assert WalkConfig() != WalkConfig(**change), change
     assert WalkConfig() != "WalkConfig()"
 

@@ -42,70 +42,17 @@ GF_DLOGS = dlog_table(lambda v: gf_mul(v, GENERATOR, GF27), 127)
 # -- Table I -------------------------------------------------------------
 
 def test_table_one_known_values_prime():
-    table = build_table_one(P103, WalkConfig(table_size=7))
+    table = build_table_one(P103)
     assert table == {5: 1, 25: 2, 7: 4, 49: 8, 32: 16, 97: 32, 36: 64}
+    # perfbench/ passes each variant's WalkConfig, which is not read
+    assert build_table_one(P103, WalkConfig(variant="collatz")) == table
 
 
 def test_table_one_known_values_gf2m():
-    table = build_table_one(GF27, WalkConfig(variant="char2", table_size=7))
+    table = build_table_one(GF27)
     assert table[0x14] == 16
     assert table == {0x02: 1, 0x04: 2, 0x10: 4, 0x06: 8,
                      0x14: 16, 0x16: 32, 0x12: 64}
-
-
-def test_table_one_empty():
-    assert build_table_one(P103, WalkConfig(table_size=0)) == {}
-
-
-def test_table_one_size_is_bounded_by_the_order():
-    # a table as large as the order is the largest accepted; one entry
-    # more only repeats
-    table = build_table_one(P103, WalkConfig(table_size=102))
-    for v, k in table.items():
-        assert pow(5, k, 103) == v
-    with pytest.raises(ValueError):
-        build_table_one(P103, WalkConfig(table_size=103))
-    assert len(build_table_one(GF27, WalkConfig(variant="char2",
-                                                table_size=127))) == 7
-    with pytest.raises(ValueError):
-        build_table_one(GF27, WalkConfig(variant="char2", table_size=128))
-
-
-class _CountingMul:
-    """params with a count of the squarings build_table_one asks of it."""
-
-    def __init__(self, params):
-        self.params, self.muls = params, 0
-
-    def __getattr__(self, name):
-        return getattr(self.params, name)
-
-    def mul(self, u, v):
-        self.muls += 1
-        return self.params.mul(u, v)
-
-
-def test_table_one_stops_at_the_first_repeated_square():
-    # 5^(2^j) mod 2003 cycles after 61 squares (2 has order 60 mod 1001),
-    # and squaring is deterministic, so nothing new follows a repeat
-    counted = _CountingMul(P2003)
-    table = build_table_one(counted, WalkConfig(table_size=2002))
-    assert counted.muls <= len(table) + 1
-    every, v = {}, P2003.generator  # all 2002 squares, smaller exponent kept
-    for j in range(2002):
-        every.setdefault(v, 1 << j)
-        v = v * v % 2003
-    assert table == every
-
-
-def test_table_one_duplicates_keep_smaller_exponent():
-    # p = 17: 2^4 = 16 = 2^(4 + 16k), so pow2 exponents collide past j = 2
-    params = PrimeGroupParams(17, 3)
-    table = build_table_one(params, WalkConfig(table_size=8))
-    values = [pow(3, 1 << j, 17) for j in range(8)]
-    for v, k in table.items():
-        assert pow(3, k, 17) == v
-        assert k == min(1 << j for j in range(8) if values[j] == v)
 
 
 # -- config validation ----------------------------------------------------
@@ -117,8 +64,6 @@ def test_config_validation():
         WalkConfig(seed=1, choices=[0, 1])
     with pytest.raises(ValueError):
         WalkConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        WalkConfig(table_size=-1)
     with pytest.raises(ValueError):
         WalkConfig(max_restarts=-4)
     with pytest.raises(ValueError):
@@ -170,11 +115,14 @@ def test_replay_detects_corruption(monkeypatch):
     import dlogwalk.walk as walk_mod
     real = walk_mod.build_table_one
 
-    def corrupt(params, config):
+    def corrupt(params, config=None):
         return {v: k + 1 for v, k in real(params, config).items()}
 
     monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
-    assert replay(CASES[0]) is not None
+    # k + 1 fails the candidate check, so the walk runs past its script;
+    # a TypeError from the patched call would abort with another message
+    assert replay(CASES[0]) == \
+        "walk aborted: scripted choices exhausted after 1 decisions"
 
 
 _BY_NAME = {case.name: case for case in CASES}
@@ -209,7 +157,7 @@ def test_replay_names_each_divergence(name, changes, message):
 # -- solving behaviour -----------------------------------------------------
 
 def test_immediate_table_hit():
-    result = run_dlog(P103, 5, WalkConfig(table_size=7))
+    result = run_dlog(P103, 5, WalkConfig())
     assert result.n == 1
     assert result.steps_taken == 0
     # the target is the first segment's start: a Table I entry g^k there
@@ -218,7 +166,7 @@ def test_immediate_table_hit():
                             (GF27, "char2")):
         order = params.order
         config = WalkConfig(variant=variant, seed=0)
-        for v, k in build_table_one(params, config).items():
+        for v, k in build_table_one(params).items():
             result = run_dlog(params, v, config)
             n = k % order
             assert (result.n, result.congruence, result.candidates) == \
@@ -270,7 +218,7 @@ def test_scripted_exhaustion_raises():
     # gf2m1 needs four decisions; the message counts the scripted ones
     with pytest.raises(DecisionsExhaustedError,
                        match="^scripted choices exhausted after 3 decisions$"):
-        run_dlog(GF27, 0x1D, WalkConfig(variant="char2", table_size=7,
+        run_dlog(GF27, 0x1D, WalkConfig(variant="char2",
                                         choices=[0, 1, 1]))
 
 
@@ -347,8 +295,8 @@ def test_exponent_tracking_soundness(params, variant, dlogs, order_half_shift):
 def test_first_branch_matches_parity_for_p_3_mod_4():
     inverse = {e: v for v, e in PRIME_DLOGS.items()}
     for n in range(1, 102):
-        result = run_dlog(P103, inverse[n], WalkConfig(seed=1, trace=True,
-                                                       table_size=0))
+        result = run_dlog(P103, inverse[n], WalkConfig(seed=1, trace=True),
+                          table={})
         first = result.trace[0]
         assert (first.branch == "div") == (n % 2 == 1)
 
@@ -590,7 +538,7 @@ def test_table_one_seeds_the_history(variant):
     # entry g^k as the plain tuple (0, k mod N, 0), and no step or restart
     # overwrites one; the shared table itself is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
-    table = build_table_one(params, WalkConfig(variant=variant))
+    table = build_table_one(params)
     before = dict(table)
     reached = 0
     for seed in range(10):
@@ -760,7 +708,7 @@ def test_exhaustive_small_groups():
 
 
 def test_shared_table_across_runs():
-    table = build_table_one(P2003, WalkConfig())
+    table = build_table_one(P2003)
     before = dict(table)
     for seed in range(10):
         result = run_dlog(P2003, 1500, WalkConfig(seed=seed), table=table)
@@ -812,7 +760,7 @@ def test_trace_does_not_change_the_walk(variant):
 
 
 def test_scripted_config_is_reusable():
-    config = WalkConfig(table_size=7, choices=[0, 1])
+    config = WalkConfig(choices=[0, 1])
     assert run_dlog(P103, 99, config).n == 37
     assert run_dlog(P103, 99, config).n == 37  # choices not consumed in place
 
