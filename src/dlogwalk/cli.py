@@ -41,8 +41,6 @@ def _add_walk_flags(sub):
                       help="default: the group's first (inverse, or char2)")
     walk.add_argument("--max-steps", type=int)
     walk.add_argument("--max-restarts", type=int)
-    walk.add_argument("--d-max", type=int,
-                      help="candidate-count limit: a collision with more is skipped")
 
 
 def _params(parser, args):

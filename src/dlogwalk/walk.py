@@ -35,7 +35,7 @@ value a step produces (the fallback's, or both roots) is looked up once; a
 hit is a collision for _attempt, and a miss is stored.  A collision yields
 a linear congruence for n whose candidates are verified by exponentiation;
 the first verified one wins.  A collision that verifies nothing (spurious,
-degenerate, or with more than d_max solutions) is walked past: the walk is
+degenerate, or with more than D_MAX solutions) is walked past: the walk is
 random, so it cannot be trapped.  A walk runs in segments, each in one
 frame with its value and exponent in locals, of at most max_steps steps,
 until the answer or the budget's end.  The first segment starts at the
@@ -63,6 +63,10 @@ from .primefield import legendre, mod_pow, sqrt_mod_p, sylow_log  # noqa: F401
 
 VARIANTS = ("inverse", "collatz", "char2")
 
+# the most solutions of a collision's congruence the walk verifies, each by
+# one exponentiation; a collision with more is walked past
+D_MAX = 65536
+
 
 class DecisionsExhaustedError(RuntimeError):
     """A scripted choice list ran out before the walk finished."""
@@ -85,31 +89,32 @@ class WalkConfig(Record):
     """Tunables for one solver run.
 
     `seed` and `choices` are mutually exclusive: a seed drives a PRNG, a
-    choice list scripts every random decision (for replaying known walks).
+    choice list, any iterable of bits stored as a list, scripts every random
+    decision (for replaying known walks).
     An unset max_steps falls back to an order-dependent default at run time.
     """
 
-    _fields = __slots__ = ("variant", "max_steps", "max_restarts", "d_max",
-                           "seed", "choices", "trace")
+    _fields = __slots__ = ("variant", "max_steps", "max_restarts", "seed",
+                           "choices", "trace")
 
     def __init__(self, variant: str = "inverse", max_steps: int | None = None,
-                 max_restarts: int = 32, d_max: int = 65536,
-                 seed: int | None = None, choices: list[int] | None = None,
-                 trace: bool = False):
+                 max_restarts: int = 32, seed: int | None = None,
+                 choices: list[int] | None = None, trace: bool = False):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if seed is not None and choices is not None:
             raise ValueError("seed and scripted choices are mutually exclusive")
+        if seed is not None and not isinstance(seed, int):
+            raise ValueError(f"seed must be an int or None, got {seed!r}")
         if max_steps is not None:
             _check_count("max_steps", max_steps, 1)
         _check_count("max_restarts", max_restarts, 0)
-        _check_count("d_max", d_max, 1)
         if choices is not None:
+            choices = list(choices)  # once: the check would use up an iterator
             for b in choices:
                 if b not in (0, 1):
                     raise ValueError(f"scripted choices must be bits, got {b!r}")
-        self._assign(variant, max_steps, max_restarts, d_max, seed, choices,
-                     trace)
+        self._assign(variant, max_steps, max_restarts, seed, choices, trace)
 
     def replace(self, **changes) -> "WalkConfig":
         """A copy with `changes` applied, checked as the constructor checks."""
@@ -132,16 +137,14 @@ class DlogResult(Record):
     """Outcome of a solver run; n is None when every restart budget ran out."""
 
     _fields = __slots__ = ("n", "steps_taken", "restarts", "collisions_tested",
-                           "candidates_tried", "congruence", "candidates",
-                           "trace")
+                           "candidates_tried", "congruence", "trace")
 
     def __init__(self, n: int | None, steps_taken: int = 0, restarts: int = 0,
                  collisions_tested: int = 0, candidates_tried: int = 0,
                  congruence: CongruenceSolution | None = None,
-                 candidates: list[int] | None = None,
                  trace: list[TraceRecord] | None = None):
         self._assign(n, steps_taken, restarts, collisions_tested,
-                     candidates_tried, congruence, candidates, trace)
+                     candidates_tried, congruence, trace)
 
     @property
     def success(self) -> bool:
@@ -211,7 +214,7 @@ class _Walk:
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:
-            self.next_bit = _scripted_bits(list(config.choices))
+            self.next_bit = _scripted_bits(config.choices)
         else:  # one getrandbits(1) per decision, called as next_bit(1)
             self.next_bit = self.rng.getrandbits
 
@@ -379,26 +382,26 @@ class _Walk:
         exponent `expr` it was reached by, a plain (A, B, k).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None to walk on: a spurious or degenerate collision says nothing
-        about n, and one with more than d_max candidates is not verified.
+        about n, and one with more than D_MAX candidates is not verified.
         """
         self.steps_taken = steps
         self.collisions_tested += 1
         try:
             sol = collision_solve(LinExpr(*expr), LinExpr(*self.seen[value]),
                                   self.order)
-            candidates = enumerate_candidates(sol, self.order, self.config.d_max)
+            candidates = enumerate_candidates(sol, self.order, D_MAX)
         except (NoSolutionError, DegenerateCollisionError,
                 TooManyCandidatesError):
             return None
         for n in candidates:
             self.candidates_tried += 1
             if self.params.pow(self.params.generator, n) == self.target:
-                return self._result(n, sol, candidates)
+                return self._result(n, sol)
         return None  # cannot happen for genuine matches; treated as spurious
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _result(self, n, congruence=None, candidates=None):
+    def _result(self, n, congruence=None):
         return DlogResult(
             n=None if n is None else n % self.order,
             steps_taken=self.steps_taken,
@@ -406,7 +409,6 @@ class _Walk:
             collisions_tested=self.collisions_tested,
             candidates_tried=self.candidates_tried,
             congruence=congruence,
-            candidates=candidates,
             trace=self.trace)
 
 

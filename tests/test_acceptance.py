@@ -68,9 +68,9 @@ def test_criterion_2_prime_example_two():
         result = run_dlog(params, 99, config)
         chosen = [rec.chosen for rec in result.trace if rec.chosen is not None]
         assert chosen == [24, 56]               # the scripted root picks
-        assert (result.congruence.residue, result.congruence.modulus,
-                result.congruence.count) == (3, 34, 3)
-        assert result.candidates == [3, 37, 71]
+        c = result.congruence
+        assert (c.residue, c.modulus, c.count) == (3, 34, 3)
+        assert list(range(c.residue, params.order, c.modulus)) == [3, 37, 71]
         assert result.n == 37
 
 

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import itertools
 import json
 import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlogwalk.cli import _params, _walk_config, build_parser, main
 from dlogwalk.gf2m import BinaryFieldParams
@@ -319,7 +323,8 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
          "--seed", "1", "--choices", "1"],                         # exclusive
         ["solve", "--p", "103", "--gen", "5", "--target", "84", "--max-steps", "0"],
-        ["solve", "--p", "103", "--gen", "5", "--target", "84", "--d-max", "0"],
+        ["solve", "--p", "103", "--gen", "5", "--target", "84",
+         "--d-max", "3"],                                          # removed flag
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
          "--max-restarts", "-4"],
         ["solve", "--p", "103", "--gen", "5", "--target", "84", "--workers", "2"],
@@ -332,7 +337,7 @@ def test_usage_errors_exit_two(capsys):
         ["bench", "--p", "103", "--gen", "5", "--trials", "3", "--seed", "0",
          "--table-size", "7"],                                     # removed flag
         ["bench", "--m", "7", "--poly", "0x83", "--trials", "3", "--seed", "0",
-         "--d-max", "0"],
+         "--d-max", "3"],                                          # removed flag
         ["solve", "--p", "1000003", "--gen", "4", "--target", "2"],  # square
         ["solve", "--p", "7340033", "--gen", "9", "--target", "5"],  # square
         ["solve", "--p", "13", "--gen", "5", "--target", "2"],       # order 4
@@ -444,3 +449,80 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
         capsys.readouterr()
+
+
+# argv for the fuzz test below: a command with what it requires (or not),
+# maybe another group (valid, bad or partial), then walk flags, then maybe
+# one bad flag; the bad pool holds bad values, stray and dangling tokens and
+# the removed flags --d-max, --table-size and --seq
+_FUZZ_PROBLEMS = (
+    ("--p", "103", "--gen", "5", "--target", "84"),
+    ("--p", "101", "--gen", "2", "--target", "72"),
+    ("--p", "2003", "--gen", "5", "--target", "777"),
+    ("--m", "7", "--poly", "0x83", "--target", "0x1D"),
+    ("--m", "13", "--poly", "0x201B", "--target", "0x1234"),
+)
+_FUZZ_REQUIRED = {
+    "solve": ((), ("--target", "5"), *_FUZZ_PROBLEMS),
+    "oracle": ((), *(("--method", method, *problem) for method in
+                     ("bsgs", "brute") for problem in _FUZZ_PROBLEMS)),
+    "bench": ((), ("--trials", "2"),
+              *(("--trials", "2", "--seed", "0", *problem[:4])
+                for problem in _FUZZ_PROBLEMS)),
+    "selftest": ((), ("--only", "prime1"), ("--only", "collatz")),
+    "nope": ((),),
+}
+_FUZZ_REQUIRED["solve-gf2m"] = _FUZZ_REQUIRED["solve"]
+_FUZZ_GROUPS = (
+    ("--p", "103", "--gen", "5"), ("--m", "7", "--poly", "0x83"),
+    ("--p", "104", "--gen", "5"), ("--p", "13", "--gen", "5"),
+    ("--p", "103", "--gen", "25"), ("--m", "4", "--poly", "0x1f"),
+    ("--m", "7", "--poly", "0x9B"), ("--m", "7", "--poly", "zz"),
+)
+# flags of solve or bench, then flags that are bad for every command or most
+_FUZZ_WALK_FLAGS = (
+    ("--variant", "inverse"), ("--variant", "collatz"), ("--variant", "char2"),
+    ("--max-steps", "3"), ("--max-restarts", "1"), ("--seed", "1"),
+    ("--choices", "1"), ("--choices", "0,1,1,1"), ("-v",), ("--timing",),
+)
+_FUZZ_BAD_FLAGS = (
+    ("--target", "-3"), ("--target", "x"), ("--target",), ("--p", "101"),
+    ("--gen", "4"), ("--m", "1"), ("--poly", "0x3"), ("--variant", "pollard"),
+    ("--max-steps", "0"), ("--max-steps", "x"), ("--max-restarts", "-1"),
+    ("--seed", "x"), ("--seed",), ("--choices", "0,2"), ("--choices", "x"),
+    ("--trials", "0"), ("--method", "x"), ("--only", "prime1"),
+    ("--only", "nope"), ("--d-max", "3"), ("--table-size", "7"),
+    ("--seq", "pow2"), ("--workers", "2"), ("--",), ("stray",),
+)
+# every solve and bench walks at most 3 segments of 60 steps: a drawn
+# --max-steps or --max-restarts comes later, so it wins, and is smaller
+_FUZZ_CAPS = ("--max-steps", "60", "--max-restarts", "2")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FUZZ_REQUIRED)).flatmap(
+           lambda c: st.tuples(st.just(c), st.sampled_from(_FUZZ_REQUIRED[c]))),
+       st.one_of(st.just(()), st.sampled_from(_FUZZ_GROUPS)),
+       st.lists(st.sampled_from(_FUZZ_WALK_FLAGS), max_size=3),
+       st.one_of(st.just(()), st.sampled_from(_FUZZ_BAD_FLAGS)))
+def test_cli_fuzz_exits_zero_one_or_two(command_required, group, walk_flags,
+                                        bad_flag):
+    command, required = command_required
+    caps = _FUZZ_CAPS if command in ("solve", "solve-gf2m", "bench") else ()
+    argv = [command, *caps, *required, *group,
+            *itertools.chain.from_iterable(walk_flags), *bad_flag]
+    out = io.StringIO()
+    # any exception but SystemExit fails the test with its traceback
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if command.startswith("solve") and code == 0:
+        # a solve that exits 0 prints a verified n first: g^n = target
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        params = _params(parser, args)
+        n = int(out.getvalue().splitlines()[0])
+        assert params.pow(params.generator, n) == params.parse(args.target), argv

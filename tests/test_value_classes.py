@@ -16,10 +16,11 @@ from dlogwalk import (BinaryFieldParams, CongruenceSolution, DlogResult,
     ({"max_steps": 0}, "max_steps must be >= 1"),
     ({"max_steps": 2.5}, "max_steps must be an int, got 2.5"),
     ({"max_restarts": -4}, "max_restarts must be >= 0"),
-    ({"d_max": 0}, "d_max must be >= 1"),
+    ({"seed": [1]}, "seed must be an int or None, got [1]"),
     ({"max_restarts": 0.5}, "max_restarts must be an int, got 0.5"),
     ({"max_restarts": None}, "max_restarts must be an int, got None"),
-    ({"d_max": 1e3}, "d_max must be an int, got 1000.0"),
+    ({"seed": 1.5}, "seed must be an int or None, got 1.5"),
+    ({"seed": "7"}, "seed must be an int or None, got '7'"),
 ])
 def test_walk_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -74,15 +75,15 @@ def test_binary_field_checks(args, message):
 def test_repr():
     assert repr(WalkConfig(variant="collatz", choices=[0, 1], trace=True)) == (
         "WalkConfig(variant='collatz', max_steps=None, max_restarts=32,"
-        " d_max=65536, seed=None, choices=[0, 1], trace=True)")
+        " seed=None, choices=[0, 1], trace=True)")
     assert repr(DlogResult(None, 3, 1, 2, 0, CongruenceSolution(1, 2, 3),
-                           [1], [])) == (
+                           [])) == (
         "DlogResult(n=None, steps_taken=3, restarts=1, collisions_tested=2,"
         " candidates_tried=0, congruence=CongruenceSolution(residue=1,"
-        " modulus=2, count=3), candidates=[1], trace=[])")
+        " modulus=2, count=3), trace=[])")
     assert repr(DlogResult(5)) == (
         "DlogResult(n=5, steps_taken=0, restarts=0, collisions_tested=0,"
-        " candidates_tried=0, congruence=None, candidates=None, trace=None)")
+        " candidates_tried=0, congruence=None, trace=None)")
     # the derived root tables and the checked factor list stay out of it
     assert repr(PrimeGroupParams(103, 5, [2, 3, 17])) == (
         "PrimeGroupParams(p=103, a=5, r=1, s=51, c=102)")
@@ -96,16 +97,16 @@ def test_equality():
     assert WalkConfig() == WalkConfig()
     assert WalkConfig(choices=[0, 1]) == WalkConfig(choices=[0, 1])
     for change in ({"variant": "collatz"}, {"max_steps": 5},
-                   {"max_restarts": 1}, {"d_max": 7}, {"seed": 0},
+                   {"max_restarts": 1}, {"seed": 0},
                    {"choices": [1]}, {"trace": True}):
         assert WalkConfig() != WalkConfig(**change), change
     assert WalkConfig() != "WalkConfig()"
 
-    full = (5, 3, 1, 2, 4, CongruenceSolution(5, 6, 1), [5], [])
+    full = (5, 3, 1, 2, 4, CongruenceSolution(5, 6, 1), [])
     assert DlogResult(*full) == DlogResult(*full)
-    for i, other in enumerate((None, 4, 0, 0, 0, None, None, None)):
+    for i, other in enumerate((None, 4, 0, 0, 0, None, None)):
         assert DlogResult(*full[:i], other, *full[i + 1:]) != DlogResult(*full)
-    assert DlogResult(5) != (5, 0, 0, 0, 0, None, None, None)
+    assert DlogResult(5) != (5, 0, 0, 0, 0, None, None)
 
     # factors_of_order is only checked, not stored, so the same group is
     # equal however it was built; the root tables, derived from p and a,

@@ -67,8 +67,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(max_restarts=-4)
     with pytest.raises(ValueError):
-        WalkConfig(d_max=0)
-    with pytest.raises(ValueError):
         WalkConfig(choices=[0, 2])
 
 
@@ -139,16 +137,14 @@ _BY_NAME = {case.name: case for case in CASES}
     ("prime2", lambda c: {"congruence": CongruenceSolution(3, 34, 1)},
      "congruence CongruenceSolution(residue=3, modulus=34, count=3),"
      " expected CongruenceSolution(residue=3, modulus=34, count=1)"),
-    ("prime2", lambda c: {"candidates": (3, 37)},
-     "candidates [3, 37, 71], expected [3, 37]"),
     ("collatz", lambda c: {"n": 40}, "n = 41, expected 40"),
     # GF(2^m) elements print in hex, as the CLI prints them
     ("gf2m1", lambda c: {"rows": ((0x1D, "sqrt", 0x24, None, None, 0,
                                    (1, 0, 1)),) + c.rows[1:]},
      "row 1: expected (0x1d, 'sqrt', 0x24, None, None, 0, (1, 0, 1)),"
      " got (0x1d, 'sqrt', 0x23, None, None, 0, (1, 0, 1))"),
-], ids=["extra-row", "dropped-row", "altered-row", "congruence", "candidates",
-        "n", "altered-row-gf2m"])
+], ids=["extra-row", "dropped-row", "altered-row", "congruence", "n",
+        "altered-row-gf2m"])
 def test_replay_names_each_divergence(name, changes, message):
     case = _BY_NAME[name]
     assert replay(case._replace(**changes(case))) == message
@@ -169,8 +165,8 @@ def test_immediate_table_hit():
         for v, k in build_table_one(params).items():
             result = run_dlog(params, v, config)
             n = k % order
-            assert (result.n, result.congruence, result.candidates) == \
-                (n, CongruenceSolution(n, order, 1), [n])
+            assert (result.n, result.congruence) == \
+                (n, CongruenceSolution(n, order, 1))
             assert _counts(result) == (n, 0, 0, 1, 1)
 
 
@@ -658,18 +654,20 @@ def test_solving_collisions_pair_different_ops(params, variant):
     assert ("sqrt", fallback) in pairs and (fallback, "sqrt") in pairs
 
 
-def test_golden_too_many_candidates_skipped():
-    # d_max=1 makes every collision with two or more candidates one the
+def test_golden_too_many_candidates_skipped(monkeypatch):
+    # D_MAX = 1 makes every collision with two or more candidates one the
     # walk passes by without a restart; a later one with a single
     # candidate solves
-    assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1))) == \
+    monkeypatch.setattr(walk, "D_MAX", 1)
+    assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0))) == \
         (1098, 88, 0, 7, 1)
 
 
-def test_too_many_candidates_do_not_end_the_segment():
+def test_too_many_candidates_do_not_end_the_segment(monkeypatch):
     # a too-many collision tells no more than a spurious one: with no
     # restart to spend, the walk still goes on within its step budget
-    result = run_dlog(P2003, 777, WalkConfig(seed=0, d_max=1, max_restarts=0))
+    monkeypatch.setattr(walk, "D_MAX", 1)
+    result = run_dlog(P2003, 777, WalkConfig(seed=0, max_restarts=0))
     assert result.n == 1098
     assert result.restarts == 0
     assert result.steps_taken < default_max_steps(P2003.order)
@@ -692,8 +690,9 @@ def test_golden_long_char2_segments():
         GOLDEN_CHAR2_BENCH_CSV_SHA256
 
 
-def test_d_max_skips_collisions_but_still_solves():
-    result = run_dlog(P2003, 777, WalkConfig(seed=2, d_max=1))
+def test_d_max_skips_collisions_but_still_solves(monkeypatch):
+    monkeypatch.setattr(walk, "D_MAX", 1)
+    result = run_dlog(P2003, 777, WalkConfig(seed=2))
     assert result.success
     assert pow(5, result.n, 2003) == 777
 
@@ -739,16 +738,17 @@ def test_trace_disabled_by_default():
 
 
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
-def test_trace_does_not_change_the_walk(variant):
-    # short segments force restarts, and d_max=1 walks past collisions
+def test_trace_does_not_change_the_walk(variant, monkeypatch):
+    # short segments force restarts, and D_MAX = 1 walks past collisions
     # with too many candidates; each row must walk alike with the trace on
     # or off
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
-    restarted = 0
+    restarted, default = 0, walk.D_MAX
     for seed in range(10):
-        for d_max in (65536, 1):
+        for d_max in (default, 1):
+            monkeypatch.setattr(walk, "D_MAX", d_max)
             config = WalkConfig(variant=variant, seed=seed, max_steps=8,
-                                max_restarts=16, d_max=d_max)
+                                max_restarts=16)
             plain = run_dlog(params, target, config)
             traced = run_dlog(params, target, config.replace(trace=True))
             assert _counts(traced) == _counts(plain)
@@ -763,6 +763,14 @@ def test_scripted_config_is_reusable():
     config = WalkConfig(choices=[0, 1])
     assert run_dlog(P103, 99, config).n == 37
     assert run_dlog(P103, 99, config).n == 37  # choices not consumed in place
+
+
+def test_scripted_choices_from_a_generator():
+    # the bit check must not use up an iterator before the walk reads it
+    config = WalkConfig(choices=(b for b in [1]))
+    assert config.choices == [1]
+    assert run_dlog(P103, 84, config).n == 29
+    assert run_dlog(P103, 84, config).n == 29
 
 
 def test_scale_mersenne_prime():
@@ -785,6 +793,7 @@ def test_scale_gf2m_17():
 
 def test_result_congruence_fields():
     result = run_dlog(P103, 99, WalkConfig(choices=[0, 1]))
-    assert (result.congruence.residue, result.congruence.modulus,
-            result.congruence.count) == (3, 34, 3)
-    assert result.candidates == [3, 37, 71]
+    c = result.congruence
+    assert (c.residue, c.modulus, c.count) == (3, 34, 3)
+    # the congruence fixes every candidate: n = residue mod modulus, below N
+    assert list(range(c.residue, P103.order, c.modulus)) == [3, 37, 71]
