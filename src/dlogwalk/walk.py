@@ -78,8 +78,9 @@ class UnsupportedGroupError(ValueError):
 
 def _check_count(name: str, value, least: int):
     """ValueError unless a budget is an int of at least `least`: the walk
-    meets it with int counters, which would step past a fractional one."""
-    if not isinstance(value, int):
+    meets it with int counters, which would step past a fractional one.  A
+    bool is refused too: True would pass as a budget of 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -109,6 +110,8 @@ class WalkConfig(Record):
         if max_steps is not None:
             _check_count("max_steps", max_steps, 1)
         _check_count("max_restarts", max_restarts, 0)
+        if not isinstance(trace, bool):  # "no" would turn tracing on
+            raise ValueError(f"trace must be a bool, got {trace!r}")
         if choices is not None:
             choices = list(choices)  # once: the check would use up an iterator
             for b in choices:

@@ -1,0 +1,143 @@
+"""The walk of the paper, written plainly: the oracle for walk.py, whose
+code it does not follow.
+
+A prime step from a residue (Legendre symbol +1) halves the exponent and
+moves to one of the value's two square roots, asked of `sqrt_mod_p` with
+no log, so each searches; from a non-residue it divides by the generator
+(inverse) or cubes and multiplies by it (collatz).  A GF(2^m) step takes
+`gf_div_by_x` or `gf_sqrt` by a random bit.  The exponent moves by the
+LinExpr ops, with t = 2^k mod N computed afresh.  Each segment start and
+each value a step makes is looked up in the history, which starts as
+Table I, {g^(2^j): 2^j}: a hit is a collision, whose candidates (at most
+walk.D_MAX, read at call time) are verified, and a miss is stored.  A
+segment runs ceil(20 * sqrt(N)) steps, or max_steps; the first starts at
+the target with exponent n, a later one at target * g^j with n + j.
+
+The draws follow the walk's documented order: one getrandbits(1) per char2
+step, one per prime root step only when neither root solved, and one
+randrange(N) per restart, from the seeded PRNG even when bits are scripted.
+"""
+
+import math
+import random
+
+from dlogwalk import walk
+from dlogwalk.gf2m import gf_div_by_x, gf_sqrt
+from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
+                              NoSolutionError, TooManyCandidatesError,
+                              collision_solve, enumerate_candidates)
+from dlogwalk.primefield import legendre, sqrt_mod_p
+from dlogwalk.walk import DecisionsExhaustedError, DlogResult, TraceRecord
+
+
+def reference_walk(params, target, config, table=None):
+    """Solve generator^n = target as the paper walks; returns the
+    DlogResult and the history, from each stored value to its LinExpr.
+    A given `table` replaces Table I ({} for none)."""
+    return _Reference(params, target, config, table).run()
+
+
+class _Reference:
+    def __init__(self, params, target, config, table):
+        self.params, self.config = params, config
+        self.order, self.g = params.order, params.generator
+        self.target = params.element(target)
+        if table is None:
+            table = {params.pow(self.g, 1 << j): 1 << j
+                     for j in range(self.order.bit_length())}
+        self.history = {v: LinExpr(0, k % self.order, 0)
+                        for v, k in table.items()}
+        self.budget = config.max_steps or math.ceil(20 * math.sqrt(self.order))
+        self.rng = random.Random(0 if config.seed is None else config.seed)
+        self.script = None if config.choices is None else iter(config.choices)
+        self.trace = [] if config.trace else None
+        self.steps = self.restarts = self.collisions = self.tried = 0
+
+    def run(self):
+        value, j = self.target, 0
+        while True:
+            expr = LinExpr(1, j, 0)
+            outcome = self.meet(value, expr) or self.segment(value, expr)
+            if outcome or self.restarts == self.config.max_restarts:
+                return outcome or self.result(None), self.history
+            self.restarts += 1
+            j = self.rng.randrange(self.order)
+            value = self.params.mul(self.target, self.params.pow(self.g, j))
+
+    def segment(self, value, expr):
+        step = self.char2_step if self.config.variant == "char2" \
+            else self.prime_step
+        for _ in range(self.budget):
+            self.steps += 1
+            outcome, value, expr = step(value, expr)
+            if outcome:
+                return outcome
+        return None
+
+    def prime_step(self, value, expr):
+        params, order, p = self.params, self.order, self.params.p
+        if legendre(value, params) == 1:  # m / 2, to either root
+            expr = expr.halve()
+            r1, r2, _ = sqrt_mod_p(value, params)
+            outcome = self.meet(r1, expr) or self.meet(r2, expr)
+            bit = None if outcome else self.bit()
+            new = r2 if bit else r1
+            self.row(value, "sqrt", expr, roots=(r1, r2),
+                     chosen=None if bit is None else new, decision=bit)
+            return outcome, new, expr
+        t = pow(2, expr.k, order)
+        if self.config.variant == "inverse":  # m - 1
+            new, branch = value * pow(params.a, -1, p) % p, "div"
+            expr = expr.dec(t, order)
+        else:  # 3m + 1
+            new, branch = pow(value, 3, p) * params.a % p, "cube"
+            expr = expr.triple_plus_one(t, order)
+        self.row(value, branch, expr, result=new)
+        return self.meet(new, expr), new, expr
+
+    def char2_step(self, value, expr):
+        bit = self.bit()
+        if bit:  # m - 1
+            new, branch = gf_div_by_x(value, self.params), "div"
+            expr = expr.dec(pow(2, expr.k, self.order), self.order)
+        else:  # m / 2: the one root
+            new, branch = gf_sqrt(value, self.params), "sqrt"
+            expr = expr.halve()
+        self.row(value, branch, expr, result=new, decision=bit)
+        return self.meet(new, expr), new, expr
+
+    def bit(self):
+        if self.script is None:
+            return self.rng.getrandbits(1)
+        for b in self.script:
+            return b
+        raise DecisionsExhaustedError(f"scripted choices exhausted after"
+                                      f" {len(self.config.choices)} decisions")
+
+    def row(self, value, branch, expr, **fields):
+        if self.trace is not None:
+            self.trace.append(TraceRecord(self.steps, self.restarts, value,
+                                          branch, expr, **fields))
+
+    def meet(self, value, expr):
+        """Store a reached value, or solve its collision with the stored
+        one: the verified DlogResult, or None to walk on."""
+        if value not in self.history:
+            self.history[value] = expr
+            return None
+        self.collisions += 1
+        try:
+            sol = collision_solve(expr, self.history[value], self.order)
+            candidates = enumerate_candidates(sol, self.order, walk.D_MAX)
+        except (NoSolutionError, DegenerateCollisionError,
+                TooManyCandidatesError):
+            return None
+        for n in candidates:
+            self.tried += 1
+            if self.params.pow(self.g, n) == self.target:
+                return self.result(n, sol)
+        return None
+
+    def result(self, n, congruence=None):
+        return DlogResult(n, self.steps, self.restarts, self.collisions,
+                          self.tried, congruence, self.trace)

@@ -6,16 +6,22 @@ A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
 every trace row and in the history dict, which keeps every segment's start.
 The char2 walk carries t = 2^k mod the odd order N, doubled on every root,
-and stores (A, B, k) with A = 1 (0 in Table I).  On either field a trace row
-shows the (A, B, k) the walk stored.
+and stores (A, B, k) with A = 1 (0 in Table I).
+
+The walk's oracle is tests/reference_walk.py, the walk written from the
+paper: `_Walk` must give its DlogResult, every trace row included, and its
+history, on random groups and walks.  It replays the five worked examples.
 """
 
 import math
+import re
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dlogwalk import walk
 from dlogwalk.gf2m import BinaryFieldParams, gf_mul, gf_sqrt, is_irreducible
 from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, collision_solve,
@@ -23,14 +29,15 @@ from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
 from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.primefield import (PrimeGroupParams, check_generator,
                                  is_probable_prime, jacobi, prime_factors)
-from dlogwalk.walk import (VARIANTS, UnsupportedGroupError, WalkConfig, _Walk,
+from dlogwalk.selftest import CASES
+from dlogwalk.walk import (D_MAX, VARIANTS, DecisionsExhaustedError,
+                           UnsupportedGroupError, WalkConfig, _Walk,
                            build_table_one)
+from reference_walk import reference_walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
-P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: deep roots; collatz runs
-P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots; collatz runs
+P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
 GF27 = BinaryFieldParams(7, 0x83)
-GF213 = BinaryFieldParams(13, 0x201B)
 GROUPS = st.sampled_from([P2003, GF27])
 EXPONENTS = st.integers(min_value=0, max_value=10**6)
 
@@ -228,72 +235,6 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
         assert result.n == n
 
 
-def _check_rows_follow_the_reference_ops(params, variant, n, seed,
-                                         max_steps):
-    # both segments do their exponent arithmetic inline: each row's
-    # (A, B, k) is the LinExpr op of its branch applied to the row before
-    # it, or to the segment's start n + j, with t = 2^k mod N, so every
-    # reduction lands on the reference op's representative
-    order = params.order
-    walk = _Walk(params, params.pow(params.generator, n), WalkConfig(
-        variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
-    draws = [0]
-    randrange = walk.rng.randrange
-    walk.rng.randrange = lambda n: draws.append(randrange(n)) or draws[-1]
-    segment = -1
-    for rec in walk.run().trace:
-        if rec.segment != segment:
-            assert rec.segment == segment + 1
-            segment = rec.segment
-            expr = LinExpr(1, draws[segment], 0)
-        t = pow(2, expr.k, order)
-        if rec.branch == "div":
-            expr = expr.dec(t, order)
-        elif rec.branch == "cube":
-            expr = expr.triple_plus_one(t, order)
-        else:
-            expr = expr.halve()
-        assert type(rec.expr) is LinExpr
-        assert rec.expr == expr
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([GF27, GF213]), EXPONENTS,
-       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
-@example(GF27, 5, 28, None)  # a division: B - t = -N exactly
-def test_char2_rows_render_the_exponent_ops(params, n, seed, max_steps):
-    # a char2 row shows the (A, B, k) the walk stored, as a prime row does
-    _check_rows_follow_the_reference_ops(params, "char2", n, seed, max_steps)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([P2003, P257, P7340033]),
-       st.sampled_from(["inverse", "collatz"]), EXPONENTS,
-       st.integers(min_value=0, max_value=2**32), st.sampled_from([None, 12]))
-@example(P2003, "inverse", 928, 282, None)  # row 21: B - t = -N exactly
-@example(P2003, "collatz", 1944, 399, None)  # row 22: 3B + t = N exactly
-def test_prime_rows_follow_the_reference_ops(params, variant, n, seed,
-                                             max_steps):
-    _check_rows_follow_the_reference_ops(params, variant, n, seed, max_steps)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([P2003, P257]), st.sampled_from(["inverse", "collatz"]),
-       EXPONENTS, st.integers(min_value=0, max_value=2**32),
-       st.sampled_from([None, 12]))
-def test_fallback_step_lands_on_a_residue(params, variant, n, seed, max_steps):
-    # division or cubing must leave a residue, so within a segment a
-    # div/cube row is always followed by a sqrt row
-    target = params.pow(params.generator, n)
-    trace = _Walk(params, target, WalkConfig(
-        variant=variant, seed=seed, max_steps=max_steps, trace=True),
-        None).run().trace
-    for rec, nxt in zip(trace, trace[1:]):
-        if rec.branch in ("div", "cube") and nxt.segment == rec.segment:
-            assert nxt.branch == "sqrt"
-            assert nxt.value == rec.result
-
-
 # -- random groups ---------------------------------------------------------
 
 def _prime_group(p):
@@ -366,3 +307,56 @@ def test_random_group_table_one_and_every_variant(params, n, seed):
         assert walk.run().n == n, variant
         for v, (A, B, k) in walk.seen.items():
             assert params.pow(v, 1 << k) == params.pow(g, (A * n + B) % order)
+
+
+# -- the reference walk ----------------------------------------------------
+
+WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
+    lambda group: st.tuples(st.just(group), st.sampled_from(group.variants)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(WALKS_AT_RANDOM, st.integers(min_value=0, max_value=2**20),
+       st.one_of(st.integers(min_value=0, max_value=2**32),
+                 st.lists(st.integers(min_value=0, max_value=1), max_size=40)),
+       st.sampled_from([None, 1, 3, 10]), st.sampled_from([0, 2, 5, 32]),
+       st.sampled_from([D_MAX, 1]), st.booleans())
+# boundaries: a division's B - t = -N exactly, and 3B + t = N in row 22
+@example((GF27, "char2"), 5, 28, None, 32, D_MAX, True)
+@example((P2003, "inverse"), 928, 282, None, 32, D_MAX, True)  # row 21
+@example((P2003, "collatz"), 1944, 399, None, 32, D_MAX, True)
+@example((P7340033, "inverse"), 777, 1, None, 32, D_MAX, True)  # 5328 steps
+def test_walk_matches_the_reference(case, n, seed_or_bits, max_steps,
+                                    max_restarts, d_max, table_one):
+    # a seed, or a list of scripted bits; Table I, or no table at all
+    params, variant = case
+    draws = {"choices" if isinstance(seed_or_bits, list) else "seed":
+             seed_or_bits}
+    config = WalkConfig(variant=variant, max_steps=max_steps,
+                        max_restarts=max_restarts, trace=True, **draws)
+    target = params.pow(params.generator, n)
+    table = None if table_one else {}
+    # patched here, not by a fixture: Hypothesis refuses a function-scoped
+    # fixture that every example would share
+    with patch.object(walk, "D_MAX", d_max):
+        fast = _Walk(params, target, config, table)
+        try:
+            expected, history = reference_walk(params, target, config, table)
+        except DecisionsExhaustedError as exc:
+            with pytest.raises(DecisionsExhaustedError,
+                               match=f"^{re.escape(str(exc))}$"):
+                fast.run()
+            return
+        assert fast.run() == expected
+    assert fast.seen == history
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_reference_replays_the_worked_examples(case):
+    # the oracle against the paper's five tables, without walk.py
+    config = WalkConfig(variant=case.variant, choices=case.choices, trace=True)
+    result, _ = reference_walk(case.params, case.target, config)
+    rows = tuple((rec.value, rec.branch, rec.result, rec.roots, rec.chosen,
+                  rec.decision, tuple(rec.expr)) for rec in result.trace)
+    assert (result.n, result.congruence, rows) == \
+        (case.n, case.congruence, case.rows)

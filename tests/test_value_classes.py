@@ -21,6 +21,11 @@ from dlogwalk import (BinaryFieldParams, CongruenceSolution, DlogResult,
     ({"max_restarts": None}, "max_restarts must be an int, got None"),
     ({"seed": 1.5}, "seed must be an int or None, got 1.5"),
     ({"seed": "7"}, "seed must be an int or None, got '7'"),
+    ({"max_steps": True}, "max_steps must be an int, got True"),
+    ({"max_restarts": True}, "max_restarts must be an int, got True"),
+    ({"max_steps": False}, "max_steps must be an int, got False"),
+    ({"trace": "no"}, "trace must be a bool, got 'no'"),
+    ({"trace": 1}, "trace must be a bool, got 1"),
 ])
 def test_walk_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
