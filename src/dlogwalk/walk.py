@@ -9,8 +9,10 @@ value's log e in the 2-Sylow subgroup (value^s = c^e), whose parity is the
 residuosity: one Tonelli-Shanks search finds the target's, a segment that
 starts at target * g^j starts at e + j, a root comes with its log, division
 makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
-it exists, and costs no search.  Over GF(2^m) square roots are unique, so
-a random bit decides the branch instead.
+it exists, and costs no search.  A value with e = 0 lies in the odd-order
+subgroup, and its root is one power, value^((s+1)/2) with log 0, computed
+in the segment; any other root is sqrt_mod_p's.  Over GF(2^m) square roots
+are unique, so a random bit decides the branch instead.
 
 Every visited value is stored with its exponent, a linear function of the
 unknown n, in one dict, the walk history: from each visited value (and
@@ -260,10 +262,13 @@ class _Walk:
 
     def _segment_prime(self, value, expr):
         """The sign-ignorant walk on (A, B, k) in locals, stored as a plain
-        tuple: the LinExpr ops inline, and a LinExpr only for a trace row."""
+        tuple: the LinExpr ops inline, and a LinExpr only for a trace row.
+        A root in the odd part (log 0) is one power computed here, checked
+        and ordered as sqrt_mod_p checks and orders it; any other root is
+        sqrt_mod_p's."""
         params, seen, order = self.params, self.seen, self.order
-        root = sqrt_mod_p  # read once per segment: a layer tracer wraps it
-        p, a, inv_a = params.p, params.a, self.inv_a
+        root = sqrt_mod_p  # for e != 0, read once: a layer tracer wraps it
+        p, a, inv_a, sqrt_exp = params.p, params.a, self.inv_a, params.sqrt_exp
         top, mask = params.sqrt_top, (1 << params.r) - 1
         fallback = "cube" if inv_a is None else "div"
         low = -order  # negated once, not on every division
@@ -304,7 +309,16 @@ class _Walk:
                     trace.append(TraceRecord(steps, segment, value, fallback,
                                              LinExpr(*expr), result=new))
             else:  # m / 2: one more root taken
-                r1, r2, e = root(value, params, e)
+                if e:  # the c^(-h) window product is sqrt_mod_p's alone
+                    r1, r2, e = root(value, params, e)
+                else:  # in the odd part: one power, and its log is 0
+                    r1 = pow(value, sqrt_exp, p)
+                    if r1 * r1 % p != value:
+                        raise ValueError(
+                            f"0 is not the 2-Sylow log of {value} mod {p}")
+                    r2 = p - r1
+                    if r2 < r1:  # the smaller is -R, with log 2^(r-1)
+                        r1, r2, e = r2, r1, top
                 k += 1
                 t += t
                 if t >= order:

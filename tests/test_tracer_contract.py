@@ -3,7 +3,12 @@
 A refactor that renames one of those attributes, or binds it somewhere the
 tracer cannot replace it (a closure, a default argument), would leave the
 traced benchmark silently blind to that layer.  These tests pin the names
-and check that a traced solve really calls through them.
+and check that a traced solve really calls through them.  A prime walk's
+root in the odd part (2-Sylow log 0) is one power in the segment, not a
+call, so sqrt_mod_p is called exactly on the root rows whose value has a
+nonzero log: none on an r = 1 prime.  That every root, called or not, is
+right is checked by tests/test_properties.py::test_walk_matches_the_reference,
+whose reference walk takes each root from sqrt_mod_p with a searched log.
 """
 
 import sys
@@ -17,7 +22,7 @@ import tracer  # noqa: E402
 from dlogwalk import walk  # noqa: E402
 from dlogwalk.gf2m import BinaryFieldParams  # noqa: E402
 from dlogwalk.linexpr import LinExpr  # noqa: E402
-from dlogwalk.primefield import PrimeGroupParams  # noqa: E402
+from dlogwalk.primefield import PrimeGroupParams, sylow_log  # noqa: E402
 
 P2003 = PrimeGroupParams(2003, 5)
 P7340033 = PrimeGroupParams(7340033, 3)    # the benchmark's prime_2adic
@@ -74,11 +79,15 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
     else:
-        # the walk knows every value's 2-Sylow log, so a root is computed
-        # on exactly the root steps
-        attempts = sum(rec.branch == "sqrt" for rec in result.trace)
-        assert t.calls["primefield.sqrt_mod_p"] == attempts
-        assert 0 < attempts < result.steps_taken
+        # the walk knows every value's 2-Sylow log, so a root is taken on
+        # exactly the root rows; one in the odd part (log 0) is one power
+        # in the segment, and sqrt_mod_p computes every other
+        roots = [rec.value for rec in result.trace if rec.branch == "sqrt"]
+        assert 0 < len(roots) < result.steps_taken
+        called = sum(sylow_log(value, params) != 0 for value in roots)
+        assert t.calls["primefield.sqrt_mod_p"] == called
+        # r = 1: every root is in the odd part
+        assert (called == 0) == (params.r == 1)
         assert t.calls["primefield.legendre"] == 0
     assert t.calls["primefield.mod_pow"] + t.calls["gf2m.gf_pow"] >= \
         result.candidates_tried

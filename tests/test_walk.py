@@ -6,7 +6,7 @@ import pytest
 
 from dlogwalk import walk
 from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
-from dlogwalk.primefield import PrimeGroupParams, sylow_log
+from dlogwalk.primefield import PrimeGroupParams, sqrt_mod_p, sylow_log
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.linexpr import CongruenceSolution, LinExpr, collision_solve
 from dlogwalk.oracles import bsgs_dlog
@@ -289,6 +289,29 @@ def test_roots_are_given_the_log_found_once_per_solve(
         assert searches == [target]
         restarts += result.restarts
     assert restarts > 5
+
+
+@pytest.mark.parametrize("params,target,wrong", [
+    # 5^3 is a non-residue, log 1, walked as if in the odd part: the root
+    # the segment computes itself
+    (P2003, pow(5, 3, 2003), 0),
+    # 3^(2 + 2^20) has log 2, walked as 4: sqrt_mod_p's windowed root
+    (P7340033, pow(3, 2 + (1 << 20), 7340033), 4),
+])
+def test_a_wrong_log_raises_on_either_root_path(params, target, wrong,
+                                                monkeypatch):
+    # a root given a wrong log fails its R^2 = x check, in the segment as
+    # in sqrt_mod_p, with sqrt_mod_p's message: the walk never steps to a
+    # value that is not a root
+    # outside Table I, so the walk's first step is a root of the target
+    assert target not in build_table_one(params)
+    assert sylow_log(target, params) != wrong
+    with pytest.raises(ValueError) as expected:
+        sqrt_mod_p(target, params, wrong)
+    monkeypatch.setattr(walk, "sylow_log", lambda x, params: wrong)
+    with pytest.raises(ValueError) as raised:
+        run_dlog(params, target, WalkConfig(seed=1))
+    assert str(raised.value) == str(expected.value)
 
 
 def test_restart_statistics_and_budget_invariant():
