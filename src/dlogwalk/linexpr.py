@@ -125,9 +125,7 @@ def solve_linear(coef: int, rhs: int, order: int) -> CongruenceSolution:
     d = gcd(coef, order)  # gcd(0, order) == order: coef vanishing means d = N
     if rhs % d != 0:
         raise NoSolutionError(f"{coef}*n = {rhs} mod {order} has no solution")
-    modulus = order // d
-    if modulus == 1:
-        return CongruenceSolution(0, 1, d)
+    modulus = order // d  # 1 when d = N, and pow(0, -1, 1) == 0 then
     residue = rhs // d * pow(coef // d, -1, modulus) % modulus
     return CongruenceSolution(residue, modulus, d)
 

@@ -66,21 +66,23 @@ def is_probable_prime(n: int) -> bool:
 def prime_factors(n: int) -> tuple[int, ...]:
     """The distinct prime factors of n >= 1, in increasing order.
 
-    Trial division by q < 1024 (stopping once q^2 > n), then Brent's rho
-    splits the cofactor, so a cofactor such as 715827883 * 2147483647 (from
+    Brent's rho splits each composite piece until every piece is a
+    probable prime, so a piece such as 715827883 * 2147483647 (from
     2^62 - 1) costs about the square root of its smaller factor in steps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    factors = []
-    q = 2
-    while q < 1024 and q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    return tuple(sorted(factors + _rho_factors(n)))
+    factors, todo = set(), [n]
+    while todo:
+        n = todo.pop()
+        if n == 1:
+            continue
+        if is_probable_prime(n):
+            factors.add(n)
+            continue
+        d = _brent_divisor(n)
+        todo += [d, n // d]
+    return tuple(sorted(factors))
 
 
 def check_generator(params, factors) -> None:
@@ -102,21 +104,6 @@ def check_generator(params, factors) -> None:
     if cofactor > 1:
         raise ValueError(f"the factors miss the cofactor {cofactor} of the"
                          f" order {order}, so the generator is not verified")
-
-
-def _rho_factors(n: int) -> list[int]:
-    """The distinct prime factors of n >= 1, by Brent's rho alone."""
-    factors, todo = set(), [n]
-    while todo:
-        n = todo.pop()
-        if n == 1:
-            continue
-        if is_probable_prime(n):
-            factors.add(n)
-            continue
-        d = _brent_divisor(n)
-        todo += [d, n // d]
-    return sorted(factors)
 
 
 def _brent_divisor(n: int) -> int:

@@ -107,7 +107,8 @@ class WalkConfig(Record):
             raise ValueError(f"unknown variant {variant!r}")
         if seed is not None and choices is not None:
             raise ValueError("seed and scripted choices are mutually exclusive")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (not isinstance(seed, int)
+                                 or isinstance(seed, bool)):  # True seeds 1
             raise ValueError(f"seed must be an int or None, got {seed!r}")
         if max_steps is not None:
             _check_count("max_steps", max_steps, 1)

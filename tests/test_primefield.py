@@ -3,10 +3,9 @@ import time
 
 import pytest
 
-from dlogwalk.primefield import (PrimeGroupParams, _rho_factors,
-                                 is_probable_prime, jacobi, legendre,
-                                 legendre_euler, mod_pow, prime_factors,
-                                 sqrt_mod_p, sylow_log)
+from dlogwalk.primefield import (PrimeGroupParams, is_probable_prime,
+                                 jacobi, legendre, legendre_euler, mod_pow,
+                                 prime_factors, sqrt_mod_p, sylow_log)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -70,8 +69,14 @@ def test_prime_factors_brute_force():
     for n in range(2, 5001):
         expected = tuple(q for q in primes if n % q == 0)
         assert prime_factors(n) == expected
-        assert tuple(_rho_factors(n)) == expected  # Brent's rho alone
     assert prime_factors(1) == ()
+    # rho splits small factors too: prime powers, whose pieces split the
+    # same way again, and the long runs of 2 in two CI group orders
+    for q in primes:
+        if q < 1024:
+            assert prime_factors(q**2) == prime_factors(q**3) == (q,)
+    assert prime_factors(2**27 * 3 * 5) == (2, 3, 5)  # p = 2013265921
+    assert prime_factors(2**20 * 7) == (2, 7)  # prime_2adic, p = 7340033
     # 2^61 - 2 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
     assert prime_factors(2**61 - 2) == (2, 3, 5, 7, 11, 13, 31, 41, 61, 151,
                                         331, 1321)

@@ -26,6 +26,8 @@ from dlogwalk import (BinaryFieldParams, CongruenceSolution, DlogResult,
     ({"max_steps": False}, "max_steps must be an int, got False"),
     ({"trace": "no"}, "trace must be a bool, got 'no'"),
     ({"trace": 1}, "trace must be a bool, got 1"),
+    ({"seed": True}, "seed must be an int or None, got True"),
+    ({"seed": False}, "seed must be an int or None, got False"),
 ])
 def test_walk_config_checks(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
