@@ -3,7 +3,8 @@
 Everything here works on plain Python ints (arbitrary precision); a
 :class:`PrimeGroupParams` carries the prime p, a primitive root a, the
 decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
-of c from which `sqrt_mod_p` builds a square root.
+of c from which `sqrt_mod_p` builds a square root, and those of a's odd
+part, from which the walk builds a root in the odd-order subgroup.
 
 The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
 with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
@@ -137,13 +138,17 @@ class PrimeGroupParams(Record):
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
     r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r; sqrt_exp = (s + 1)/2.  sqrt_tables gives c^(-h)
-    for the half log h < 2^(r-1) of `sqrt_mod_p`, one table per 11-bit
-    window of h, built by gf2m's `_linear_tables` (none for r = 1): entry
-    b of table i is c^(-b*2^(11i)), the last table only for the bits left
-    (2^11 and 2^8 entries for r = 20).  sqrt_top = 2^(r-1) is the top bit
-    of a log, which tells a root from its negative.  These three are
-    derived from p and a once, so == does not compare them.  A square is
+    which has order 2^r; sqrt_exp = (s + 1)/2, also 2^(-1) mod s.
+    sqrt_tables gives c^(-h) for the half log h < 2^(r-1) of `sqrt_mod_p`,
+    one table per 11-bit window of h, built by gf2m's `_linear_tables`
+    (none for r = 1): entry b of table i is c^(-b*2^(11i)), the last table
+    only for the bits left (2^11 and 2^8 entries for r = 20).  sqrt_top =
+    2^(r-1) is the top bit of a log, which tells a root from its negative.
+    odd_tables gives G'^b for b < s, G' = a^(2^r * w) with w = 2^(-r) mod
+    s being a's projection on the odd-order subgroup, one table per 8-bit
+    window of b (`_odd_power_tables`; 640 entries for s < 2^23): the walk
+    builds an odd-part root from them.  These four are derived from p and
+    a once, so == does not compare them.  A square is
     never a primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
     If factors_of_order is given, `check_generator` verifies a against it
     in full, as the CLI does; it is not stored, so the same group is equal
@@ -151,7 +156,8 @@ class PrimeGroupParams(Record):
     """
 
     _fields = ("p", "a", "r", "s", "c")
-    __slots__ = _fields + ("sqrt_exp", "sqrt_tables", "sqrt_top", "variants")
+    __slots__ = _fields + ("sqrt_exp", "sqrt_tables", "sqrt_top",
+                           "odd_tables", "variants")
 
     def __init__(self, p: int, a: int,
                  factors_of_order: tuple[int, ...] | None = None):
@@ -175,6 +181,7 @@ class PrimeGroupParams(Record):
             [pow(self.c, -(1 << j), p) for j in range(r - 1)],
             lambda u, v: u * v % p, 1)
         self.sqrt_top = 1 << (r - 1)
+        self.odd_tables = _odd_power_tables(a, self)
         # cubing, the 3x+1 step, is a bijection of the group only when
         # gcd(3, p - 1) = 1
         self.variants = (("inverse", "collatz") if (p - 1) % 3
@@ -319,12 +326,36 @@ def sqrt_mod_p(x: int, params: PrimeGroupParams,
     y = pow(x, params.sqrt_exp, p)
     if h:  # always 0 for r = 1, which has no tables
         bits = h
-        for table in params.sqrt_tables:
-            y = y * table[bits & _WINDOW_MASK] % p
+        for table in params.sqrt_tables:  # reduced once, after the last
+            y *= table[bits & _WINDOW_MASK]
             bits >>= _MAX_WINDOW_BITS
+        y %= p
     if y * y % p != x:
         raise ValueError(f"{e} is not the 2-Sylow log of {x} mod {p}")
     q = p - y
     if y < q:
         return y, q, h
     return q, y, h ^ params.sqrt_top
+
+
+# bits of an exponent below s per lookup in an odd part's power tables:
+# the walk builds the target's per solve, so they stay small
+_ODD_WINDOW_BITS = 8
+_ODD_WINDOW_MASK = (1 << _ODD_WINDOW_BITS) - 1
+
+
+def _odd_power_tables(x: int, params: PrimeGroupParams):
+    """x'^b for b < s, with x' = x^(2^r * w) and w = 2^(-r) mod s: x's
+    projection on the odd-order subgroup, since 2^r * w is 1 mod s and 0
+    mod 2^r (the odd part of Pohlig-Hellman, 1978).  One table per 8-bit
+    window of b, from the squares x'^(2^j) (fixed-base windows as in
+    Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): x'^b is the
+    product of entry b_i of table i over b's windows b_i."""
+    p, s = params.p, params.s
+    square = pow(x, pow(2, -params.r, s) << params.r, p)
+    squares = []
+    for _ in range(s.bit_length()):
+        squares.append(square)
+        square = square * square % p
+    return _linear_tables(squares, lambda u, v: u * v % p, 1,
+                          _ODD_WINDOW_BITS)

@@ -10,9 +10,11 @@ residuosity: one Tonelli-Shanks search finds the target's, a segment that
 starts at target * g^j starts at e + j, a root comes with its log, division
 makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
 it exists, and costs no search.  A value with e = 0 lies in the odd-order
-subgroup, and its root is one power, value^((s+1)/2) with log 0, computed
-in the segment; any other root is sqrt_mod_p's.  Over GF(2^m) square roots
-are unique, so a random bit decides the branch instead.
+subgroup, where its root is unique and has log 0; the segment builds it
+from the walk's own exponent, as a product of lookups in fixed-base window
+tables of the odd parts of the target and the generator.  Any other root
+is sqrt_mod_p's.  Over GF(2^m) square roots are unique, so a random bit
+decides the branch instead.
 
 Every visited value is stored with its exponent, a linear function of the
 unknown n, in one dict, the walk history: from each visited value (and
@@ -61,7 +63,9 @@ from .gf2m import gf_div_by_x, gf_pow, gf_sqrt  # noqa: F401
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates)
-from .primefield import legendre, mod_pow, sqrt_mod_p, sylow_log  # noqa: F401
+from .primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,  # noqa: F401
+                         _odd_power_tables, legendre, mod_pow, sqrt_mod_p,
+                         sylow_log)
 
 VARIANTS = ("inverse", "collatz", "char2")
 
@@ -215,6 +219,9 @@ class _Walk:
             self.inv_a = pow(params.a, -1, params.p)
         if config.variant != "char2":  # the walk's only search for a log
             self.e_target = sylow_log(self.target, params)
+            # T''s powers, then G''s: an odd-part root reads both
+            self.odd_tables = (_odd_power_tables(self.target, params)
+                               + params.odd_tables)
         if table is None:
             table = build_table_one(params)
         self.max_steps = config.max_steps or default_max_steps(self.order)
@@ -264,13 +271,23 @@ class _Walk:
     def _segment_prime(self, value, expr):
         """The sign-ignorant walk on (A, B, k) in locals, stored as a plain
         tuple: the LinExpr ops inline, and a LinExpr only for a trace row.
-        A root in the odd part (log 0) is one power computed here, checked
-        and ordered as sqrt_mod_p checks and orders it; any other root is
-        sqrt_mod_p's."""
+        A root in the odd part (log 0) is built here, checked and ordered
+        as sqrt_mod_p checks and orders a root; any other root is
+        sqrt_mod_p's.  Since 2^(k+1) * log(root) = A*n + B (mod N), the
+        odd part's root is T'^(A*w) * G'^(B*w), w = 2^(-(k+1)) mod s, with
+        T' and G' the odd parts of the target g^n and of g: one lookup per
+        8-bit window of each exponent in self.odd_tables, reduced once."""
         params, seen, order = self.params, self.seen, self.order
         root = sqrt_mod_p  # for e != 0, read once: a layer tracer wraps it
-        p, a, inv_a, sqrt_exp = params.p, params.a, self.inv_a, params.sqrt_exp
+        p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = params.sqrt_top, (1 << params.r) - 1
+        # sqrt_exp = (s + 1)/2 is also 2^(-1) mod s
+        s, half, odd_tables = params.s, params.sqrt_exp, self.odd_tables
+        # G''s exponent sits above every window of T''s
+        shift = _ODD_WINDOW_BITS * len(params.odd_tables)
+        # w = 2^(-(w_k+1)) mod s, brought up to date at odd-part roots
+        # only: the other steps pay nothing for it
+        w, w_k = half, 0
         fallback = "cube" if inv_a is None else "div"
         low = -order  # negated once, not on every division
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
@@ -312,9 +329,20 @@ class _Walk:
             else:  # m / 2: one more root taken
                 if e:  # the c^(-h) window product is sqrt_mod_p's alone
                     r1, r2, e = root(value, params, e)
-                else:  # in the odd part: one power, and its log is 0
-                    r1 = pow(value, sqrt_exp, p)
-                    if r1 * r1 % p != value:
+                else:  # in the odd part: T'^(A*w) * G'^(B*w), log 0
+                    if w_k != k:
+                        if w_k + 1 == k:  # w / 2 mod s
+                            w = (w + s) >> 1 if w & 1 else w >> 1
+                        else:
+                            w = w * pow(half, k - w_k, s) % s
+                        w_k = k
+                    bits = A * w % s | B * w % s << shift
+                    r1 = 1
+                    for table in odd_tables:
+                        r1 *= table[bits & _ODD_WINDOW_MASK]
+                        bits >>= _ODD_WINDOW_BITS
+                    r1 %= p
+                    if r1 * r1 % p != value:  # a wrong log or exponent
                         raise ValueError(
                             f"0 is not the 2-Sylow log of {value} mod {p}")
                     r2 = p - r1

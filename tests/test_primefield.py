@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from dlogwalk.primefield import (PrimeGroupParams, is_probable_prime,
+from dlogwalk.primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,
+                                 PrimeGroupParams, is_probable_prime,
                                  jacobi, legendre, legendre_euler, mod_pow,
                                  prime_factors, sqrt_mod_p, sylow_log)
 
@@ -214,6 +215,26 @@ WINDOW_SHAPES = [
     (104857601, 3, 22), (998244353, 3, 23), (2013265921, 31, 27),
     (2**64 - 2**32 + 1, 7, 32),
 ]
+
+
+@pytest.mark.parametrize("p,a", [(p, a) for p, a, _ in WINDOW_SHAPES]
+                         + [(16776899, 2), (1073740439, 7)])
+def test_odd_tables_are_the_powers_of_the_odd_part(p, a):
+    # G' = a^(2^r * w), w = 2^(-r) mod s, is 1 mod s and 0 mod 2^r in the
+    # exponent: a's odd part, of order s; the product of one lookup per
+    # 8-bit window of x is G'^x
+    params = PrimeGroupParams(p, a)
+    r, s = params.r, params.s
+    odd = pow(a, pow(2, -r, s) * 2**r, p)
+    assert pow(odd, s, p) == 1
+    assert len(params.odd_tables) == -(-s.bit_length() // _ODD_WINDOW_BITS)
+    rng = random.Random(p + 5)
+    for x in [0, 1, s - 1] + [rng.randrange(s) for _ in range(200)]:
+        product, bits = 1, x
+        for table in params.odd_tables:
+            product *= table[bits & _ODD_WINDOW_MASK]
+            bits >>= _ODD_WINDOW_BITS
+        assert product % p == pow(odd, x, p), x
 
 
 @pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)

@@ -37,6 +37,10 @@ from reference_walk import reference_walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
+# r = 1, so every root is in the odd part, with s = 524285 read in three
+# 8-bit windows of each exponent
+P1048571 = PrimeGroupParams(1048571, 2)
+P257 = PrimeGroupParams(257, 3)  # s = 1: the odd part is {1}
 GF27 = BinaryFieldParams(7, 0x83)
 GROUPS = st.sampled_from([P2003, GF27])
 EXPONENTS = st.integers(min_value=0, max_value=10**6)
@@ -326,6 +330,11 @@ WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
 @example((P2003, "inverse"), 928, 282, None, 32, D_MAX, True)  # row 21
 @example((P2003, "collatz"), 1944, 399, None, 32, D_MAX, True)
 @example((P7340033, "inverse"), 777, 1, None, 32, D_MAX, True)  # 5328 steps
+# odd-part roots read three windows, 2117 and 3009 steps
+@example((P1048571, "inverse"), 123456, 2, None, 32, D_MAX, True)
+@example((P1048571, "collatz"), 777, 1, None, 32, D_MAX, True)
+# the root of 1 at k = 33, after roots with a nonzero log
+@example((P257, "inverse"), 83, 37, None, 32, D_MAX, False)
 def test_walk_matches_the_reference(case, n, seed_or_bits, max_steps,
                                     max_restarts, d_max, table_one):
     # a seed, or a list of scripted bits; Table I, or no table at all

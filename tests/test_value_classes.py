@@ -116,8 +116,8 @@ def test_equality():
     assert DlogResult(5) != (5, 0, 0, 0, 0, None, None)
 
     # factors_of_order is only checked, not stored, so the same group is
-    # equal however it was built; the root tables, derived from p and a,
-    # are not compared
+    # equal however it was built; the root and odd-part tables, derived
+    # from p and a, are not compared
     assert PrimeGroupParams(103, 5, [2, 3, 17]) == \
         PrimeGroupParams(103, 5, (2, 3, 17))
     assert PrimeGroupParams(103, 5) == PrimeGroupParams(103, 5, (2, 3, 17))
@@ -125,6 +125,7 @@ def test_equality():
     assert PrimeGroupParams(103, 5) != PrimeGroupParams(107, 5)
     tweaked = PrimeGroupParams(257, 3)
     tweaked.sqrt_exp, tweaked.sqrt_tables, tweaked.sqrt_top = 0, (), 0
+    tweaked.odd_tables = ()
     assert tweaked == PrimeGroupParams(257, 3)
     tweaked.c = 5
     assert tweaked != PrimeGroupParams(257, 3)
