@@ -1,8 +1,8 @@
 """Discrete logarithms by randomized inversion of square-and-multiply.
 
 Walk-based solvers over prime fields and GF(2^m), a 3x+1-style variant,
-exact baseline oracles (brute force, baby-step giant-step), and a
-reproducible step-count benchmark harness.
+an exact baby-step giant-step oracle, and a reproducible step-count
+benchmark harness.  Every group verifies its generator when it is built.
 """
 
 __version__ = "0.1.0"
@@ -11,10 +11,9 @@ from .gf2m import BinaryFieldParams, gf_div_by_x, gf_mul, gf_pow, gf_sqrt
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates, solve_linear)
-from .oracles import OracleResult, brute_force_dlog, bsgs_dlog
+from .oracles import OracleResult, bsgs_dlog
 from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
-                         legendre_euler, mod_pow, prime_factors, sqrt_mod_p,
-                         sylow_log)
+                         mod_pow, prime_factors, sqrt_mod_p, sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
                    WalkConfig, build_table_one, run_dlog)
 
@@ -23,8 +22,8 @@ __all__ = [
     "DecisionsExhaustedError", "DlogResult", "LinExpr", "NoSolutionError",
     "OracleResult", "PrimeGroupParams",
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
-    "brute_force_dlog", "bsgs_dlog", "build_table_one", "collision_solve",
-    "enumerate_candidates", "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt",
-    "is_probable_prime", "jacobi", "legendre", "legendre_euler", "mod_pow",
-    "prime_factors", "run_dlog", "solve_linear", "sqrt_mod_p", "sylow_log",
+    "bsgs_dlog", "build_table_one", "collision_solve", "enumerate_candidates",
+    "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt", "is_probable_prime",
+    "jacobi", "legendre", "mod_pow", "prime_factors", "run_dlog",
+    "solve_linear", "sqrt_mod_p", "sylow_log",
 ]

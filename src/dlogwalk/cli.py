@@ -11,8 +11,8 @@ import sys
 
 from . import __version__
 from .gf2m import BinaryFieldParams
-from .oracles import brute_force_dlog, bsgs_dlog
-from .primefield import PrimeGroupParams, check_generator, prime_factors
+from .oracles import bsgs_dlog
+from .primefield import PrimeGroupParams
 from .walk import VARIANTS, DecisionsExhaustedError, WalkConfig, run_dlog
 
 
@@ -56,10 +56,6 @@ def _params(parser, args):
             params = PrimeGroupParams(args.p, args.gen)
         else:
             params = BinaryFieldParams(args.m, int(args.poly, 16))
-        # the group is checked before its order is factored; then the
-        # generator in full, since a generator of a subgroup walks its
-        # whole budget for a target outside it
-        check_generator(params, prime_factors(params.order))
     except ValueError as exc:
         parser.error(str(exc))
     return params
@@ -122,9 +118,8 @@ def cmd_solve(parser, args) -> int:
 def cmd_oracle(parser, args) -> int:
     params = _params(parser, args)
     target = _target(parser, args, params)
-    solver = brute_force_dlog if args.method == "brute" else bsgs_dlog
     try:
-        print(solver(params, target).n)
+        print(bsgs_dlog(params, target).n)
     except ValueError as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1
@@ -190,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the walk trace table")
     solve.set_defaults(run=cmd_solve)
 
-    oracle = subs.add_parser("oracle", help="brute-force / BSGS reference solvers")
-    oracle.add_argument("--method", choices=("brute", "bsgs"), required=True)
+    oracle = subs.add_parser("oracle", help="baby-step giant-step reference solver")
     _add_group_flags(oracle)
     oracle.add_argument("--target", required=True)
     oracle.set_defaults(run=cmd_oracle)

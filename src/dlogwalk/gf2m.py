@@ -70,12 +70,12 @@ def is_irreducible(f: int) -> bool:
 class BinaryFieldParams(Record):
     """The group GF(2^m)* of an irreducible modulus polynomial f of degree m.
 
-    f is checked for irreducibility whatever m is.  The generator is x.
-    When 2^m - 1 is prime every element besides 1 generates the group, so
-    x does; otherwise that is taken on trust (the CLI checks it).
-    sqrt_tables and square_tables are derived, and == ignores them: the
-    square-root map and the squaring map, one table per 11-bit window of an
-    element, entry b of table i being the root (the square) of b * x^(11i).
+    f is checked for irreducibility whatever m is.  The generator is x,
+    which `check_generator` verifies against the primes of 2^m - 1, so f
+    must be primitive.  sqrt_tables and square_tables are derived, and ==
+    ignores them: the square-root map and the squaring map, one table per
+    11-bit window of an element, entry b of table i being the root (the
+    square) of b * x^(11i).
     """
 
     _fields = ("m", "poly")
@@ -95,10 +95,13 @@ class BinaryFieldParams(Record):
             raise ValueError("modulus must have constant term 1")
         if not is_irreducible(poly):
             raise ValueError(f"0x{poly:x} is reducible over GF(2)")
+        # here, not at the top: primefield imports gf2m
+        from .primefield import check_generator, prime_factors
         self._assign(m, poly)
         # gf_pow squares through these: (x^j)^2 = x^(2j) mod f
         self.square_tables = _linear_tables(
             [_poly_mod(1 << (2 * j), poly) for j in range(m)])
+        check_generator(self, prime_factors(self.order))
         root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
         # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
         self.sqrt_tables = _linear_tables(

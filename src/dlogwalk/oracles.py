@@ -1,29 +1,14 @@
-"""Independent discrete-log solvers used as correctness oracles and baselines."""
+"""An independent discrete-log solver: the correctness oracle and baseline."""
 
 import math
 from typing import NamedTuple
 
-BRUTE_FORCE_LIMIT = 10**7
 BSGS_LIMIT = 10**12  # ceil(sqrt(N)) baby steps: at most 10^6 entries
 
 
 class OracleResult(NamedTuple):
     n: int
     method: str
-
-
-def brute_force_dlog(params, target: int) -> OracleResult:
-    """Scan e = 0, 1, 2, ... accumulating generator powers until the target appears."""
-    target = params.element(target)
-    order, gen, mul = params.order, params.generator, params.mul
-    if order > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"group order {order} too large for brute force")
-    acc = 1
-    for e in range(order):
-        if acc == target:
-            return OracleResult(e, "brute")
-        acc = mul(acc, gen)
-    raise ValueError(f"{params.format(target)} is not a power of the generator")
 
 
 def bsgs_dlog(params, target: int) -> OracleResult:

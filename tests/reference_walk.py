@@ -16,6 +16,10 @@ the target with exponent n, a later one at target * g^j with n + j.
 The draws follow the walk's documented order: one getrandbits(1) per char2
 step, one per prime root step only when neither root solved, and one
 randrange(N) per restart, from the seeded PRNG even when bits are scripted.
+
+Two more oracles, for the library's own shortcuts: `brute_force_dlog`
+scans the generator's powers (against BSGS and the walk), and
+`legendre_euler` is Euler's criterion (against the Jacobi symbol).
 """
 
 import math
@@ -141,3 +145,25 @@ class _Reference:
     def result(self, n, congruence=None):
         return DlogResult(n, self.steps, self.restarts, self.collisions,
                           self.tried, congruence, self.trace)
+
+
+def brute_force_dlog(params, target):
+    """The n in [0, N) with generator^n = target, by scanning the powers
+    of the generator; every group verifies that it has order N."""
+    target = params.element(target)
+    acc = 1
+    for n in range(params.order):
+        if acc == target:
+            return n
+        acc = params.mul(acc, params.generator)
+    raise AssertionError(f"{params.format(target)} is not a power of"
+                         f" the generator of {params}")
+
+
+def legendre_euler(x, params):
+    """The Legendre symbol (x/p) by Euler's criterion, x^((p-1)/2)."""
+    p = params.p
+    if x % p == 0:
+        raise ValueError("x is 0 mod p")
+    e = pow(x, (p - 1) // 2, p)
+    return -1 if e == p - 1 else e

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dlogwalk.cli import _params, _walk_config, build_parser, main
 from dlogwalk.gf2m import BinaryFieldParams
-from dlogwalk.primefield import (PrimeGroupParams, check_generator, jacobi,
+from dlogwalk.primefield import (PrimeGroupParams, check_generator,
                                  prime_factors)
 from dlogwalk.selftest import CASES
 from dlogwalk.walk import WalkConfig
@@ -158,38 +158,46 @@ def _cli_message(parser, argv, capsys):
     return None
 
 
+def _brute_order(step):
+    """The order of the element that step multiplies by: the count of
+    steps from 1 back to 1."""
+    v, order = step(1), 1
+    while v != 1:
+        v, order = step(v), order + 1
+    return order
+
+
 def test_one_generator_check_for_library_and_cli(capsys):
-    # every non-square g mod 41, 103 and 257, and x in GF(2^4) mod 0x13
-    # (primitive) and mod 0x1f (order 5): the check fails exactly when g's
-    # brute-force order is not N, with one message from the library and
-    # the CLI, and a factor list short of a prime of N verifies nothing
+    # every g mod 41, 103 and 257, and x in GF(2^4) mod 0x13 (primitive)
+    # and mod 0x1f (order 5): construction fails exactly when g's
+    # brute-force order is not N, with the message the CLI prints, and a
+    # factor list short of a prime of N verifies nothing
     parser = build_parser()
-    groups = [(PrimeGroupParams(p, g), ["--p", str(p), "--gen", str(g)])
-              for p in (41, 103, 257) for g in range(2, p)
-              if jacobi(g, p) == -1]
-    groups += [(BinaryFieldParams(4, poly), ["--m", "4", "--poly", hex(poly)])
+    groups = [(PrimeGroupParams, (p, g), p - 1,
+               _brute_order(lambda v, p=p, g=g: v * g % p),
+               ["--p", str(p), "--gen", str(g)])
+              for p in (41, 103, 257) for g in range(2, p)]
+    groups += [(BinaryFieldParams, (4, poly), 15,
+                _brute_order(lambda v, poly=poly: v << 1 ^ poly * (v >> 3)),
+                ["--m", "4", "--poly", hex(poly)])
                for poly in (0x13, 0x1F)]
     generators = 0
-    for params, flags in groups:
-        g, order = params.generator, params.order
-        v, g_order = g, 1
-        while v != 1:
-            v, g_order = params.mul(v, g), g_order + 1
-        factors = prime_factors(order)
-        message = _check_message(check_generator, params, factors)
+    for build, args, order, g_order, flags in groups:
+        message = _check_message(build, *args)
         assert (message is None) == (g_order == order), flags
+        assert message is None or "is not a generator" in message, flags
         generators += message is None
-        if isinstance(params, PrimeGroupParams):
-            assert _check_message(PrimeGroupParams, params.p, g,
-                                  factors) == message, flags
-        cli = _cli_message(parser, ["oracle", "--method", "bsgs", *flags,
-                                    "--target", "1"], capsys)
+        cli = _cli_message(parser, ["oracle", *flags, "--target", "1"], capsys)
         assert cli == (None if message is None
                        else f"dlogwalk: error: {message}"), flags
+        factors = prime_factors(order)
         for size in range(len(factors)):
             for short in itertools.combinations(factors, size):
-                assert _check_message(check_generator, params, short), \
-                    (flags, short)
+                if build is PrimeGroupParams:
+                    assert _check_message(build, *args, short), (flags, short)
+                elif message is None:
+                    assert _check_message(check_generator, build(*args),
+                                          short), (flags, short)
     assert 0 < generators < len(groups)
 
 
@@ -223,23 +231,23 @@ def test_solve_gf2m_verbose_hex_roundtrip(capsys):
 
 def test_oracle_commands(capsys):
     assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
-                   "--target", "99", "--method", "bsgs")[1].strip() == "37"
+                   "--target", "99")[1].strip() == "37"
     assert run_cli(capsys, "oracle", "--p", "101", "--gen", "2",
-                   "--target", "72", "--method", "brute")[1].strip() == "41"
+                   "--target", "72")[1].strip() == "41"
     assert run_cli(capsys, "oracle", "--m", "7", "--poly", "0x83",
-                   "--target", "0x1D", "--method", "bsgs")[1].strip() == "38"
+                   "--target", "0x1D")[1].strip() == "38"
     # 2^4 - 1 = 15 is composite, and x generates GF(16)* mod x^4 + x + 1
     assert run_cli(capsys, "oracle", "--m", "4", "--poly", "0x13",
-                   "--target", "0x3", "--method", "bsgs")[1].strip() == "4"
-    for method in ("brute", "bsgs"):  # targets reduce mod p, as in solve
-        assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
-                       "--target", "-1", "--method", method)[1].strip() == "51"
+                   "--target", "0x3")[1].strip() == "4"
+    # targets reduce mod p, as in solve
+    assert run_cli(capsys, "oracle", "--p", "103", "--gen", "5",
+                   "--target", "-1")[1].strip() == "51"
 
 
 def test_oracle_failure_exits_one(capsys):
-    # the group is valid, but its order is past the brute-force limit
-    code, out, err = run_cli(capsys, "oracle", "--p", "1000000007", "--gen",
-                             "5", "--target", "3", "--method", "brute")
+    # the group is valid, but its order 2^61 - 2 is past the BSGS limit
+    code, out, err = run_cli(capsys, "oracle", "--p", "2305843009213693951",
+                             "--gen", "37", "--target", "5")
     assert (code, out) == (1, "")
     assert "oracle failed" in err
 
@@ -311,9 +319,9 @@ def test_usage_errors_exit_two(capsys):
         ["solve-gf2m", "--m", "33", "--poly", "0x200000001",
          "--target", "0x3"],                                       # reducible
         ["solve-gf2m", "--m", "3", "--poly=-0xb", "--target", "0x3"],  # negative
-        ["oracle", "--method", "bsgs", "--target", "5"],           # no field given
+        ["oracle", "--target", "5"],                               # no field given
         ["oracle", "--p", "103", "--m", "7", "--poly", "0x83",
-         "--target", "5", "--method", "bsgs"],                     # both fields
+         "--target", "5"],                                         # both fields
         ["bench", "--p", "103", "--gen", "5", "--variant", "char2",
          "--trials", "3", "--seed", "0"],
         ["bench", "--p", "1009", "--gen", "11", "--variant", "collatz",
@@ -342,17 +350,17 @@ def test_usage_errors_exit_two(capsys):
         ["solve", "--p", "7340033", "--gen", "9", "--target", "5"],  # square
         ["solve", "--p", "13", "--gen", "5", "--target", "2"],       # order 4
         ["solve", "--p", "1000003", "--gen", "8", "--target", "2"],  # (p-1)/3
-        ["oracle", "--method", "bsgs", "--p", "13", "--gen", "5", "--target", "2"],
+        ["oracle", "--p", "13", "--gen", "5", "--target", "2"],
         ["solve-gf2m", "--m", "4", "--poly", "0x1f", "--target", "0x3",
          "--max-restarts", "2"],                                   # x has order 5
-        ["oracle", "--method", "bsgs", "--m", "6", "--poly", "0x49",
-         "--target", "0x3"],                                       # x has order 9
+        ["oracle", "--m", "6", "--poly", "0x49", "--target", "0x3"],  # x has order 9
         ["solve", "--p", "103", "--gen", "5", "--target", "0"],
         ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x0"],
-        ["oracle", "--p", "103", "--gen", "5", "--target", "0", "--method", "brute"],
-        ["oracle", "--m", "7", "--poly", "0x83", "--target", "0", "--method", "bsgs"],
-        ["oracle", "--m", "1", "--poly", "0x3", "--target", "0x1",
-         "--method", "bsgs"],                                      # x not in GF(2)
+        ["oracle", "--p", "103", "--gen", "5", "--target", "0"],
+        ["oracle", "--m", "7", "--poly", "0x83", "--target", "0"],
+        ["oracle", "--m", "1", "--poly", "0x3", "--target", "0x1"],  # x not in GF(2)
+        ["oracle", "--p", "103", "--gen", "5", "--target", "99",
+         "--method", "bsgs"],                                      # removed flag
         ["bench", "--m", "7", "--poly", "0x83", "--variant", "collatz",
          "--trials", "3", "--seed", "0"],
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
@@ -454,7 +462,7 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
 # argv for the fuzz test below: a command with what it requires (or not),
 # maybe another group (valid, bad or partial), then walk flags, then maybe
 # one bad flag; the bad pool holds bad values, stray and dangling tokens and
-# the removed flags --d-max, --table-size and --seq
+# the removed flags --d-max, --table-size, --seq and --method
 _FUZZ_PROBLEMS = (
     ("--p", "103", "--gen", "5", "--target", "84"),
     ("--p", "101", "--gen", "2", "--target", "72"),
@@ -464,8 +472,7 @@ _FUZZ_PROBLEMS = (
 )
 _FUZZ_REQUIRED = {
     "solve": ((), ("--target", "5"), *_FUZZ_PROBLEMS),
-    "oracle": ((), *(("--method", method, *problem) for method in
-                     ("bsgs", "brute") for problem in _FUZZ_PROBLEMS)),
+    "oracle": ((), *_FUZZ_PROBLEMS),
     "bench": ((), ("--trials", "2"),
               *(("--trials", "2", "--seed", "0", *problem[:4])
                 for problem in _FUZZ_PROBLEMS)),
@@ -490,9 +497,9 @@ _FUZZ_BAD_FLAGS = (
     ("--gen", "4"), ("--m", "1"), ("--poly", "0x3"), ("--variant", "pollard"),
     ("--max-steps", "0"), ("--max-steps", "x"), ("--max-restarts", "-1"),
     ("--seed", "x"), ("--seed",), ("--choices", "0,2"), ("--choices", "x"),
-    ("--trials", "0"), ("--method", "x"), ("--only", "prime1"),
-    ("--only", "nope"), ("--d-max", "3"), ("--table-size", "7"),
-    ("--seq", "pow2"), ("--workers", "2"), ("--",), ("stray",),
+    ("--trials", "0"), ("--only", "prime1"), ("--only", "nope"),
+    ("--d-max", "3"), ("--table-size", "7"), ("--seq", "pow2"),
+    ("--method", "bsgs"), ("--workers", "2"), ("--",), ("stray",),
 )
 # every solve and bench walks at most 3 segments of 60 steps: a drawn
 # --max-steps or --max-restarts comes later, so it wins, and is smaller

@@ -5,8 +5,9 @@ import pytest
 
 from dlogwalk.primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,
                                  PrimeGroupParams, is_probable_prime,
-                                 jacobi, legendre, legendre_euler, mod_pow,
-                                 prime_factors, sqrt_mod_p, sylow_log)
+                                 jacobi, legendre, mod_pow, prime_factors,
+                                 sqrt_mod_p, sylow_log)
+from reference_walk import legendre_euler
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)

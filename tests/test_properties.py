@@ -27,8 +27,8 @@ from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, collision_solve,
                               enumerate_candidates)
 from dlogwalk.oracles import bsgs_dlog
-from dlogwalk.primefield import (PrimeGroupParams, check_generator,
-                                 is_probable_prime, jacobi, prime_factors)
+from dlogwalk.primefield import (PrimeGroupParams, is_probable_prime,
+                                 prime_factors)
 from dlogwalk.selftest import CASES
 from dlogwalk.walk import (D_MAX, VARIANTS, DecisionsExhaustedError,
                            UnsupportedGroupError, WalkConfig, _Walk,
@@ -98,7 +98,7 @@ def _sqrt_by_squaring(u, params):
 @example(12, 0x53, 0xFFF)   # one spare bit past a window
 @example(23, 0x21, 0x7FFFFF)
 def test_sqrt_table_matches_repeated_squaring(m, low, u):
-    params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+    params = _binary_group(m, low)
     u = u % params.order or params.order
     assert gf_sqrt(u, params) == _sqrt_by_squaring(u, params)
 
@@ -114,7 +114,7 @@ def test_sqrt_table_matches_repeated_squaring(m, low, u):
 def test_table_square_and_pow_match_gf_mul(m, low, u, e):
     # gf_pow squares through params.square_tables and multiplies by u:
     # u^2 = u * u, and u^e = u^(e-1) * u for exponents past the order too
-    params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+    params = _binary_group(m, low)
     u = u % params.order or params.order
     assert params.pow(u, 2) == gf_mul(u, u, params)
     assert params.pow(u, e) == gf_mul(params.pow(u, e - 1), u, params)
@@ -243,33 +243,27 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
 
 def _prime_group(p):
     """Z_p^* for the largest prime at or below p >= 3, with its least
-    primitive root: the first non-square a that `check_generator` passes
-    against `prime_factors` of the order."""
+    primitive root: the first a that the constructor accepts."""
     while not is_probable_prime(p):
         p -= 1
     factors = prime_factors(p - 1)
     for a in range(2, p):
-        if jacobi(a, p) == -1:
-            params = PrimeGroupParams(p, a)
-            try:
-                check_generator(params, factors)
-            except ValueError:
-                continue
-            return params
+        try:
+            return PrimeGroupParams(p, a, factors)
+        except ValueError:
+            continue
 
 
 def _binary_group(m, low):
     """GF(2^m) mod the first irreducible at or above x^m + low, wrapping
-    round, in which x is primitive."""
-    factors = prime_factors((1 << m) - 1)
+    round, that the constructor accepts: the first in which x is
+    primitive."""
     while True:
-        params = BinaryFieldParams(m, _irreducible_at_or_above(m, low))
+        poly = _irreducible_at_or_above(m, low)
         try:
-            check_generator(params, factors)
+            return BinaryFieldParams(m, poly)
         except ValueError:
-            low = params.poly + 2
-            continue
-        return params
+            low = poly + 2
 
 
 GROUPS_AT_RANDOM = st.one_of(

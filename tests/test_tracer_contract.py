@@ -4,9 +4,10 @@ A refactor that renames one of those attributes, or binds it somewhere the
 tracer cannot replace it (a closure, a default argument), would leave the
 traced benchmark silently blind to that layer.  These tests pin the names
 and check that a traced solve really calls through them.  A prime walk's
-root in the odd part (2-Sylow log 0) is one power in the segment, not a
-call, so sqrt_mod_p is called exactly on the root rows whose value has a
-nonzero log: none on an r = 1 prime.  That every root, called or not, is
+root in the odd part (2-Sylow log 0) is a product of window-table lookups
+built from the walk's exponent, not a call, so sqrt_mod_p is called
+exactly on the root rows whose value has a nonzero log: none on an r = 1
+prime.  That every root, called or not, is
 right is checked by tests/test_properties.py::test_walk_matches_the_reference,
 whose reference walk takes each root from sqrt_mod_p with a searched log.
 """

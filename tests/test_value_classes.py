@@ -1,6 +1,7 @@
 """The public value classes: constructor checks, equality, repr, hashing."""
 
 import re
+import time
 
 import pytest
 
@@ -56,7 +57,7 @@ def test_walk_config_replace():
     ((91, 2), "p = 91 is not an odd prime"),
     ((103, 0), "generator 0 out of range for p = 103"),
     ((103, 103), "generator 103 out of range for p = 103"),
-    ((103, 25), "25 is a square mod 103, so it is not a primitive root"),
+    ((103, 25), "25 is not a generator: its order divides 102/2"),
     ((103, 5, (2, 5)), "5 is not a prime factor of the order 102"),
     ((41, 3, (2, 5)), "3 is not a generator: its order divides 40/5"),
     ((7340033, 3, (2,)), "the factors miss the cofactor 7 of the order"
@@ -66,6 +67,25 @@ def test_walk_config_replace():
 def test_prime_group_checks(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PrimeGroupParams(*args)
+
+
+def test_groups_refuse_a_non_generator_at_construction():
+    # -1 mod 16776899 has order 2 and is a non-square (p = 3 mod 4), so
+    # only the factored check refuses it; -1 mod 103, and x mod
+    # x^4 + x^3 + x^2 + x + 1 (order 5), likewise
+    for build, args in ((PrimeGroupParams, (16776899, 16776898)),
+                        (PrimeGroupParams, (103, 102)),
+                        (BinaryFieldParams, (4, 0x1f))):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not a generator"):
+            build(*args)
+        assert time.perf_counter() - start < 1, args
+    # factors_of_order only skips the factoring: the same group, and an
+    # empty list still verifies nothing
+    assert PrimeGroupParams(7340033, 3) == PrimeGroupParams(7340033, 3, (2, 7))
+    with pytest.raises(ValueError, match="^the factors miss the cofactor"
+                                         " 7340032 of the order 7340032"):
+        PrimeGroupParams(7340033, 3, ())
 
 
 @pytest.mark.parametrize("args,message", [
