@@ -11,7 +11,7 @@ from .gf2m import BinaryFieldParams, gf_div_by_x, gf_mul, gf_pow, gf_sqrt
 from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates, solve_linear)
-from .oracles import OracleResult, bsgs_dlog
+from .oracles import bsgs_dlog
 from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
                          mod_pow, prime_factors, sqrt_mod_p, sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
@@ -20,7 +20,7 @@ from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
 __all__ = [
     "BinaryFieldParams", "CongruenceSolution", "DegenerateCollisionError",
     "DecisionsExhaustedError", "DlogResult", "LinExpr", "NoSolutionError",
-    "OracleResult", "PrimeGroupParams",
+    "PrimeGroupParams",
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
     "bsgs_dlog", "build_table_one", "collision_solve", "enumerate_candidates",
     "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt", "is_probable_prime",

@@ -119,7 +119,7 @@ def cmd_oracle(parser, args) -> int:
     params = _params(parser, args)
     target = _target(parser, args, params)
     try:
-        print(bsgs_dlog(params, target).n)
+        print(bsgs_dlog(params, target))
     except ValueError as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return 1

@@ -39,43 +39,16 @@ def _poly_mod(v: int, f: int) -> int:
     return v
 
 
-def _poly_gcd(u: int, v: int) -> int:
-    while v:
-        u, v = v, _poly_mod(u, v)
-    return u
-
-
-def is_irreducible(f: int) -> bool:
-    """Ben-Or's test: f of degree m is irreducible over GF(2) iff
-    gcd(f, x^(2^i) - x) = 1 for every 1 <= i <= m/2.
-
-    An irreducible factor of degree d divides x^(2^i) - x exactly when d
-    divides i, and a reducible f has a factor of degree <= m/2.  A
-    negative f is no polynomial: ValueError.
-    """
-    if f < 0:
-        raise ValueError(f"{f:#x} is not a polynomial over GF(2)")
-    m = f.bit_length() - 1
-    if m < 1:
-        return False
-    h = GENERATOR  # x^(2^i) mod f
-    for _ in range(m // 2):
-        # squaring over GF(2) spreads the bits: (sum x^j)^2 = sum x^(2j)
-        h = _poly_mod(int("0".join(f"{h:b}"), 2), f)
-        if _poly_gcd(f, h ^ GENERATOR) != 1:
-            return False
-    return True
-
-
 class BinaryFieldParams(Record):
-    """The group GF(2^m)* of an irreducible modulus polynomial f of degree m.
+    """The group GF(2^m)* of a primitive modulus polynomial f of degree m.
 
-    f is checked for irreducibility whatever m is.  The generator is x,
-    which `check_generator` verifies against the primes of 2^m - 1, so f
-    must be primitive.  sqrt_tables and square_tables are derived, and ==
-    ignores them: the square-root map and the squaring map, one table per
-    11-bit window of an element, entry b of table i being the root (the
-    square) of b * x^(11i).
+    The generator is x, and `check_generator`'s order test is the whole
+    check on f: if x has order 2^m - 1 in GF(2)[x]/(f), every nonzero
+    element is a power of x and so a unit, the ring is a field, f is
+    irreducible and x is primitive.  sqrt_tables and square_tables are
+    derived, and == ignores them: the square-root map and the squaring
+    map, one table per 11-bit window of an element, entry b of table i
+    being the root (the square) of b * x^(11i).
     """
 
     _fields = ("m", "poly")
@@ -91,17 +64,13 @@ class BinaryFieldParams(Record):
         if poly >> m != 1:  # also rejects negative ints
             raise ValueError(f"{poly:#x} is not a polynomial"
                              f" of degree m = {m}")
-        if poly & 1 == 0:
-            raise ValueError("modulus must have constant term 1")
-        if not is_irreducible(poly):
-            raise ValueError(f"0x{poly:x} is reducible over GF(2)")
         # here, not at the top: primefield imports gf2m
-        from .primefield import check_generator, prime_factors
+        from .primefield import check_generator
         self._assign(m, poly)
         # gf_pow squares through these: (x^j)^2 = x^(2j) mod f
         self.square_tables = _linear_tables(
             [_poly_mod(1 << (2 * j), poly) for j in range(m)])
-        check_generator(self, prime_factors(self.order))
+        check_generator(self)
         root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
         # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
         self.sqrt_tables = _linear_tables(

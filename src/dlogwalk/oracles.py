@@ -1,17 +1,11 @@
 """An independent discrete-log solver: the correctness oracle and baseline."""
 
 import math
-from typing import NamedTuple
 
 BSGS_LIMIT = 10**12  # ceil(sqrt(N)) baby steps: at most 10^6 entries
 
 
-class OracleResult(NamedTuple):
-    n: int
-    method: str
-
-
-def bsgs_dlog(params, target: int) -> OracleResult:
+def bsgs_dlog(params, target: int) -> int:
     """Baby-step giant-step: n = i*m + j from a table of m = ceil(sqrt(N)) baby steps."""
     target = params.element(target)
     order, gen, mul = params.order, params.generator, params.mul
@@ -29,6 +23,6 @@ def bsgs_dlog(params, target: int) -> OracleResult:
     for i in range(m + 1):
         j = baby.get(cur)
         if j is not None:
-            return OracleResult((i * m + j) % order, "bsgs")
+            return (i * m + j) % order
         cur = mul(cur, stride)
     raise ValueError(f"{params.format(target)} is not a power of the generator")

@@ -86,13 +86,22 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def check_generator(params, factors) -> None:
+def check_generator(params, factors=None) -> None:
     """ValueError unless params.generator has the whole group order N.
 
-    factors must be the distinct primes of N, as `prime_factors` gives
-    them (else ValueError); g has order N iff g^(N/q) != 1 for each q.
+    g has order exactly N iff g^N = 1 and g^(N/q) != 1 for each prime
+    q | N.  g^N = 1 is tested first, before any factoring, so most bad
+    GF(2^m) moduli fail fast.  factors must be the distinct primes of N,
+    as `prime_factors` gives them (else ValueError); None factors N here.
     """
     g, order = params.generator, params.order
+    if params.pow(g, order) != 1:
+        th = ("th" if order % 100 in (11, 12, 13)
+              else {1: "st", 2: "nd", 3: "rd"}.get(order % 10, "th"))
+        raise ValueError(f"{params.format(g)} is not a generator of {params}:"
+                         f" its {order}{th} power is not 1")
+    if factors is None:
+        factors = prime_factors(order)
     cofactor = order
     for q in factors:
         if not is_probable_prime(q) or order % q:
@@ -150,7 +159,7 @@ class PrimeGroupParams(Record):
     builds an odd-part root from them.  These four are derived from p and
     a once, so == does not compare them.  `check_generator` verifies a
     against the primes of p - 1 before any table is built: factors_of_order
-    when given, which only skips the factoring, else `prime_factors`.  It
+    when given, which only skips the factoring, else it factors p - 1.  It
     is not stored, so the same group is equal however it was built.
     """
 
@@ -160,6 +169,8 @@ class PrimeGroupParams(Record):
 
     def __init__(self, p: int, a: int,
                  factors_of_order: tuple[int, ...] | None = None):
+        # the order test would refuse a composite p too (Lucas), but only
+        # after factoring p - 1
         if p < 3 or p % 2 == 0 or not is_probable_prime(p):
             raise ValueError(f"p = {p} is not an odd prime")
         if not 1 <= a <= p - 1:
@@ -170,8 +181,6 @@ class PrimeGroupParams(Record):
             s //= 2
             r += 1
         self._assign(p, a, r, s, pow(a, s, p))
-        if factors_of_order is None:
-            factors_of_order = prime_factors(p - 1)
         check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)

@@ -17,16 +17,19 @@ The draws follow the walk's documented order: one getrandbits(1) per char2
 step, one per prime root step only when neither root solved, and one
 randrange(N) per restart, from the seeded PRNG even when bits are scripted.
 
-Two more oracles, for the library's own shortcuts: `brute_force_dlog`
-scans the generator's powers (against BSGS and the walk), and
-`legendre_euler` is Euler's criterion (against the Jacobi symbol).
+Three more oracles, for the library's own shortcuts: `brute_force_dlog`
+scans the generator's powers (against BSGS and the walk),
+`legendre_euler` is Euler's criterion (against the Jacobi symbol), and
+`is_irreducible` is Ben-Or's test (against trial division, and the
+tests' quick pre-filter for primitive moduli, which the library finds
+by its order test alone).
 """
 
 import math
 import random
 
 from dlogwalk import walk
-from dlogwalk.gf2m import gf_div_by_x, gf_sqrt
+from dlogwalk.gf2m import GENERATOR, _poly_mod, gf_div_by_x, gf_sqrt
 from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, TooManyCandidatesError,
                               collision_solve, enumerate_candidates)
@@ -167,3 +170,31 @@ def legendre_euler(x, params):
         raise ValueError("x is 0 mod p")
     e = pow(x, (p - 1) // 2, p)
     return -1 if e == p - 1 else e
+
+
+def _poly_gcd(u, v):
+    while v:
+        u, v = v, _poly_mod(u, v)
+    return u
+
+
+def is_irreducible(f):
+    """Ben-Or's test: f of degree m is irreducible over GF(2) iff
+    gcd(f, x^(2^i) - x) = 1 for every 1 <= i <= m/2.
+
+    An irreducible factor of degree d divides x^(2^i) - x exactly when d
+    divides i, and a reducible f has a factor of degree <= m/2.  A
+    negative f is no polynomial: ValueError.
+    """
+    if f < 0:
+        raise ValueError(f"{f:#x} is not a polynomial over GF(2)")
+    m = f.bit_length() - 1
+    if m < 1:
+        return False
+    h = GENERATOR  # x^(2^i) mod f
+    for _ in range(m // 2):
+        # squaring over GF(2) spreads the bits: (sum x^j)^2 = sum x^(2j)
+        h = _poly_mod(int("0".join(f"{h:b}"), 2), f)
+        if _poly_gcd(f, h ^ GENERATOR) != 1:
+            return False
+    return True

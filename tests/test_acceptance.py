@@ -247,7 +247,7 @@ def test_criterion_9_char2_randomized():
                               table=table)
             assert result.success
             assert result.n == n
-            assert bsgs_dlog(GF213, target).n == n
+            assert bsgs_dlog(GF213, target) == n
         elapsed = time.perf_counter() - t0
         assert elapsed < 30, f"took {elapsed:.1f} s"
         print(f"\n  criterion 9 runtime: {elapsed:.1f} s")

@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 
 from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
-                           gf_div_by_x, gf_mul, gf_pow, gf_sqrt, is_irreducible)
+                           gf_div_by_x, gf_mul, gf_pow, gf_sqrt)
+from reference_walk import is_irreducible
 
 GF27 = BinaryFieldParams(7, 0x83)       # x^7 + x + 1
 GF213 = BinaryFieldParams(13, 0x201B)   # x^13 + x^4 + x^3 + x + 1
@@ -58,6 +60,49 @@ def test_is_irreducible_rejects_negative_polynomials():
         with pytest.raises(ValueError, match=f"^{f:#x} is not a polynomial"):
             is_irreducible(f)
     assert not is_irreducible(0) and not is_irreducible(1)
+
+
+def _order_of_x(poly, m):
+    """The multiplicative order of x mod an irreducible poly of degree m,
+    by multiplying by x (a shift, then poly added when bit m is set)."""
+    u, k = GENERATOR, 1
+    while u != 1:
+        u <<= 1
+        if u >> m:
+            u ^= poly
+        k += 1
+    return k
+
+
+def test_field_builds_exactly_when_modulus_is_primitive():
+    # every x^m + low, even low included: the order test alone must decide
+    built = 0
+    for m in range(2, 11):
+        for low in range(1 << m):
+            poly = 1 << m | low
+            primitive = (_irreducible_by_trial_division(poly)
+                         and _order_of_x(poly, m) == (1 << m) - 1)
+            try:
+                BinaryFieldParams(m, poly)
+            except ValueError:
+                assert not primitive, hex(poly)
+            else:
+                assert primitive, hex(poly)
+                built += 1
+    # phi(2^m - 1)/m primitive polynomials of each degree m
+    assert built == 1 + 2 + 2 + 6 + 6 + 18 + 16 + 48 + 60
+
+
+def test_bad_modulus_refused_without_factoring(monkeypatch):
+    # x^N != 1 already: a reducible modulus, x^33 + 1, and one without a
+    # constant term fail before the order is factored
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr("dlogwalk.primefield.prime_factors", no_factoring)
+    for m, poly in ((7, 0x9B), (33, 0x200000001), (7, 0x82)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"0x2 is not a generator of gf2^{m}/{poly:#x}:")):
+            BinaryFieldParams(m, poly)
 
 
 def test_mul_known_values():

@@ -471,7 +471,7 @@ def test_stored_restart_start_solves_without_a_step(variant):
     # the second segment
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     order = params.order
-    n = bsgs_dlog(params, target).n
+    n = bsgs_dlog(params, target)
     config = WalkConfig(variant=variant, seed=0, max_steps=4,
                         max_restarts=1, trace=True)
     first = run_dlog(params, target, config.replace(max_restarts=0))
@@ -479,7 +479,7 @@ def test_stored_restart_start_solves_without_a_step(variant):
     # a value reached after a root, whose exponent is not n + j for any j
     rec = [rec for rec in first.trace if rec.expr.k > 0][-1]
     reached = rec.result if rec.roots is None else rec.roots[0]
-    j = (bsgs_dlog(params, reached).n - n) % order
+    j = (bsgs_dlog(params, reached) - n) % order
     w = _Walk(params, target, config, None)
     w.rng.randrange = lambda _: j
     result = w.run()
