@@ -105,21 +105,24 @@ class BinaryFieldParams(Record):
         return f"gf2^{self.m}/0x{self.poly:x}"
 
 
-def _linear_tables(images: list[int], combine=xor, unit: int = 0,
+def _xor_all(table: list[int], image: int):
+    return map(xor, table, repeat(image, len(table)))
+
+
+def _linear_tables(images: list[int], step=_xor_all, unit: int = 0,
                    bits: int = _MAX_WINDOW_BITS) -> tuple[tuple[int, ...], ...]:
-    """The map f with f(0) = unit and f(b + 2^j) = combine(f(b), images[j])
-    for b < 2^j, as one table per window of `bits` bits of its argument
-    (the last window takes the bits left): entry b of table i is
-    f(b * 2^(bits*i)).  With xor and 0 it is a GF(2)-linear map on
-    GF(2^m), images[j] being the image of x^j; `PrimeGroupParams` builds
-    c^(-h) from c^(-2^j) with a product mod p and 1, and the powers of an
-    odd part from its repeated squares in 8-bit windows."""
+    """The map f with f(0) = unit and f(b + 2^j) = f(b) combined with
+    images[j] for b < 2^j, as one table per window of `bits` bits of its
+    argument (the last window takes the bits left): entry b of table i is
+    f(b * 2^(bits*i)).  step(table, image) gives the entries b + 2^j from
+    the 2^j so far.  With xor and 0 it is a GF(2)-linear map on GF(2^m),
+    images[j] being the image of x^j; `PrimeGroupParams` builds c^(-h) and
+    an odd part's powers with a product mod p and 1."""
     tables = []
     for lo in range(0, len(images), bits):
         table = [unit]
         for image in images[lo:lo + bits]:
-            # entries b + 2^j: the image of b, combined with that of bit j
-            table += map(combine, table, repeat(image, len(table)))
+            table += step(table, image)
         tables.append(tuple(table))
     return tuple(tables)
 

@@ -185,7 +185,7 @@ class PrimeGroupParams(Record):
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)
             [pow(self.c, -(1 << j), p) for j in range(r - 1)],
-            lambda u, v: u * v % p, 1)
+            lambda table, v: [u * v % p for u in table], 1)
         self.sqrt_top = 1 << (r - 1)
         self.odd_tables = _odd_power_tables(a, self)
         # cubing, the 3x+1 step, is a bijection of the group only when
@@ -354,5 +354,5 @@ def _odd_power_tables(x: int, params: PrimeGroupParams):
     for _ in range(s.bit_length()):
         squares.append(square)
         square = square * square % p
-    return _linear_tables(squares, lambda u, v: u * v % p, 1,
-                          _ODD_WINDOW_BITS)
+    return _linear_tables(squares, lambda table, v: [u * v % p for u in table],
+                          1, _ODD_WINDOW_BITS)

@@ -353,6 +353,11 @@ def test_usage_errors_exit_two(capsys):
         ["oracle", "--p", "13", "--gen", "5", "--target", "2"],
         ["solve-gf2m", "--m", "4", "--poly", "0x1f", "--target", "0x3",
          "--max-restarts", "2"],                                   # x has order 5
+        # no constant term: x^127 is not 1, so the order test refuses it
+        ["solve", "--m", "7", "--poly", "0x82", "--target", "0x3"],
+        # 29791 = 31^3 is a non-square, so the check's q = 2 test passes
+        # it, and only q = 3 refuses it: its order divides 2013265920/3
+        ["solve", "--p", "2013265921", "--gen", "29791", "--target", "31"],
         ["oracle", "--m", "6", "--poly", "0x49", "--target", "0x3"],  # x has order 9
         ["solve", "--p", "103", "--gen", "5", "--target", "0"],
         ["solve-gf2m", "--m", "7", "--poly", "0x83", "--target", "0x0"],

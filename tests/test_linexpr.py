@@ -143,9 +143,10 @@ def test_solve_linear_degenerate_order_one():
         solve_linear(1, 1, 0)
 
 
-@pytest.mark.parametrize("order", list(range(1, 61)))
+@pytest.mark.parametrize("order", list(range(1, 61)) + [256, 360])
 def test_solve_linear_exhaustive_small_orders(order):
-    """Full (coef, rhs) grid against a brute-force scan."""
+    """Full (coef, rhs) grid against a brute-force scan: every order to 60,
+    a power of two and 360 = 2^3 * 3^2 * 5, whose gcds reach 180."""
     for coef in range(order):
         hits = {}
         for n in range(order):

@@ -81,8 +81,9 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         assert steps == result.steps_taken
     else:
         # the walk knows every value's 2-Sylow log, so a root is taken on
-        # exactly the root rows; one in the odd part (log 0) is one power
-        # in the segment, and sqrt_mod_p computes every other
+        # exactly the root rows; one in the odd part (log 0) is a product
+        # of window-table entries from the walk's exponent, and
+        # sqrt_mod_p computes every other
         roots = [rec.value for rec in result.trace if rec.branch == "sqrt"]
         assert 0 < len(roots) < result.steps_taken
         called = sum(sylow_log(value, params) != 0 for value in roots)
