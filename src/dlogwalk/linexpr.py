@@ -34,7 +34,8 @@ class DegenerateCollisionError(ValueError):
 
 
 class TooManyCandidatesError(ValueError):
-    """Solution count d exceeds the configured trial-verification budget."""
+    """Solution count d exceeds the bound on candidates to verify, which
+    the walk sets with its constant walk.D_MAX."""
 
     def __init__(self, count: int, limit: int):
         super().__init__(f"{count} candidate solutions exceed limit {limit}")

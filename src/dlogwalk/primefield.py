@@ -15,9 +15,12 @@ e; a walk runs it once, on its target, and `sqrt_mod_p` runs it only
 when its caller passes no log.  Every later log follows from an earlier
 one, since a^s = c: target * a^j has log e + j, x/a has e - 1 and
 x^3 * a has 3e + 1 (mod 2^r), and `sqrt_mod_p` returns the log of each
-root.  So a root costs one power and one table entry c^(-h) per 11-bit
-window of the half log h = e/2, from tables built and read as gf2m's
-linear maps are (`_linear_tables`).
+root.  So `sqrt_mod_p`'s root costs one power and one table entry c^(-h)
+per 11-bit window of the half log h = e/2, from tables built and read as
+gf2m's linear maps are (`_linear_tables`).  A walk's root of a value with
+log 0 costs no power: it lies in the odd-order subgroup, and the walk
+builds it from its own exponent as a product of lookups in the odd part's
+fixed-base tables (`_odd_power_tables`).
 """
 
 import math

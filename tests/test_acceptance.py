@@ -18,6 +18,11 @@ GF(2^13) targets.  The retired criteria are unit tests now:
 - 6d, linear congruences against a scan:
   test_linexpr.py::test_solve_linear_exhaustive_small_orders.
 
+Criterion 5 is also the walk's exhaustive check on a small prime, the
+input of the retired test_walk.py::test_exhaustive_small_groups; random
+walks on small groups of both fields are compared with the reference walk
+in test_properties.py.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """

@@ -6,7 +6,6 @@ from dlogwalk.bench import (CSV_COLUMNS, StepStats, TrialRecord, records_to_csv,
                             run_trials, stats_to_json, summarize, write_csv,
                             write_json)
 from dlogwalk.gf2m import BinaryFieldParams
-from dlogwalk.oracles import bsgs_dlog
 from dlogwalk.primefield import PrimeGroupParams
 from dlogwalk.walk import WalkConfig
 
@@ -14,34 +13,11 @@ P103 = PrimeGroupParams(103, 5)
 P2003 = PrimeGroupParams(2003, 5)
 
 
-def test_run_trials_all_solvable_small_prime():
-    records = run_trials(P103, WalkConfig(), 100, seed_base=0)
-    assert len(records) == 100
-    assert all(r.success for r in records)
-    for r in records[:10]:  # spot-check against an independent solver
-        target = pow(5, r.n_true, 103) if r.n_true else 1
-        assert bsgs_dlog(P103, target) == r.n_true % 102
-
-
-def test_trials_are_deterministic():
-    a = run_trials(P2003, WalkConfig(), 50, seed_base=9)
-    b = run_trials(P2003, WalkConfig(), 50, seed_base=9)
-    assert a == b
-    assert records_to_csv(a) == records_to_csv(b)
-
-
 def test_same_seed_draws_same_exponent_across_variants():
     a = run_trials(P2003, WalkConfig(variant="inverse"), 30, seed_base=4)
     b = run_trials(P2003, WalkConfig(variant="collatz"), 30, seed_base=4)
     assert [r.n_true for r in a] == [r.n_true for r in b]
     assert [r.seed for r in a] == [r.seed for r in b]
-
-
-def test_trial_budget_invariant():
-    config = WalkConfig(max_steps=10, max_restarts=8)
-    records = run_trials(P2003, config, 40, seed_base=2)
-    for r in records:
-        assert r.steps <= 10 * (r.restarts + 1)
 
 
 def test_steps_metric_counts_walk_iterations():
@@ -58,8 +34,10 @@ def test_steps_metric_counts_walk_iterations():
 def test_run_trials_argument_checks():
     with pytest.raises(ValueError):
         run_trials(P103, WalkConfig(), 0, seed_base=0)
-    with pytest.raises(ValueError):
-        run_trials(P103, WalkConfig(seed=3), 5, seed_base=0)
+    for config in (WalkConfig(seed=3), WalkConfig(choices=[0])):
+        with pytest.raises(ValueError, match="^per-trial seeds are derived"
+                                             " from seed_base$"):
+            run_trials(P103, config, 5, seed_base=0)
 
 
 def test_summarize_basic():
@@ -71,6 +49,12 @@ def test_summarize_basic():
     assert stats.trials == 3
     assert stats.success_rate == 1.0
     assert stats.ratio_mean_to_sqrt_order == pytest.approx(6 / math.sqrt(102))
+    # an even count: the median is the mean of the middle two, and the
+    # ratio is the mean's
+    recs.append(TrialRecord("inverse", "103", 1, 3, 14, 0, True, 0))
+    stats = summarize(recs, 102)
+    assert (stats.mean_steps, stats.median_steps) == (8, 7)
+    assert stats.ratio_mean_to_sqrt_order == pytest.approx(8 / math.sqrt(102))
 
 
 def test_summarize_excludes_failures_from_steps():
@@ -78,7 +62,8 @@ def test_summarize_excludes_failures_from_steps():
             TrialRecord("inverse", "103", 2, 1, 999, 5, False, 0)]
     stats = summarize(recs, 102)
     assert stats.success_rate == 0.5
-    assert stats.mean_steps == 10
+    assert stats.mean_steps == stats.median_steps == 10
+    assert stats.stddev_steps == 0.0  # one success: no spread, not NaN
     assert stats.successes == 1
 
 

@@ -28,6 +28,9 @@ def test_solve_worked_example(capsys):
                            "--target", "84", "--choices", "1")
     assert code == 0
     assert out.splitlines()[0] == "29"
+    # an empty entry in the choice list is skipped
+    assert run_cli(capsys, "solve", "--p", "103", "--gen", "5",
+                   "--target", "84", "--choices", "1,") == (code, out, "")
 
 
 def test_solve_immediate_hit(capsys):
@@ -322,6 +325,9 @@ def test_usage_errors_exit_two(capsys):
         ["oracle", "--target", "5"],                               # no field given
         ["oracle", "--p", "103", "--m", "7", "--poly", "0x83",
          "--target", "5"],                                         # both fields
+        ["solve", "--p", "103", "--gen", "5", "--m", "7", "--poly", "0x83",
+         "--target", "84"],                              # both groups, each whole
+        ["bench", "--p", "103", "--gen", "5", "--trials", "3"],     # no --seed
         ["bench", "--p", "103", "--gen", "5", "--variant", "char2",
          "--trials", "3", "--seed", "0"],
         ["bench", "--p", "1009", "--gen", "11", "--variant", "collatz",
@@ -402,7 +408,9 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert len(lines) == 201
     assert lines[0].startswith("variant,prime_or_field")
     assert "success_rate=1.000" in out
-    assert json_path.exists()
+    # the summary line prints the JSON's mean
+    stats = json.loads(json_path.read_text())
+    assert f" mean_steps={stats['mean_steps']:.2f} " in out
 
 
 def test_bench_json_is_strict_when_no_trial_succeeds(tmp_path, capsys):

@@ -215,13 +215,6 @@ def test_mul_rejects_non_elements_in_either_argument():
     assert gf_mul(0x7F, 0x7F, GF27) == gf_pow(0x7F, 2, GF27)
 
 
-def test_element_range_checks():
-    with pytest.raises(ValueError):
-        gf_mul(0x80, 0x01, GF27)  # degree 7 is not an element of GF(2^7)
-    with pytest.raises(ValueError):
-        gf_sqrt(1 << 13, GF213)
-
-
 @pytest.mark.parametrize("op,zero", [
     (gf_sqrt, "0 has no multiplicative square root"),
     (gf_div_by_x, "0 cannot be divided by the generator"),
@@ -274,24 +267,6 @@ def test_sqrt_roundtrip_exhaustive_m7():
 def test_div_by_x_roundtrip_exhaustive_m7():
     for u in NONZERO_27:
         assert gf_mul(GENERATOR, gf_div_by_x(u, GF27), GF27) == u
-
-
-def test_frobenius_linearity():
-    rng = random.Random(4)
-    for _ in range(500):
-        u, v = rng.randrange(128), rng.randrange(128)
-        assert gf_mul(u ^ v, u ^ v, GF27) == \
-            gf_mul(u, u, GF27) ^ gf_mul(v, v, GF27)
-
-
-def test_generator_enumerates_group_m7():
-    seen = set()
-    acc = 1
-    for _ in range(127):
-        seen.add(acc)
-        acc = gf_mul(acc, GENERATOR, GF27)
-    assert seen == set(NONZERO_27)
-    assert acc == 1  # full cycle
 
 
 def test_hex_roundtrip():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -104,23 +103,6 @@ def test_value_semantics():
     assert (LinExpr().A, LinExpr().B, LinExpr().k) == (1, 0, 0)
     assert LinExpr(B=5) == LinExpr(1, 5, 0)
 
-def test_ops_track_rational_value():
-    """Applying ops symbolically must match applying them to a concrete m:
-    2^k * m is an integer, and A*n0 + B equals it mod N."""
-    rng = random.Random(20)
-    for _ in range(300):
-        order = rng.choice(ORDERS)
-        n0 = rng.randrange(-50, 10**6)
-        expr = LinExpr()
-        m = Fraction(n0)
-        for _ in range(rng.randrange(1, 40)):
-            op = rng.choice(("dec", "halve", "triple"))
-            expr = _apply(expr, op, order)
-            m = {"dec": m - 1, "halve": m / 2, "triple": 3 * m + 1}[op]
-            scaled = 2 ** expr.k * m
-            assert scaled.denominator == 1
-            assert (scaled.numerator - (expr.A * n0 + expr.B)) % order == 0
-
 
 def test_solve_linear_known():
     # worked example 1 after clearing: 1*n = 131 = 29 (mod 102)
@@ -200,26 +182,6 @@ def test_collision_solve_dec_is_unsatisfiable():
                   LinExpr(1, 1 - order, 7)):
             with pytest.raises(NoSolutionError):
                 collision_solve(_apply(e, "dec", order), e, order)
-
-
-def test_collision_solutions_satisfy_congruence():
-    rng = random.Random(8)
-    for _ in range(300):
-        order = rng.randrange(2, 2000)
-        e1 = LinExpr(rng.randrange(-20, 20), rng.randrange(-40, 40),
-                     rng.randrange(0, 6))
-        e2 = LinExpr(rng.randrange(-20, 20), rng.randrange(-40, 40),
-                     rng.randrange(0, 6))
-        big = max(e1.k, e2.k)
-        coef = (1 << (big - e1.k)) * e1.A - (1 << (big - e2.k)) * e2.A
-        rhs = (1 << (big - e2.k)) * e2.B - (1 << (big - e1.k)) * e1.B
-        try:
-            sol = collision_solve(e1, e2, order)
-        except (NoSolutionError, DegenerateCollisionError):
-            continue
-        for t in range(sol.count):
-            n = (sol.residue + t * sol.modulus) % order
-            assert coef * n % order == rhs % order
 
 
 def test_enumerate_candidates():

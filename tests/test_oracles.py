@@ -19,7 +19,8 @@ def test_known_values():
     assert brute_force_dlog(PrimeGroupParams(103, 5), 5) == 1
 
 
-@pytest.mark.parametrize("p,a", [(103, 5), (101, 2), (499, 7), (1009, 11), (2003, 5)])
+@pytest.mark.parametrize("p,a", [(103, 5), (101, 2), (499, 7), (1009, 11),
+                                 (2003, 5), (199, 3), (193, 5)])
 def test_oracles_agree_exhaustively_prime(p, a):
     params = PrimeGroupParams(p, a)
     for target in range(1, p):

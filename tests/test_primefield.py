@@ -63,6 +63,9 @@ def test_is_probable_prime_small():
     assert is_probable_prime(8191)
     assert is_probable_prime(2**61 - 1)
     assert not is_probable_prime(2**67 - 1)  # 193707721 * 761838257287
+    # a strong pseudoprime to every base up to 41, the fixed witnesses'
+    # limit: from it on random witnesses join them
+    assert not is_probable_prime(3317044064679887385961981)
 
 
 def test_prime_factors_brute_force():
@@ -105,14 +108,6 @@ def test_mod_pow_known_values():
         mod_pow(3, -1, P103)
 
 
-def test_mod_pow_against_builtin():
-    rng = random.Random(0)
-    for _ in range(300):
-        base = rng.randrange(1, 103)
-        e = rng.randrange(0, 10**9)
-        assert mod_pow(base, e, P103) == pow(base, e, 103)
-
-
 def test_mod_pow_rejects_zero_base():
     with pytest.raises(ValueError):
         mod_pow(0, 5, P103)
@@ -125,8 +120,9 @@ def test_legendre_known_values():
     assert legendre(99, P103) == -1
     assert legendre(1, P103) == 1
     assert legendre(1, P101) == 1
-    with pytest.raises(ValueError):
-        legendre(0, P103)
+    for zero in (0, 103):
+        with pytest.raises(ValueError, match="^x is 0 mod p$"):
+            legendre(zero, P103)
     with pytest.raises(ValueError, match="x is 0 mod p"):
         legendre_euler(103, P103)
 
@@ -171,8 +167,9 @@ def test_sqrt_errors():
     assert sqrt_mod_p(84, P103) is None
     with pytest.raises(ValueError):
         sqrt_mod_p(0, P103)
-    with pytest.raises(ValueError):
-        sylow_log(0, P103)
+    for zero in (0, 103):
+        with pytest.raises(ValueError, match="^x is 0 mod p$"):
+            sylow_log(zero, P103)
 
 
 @pytest.mark.parametrize("params,xs", [
@@ -347,19 +344,3 @@ def test_sqrt_from_a_log_out_of_range(params):
         for wrong in (e + 2**r, e - 2**r, e + 1 + 2**r, e + 1 - 2**r):
             with pytest.raises(ValueError, match=rf"outside 0 <= e < 2\^{r}$"):
                 sqrt_mod_p(x, params, wrong)
-
-
-@pytest.mark.parametrize("p,a", [(103, 5), (101, 2), (199, 3), (193, 5)])
-def test_generator_enumerates_group(p, a):
-    params = PrimeGroupParams(p, a)
-    seen = {mod_pow(a, i, params) for i in range(p - 1)}
-    assert seen == set(range(1, p))
-
-
-def test_legendre_of_power_tracks_parity():
-    rng = random.Random(5)
-    for params in (P103, P101):
-        for _ in range(200):
-            n = rng.randrange(0, 10 * params.order)
-            expected = 1 if n % 2 == 0 else -1
-            assert legendre(mod_pow(params.a, n, params), params) == expected

@@ -1,19 +1,31 @@
-"""Property tests over random inputs: group laws, BSGS, both square roots,
-the collision congruence, Table I and the walk invariants, on fixed groups
-and on random ones.
+"""Property tests over random inputs: group laws, format and parse, the
+GF(2^m) root and square tables, the prime root tables, the LinExpr ops and
+the collision congruence against their closed forms and a scan, Table I
+and the walk invariants, on fixed groups and on random ones.
 
 A prime walk stores values together with their symbolic exponent (A, B, k),
 and the invariant is v^(2^k) = g^(A*n + B) for every stored value v: on
-every trace row and in the history dict, which keeps every segment's start.
-The char2 walk carries t = 2^k mod the odd order N, doubled on every root,
-and stores (A, B, k) with A = 1 (0 in Table I).
+every trace row and in the history dict, which keeps every segment's start,
+with A and B inside (-N, N).  The char2 walk carries t = 2^k mod the odd
+order N, doubled on every root, and stores (A, B, k) with A = 1 (0 in
+Table I).  test_walk_exponent_invariant checks it on trace rows and
+history of random walks, restarted ones included, and on p = 7340033
+(r = 20) with 12-step segments, the r >= 2 input of the walk tests it
+replaced.
+
+On random groups, every variant the group runs solves and stores only
+exponents that hold, 3x+1 runs exactly where 3 does not divide N (p = 3
+included), and every other variant is refused.
 
 The walk's oracle is tests/reference_walk.py, the walk written from the
 paper: `_Walk` must give its DlogResult, every trace row included, and its
 history, on random groups and walks, and on examples past their reach: the
-benchmark's groups, p = 2013265921, GF(2^31) and two primes near 2^61.
-Every target must equal `power`'s, and every solve the drawn n.  The
-reference replays the five worked examples.
+benchmark's groups, p = 2013265921, GF(2^31), two primes near 2^61, and on
+p = 257 a restarted segment where t = 2^8 = N must wrap to 0.  Every target
+must equal `power`'s, and every solve the drawn n.  It is the walk's one
+test of solves, determinism, budgets, restarts, D_MAX and scale, and
+test_walk.py keeps what it cannot show.  The reference replays the five
+worked examples.
 """
 
 import math
@@ -70,12 +82,6 @@ def test_pow_adds_exponents(params, a, b):
 def test_format_parse_roundtrip(params, e):
     u = params.pow(params.generator, e)
     assert params.parse(params.format(u)) == u
-
-
-@settings(max_examples=50, deadline=None)
-@given(GROUPS, EXPONENTS)
-def test_bsgs_recovers_exponent(params, n):
-    assert bsgs_dlog(params, params.pow(params.generator, n)) == n % params.order
 
 
 def _irreducible_at_or_above(m, low):
@@ -217,6 +223,9 @@ def test_collision_solve_matches_scan(e1, e2, order):
        st.sampled_from([None, 12]))
 # a division there lands B on exactly -N, which must wrap to 0
 @example((GF27, "char2"), 5, 28, None)
+# r = 20: roots with 2-Sylow logs of 20 bits, in restarted segments
+@example((P7340033, "inverse"), 777, 1, 12)
+@example((P7340033, "collatz"), 777, 1, 12)
 def test_walk_exponent_invariant(case, n, seed, max_steps):
     # max_steps=12 forces restart segments through the same invariant
     params, variant = case
@@ -312,6 +321,8 @@ def test_random_group_table_one_and_every_variant(params, n, seed):
         assert params.pow(g, k) == v
     # every variant the group runs solves, as BSGS does, and stores only
     # exponents that hold; every other variant is refused
+    if isinstance(params, PrimeGroupParams):  # 3x+1 where cubing is 1-1
+        assert ("collatz" in params.variants) == (order % 3 != 0)
     n %= order
     target = params.pow(g, n)
     assert bsgs_dlog(params, target) == n
@@ -357,6 +368,8 @@ def _drawn(params, variant, max_steps=None,
 @example((P1048571, "collatz"), 777, 1, None, 32, D_MAX, True)
 # the root of 1 at k = 33, after roots with a nonzero log
 @example((P257, "inverse"), 83, 37, None, 32, D_MAX, False)
+# t = 2^8 = N wraps to 0, in a segment whose B is still positive then
+@example((P257, "inverse"), 247, 226, 10, 32, D_MAX, False)
 # r = 27: each root reads three 11-bit windows (57,763 steps); m = 31: three
 # windows in the root and square tables (207,048 steps); r = 1 and a 60-bit
 # s: each odd-part root reads eight 8-bit windows per exponent

@@ -97,6 +97,10 @@ def test_groups_refuse_a_non_generator_at_construction():
                 " its 127th power is not 1"),
     ((7, 0x9B), "0x2 is not a generator of gf2^7/0x9b:"
                 " its 127th power is not 1"),
+    # the ordinal's suffix: 3rd, and 511th (not 511st)
+    ((2, 0x5), "0x2 is not a generator of gf2^2/0x5: its 3rd power is not 1"),
+    ((9, 0x200), "0x2 is not a generator of gf2^9/0x200:"
+                 " its 511th power is not 1"),
 ])
 def test_binary_field_checks(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

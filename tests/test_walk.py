@@ -1,41 +1,24 @@
 import hashlib
-import math
 import random
 
 import pytest
 
 from dlogwalk import walk
-from dlogwalk.gf2m import GENERATOR, BinaryFieldParams, gf_mul
+from dlogwalk.gf2m import BinaryFieldParams
 from dlogwalk.primefield import PrimeGroupParams, sqrt_mod_p, sylow_log
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.linexpr import CongruenceSolution, LinExpr, collision_solve
 from dlogwalk.oracles import bsgs_dlog
-from dlogwalk.walk import (DecisionsExhaustedError, UnsupportedGroupError,
-                           WalkConfig, _Walk, build_table_one,
-                           default_max_steps, run_dlog)
+from dlogwalk.walk import (DecisionsExhaustedError, WalkConfig, _Walk,
+                           build_table_one, default_max_steps, run_dlog)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
-P16776899 = PrimeGroupParams(16776899, 2)  # 2 * 8388449: a safe prime
 GF27 = BinaryFieldParams(7, 0x83)
 GF213 = BinaryFieldParams(13, 0x201B)
-GF219 = BinaryFieldParams(19, 0x80027)
-
-
-def dlog_table(mul, order):
-    """True discrete log of every group element, by accumulation."""
-    table = {}
-    acc = 1
-    for e in range(order):
-        table[acc] = e
-        acc = mul(acc)
-    return table
-
-PRIME_DLOGS = dlog_table(lambda v: v * 5 % 103, 102)
-GF_DLOGS = dlog_table(lambda v: gf_mul(v, GENERATOR, GF27), 127)
 
 
 # -- Table I -------------------------------------------------------------
@@ -55,34 +38,6 @@ def test_table_one_known_values_gf2m():
 
 
 # -- config validation ----------------------------------------------------
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(variant="pollard")
-    with pytest.raises(ValueError):
-        WalkConfig(seed=1, choices=[0, 1])
-    with pytest.raises(ValueError):
-        WalkConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        WalkConfig(max_restarts=-4)
-    with pytest.raises(ValueError):
-        WalkConfig(choices=[0, 2])
-
-
-def test_variant_params_mismatch():
-    # the group names the variants it runs; 3x+1 only where cubing is a
-    # bijection, gcd(3, p - 1) = 1
-    assert P103.variants == ("inverse",)  # 3 | 102
-    assert P101.variants == ("inverse", "collatz")
-    with pytest.raises(UnsupportedGroupError):
-        run_dlog(GF27, 5, WalkConfig(variant="inverse"))
-    with pytest.raises(UnsupportedGroupError):
-        run_dlog(P103, 5, WalkConfig(variant="char2"))
-
-
-def test_collatz_requires_order_coprime_to_three():
-    with pytest.raises(UnsupportedGroupError):
-        run_dlog(P103, 84, WalkConfig(variant="collatz"))  # 3 | 102
 
 
 def test_target_must_be_nonzero():
@@ -142,8 +97,12 @@ _BY_NAME = {case.name: case for case in CASES}
                                    (1, 0, 1)),) + c.rows[1:]},
      "row 1: expected (0x1d, 'sqrt', 0x24, None, None, 0, (1, 0, 1)),"
      " got (0x1d, 'sqrt', 0x23, None, None, 0, (1, 0, 1))"),
+    ("prime1", lambda c: {"rows": c.rows[:1] + ((58, "sqrt", None, (26, 78),
+                                                 77, 1, (1, -1, 1)),)},
+     "row 2: expected (58, 'sqrt', None, (26, 78), 77, 1, (1, -1, 1)),"
+     " got (58, 'sqrt', None, (26, 77), 77, 1, (1, -1, 1))"),
 ], ids=["extra-row", "dropped-row", "altered-row", "congruence", "n",
-        "altered-row-gf2m"])
+        "altered-row-gf2m", "altered-roots"])
 def test_replay_names_each_divergence(name, changes, message):
     case = _BY_NAME[name]
     assert replay(case._replace(**changes(case))) == message
@@ -192,74 +151,9 @@ def test_scripted_exhaustion_raises():
                                         choices=[0, 1, 1]))
 
 
-def test_determinism_full_result():
-    for seed in (0, 7, 123):
-        runs = [run_dlog(P2003, 1234, WalkConfig(seed=seed, trace=True))
-                for _ in range(2)]
-        a, b = runs
-        assert (a.n, a.steps_taken, a.restarts, a.collisions_tested,
-                a.candidates_tried) == \
-               (b.n, b.steps_taken, b.restarts, b.collisions_tested,
-                b.candidates_tried)
-        assert a.trace == b.trace
-
-
-def test_seeds_change_walks():
-    traces = {run_dlog(P2003, 1234, WalkConfig(seed=s)).steps_taken
-              for s in range(12)}
-    assert len(traces) > 1
-
-
 def test_default_budget():
     assert default_max_steps(102) == 202   # ceil(20 * sqrt(102))
     assert default_max_steps(10000) == 2000
-
-
-@pytest.mark.parametrize("params,variant,dlogs", [
-    (P103, "inverse", PRIME_DLOGS),
-    (P101, "collatz", None),
-    (GF27, "char2", GF_DLOGS),
-])
-def test_solves_verify_against_truth(params, variant, dlogs):
-    order = params.order
-    rng = random.Random(order)
-    if variant == "collatz":
-        dlogs = dlog_table(lambda v: v * 2 % 101, 100)
-    inverse = {e: v for v, e in dlogs.items()}
-    for i in range(60):
-        n = rng.randrange(order)
-        target = inverse[n]
-        result = run_dlog(params, target, WalkConfig(variant=variant, seed=i))
-        assert result.success
-        assert result.n == n
-
-
-@pytest.mark.parametrize("params,variant,dlogs,order_half_shift", [
-    (P103, "inverse", PRIME_DLOGS, True),
-    (P101, "collatz", None, True),
-    (GF27, "char2", GF_DLOGS, False),
-])
-def test_exponent_tracking_soundness(params, variant, dlogs, order_half_shift):
-    """At every step 2^k * dlog(value) = A*n + B (mod N), for either root."""
-    order = params.order
-    if variant == "collatz":
-        dlogs = dlog_table(lambda v: v * 2 % 101, 100)
-    inverse = {e: v for v, e in dlogs.items()}
-    rng = random.Random(3 * order)
-    for i in range(40):
-        n = rng.randrange(order)
-        target = inverse[n]
-        # small budgets force restart segments through the same invariant
-        config = WalkConfig(variant=variant, seed=i, trace=True,
-                            max_steps=12 if i % 3 == 0 else None)
-        result = run_dlog(params, target, config)
-        for rec in result.trace:
-            values = [rec.result] if rec.roots is None else list(rec.roots)
-            for v in values:
-                lhs = (1 << rec.expr.k) * dlogs[v] % order
-                assert lhs == (rec.expr.A * n + rec.expr.B) % order
-        if result.success:
-            assert result.n == n
 
 
 @pytest.mark.parametrize("params,variant", [
@@ -312,28 +206,6 @@ def test_a_wrong_log_raises_on_either_root_path(params, target, wrong,
     with pytest.raises(ValueError) as raised:
         run_dlog(params, target, WalkConfig(seed=1))
     assert str(raised.value) == str(expected.value)
-
-
-def test_restart_statistics_and_budget_invariant():
-    solved_after_restart = 0
-    for seed in range(30):
-        config = WalkConfig(seed=seed, max_steps=8, max_restarts=16)
-        result = run_dlog(P2003, 777, config)
-        assert result.steps_taken <= 8 * (result.restarts + 1)
-        assert result.restarts <= 16
-        if result.success:
-            assert pow(5, result.n, 2003) == 777
-            if result.restarts:
-                solved_after_restart += 1
-    assert solved_after_restart > 0  # restart policy does recover walks
-
-
-def test_failure_reports_statistics():
-    result = run_dlog(P2003, 777, WalkConfig(seed=0, max_steps=1, max_restarts=2))
-    assert not result.success
-    assert result.n is None
-    assert result.restarts == 2
-    assert result.steps_taken >= 1
 
 
 # (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
@@ -430,40 +302,6 @@ def test_table_one_seeds_the_history(variant):
     assert reached > 0  # some steps land on Table I entries
 
 
-@pytest.mark.parametrize("params,variant", [
-    (P16776899, "inverse"), (P16776899, "collatz"), (GF219, "char2"),
-    (P257, "inverse"),  # Table I's last entry g^(2^8) has exponent N = 256
-])
-def test_history_exponents_stay_within_the_order(params, variant):
-    # unreduced, a division lowers B by 2^k and every root raises k, so
-    # after t steps B has about 2t/3 bits; kept inside (-N, N), every stored
-    # A and B has at most N's bits however long the walk.  A collatz
-    # segment never subtracts, so its A and B stay inside [0, N); char2
-    # divides and roots as the inverse walk does
-    order = params.order
-    steps = 0
-    for seed in range(1, 4):
-        n = random.Random(seed).randrange(order)
-        w = _Walk(params, params.pow(params.generator, n),
-                  WalkConfig(variant=variant, seed=seed), None)
-        result = w.run()
-        assert result.n == n
-        steps += result.steps_taken
-        assert max(max(abs(A).bit_length(), abs(B).bit_length())
-                   for A, B, _ in w.seen.values()) <= order.bit_length()
-        assert all(-order < A < order and -order < B < order
-                   for A, B, _ in w.seen.values())
-        if variant == "collatz":
-            assert all(0 <= A < order and 0 <= B < order
-                       for A, B, _ in w.seen.values())
-        if variant == "char2":  # v^(2^k) = g^(A*n + B), 2^k taken mod N
-            g = params.generator
-            for v, (A, B, k) in w.seen.items():
-                assert params.pow(v, pow(2, k, order)) == \
-                    params.pow(g, (A * n + B) % order)
-    assert steps > math.isqrt(order)
-
-
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_stored_restart_start_solves_without_a_step(variant):
     # a restart drawing j whose start target * g^j the first segment
@@ -542,16 +380,6 @@ def test_golden_too_many_candidates_skipped(monkeypatch):
         (1098, 88, 0, 7, 1)
 
 
-def test_too_many_candidates_do_not_end_the_segment(monkeypatch):
-    # a too-many collision tells no more than a spurious one: with no
-    # restart to spend, the walk still goes on within its step budget
-    monkeypatch.setattr(walk, "D_MAX", 1)
-    result = run_dlog(P2003, 777, WalkConfig(seed=0, max_restarts=0))
-    assert result.n == 1098
-    assert result.restarts == 0
-    assert result.steps_taken < default_max_steps(P2003.order)
-
-
 def test_golden_bench_csv():
     from dlogwalk.bench import records_to_csv, run_trials
     csv_text = records_to_csv(run_trials(P2003, WalkConfig(), 50, seed_base=9))
@@ -567,31 +395,6 @@ def test_golden_long_char2_segments():
         GF213, WalkConfig(variant="char2", max_steps=60), 200, seed_base=5))
     assert hashlib.sha256(csv_text.encode()).hexdigest() == \
         GOLDEN_CHAR2_BENCH_CSV_SHA256
-
-
-def test_d_max_skips_collisions_but_still_solves(monkeypatch):
-    monkeypatch.setattr(walk, "D_MAX", 1)
-    result = run_dlog(P2003, 777, WalkConfig(seed=2))
-    assert result.success
-    assert pow(5, result.n, 2003) == 777
-
-
-def test_exhaustive_small_groups():
-    for target in range(1, 103):
-        result = run_dlog(P103, target, WalkConfig(seed=target))
-        assert result.success and PRIME_DLOGS[target] == result.n
-    for target in range(1, 128):
-        result = run_dlog(GF27, target, WalkConfig(variant="char2", seed=target))
-        assert result.success and GF_DLOGS[target] == result.n
-
-
-def test_shared_table_across_runs():
-    table = build_table_one(P2003)
-    before = dict(table)
-    for seed in range(10):
-        result = run_dlog(P2003, 1500, WalkConfig(seed=seed), table=table)
-        assert result.success
-    assert table == before  # engine only reads Table I
 
 
 @pytest.mark.parametrize("variant", ["inverse", "char2"])
@@ -613,6 +416,8 @@ def test_finished_walk_is_freed_without_gc(variant):
 
 
 def test_trace_disabled_by_default():
+    # run_dlog's default config is WalkConfig(): seed 0, and no trace
+    assert run_dlog(P103, 84) == run_dlog(P103, 84, WalkConfig(seed=0))
     assert run_dlog(P103, 84, WalkConfig(seed=0)).trace is None
 
 
@@ -650,24 +455,6 @@ def test_scripted_choices_from_a_generator():
     assert config.choices == [1]
     assert run_dlog(P103, 84, config).n == 29
     assert run_dlog(P103, 84, config).n == 29
-
-
-def test_scale_mersenne_prime():
-    p = 2**31 - 1
-    params = PrimeGroupParams(p, 7, factors_of_order=(2, 3, 7, 11, 31, 151, 331))
-    n_true = 987654321
-    result = run_dlog(params, pow(7, n_true, p), WalkConfig(seed=5))
-    assert result.success
-    assert result.n == n_true
-
-
-def test_scale_gf2m_17():
-    from dlogwalk.gf2m import gf_pow
-    gf = BinaryFieldParams(17, 0x20009)   # x^17 + x^3 + 1, order 131071 prime
-    target = gf_pow(GENERATOR, 100000, gf)
-    result = run_dlog(gf, target, WalkConfig(variant="char2", seed=1))
-    assert result.success
-    assert result.n == 100000
 
 
 def test_result_congruence_fields():
