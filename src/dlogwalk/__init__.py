@@ -12,7 +12,7 @@ from .linexpr import (CongruenceSolution, DegenerateCollisionError, LinExpr,
                       NoSolutionError, TooManyCandidatesError, collision_solve,
                       enumerate_candidates, solve_linear)
 from .oracles import bsgs_dlog
-from .primefield import (PrimeGroupParams, is_probable_prime, jacobi, legendre,
+from .primefield import (PrimeGroupParams, is_probable_prime, legendre,
                          mod_pow, prime_factors, sqrt_mod_p, sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
                    WalkConfig, build_table_one, run_dlog)
@@ -24,6 +24,6 @@ __all__ = [
     "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
     "bsgs_dlog", "build_table_one", "collision_solve", "enumerate_candidates",
     "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt", "is_probable_prime",
-    "jacobi", "legendre", "mod_pow", "prime_factors", "run_dlog",
+    "legendre", "mod_pow", "prime_factors", "run_dlog",
     "solve_linear", "sqrt_mod_p", "sylow_log",
 ]

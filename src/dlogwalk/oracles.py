@@ -23,6 +23,6 @@ def bsgs_dlog(params, target: int) -> int:
     for i in range(m + 1):
         j = baby.get(cur)
         if j is not None:
-            return (i * m + j) % order
+            return i * m + j
         cur = mul(cur, stride)
     raise ValueError(f"{params.format(target)} is not a power of the generator")

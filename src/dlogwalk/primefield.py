@@ -9,9 +9,9 @@ in the odd-order subgroup.
 
 The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
 with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
-computes no Legendre symbol; `legendre` and `jacobi` remain as tested
-library functions.  `sylow_log` holds the one Tonelli-Shanks search for
-e; a walk runs it once, on its target, and `sqrt_mod_p` runs it only
+computes no Legendre symbol; `legendre`, Euler's criterion, remains as a
+tested library function.  `sylow_log` holds the one Tonelli-Shanks search
+for e; a walk runs it once, on its target, and `sqrt_mod_p` runs it only
 when its caller passes no log.  Every later log follows from an earlier
 one, since a^s = c: target * a^j has log e + j, x/a has e - 1 and
 x^3 * a has 3e + 1 (mod 2^r), and `sqrt_mod_p` returns the log of each
@@ -174,7 +174,7 @@ class PrimeGroupParams(Record):
                  factors_of_order: tuple[int, ...] | None = None):
         # the order test would refuse a composite p too (Lucas), but only
         # after factoring p - 1
-        if p < 3 or p % 2 == 0 or not is_probable_prime(p):
+        if p < 3 or not is_probable_prime(p):
             raise ValueError(f"p = {p} is not an odd prime")
         if not 1 <= a <= p - 1:
             raise ValueError(f"generator {a} out of range for p = {p}")
@@ -242,35 +242,14 @@ def mod_pow(base: int, exponent: int, params: PrimeGroupParams) -> int:
     return pow(base, exponent, params.p)
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, by binary quadratic reciprocity.
-
-    Returns 0 when gcd(a, n) > 1.  For prime n this is the Legendre symbol.
-    """
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be a positive odd integer")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def legendre(x: int, params: PrimeGroupParams) -> int:
     """Legendre symbol (x/p): +1 iff x is a quadratic residue mod p.
 
-    Computed via the Jacobi symbol (O(log^2 p)).
+    Euler's criterion: x^((p-1)/2) is 1 for a residue and -1 otherwise.
     """
     if x % params.p == 0:
         raise ValueError("x is 0 mod p")
-    return jacobi(x, params.p)
+    return 1 if pow(x, params.p >> 1, params.p) == 1 else -1
 
 
 def sylow_log(x: int, params: PrimeGroupParams) -> int:

@@ -28,26 +28,30 @@ reductions, so they store the ops' own representatives (a collatz segment
 never subtracts, so its A and B are never negative and 3m + 1 tests only
 A, B < N); each carries t = 2^k mod N, doubled on every root, so A and B
 stay inside (-N, N), and k, the roots taken since the segment's start, is
-a small int.  The char2 segment is the inverse branch alone: a division
-lowers B by t, a root raises k and doubles t, and A stays 1.  A LinExpr is
-built only for a trace row, which on either field shows the (A, B, k) the
-walk stored.  So each history entry is a tuple of three ints, which the
-cyclic GC stops tracking, and the history's memory is linear in the steps.
+a small int; a prime segment also halves w = 2^-(k+1) mod s, the scale of
+an odd-part root's exponent, on every root.  The char2 segment is the
+inverse branch alone: a division lowers B by t, a root raises k and
+doubles t, and A stays 1.  A LinExpr is built only for a trace row, which
+on either field shows the (A, B, k) the walk stored.  So each history
+entry is a tuple of three ints, which the cyclic GC stops tracking, and
+the history's memory is linear in the steps.
 
-A reached value meets the history one way: each segment start and each
-value a step produces (the fallback's, or both roots) is looked up once; a
-hit is a collision for _attempt, and a miss is stored.  A collision yields
-a linear congruence for n whose candidates are verified by exponentiation;
-the first verified one wins.  A collision that verifies nothing (spurious,
-degenerate, or with more than D_MAX solutions) is walked past: the walk is
-random, so it cannot be trapped.  A walk runs in segments, each in one
-frame with its value and exponent in locals, of at most max_steps steps,
-until the answer or the budget's end.  The first segment starts at the
-target with exponent n, every later one at target * g^j for a random j,
-with exponent n + j, each at k = 0.  The history is never cleared, and
-each entry's invariant holds whichever segment stored it, so a segment
-collides with every earlier one, at its start too.  A walk is sequential;
-it only reads Table I, which calls may share, and touches no global state.
+A reached value meets the history one way, by one seen.setdefault(value,
+expr) for each segment start and each value a step produces (the
+fallback's, or both roots): expr is a tuple built for that call, so only a
+miss, which stores it, returns it, and a hit keeps the first entry and is a
+collision for _attempt.  A collision yields a linear congruence for n whose
+candidates are verified by exponentiation; the first verified one wins.  A
+collision that verifies nothing (spurious, degenerate, or with more than
+D_MAX solutions) is walked past: the walk is random, so it cannot be
+trapped.  A walk runs in segments, each in one frame with its value and
+exponent in locals, of at most max_steps steps, until the answer or the
+budget's end.  The first segment starts at the target with exponent n,
+every later one at target * g^j for a random j, with exponent n + j, each
+at k = 0.  The history is never cleared, and each entry's invariant holds
+whichever segment stored it, so a segment collides with every earlier one,
+at its start too.  A walk is sequential; it only reads Table I, which calls
+may share, and touches no global state.
 """
 
 import math
@@ -246,13 +250,12 @@ class _Walk:
         value, j = self.target, 0
         while True:
             # a segment starts at target * g^j with exponent n + j; a start
-            # already in the history is a collision like any other
+            # already in the history is a collision like any other.  expr is
+            # a fresh tuple, so setdefault returns it exactly on a miss
             expr = (1, j, 0)
             outcome = None
-            if value in seen:
+            if seen.setdefault(value, expr) is not expr:
                 outcome = self._attempt(value, expr, self.steps_taken)
-            else:
-                seen[value] = expr
             if outcome is None:
                 outcome = segment(value, expr)
             if outcome is not None:
@@ -278,13 +281,10 @@ class _Walk:
         root = sqrt_mod_p  # for e != 0, read once: a layer tracer wraps it
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = params.sqrt_top, (1 << params.r) - 1
-        # sqrt_exp = (s + 1)/2 is also 2^(-1) mod s
-        s, half, odd_tables = params.s, params.sqrt_exp, self.odd_tables
+        s, odd_tables = params.s, self.odd_tables
         # G''s exponent sits above every window of T''s
         shift = _ODD_WINDOW_BITS * len(params.odd_tables)
-        # w = 2^(-(w_k+1)) mod s, brought up to date at odd-part roots
-        # only: the other steps pay nothing for it
-        w, w_k = half, 0
+        w = params.sqrt_exp  # 2^(-(k+1)) mod s, halved as t doubles
         fallback = "cube" if inv_a is None else "div"
         low = -order  # negated once, not on every division
         next_bit, trace, segment = self.next_bit, self.trace, self.restarts
@@ -316,10 +316,8 @@ class _Walk:
                         B += order
                     e -= 1
                 expr = (A, B, k)
-                if new in seen:
+                if seen.setdefault(new, expr) is not expr:
                     outcome = self._attempt(new, expr, steps)
-                else:
-                    seen[new] = expr
                 if trace is not None:
                     trace.append(TraceRecord(steps, segment, value, fallback,
                                              LinExpr(*expr), result=new))
@@ -327,12 +325,6 @@ class _Walk:
                 if e:  # the c^(-h) window product is sqrt_mod_p's alone
                     r1, r2, e = root(value, params, e)
                 else:  # in the odd part: T'^(A*w) * G'^(B*w), log 0
-                    if w_k != k:
-                        if w_k + 1 == k:  # w / 2 mod s
-                            w = (w + s) >> 1 if w & 1 else w >> 1
-                        else:
-                            w = w * pow(half, k - w_k, s) % s
-                        w_k = k
                     bits = A * w % s | B * w % s << shift
                     r1 = 1
                     for table in odd_tables:
@@ -349,16 +341,12 @@ class _Walk:
                 t += t
                 if t >= order:
                     t -= order
+                w = (w + s) >> 1 if w & 1 else w >> 1  # w / 2 mod s
                 expr = (A, B, k)
-                if r1 in seen:
+                if seen.setdefault(r1, expr) is not expr:
                     outcome = self._attempt(r1, expr, steps)
-                else:
-                    seen[r1] = expr
-                if outcome is None:
-                    if r2 in seen:
-                        outcome = self._attempt(r2, expr, steps)
-                    else:
-                        seen[r2] = expr
+                if outcome is None and seen.setdefault(r2, expr) is not expr:
+                    outcome = self._attempt(r2, expr, steps)
                 bit = next_bit(1) if outcome is None else None
                 new = r2 if bit else r1
                 if bit:
@@ -406,12 +394,10 @@ class _Walk:
                                          "div" if bit else "sqrt",
                                          LinExpr(*expr), result=new,
                                          decision=bit))
-            if new in seen:
+            if seen.setdefault(new, expr) is not expr:
                 outcome = self._attempt(new, expr, steps)
                 if outcome is not None:
                     return outcome
-            else:
-                seen[new] = expr
             value = new
         self.steps_taken = steps
         return None  # budget spent
@@ -446,7 +432,7 @@ class _Walk:
 
     def _result(self, n, congruence=None):
         return DlogResult(
-            n=None if n is None else n % self.order,
+            n=n,
             steps_taken=self.steps_taken,
             restarts=self.restarts,
             collisions_tested=self.collisions_tested,

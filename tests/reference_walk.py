@@ -17,9 +17,8 @@ The draws follow the walk's documented order: one getrandbits(1) per char2
 step, one per prime root step only when neither root solved, and one
 randrange(N) per restart, from the seeded PRNG even when bits are scripted.
 
-Four more oracles, for the library's own shortcuts: `brute_force_dlog`
+Three more oracles, for the library's own shortcuts: `brute_force_dlog`
 scans the generator's powers (against BSGS and the walk),
-`legendre_euler` is Euler's criterion (against the Jacobi symbol),
 `is_irreducible` is Ben-Or's test (against trial division, and the
 tests' quick pre-filter for primitive moduli, which the library finds
 by its order test alone), and `power` is generator^n by builtin `pow` or
@@ -164,15 +163,6 @@ def brute_force_dlog(params, target):
         acc = params.mul(acc, params.generator)
     raise AssertionError(f"{params.format(target)} is not a power of"
                          f" the generator of {params}")
-
-
-def legendre_euler(x, params):
-    """The Legendre symbol (x/p) by Euler's criterion, x^((p-1)/2)."""
-    p = params.p
-    if x % p == 0:
-        raise ValueError("x is 0 mod p")
-    e = pow(x, (p - 1) // 2, p)
-    return -1 if e == p - 1 else e
 
 
 def power(params, n):

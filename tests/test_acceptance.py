@@ -11,7 +11,9 @@ GF(2^13) targets.  The retired criteria are unit tests now:
   test_walk.py::test_worked_examples_replay_exactly;
 - 6a, the square-root roundtrip:
   test_primefield.py::test_sqrt_roundtrip_random_residues;
-- 6b, Jacobi = Euler: test_primefield.py::test_jacobi_matches_euler;
+- 6b, Jacobi = Euler: `legendre` is Euler's criterion itself since the
+  Jacobi symbol went, and test_primefield.py::test_jacobi_matches_euler
+  checks it against the set of squares mod p;
 - 6c, GF(2^7) exhaustively: test_gf2m.py's
   test_sqrt_roundtrip_exhaustive_m7, test_div_by_x_roundtrip_exhaustive_m7,
   test_field_axioms_random and test_inverse_via_pow;

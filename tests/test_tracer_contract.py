@@ -29,6 +29,7 @@ P2003 = PrimeGroupParams(2003, 5)
 P7340033 = PrimeGroupParams(7340033, 3)    # the benchmark's prime_2adic
 P16776899 = PrimeGroupParams(16776899, 2)  # the benchmark's prime_safe24
 GF27 = BinaryFieldParams(7, 0x83)
+GF219 = BinaryFieldParams(19, 0x80027)     # the benchmark's char2_m19
 
 
 def test_spanned_names_exist():
@@ -56,6 +57,7 @@ def test_spanned_names_exist():
     (P7340033, "collatz", 777),
     (P16776899, "inverse", 777),
     (P16776899, "collatz", 777),
+    (GF219, "char2", 777),
 ])
 def test_traced_solve_calls_through_module_names(params, variant, target):
     t = tracer.Tracer()
@@ -71,6 +73,12 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
     # the tracer counts a solve only when DlogResult.congruence is the very
     # object collision_solve returned
     assert t.events["linexpr.outcome.solved"] == 1
+    # no collision ends unverified: a wrong stored exponent fails every
+    # candidate, and the walk passes it by as it does a spurious one, so
+    # only this sum, perfbench's linexpr.outcome.unverified, shows it
+    assert sum(t.events[f"linexpr.outcome.{kind}"] for kind in (
+        "spurious", "degenerate", "toomany", "solved")) == \
+        result.collisions_tested
     # the exponent is an (A, B, k) tuple in locals, on either field, so
     # no LinExpr op runs
     assert sum(t.calls[f"linexpr.LinExpr.{method}"]
