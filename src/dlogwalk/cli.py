@@ -11,7 +11,7 @@ import sys
 
 from . import __version__
 from .gf2m import BinaryFieldParams
-from .oracles import bsgs_dlog
+from .oracles import BSGS_LIMIT, bsgs_dlog
 from .primefield import PrimeGroupParams
 from .walk import VARIANTS, DecisionsExhaustedError, WalkConfig, run_dlog
 
@@ -43,14 +43,19 @@ def _add_walk_flags(sub):
     walk.add_argument("--max-restarts", type=int)
 
 
-def _params(parser, args):
-    """The group named by --p/--gen or by --m/--poly."""
+def _check_group_flags(parser, args):
+    """One group, named whole: --p with --gen, or --m with --poly."""
     if (args.p is None) == (args.m is None):
         parser.error("give exactly one field: --p with --gen, or --m with --poly")
     if (args.p is None) != (args.gen is None):
         parser.error("--gen goes with --p, and only with it")
     if (args.m is None) != (args.poly is None):
         parser.error("--poly goes with --m, and only with it")
+
+
+def _params(parser, args):
+    """The group named by --p/--gen or by --m/--poly."""
+    _check_group_flags(parser, args)
     try:
         if args.p is not None:
             params = PrimeGroupParams(args.p, args.gen)
@@ -116,6 +121,17 @@ def cmd_solve(parser, args) -> int:
 
 
 def cmd_oracle(parser, args) -> int:
+    # building the group factors its order with no bound on the work, so an
+    # order past the BSGS limit is refused from the flags first
+    _check_group_flags(parser, args)
+    if args.p is not None:
+        order, too_large = args.p - 1, args.p - 1 > BSGS_LIMIT
+    else:  # 2^m - 1 > 10^12 exactly from m = 40, its bit length, on
+        order, too_large = f"2^{args.m} - 1", args.m >= BSGS_LIMIT.bit_length()
+    if too_large:
+        print(f"oracle failed: group order {order} too large for BSGS",
+              file=sys.stderr)
+        return 1
     params = _params(parser, args)
     target = _target(parser, args, params)
     try:

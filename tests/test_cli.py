@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,19 @@ def test_oracle_failure_exits_one(capsys):
                              "--gen", "37", "--target", "5")
     assert (code, out) == (1, "")
     assert "oracle failed" in err
+    # refused from the flags before the group is built, whose generator
+    # check would factor 2 * two 64-bit primes, or 2^256 - 1 with its factor
+    # 2^128 + 1 (x^256 + x^10 + x^5 + x^2 + 1 is irreducible): rho needs
+    # about 2.4e8 iterations to split the latter
+    for flags in (["--p", "535535684741329881136887273182147286623",
+                   "--gen", "3", "--target", "5"],
+                  ["--m", "256", "--poly", hex(1 << 256 | 0x425),
+                   "--target", "0x3"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", *flags)
+        assert time.perf_counter() - start < 1, flags
+        assert (code, out) == (1, ""), flags
+        assert "too large for BSGS" in err, flags
 
 
 def test_selftest_all(capsys):

@@ -49,7 +49,7 @@ from dlogwalk.selftest import CASES
 from dlogwalk.walk import (D_MAX, VARIANTS, DecisionsExhaustedError,
                            UnsupportedGroupError, WalkConfig, _Walk,
                            build_table_one)
-from reference_walk import is_irreducible, power, reference_walk
+from reference_walk import _poly_gcd, is_irreducible, power, reference_walk
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
@@ -84,10 +84,20 @@ def test_format_parse_roundtrip(params, e):
     assert params.parse(params.format(u)) == u
 
 
+# x^(2^i) - x is the product of the irreducibles whose degree divides i, so
+# (x^16 - x)/x * (x^8 - x)/(x^2 - x) = (x^15 + 1)(x^6 + ... + x + 1) is the
+# product of every irreducible of degree 1 to 4 but x
+_SMALL_FACTORS = 0x7F << 15 | 0x7F
+
+
 def _irreducible_at_or_above(m, low):
-    """The first irreducible x^m + ... + 1 from x^m + low up, wrapping round."""
+    """The first irreducible x^m + ... + 1 from x^m + low up, wrapping round.
+    Ben-Or's test runs only on a candidate with an odd number of terms (else
+    x + 1 divides it) and, past degree 4, no factor of degree 1 to 4."""
     poly = (1 << m) | low % (1 << m) | 1
-    while not is_irreducible(poly):
+    while (poly.bit_count() % 2 == 0
+           or m > 4 and _poly_gcd(poly, _SMALL_FACTORS) != 1
+           or not is_irreducible(poly)):
         poly += 2
         if poly >> m != 1:
             poly = (1 << m) | 1

@@ -3,7 +3,10 @@
 A refactor that renames one of those attributes, or binds it somewhere the
 tracer cannot replace it (a closure, a default argument), would leave the
 traced benchmark silently blind to that layer.  These tests pin the names
-and check that a traced solve really calls through them.  A prime walk's
+and check that a traced solve really calls through them, as often as its
+steps and collisions say: on the benchmark's three groups, on two small
+ones, and on a restarted walk whose collisions do not all solve.  They
+are the one statement of that call-path contract.  A prime walk's
 root in the odd part (2-Sylow log 0) is a product of window-table lookups
 built from the walk's exponent, not a call, so sqrt_mod_p is called
 exactly on the root rows whose value has a nonzero log: none on an r = 1
@@ -49,21 +52,32 @@ def test_spanned_names_exist():
         assert getattr(LinExpr, method) is original, method
 
 
-@pytest.mark.parametrize("params,variant,target", [
-    (P2003, "inverse", 777),
-    (P2003, "collatz", 777),
-    (GF27, "char2", 0x1D),
-    (P7340033, "inverse", 777),
-    (P7340033, "collatz", 777),
-    (P16776899, "inverse", 777),
-    (P16776899, "collatz", 777),
-    (GF219, "char2", 777),
-])
-def test_traced_solve_calls_through_module_names(params, variant, target):
+# group, variant, target, and None or a max_steps that restarts the walk
+SOLVES = [
+    (P2003, "inverse", 777, None),
+    (P2003, "collatz", 777, None),
+    (GF27, "char2", 0x1D, None),
+    (P7340033, "inverse", 777, None),
+    (P7340033, "collatz", 777, None),
+    (P16776899, "inverse", 777, None),
+    (P16776899, "collatz", 777, None),
+    (GF219, "char2", 777, None),
+    # 4 restarts, and 2 degenerate collisions before the one that solves
+    (GF27, "char2", 0x1D, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "params,variant,target,max_steps", SOLVES,
+    ids=[f"params{i}-{variant}-{target}" + (f"-max{cap}" if cap else "")
+         for i, (_, variant, target, cap) in enumerate(SOLVES)])
+def test_traced_solve_calls_through_module_names(params, variant, target,
+                                                 max_steps):
     t = tracer.Tracer()
     with t.installed():
         result = walk.run_dlog(params, target,
                                walk.WalkConfig(variant=variant, seed=3,
+                                               max_steps=max_steps,
                                                trace=True))
     assert result.success
     assert result.collisions_tested > 0
@@ -76,9 +90,11 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
     # no collision ends unverified: a wrong stored exponent fails every
     # candidate, and the walk passes it by as it does a spurious one, so
     # only this sum, perfbench's linexpr.outcome.unverified, shows it
-    assert sum(t.events[f"linexpr.outcome.{kind}"] for kind in (
-        "spurious", "degenerate", "toomany", "solved")) == \
-        result.collisions_tested
+    walked_past = sum(t.events[f"linexpr.outcome.{kind}"]
+                      for kind in ("spurious", "degenerate", "toomany"))
+    assert walked_past + 1 == result.collisions_tested
+    # a restarted walk meets collisions that do not solve too
+    assert (walked_past > 0) == (result.restarts > 0) == (max_steps is not None)
     # the exponent is an (A, B, k) tuple in locals, on either field, so
     # no LinExpr op runs
     assert sum(t.calls[f"linexpr.LinExpr.{method}"]
@@ -87,6 +103,7 @@ def test_traced_solve_calls_through_module_names(params, variant, target):
         # every step is one field op through a spanned name
         steps = t.calls["gf2m.gf_sqrt"] + t.calls["gf2m.gf_div_by_x"]
         assert steps == result.steps_taken
+        assert t.calls["primefield.sqrt_mod_p"] == 0
     else:
         # the walk knows every value's 2-Sylow log, so a root is taken on
         # exactly the root rows; one in the odd part (log 0) is a product

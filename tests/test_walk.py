@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ P101 = PrimeGroupParams(101, 2)
 P2003 = PrimeGroupParams(2003, 5)
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
+P1048571 = PrimeGroupParams(1048571, 2)  # 2 * 524285: r = 1
 GF27 = BinaryFieldParams(7, 0x83)
 GF213 = BinaryFieldParams(13, 0x201B)
 
@@ -369,6 +371,25 @@ def test_solving_collisions_pair_different_ops(params, variant):
     pairs = [_solving_ops(params, variant, seed) for seed in range(200)]
     assert all(op != stored for op, stored in pairs)
     assert ("sqrt", fallback) in pairs and (fallback, "sqrt") in pairs
+
+
+@pytest.mark.parametrize("variant", ["inverse", "collatz"])
+def test_mean_steps_lie_in_the_models_band(variant):
+    # README's cross-op collision model gives 0.75 sqrt(pi N) = 1.329 sqrt(N)
+    # steps on the prime walk.  The mean of 300 seeded solves has a standard
+    # error of about 0.7/sqrt(300) = 0.04, under a fifth of the +-10% band's
+    # width; a walk that stores only the root it takes reads 1.52 and 1.55
+    # here.  r = 1, so every root is in the odd part
+    params = P1048571
+    steps = 0
+    for seed in range(300):
+        n = random.Random(seed).randrange(params.order)
+        result = run_dlog(params, params.pow(params.generator, n),
+                          WalkConfig(variant=variant, seed=seed))
+        assert result.n == n
+        steps += result.steps_taken
+    model = 0.75 * math.sqrt(math.pi * params.order)
+    assert abs(steps / 300 / model - 1) <= 0.10
 
 
 def test_golden_too_many_candidates_skipped(monkeypatch):
