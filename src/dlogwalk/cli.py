@@ -11,6 +11,7 @@ import sys
 
 from . import __version__
 from .gf2m import BinaryFieldParams
+from .linexpr import LinExpr
 from .oracles import BSGS_LIMIT, bsgs_dlog
 from .primefield import PrimeGroupParams
 from .walk import VARIANTS, DecisionsExhaustedError, WalkConfig, run_dlog
@@ -92,7 +93,7 @@ def _print_trace(result, fmt):
             out = fmt(rec.result)
         chosen = fmt(rec.chosen) if rec.chosen is not None else "-"
         print(f"{rec.index:>4}  {fmt(rec.value):<13}  {rec.branch:<6}"
-              f"  {out:<18}  {chosen:<10}  {rec.expr}")
+              f"  {out:<18}  {chosen:<10}  {LinExpr(*rec.expr)}")
 
 
 def cmd_solve(parser, args) -> int:

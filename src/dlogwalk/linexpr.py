@@ -16,9 +16,9 @@ gcd with N, hence the candidate count, by up to the 2^r dividing N.
 
 LinExpr's ops are the reference form of the walk's exponent arithmetic.
 The walk does the same arithmetic inline on plain (A, B, k) tuples, on
-both fields, which the cyclic GC stops tracking, and builds a LinExpr only
-for a trace row; the tests pin its steps to these ops, and a collision
-reads both of its sides as LinExpr(*entry).
+both fields, which the cyclic GC stops tracking, and a trace row holds the
+stored tuple itself; the tests pin its steps to these ops.  A LinExpr is
+built only for collision_solve, on both sides of a collision, and for -v.
 """
 
 from math import gcd

@@ -113,7 +113,7 @@ def replay(case: ReplayCase) -> str | None:
                     f" (expected value {case.params.format(expected[0])})")
         rec = trace[i]
         got = (rec.value, rec.branch, rec.result, rec.roots, rec.chosen,
-               rec.decision, (rec.expr.A, rec.expr.B, rec.expr.k))
+               rec.decision, rec.expr)
         if got != expected:
             return (f"row {i + 1}:"
                     f" expected {_show(expected, case.params)},"

@@ -31,10 +31,10 @@ stay inside (-N, N), and k, the roots taken since the segment's start, is
 a small int; a prime segment also halves w = 2^-(k+1) mod s, the scale of
 an odd-part root's exponent, on every root.  The char2 segment is the
 inverse branch alone: a division lowers B by t, a root raises k and
-doubles t, and A stays 1.  A LinExpr is built only for a trace row, which
-on either field shows the (A, B, k) the walk stored.  So each history
-entry is a tuple of three ints, which the cyclic GC stops tracking, and
-the history's memory is linear in the steps.
+doubles t, and A stays 1.  A trace row holds the tuple the walk stored;
+a LinExpr is built only for collision_solve and the CLI's -v rows.  So
+each history entry is a tuple of three ints, which the cyclic GC stops
+tracking, and the history's memory is linear in the steps.
 
 A reached value meets the history one way, by one seen.setdefault(value,
 expr) for each segment start and each value a step produces (the
@@ -140,7 +140,7 @@ class TraceRecord(NamedTuple):
     segment: int
     value: int
     branch: str  # "div", "cube" or "sqrt"
-    expr: LinExpr
+    expr: tuple[int, int, int]  # the (A, B, k) the walk stored
     result: int | None = None
     roots: tuple[int, int] | None = None
     chosen: int | None = None
@@ -270,7 +270,7 @@ class _Walk:
 
     def _segment_prime(self, value, expr):
         """The sign-ignorant walk on (A, B, k) in locals, stored as a plain
-        tuple: the LinExpr ops inline, and a LinExpr only for a trace row.
+        tuple, which a trace row holds as it is: the LinExpr ops inline.
         A root in the odd part (log 0) is built here, checked and ordered
         as sqrt_mod_p checks and orders a root; any other root is
         sqrt_mod_p's.  Since 2^(k+1) * log(root) = A*n + B (mod N), the
@@ -320,7 +320,7 @@ class _Walk:
                     outcome = self._attempt(new, expr, steps)
                 if trace is not None:
                     trace.append(TraceRecord(steps, segment, value, fallback,
-                                             LinExpr(*expr), result=new))
+                                             expr, result=new))
             else:  # m / 2: one more root taken
                 if e:  # the c^(-h) window product is sqrt_mod_p's alone
                     r1, r2, e = root(value, params, e)
@@ -353,7 +353,7 @@ class _Walk:
                     e ^= top
                 if trace is not None:
                     trace.append(TraceRecord(
-                        steps, segment, value, "sqrt", LinExpr(*expr),
+                        steps, segment, value, "sqrt", expr,
                         roots=(r1, r2), chosen=None if bit is None else new,
                         decision=bit))
             if outcome is not None:
@@ -365,8 +365,8 @@ class _Walk:
     def _segment_char2(self, value, expr):
         """The unique-root walk on (A, B, k) in locals, stored as a plain
         tuple: the inverse branch of _segment_prime, with a random bit for
-        the branch, and a trace row of what it stored, as there.  A is never
-        touched: every segment starts at A = 1."""
+        the branch, and a trace row holding that tuple, as there.  A is
+        never touched: every segment starts at A = 1."""
         params, seen, order = self.params, self.seen, self.order
         # read from the module once per segment: a layer tracer wraps them
         root, down = gf_sqrt, gf_div_by_x
@@ -391,9 +391,8 @@ class _Walk:
             expr = (A, B, k)
             if trace is not None:  # a row does not depend on the collision
                 trace.append(TraceRecord(steps, segment, value,
-                                         "div" if bit else "sqrt",
-                                         LinExpr(*expr), result=new,
-                                         decision=bit))
+                                         "div" if bit else "sqrt", expr,
+                                         result=new, decision=bit))
             if seen.setdefault(new, expr) is not expr:
                 outcome = self._attempt(new, expr, steps)
                 if outcome is not None:

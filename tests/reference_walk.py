@@ -17,13 +17,15 @@ The draws follow the walk's documented order: one getrandbits(1) per char2
 step, one per prime root step only when neither root solved, and one
 randrange(N) per restart, from the seeded PRNG even when bits are scripted.
 
-Three more oracles, for the library's own shortcuts: `brute_force_dlog`
-scans the generator's powers (against BSGS and the walk),
-`is_irreducible` is Ben-Or's test (against trial division, and the
-tests' quick pre-filter for primitive moduli, which the library finds
-by its order test alone), and `power` is generator^n by builtin `pow` or
-carry-less squares (against `params.pow`, for targets that the code under
-test did not make).
+Five more oracles, for the library's own shortcuts: `brute_force_dlog`
+scans the generator's powers (against BSGS and the walk), `brute_order`
+counts an element's order by stepping from 1 back to 1 (against the
+generator checks), `is_irreducible` is Ben-Or's test (against trial
+division, and the tests' quick pre-filter for primitive moduli, which the
+library finds by its order test alone), `power` is generator^n by builtin
+`pow` or carry-less squares (against `params.pow`, for targets that the
+code under test did not make), and `gf_pow_reference` is square-and-multiply
+on `gf_mul` alone (against `gf_pow` and the root tables of `gf_sqrt`).
 """
 
 import math
@@ -31,7 +33,7 @@ import random
 
 from dlogwalk import walk
 from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
-                           gf_div_by_x, gf_sqrt)
+                           gf_div_by_x, gf_mul, gf_sqrt)
 from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, TooManyCandidatesError,
                               collision_solve, enumerate_candidates)
@@ -165,6 +167,15 @@ def brute_force_dlog(params, target):
                          f" the generator of {params}")
 
 
+def brute_order(step):
+    """The order of the element that step multiplies by: the count of
+    steps from 1 back to 1."""
+    v, order = step(1), 1
+    while v != 1:
+        v, order = step(v), order + 1
+    return order
+
+
 def power(params, n):
     """generator^n for n >= 0: builtin `pow` on a prime group; on GF(2^m),
     whose generator is x, square-and-multiply with carry-less squares,
@@ -178,6 +189,17 @@ def power(params, n):
             if acc >> i & 1:
                 acc ^= params.poly << (i - params.m)
     return acc
+
+
+def gf_pow_reference(u, e, params):
+    """u^e in GF(2^m) by right-to-left square-and-multiply on gf_mul alone."""
+    r = 1
+    while e:
+        if e & 1:
+            r = gf_mul(r, u, params)
+        u = gf_mul(u, u, params)
+        e >>= 1
+    return r
 
 
 def _poly_gcd(u, v):

@@ -16,6 +16,7 @@ from dlogwalk.primefield import (PrimeGroupParams, check_generator,
                                  prime_factors)
 from dlogwalk.selftest import CASES
 from dlogwalk.walk import WalkConfig
+from reference_walk import brute_order
 
 
 def run_cli(capsys, *argv):
@@ -162,15 +163,6 @@ def _cli_message(parser, argv, capsys):
     return None
 
 
-def _brute_order(step):
-    """The order of the element that step multiplies by: the count of
-    steps from 1 back to 1."""
-    v, order = step(1), 1
-    while v != 1:
-        v, order = step(v), order + 1
-    return order
-
-
 def test_one_generator_check_for_library_and_cli(capsys):
     # every g mod 41, 103 and 257, and x in GF(2^4) mod 0x13 (primitive)
     # and mod 0x1f (order 5): construction fails exactly when g's
@@ -178,11 +170,11 @@ def test_one_generator_check_for_library_and_cli(capsys):
     # factor list short of a prime of N verifies nothing
     parser = build_parser()
     groups = [(PrimeGroupParams, (p, g), p - 1,
-               _brute_order(lambda v, p=p, g=g: v * g % p),
+               brute_order(lambda v, p=p, g=g: v * g % p),
                ["--p", str(p), "--gen", str(g)])
               for p in (41, 103, 257) for g in range(2, p)]
     groups += [(BinaryFieldParams, (4, poly), 15,
-                _brute_order(lambda v, poly=poly: v << 1 ^ poly * (v >> 3)),
+                brute_order(lambda v, poly=poly: v << 1 ^ poly * (v >> 3)),
                 ["--m", "4", "--poly", hex(poly)])
                for poly in (0x13, 0x1F)]
     generators = 0

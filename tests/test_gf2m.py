@@ -5,7 +5,7 @@ import pytest
 
 from dlogwalk.gf2m import (GENERATOR, BinaryFieldParams, _poly_mod,
                            gf_div_by_x, gf_mul, gf_pow, gf_sqrt)
-from reference_walk import is_irreducible
+from reference_walk import brute_order, gf_pow_reference, is_irreducible
 
 GF27 = BinaryFieldParams(7, 0x83)       # x^7 + x + 1
 GF213 = BinaryFieldParams(13, 0x201B)   # x^13 + x^4 + x^3 + x + 1
@@ -62,26 +62,18 @@ def test_is_irreducible_rejects_negative_polynomials():
     assert not is_irreducible(0) and not is_irreducible(1)
 
 
-def _order_of_x(poly, m):
-    """The multiplicative order of x mod an irreducible poly of degree m,
-    by multiplying by x (a shift, then poly added when bit m is set)."""
-    u, k = GENERATOR, 1
-    while u != 1:
-        u <<= 1
-        if u >> m:
-            u ^= poly
-        k += 1
-    return k
-
-
 def test_field_builds_exactly_when_modulus_is_primitive():
     # every x^m + low, even low included: the order test alone must decide
     built = 0
     for m in range(2, 11):
         for low in range(1 << m):
             poly = 1 << m | low
+            # x's order: multiplying by x is a shift, then poly added
+            # when bit m is set
             primitive = (_irreducible_by_trial_division(poly)
-                         and _order_of_x(poly, m) == (1 << m) - 1)
+                         and brute_order(
+                             lambda v: v << 1 ^ poly * (v >> (m - 1)))
+                         == (1 << m) - 1)
             try:
                 BinaryFieldParams(m, poly)
             except ValueError:
@@ -140,17 +132,6 @@ def test_pow_known_values():
     assert gf_pow(0, 3, GF27) == 0
 
 
-def _pow_reference(u, e, params):
-    """Right-to-left square-and-multiply on gf_mul alone."""
-    r = 1
-    while e:
-        if e & 1:
-            r = gf_mul(r, u, params)
-        u = gf_mul(u, u, params)
-        e >>= 1
-    return r
-
-
 @pytest.mark.parametrize("params", [GF27, GF213, GF219])
 def test_pow_matches_square_and_multiply_on_gf_mul(params):
     rng = random.Random(params.poly)
@@ -161,7 +142,7 @@ def test_pow_matches_square_and_multiply_on_gf_mul(params):
               (rng.randrange(1, top), rng.randrange(order, 1 << 3 * params.m)),
               (GENERATOR, 1), (top - 1, 2), (top >> 1, 3)]
     for u, e in cases:
-        assert gf_pow(u, e, params) == _pow_reference(u, e, params), (u, e)
+        assert gf_pow(u, e, params) == gf_pow_reference(u, e, params), (u, e)
     assert gf_pow(GENERATOR, order, params) == 1
 
 

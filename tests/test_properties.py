@@ -49,7 +49,8 @@ from dlogwalk.selftest import CASES
 from dlogwalk.walk import (D_MAX, VARIANTS, DecisionsExhaustedError,
                            UnsupportedGroupError, WalkConfig, _Walk,
                            build_table_one)
-from reference_walk import _poly_gcd, is_irreducible, power, reference_walk
+from reference_walk import (_poly_gcd, gf_pow_reference, is_irreducible,
+                            power, reference_walk)
 
 P2003 = PrimeGroupParams(2003, 5)   # 2002 = 2 * 7 * 11 * 13: collatz runs
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: 20-bit roots
@@ -104,13 +105,6 @@ def _irreducible_at_or_above(m, low):
     return poly
 
 
-def _sqrt_by_squaring(u, params):
-    """u^(2^(m-1)) by m - 1 squarings: the root before it became a table."""
-    for _ in range(params.m - 1):
-        u = gf_mul(u, u, params)
-    return u
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=2, max_value=64),
        st.integers(min_value=0, max_value=2**64 - 1),
@@ -128,7 +122,9 @@ def _sqrt_by_squaring(u, params):
 def test_sqrt_table_matches_repeated_squaring(m, low, u):
     params = _binary_group(m, low)
     u = u % params.order or params.order
-    assert gf_sqrt(u, params) == _sqrt_by_squaring(u, params)
+    # u^(2^(m-1)), the root before it became a table
+    assert gf_sqrt(u, params) == gf_pow_reference(u, 1 << (params.m - 1),
+                                                  params)
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,8 +180,15 @@ EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
        st.integers(-10**6, 10**6), st.integers(0, 12))
 @example(101, 0, -100, 0)   # dec reaches -N exactly: 0
 @example(100, -40, 99, 4)   # triple: 3A = -120 and 3B + t = 313 leave (-N, N)
+# triple's reductions at their exact boundaries: 3A = -N and 3A = N (A = -34
+# and 34, N = 102), 3B + t = N (B = 33, N = 100) and -N (B = -34, N = 101)
+@example(102, 67, 0, 0)
+@example(102, 135, 0, 0)
+@example(100, 0, 132, 0)
+@example(101, 0, 66, 0)
 def test_linexpr_ops_closed_form(order, a, b, k):
-    # an exponent as the walk keeps it, A and B inside (-N, N), with
+    # the one closed-form check of dec, halve and triple_plus_one: an
+    # exponent as the walk keeps it, A and B inside (-N, N), with
     # t = 2^k mod N; each op's result is congruent mod N to its exact
     # closed form, inside (-N, N), and equal to it wherever the closed form
     # with t for 2^k already lies inside
@@ -255,7 +258,8 @@ def test_walk_exponent_invariant(case, n, seed, max_steps):
     walk = _Walk(params, params.pow(g, n), WalkConfig(
         variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
     result = walk.run()
-    for rec in result.trace:
+    for rec in result.trace:  # a row holds the tuple the walk stored
+        assert type(rec.expr) is tuple
         assert bounded(rec.expr)
         for v in [rec.result] if rec.roots is None else rec.roots:
             assert holds(v, rec.expr)

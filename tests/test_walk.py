@@ -317,7 +317,7 @@ def test_stored_restart_start_solves_without_a_step(variant):
     first = run_dlog(params, target, config.replace(max_restarts=0))
     assert not first.success
     # a value reached after a root, whose exponent is not n + j for any j
-    rec = [rec for rec in first.trace if rec.expr.k > 0][-1]
+    rec = [rec for rec in first.trace if rec.expr[2] > 0][-1]
     reached = rec.result if rec.roots is None else rec.roots[0]
     j = (bsgs_dlog(params, reached) - n) % order
     w = _Walk(params, target, config, None)
