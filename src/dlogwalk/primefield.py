@@ -159,7 +159,9 @@ class PrimeGroupParams(Record):
     odd_tables gives G'^b for b < s, G' = a^(2^r * w) with w = 2^(-r) mod
     s being a's projection on the odd-order subgroup, one table per 8-bit
     window of b (`_odd_power_tables`; 640 entries for s < 2^23): the walk
-    builds an odd-part root from them.  These four are derived from p and
+    builds an odd-part root from them, reading each window's table together
+    with the same window's of the target's odd part, since both have one
+    table per 8-bit window of s.  These four are derived from p and
     a once, so == does not compare them.  `check_generator` verifies a
     against the primes of p - 1 before any table is built: factors_of_order
     when given, which only skips the factoring, else it factors p - 1.  It

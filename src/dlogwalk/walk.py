@@ -12,9 +12,9 @@ makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
 it exists, and costs no search.  A value with e = 0 lies in the odd-order
 subgroup, where its root is unique and has log 0; the segment builds it
 from the walk's own exponent, as a product of lookups in fixed-base window
-tables of the odd parts of the target and the generator.  Any other root
-is sqrt_mod_p's.  Over GF(2^m) square roots are unique, so a random bit
-decides the branch instead.
+tables of the odd parts of the target and the generator, one pass per
+window reading both.  Any other root is sqrt_mod_p's.  Over GF(2^m)
+square roots are unique, so a random bit decides the branch instead.
 
 Every visited value is stored with its exponent, a linear function of the
 unknown n, in one dict, the walk history: from each visited value (and
@@ -220,9 +220,10 @@ class _Walk:
             self.inv_a = pow(params.a, -1, params.p)
         if config.variant != "char2":  # the walk's only search for a log
             self.e_target = sylow_log(self.target, params)
-            # T''s powers, then G''s: an odd-part root reads both
-            self.odd_tables = (_odd_power_tables(self.target, params)
-                               + params.odd_tables)
+            # T''s and G''s tables of each window, paired: an odd-part root
+            # reads both in one pass
+            self.odd_tables = tuple(zip(_odd_power_tables(self.target, params),
+                                        params.odd_tables, strict=True))
         if table is None:
             table = build_table_one(params)
         self.max_steps = config.max_steps or default_max_steps(self.order)
@@ -276,14 +277,14 @@ class _Walk:
         sqrt_mod_p's.  Since 2^(k+1) * log(root) = A*n + B (mod N), the
         odd part's root is T'^(A*w) * G'^(B*w), w = 2^(-(k+1)) mod s, with
         T' and G' the odd parts of the target g^n and of g: one lookup per
-        8-bit window of each exponent in self.odd_tables, reduced once."""
+        8-bit window of each exponent, both read in one pass from that
+        window's (T' table, G' table) pair in self.odd_tables, and the
+        product reduced once."""
         params, seen, order = self.params, self.seen, self.order
         root = sqrt_mod_p  # for e != 0, read once: a layer tracer wraps it
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = params.sqrt_top, (1 << params.r) - 1
         s, odd_tables = params.s, self.odd_tables
-        # G''s exponent sits above every window of T''s
-        shift = _ODD_WINDOW_BITS * len(params.odd_tables)
         w = params.sqrt_exp  # 2^(-(k+1)) mod s, halved as t doubles
         fallback = "cube" if inv_a is None else "div"
         low = -order  # negated once, not on every division
@@ -325,11 +326,13 @@ class _Walk:
                 if e:  # the c^(-h) window product is sqrt_mod_p's alone
                     r1, r2, e = root(value, params, e)
                 else:  # in the odd part: T'^(A*w) * G'^(B*w), log 0
-                    bits = A * w % s | B * w % s << shift
+                    x, y = A * w % s, B * w % s  # one digit each for s < 2^30
                     r1 = 1
-                    for table in odd_tables:
-                        r1 *= table[bits & _ODD_WINDOW_MASK]
-                        bits >>= _ODD_WINDOW_BITS
+                    for t_table, g_table in odd_tables:
+                        r1 *= (t_table[x & _ODD_WINDOW_MASK]
+                               * g_table[y & _ODD_WINDOW_MASK])
+                        x >>= _ODD_WINDOW_BITS
+                        y >>= _ODD_WINDOW_BITS
                     r1 %= p
                     if r1 * r1 % p != value:  # a wrong log or exponent
                         raise ValueError(

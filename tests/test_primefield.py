@@ -4,9 +4,9 @@ import time
 import pytest
 
 from dlogwalk.primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,
-                                 PrimeGroupParams, is_probable_prime,
-                                 legendre, mod_pow, prime_factors,
-                                 sqrt_mod_p, sylow_log)
+                                 PrimeGroupParams, _odd_power_tables,
+                                 is_probable_prime, legendre, mod_pow,
+                                 prime_factors, sqrt_mod_p, sylow_log)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -207,24 +207,32 @@ WINDOW_SHAPES = [
 ]
 
 
+# 257 (in WINDOW_SHAPES) has s = 1; 2305843009213693907 has a 60-bit s,
+# so an exponent below s has two 30-bit digits
 @pytest.mark.parametrize("p,a", [(p, a) for p, a, _ in WINDOW_SHAPES]
-                         + [(16776899, 2), (1073740439, 7)])
+                         + [(16776899, 2), (1073740439, 7),
+                            (2305843009213693907, 2)])
 def test_odd_tables_are_the_powers_of_the_odd_part(p, a):
     # G' = a^(2^r * w), w = 2^(-r) mod s, is 1 mod s and 0 mod 2^r in the
     # exponent: a's odd part, of order s; the product of one lookup per
-    # 8-bit window of x is G'^x
+    # 8-bit window of x is G'^x, and likewise T'^x for any element T
     params = PrimeGroupParams(p, a)
     r, s = params.r, params.s
-    odd = pow(a, pow(2, -r, s) * 2**r, p)
-    assert pow(odd, s, p) == 1
-    assert len(params.odd_tables) == -(-s.bit_length() // _ODD_WINDOW_BITS)
     rng = random.Random(p + 5)
-    for x in [0, 1, s - 1] + [rng.randrange(s) for _ in range(200)]:
-        product, bits = 1, x
-        for table in params.odd_tables:
-            product *= table[bits & _ODD_WINDOW_MASK]
-            bits >>= _ODD_WINDOW_BITS
-        assert product % p == pow(odd, x, p), x
+    target = rng.randrange(1, p)
+    target_tables = _odd_power_tables(target, params)
+    # the walk reads T''s and G''s tables window by window, in pairs
+    assert len(target_tables) == len(params.odd_tables) \
+        == -(-s.bit_length() // _ODD_WINDOW_BITS)
+    for base, tables in ((a, params.odd_tables), (target, target_tables)):
+        odd = pow(base, pow(2, -r, s) * 2**r, p)
+        assert pow(odd, s, p) == 1
+        for x in [0, 1, s - 1] + [rng.randrange(s) for _ in range(200)]:
+            product, bits = 1, x
+            for table in tables:
+                product *= table[bits & _ODD_WINDOW_MASK]
+                bits >>= _ODD_WINDOW_BITS
+            assert product % p == pow(odd, x, p), (base, x)
 
 
 @pytest.mark.parametrize("p,a,r", WINDOW_SHAPES)

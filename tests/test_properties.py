@@ -358,9 +358,11 @@ WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
     lambda group: st.tuples(st.just(group), st.sampled_from(group.variants)))
 
 
-def _drawn(params, variant, max_steps=None,
-           max_restarts=WalkConfig().max_restarts):
-    """The walk at n = Random(1).randrange(N), seed 1, with Table I."""
+def _drawn(params, variant, max_steps=None, max_restarts=0):
+    """The walk at n = Random(1).randrange(N), seed 1, with Table I.  Each
+    drawn walk with the default budget solves in its first segment, so
+    max_restarts=0 changes no result, and a walk that disagrees with the
+    reference fails after one segment's budget, not after 33."""
     n = random.Random(1).randrange(params.order)
     return example((params, variant), n, 1, max_steps, max_restarts, D_MAX,
                    True)
@@ -372,16 +374,19 @@ def _drawn(params, variant, max_steps=None,
                  st.lists(st.integers(min_value=0, max_value=1), max_size=40)),
        st.sampled_from([None, 1, 3, 10]), st.sampled_from([0, 2, 5, 32]),
        st.sampled_from([D_MAX, 1]), st.booleans())
+# each example with the default budget solves in its first segment, so
+# max_restarts=0 changes no result, and a mismatch fails within one
+# segment's budget
 # boundaries: a division's B - t = -N exactly, and 3B + t = N in row 22
-@example((GF27, "char2"), 5, 28, None, 32, D_MAX, True)
-@example((P2003, "inverse"), 928, 282, None, 32, D_MAX, True)  # row 21
-@example((P2003, "collatz"), 1944, 399, None, 32, D_MAX, True)
-@example((P7340033, "inverse"), 777, 1, None, 32, D_MAX, True)  # 5328 steps
+@example((GF27, "char2"), 5, 28, None, 0, D_MAX, True)
+@example((P2003, "inverse"), 928, 282, None, 0, D_MAX, True)  # row 21
+@example((P2003, "collatz"), 1944, 399, None, 0, D_MAX, True)
+@example((P7340033, "inverse"), 777, 1, None, 0, D_MAX, True)  # 5328 steps
 # odd-part roots read three windows, 2117 and 3009 steps
-@example((P1048571, "inverse"), 123456, 2, None, 32, D_MAX, True)
-@example((P1048571, "collatz"), 777, 1, None, 32, D_MAX, True)
+@example((P1048571, "inverse"), 123456, 2, None, 0, D_MAX, True)
+@example((P1048571, "collatz"), 777, 1, None, 0, D_MAX, True)
 # the root of 1 at k = 33, after roots with a nonzero log
-@example((P257, "inverse"), 83, 37, None, 32, D_MAX, False)
+@example((P257, "inverse"), 83, 37, None, 0, D_MAX, False)
 # t = 2^8 = N wraps to 0, in a segment whose B is still positive then
 @example((P257, "inverse"), 247, 226, 10, 32, D_MAX, False)
 # r = 27: each root reads three 11-bit windows (57,763 steps); m = 31: three
