@@ -15,13 +15,13 @@ from .oracles import bsgs_dlog
 from .primefield import (PrimeGroupParams, is_probable_prime, legendre,
                          mod_pow, prime_factors, sqrt_mod_p, sylow_log)
 from .walk import (DecisionsExhaustedError, DlogResult, UnsupportedGroupError,
-                   WalkConfig, build_table_one, run_dlog)
+                   WalkConfig, WalkInvariantError, build_table_one, run_dlog)
 
 __all__ = [
     "BinaryFieldParams", "CongruenceSolution", "DegenerateCollisionError",
     "DecisionsExhaustedError", "DlogResult", "LinExpr", "NoSolutionError",
-    "PrimeGroupParams",
-    "TooManyCandidatesError", "UnsupportedGroupError", "WalkConfig",
+    "PrimeGroupParams", "TooManyCandidatesError", "UnsupportedGroupError",
+    "WalkConfig", "WalkInvariantError",
     "bsgs_dlog", "build_table_one", "collision_solve", "enumerate_candidates",
     "gf_div_by_x", "gf_mul", "gf_pow", "gf_sqrt", "is_probable_prime",
     "legendre", "mod_pow", "prime_factors", "run_dlog",

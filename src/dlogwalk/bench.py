@@ -47,7 +47,7 @@ def run_trials(params, config: WalkConfig, trial_count: int, seed_base: int,
                timing: bool = False) -> list[TrialRecord]:
     """Run `trial_count` independent solves of `config.variant`, trial i
     with seed seed_base + i, so `config` sets neither seed nor choices.
-    Failures are recorded, not raised; a variant the group does not run
+    Unsolved trials are recorded, not raised; a variant the group does not run
     raises UnsupportedGroupError, a ValueError, before any step."""
     if trial_count < 1:
         raise ValueError("trial_count must be >= 1")

@@ -14,7 +14,8 @@ from .gf2m import BinaryFieldParams
 from .linexpr import LinExpr
 from .oracles import BSGS_LIMIT, bsgs_dlog
 from .primefield import PrimeGroupParams
-from .walk import VARIANTS, DecisionsExhaustedError, WalkConfig, run_dlog
+from .walk import (VARIANTS, DecisionsExhaustedError, WalkConfig,
+                   WalkInvariantError, run_dlog)
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -105,7 +106,7 @@ def cmd_solve(parser, args) -> int:
         result = run_dlog(params, target, config)
     except ValueError as exc:
         parser.error(str(exc))
-    except DecisionsExhaustedError as exc:
+    except (DecisionsExhaustedError, WalkInvariantError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 1
     if not result.success:
@@ -153,6 +154,9 @@ def cmd_bench(parser, args) -> int:
                                    timing=args.timing)
     except ValueError as exc:
         parser.error(str(exc))
+    except WalkInvariantError as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return 1
     stats = bench.summarize(records, params.order)
     try:
         if args.csv:

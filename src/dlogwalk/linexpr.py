@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 
 class NoSolutionError(ValueError):
-    """gcd(coef, N) does not divide the right-hand side: spurious collision."""
+    """gcd(coef, N) does not divide the right-hand side: no n solves it,
+    which the walk, whose collisions the true n solves, reads as broken."""
 
 
 class DegenerateCollisionError(ValueError):

@@ -42,11 +42,12 @@ fallback's, or both roots): expr is a tuple built for that call, so only a
 miss, which stores it, returns it, and a hit keeps the first entry and is a
 collision for _attempt.  A collision yields a linear congruence for n whose
 candidates are verified by exponentiation; the first verified one wins.  A
-collision that verifies nothing (spurious, degenerate, or with more than
-D_MAX solutions) is walked past: the walk is random, so it cannot be
-trapped.  A walk runs in segments, each in one frame with its value and
-exponent in locals, of at most max_steps steps, until the answer or the
-budget's end.  The first segment starts at the target with exponent n,
+degenerate collision, or one with more than D_MAX solutions, is walked
+past: the walk is random, so it cannot be trapped.  The true n solves
+every other, so one that verifies nothing raises WalkInvariantError.  A
+walk runs in segments, each in one frame with its value and exponent in
+locals, of at most max_steps steps, until the answer or the budget's end.
+The first segment starts at the target with exponent n,
 every later one at target * g^j for a random j, with exponent n + j, each
 at k = 0.  The history is never cleared, and each entry's invariant holds
 whichever segment stored it, so a segment collides with every earlier one,
@@ -80,6 +81,11 @@ D_MAX = 65536
 
 class DecisionsExhaustedError(RuntimeError):
     """A scripted choice list ran out before the walk finished."""
+
+
+class WalkInvariantError(RuntimeError):
+    """A wrong stored exponent: a collision verified no candidate, or an
+    odd-part root failed its check.  Not a ValueError: the input was fine."""
 
 
 class UnsupportedGroupError(ValueError):
@@ -334,9 +340,9 @@ class _Walk:
                         x >>= _ODD_WINDOW_BITS
                         y >>= _ODD_WINDOW_BITS
                     r1 %= p
-                    if r1 * r1 % p != value:  # a wrong log or exponent
-                        raise ValueError(
-                            f"0 is not the 2-Sylow log of {value} mod {p}")
+                    if r1 * r1 % p != value:  # a wrong log, exponent or w
+                        raise WalkInvariantError(
+                            f"the odd-part root of {value} mod {p} is wrong")
                     r2 = p - r1
                     if r2 < r1:  # the smaller is -R, with log 2^(r-1)
                         r1, r2, e = r2, r1, top
@@ -412,23 +418,26 @@ class _Walk:
         Every start or step value found in the history comes here, with the
         exponent `expr` it was reached by, a plain (A, B, k).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
-        or None to walk on: a spurious or degenerate collision says nothing
-        about n, and one with more than D_MAX candidates is not verified.
+        or None past a degenerate collision or one with over D_MAX
+        candidates; any other that verifies none raises WalkInvariantError.
         """
         self.steps_taken = steps
         self.collisions_tested += 1
+        reached, stored = LinExpr(*expr), LinExpr(*self.seen[value])
         try:
-            sol = collision_solve(LinExpr(*expr), LinExpr(*self.seen[value]),
-                                  self.order)
+            sol = collision_solve(reached, stored, self.order)
             candidates = enumerate_candidates(sol, self.order, D_MAX)
-        except (NoSolutionError, DegenerateCollisionError,
-                TooManyCandidatesError):
+        except (DegenerateCollisionError, TooManyCandidatesError):
             return None
+        except NoSolutionError:  # no n at all: verified by none
+            candidates = ()
         for n in candidates:
             self.candidates_tried += 1
             if self.params.pow(self.params.generator, n) == self.target:
                 return self._result(n, sol)
-        return None  # cannot happen for genuine matches; treated as spurious
+        raise WalkInvariantError(
+            f"no candidate verified at {self.params.format(value)}:"
+            f" {reached} against the stored {stored}")
 
     # -- bookkeeping ---------------------------------------------------------
 

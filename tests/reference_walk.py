@@ -9,7 +9,9 @@ no log, so each searches; from a non-residue it divides by the generator
 LinExpr ops, with t = 2^k mod N computed afresh.  Each segment start and
 each value a step makes is looked up in the history, which starts as
 Table I, {g^(2^j): 2^j}: a hit is a collision, whose candidates (at most
-walk.D_MAX, read at call time) are verified, and a miss is stored.  A
+walk.D_MAX, read at call time) are verified, and a miss is stored.  The
+true n solves every collision, so one that is neither degenerate nor has
+too many candidates, and verifies none, raises WalkInvariantError.  A
 segment runs ceil(20 * sqrt(N)) steps, or max_steps; the first starts at
 the target with exponent n, a later one at target * g^j with n + j.
 
@@ -38,7 +40,8 @@ from dlogwalk.linexpr import (DegenerateCollisionError, LinExpr,
                               NoSolutionError, TooManyCandidatesError,
                               collision_solve, enumerate_candidates)
 from dlogwalk.primefield import legendre, sqrt_mod_p
-from dlogwalk.walk import DecisionsExhaustedError, DlogResult, TraceRecord
+from dlogwalk.walk import (DecisionsExhaustedError, DlogResult, TraceRecord,
+                           WalkInvariantError)
 
 
 def reference_walk(params, target, config, table=None):
@@ -132,22 +135,27 @@ class _Reference:
 
     def meet(self, value, expr):
         """Store a reached value, or solve its collision with the stored
-        one: the verified DlogResult, or None to walk on."""
+        one: the verified DlogResult, or None to walk on past a degenerate
+        collision or one with too many candidates."""
         if value not in self.history:
             self.history[value] = expr
             return None
         self.collisions += 1
+        stored = self.history[value]
         try:
-            sol = collision_solve(expr, self.history[value], self.order)
+            sol = collision_solve(expr, stored, self.order)
             candidates = enumerate_candidates(sol, self.order, walk.D_MAX)
-        except (NoSolutionError, DegenerateCollisionError,
-                TooManyCandidatesError):
+        except (DegenerateCollisionError, TooManyCandidatesError):
             return None
+        except NoSolutionError:
+            candidates = ()
         for n in candidates:
             self.tried += 1
             if self.params.pow(self.g, n) == self.target:
                 return self.result(n, sol)
-        return None
+        raise WalkInvariantError(
+            f"no candidate verified at {self.params.format(value)}:"
+            f" {expr} against the stored {stored}")
 
     def result(self, n, congruence=None):
         return DlogResult(n, self.steps, self.restarts, self.collisions,

@@ -285,16 +285,27 @@ def test_selftest_unknown_example_is_usage_error(capsys):
 
 
 def test_selftest_catches_corrupted_table(capsys, monkeypatch):
+    import dlogwalk.bench as bench_mod
     import dlogwalk.walk as walk_mod
     real = walk_mod.build_table_one
 
     def corrupt(params, config=None):
         return {v: k + 1 for v, k in real(params, config).items()}
 
-    monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
+    # bench binds its own name for the table it shares across trials
+    for module in (walk_mod, bench_mod):
+        monkeypatch.setattr(module, "build_table_one", corrupt)
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL" in out
+    # solve and bench report the broken walk as a solver failure
+    for argv in (["solve", "--p", "103", "--gen", "5", "--target", "84"],
+                 ["bench", "--p", "103", "--gen", "5", "--trials", "5",
+                  "--seed", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("solver failed: no candidate verified at ")
+        assert "Traceback" not in err
 
 
 def test_solver_failure_exit_code(capsys):

@@ -361,8 +361,9 @@ WALKS_AT_RANDOM = GROUPS_AT_RANDOM.flatmap(
 def _drawn(params, variant, max_steps=None, max_restarts=0):
     """The walk at n = Random(1).randrange(N), seed 1, with Table I.  Each
     drawn walk with the default budget solves in its first segment, so
-    max_restarts=0 changes no result, and a walk that disagrees with the
-    reference fails after one segment's budget, not after 33."""
+    max_restarts=0 changes no result.  A wrong exponent op, on either
+    side, raises WalkInvariantError at its first collision; any other
+    mismatch fails within one segment's budget, not 33."""
     n = random.Random(1).randrange(params.order)
     return example((params, variant), n, 1, max_steps, max_restarts, D_MAX,
                    True)
@@ -375,8 +376,8 @@ def _drawn(params, variant, max_steps=None, max_restarts=0):
        st.sampled_from([None, 1, 3, 10]), st.sampled_from([0, 2, 5, 32]),
        st.sampled_from([D_MAX, 1]), st.booleans())
 # each example with the default budget solves in its first segment, so
-# max_restarts=0 changes no result, and a mismatch fails within one
-# segment's budget
+# max_restarts=0 changes no result; a wrong exponent op raises at its first
+# collision, and any other mismatch fails within one segment's budget
 # boundaries: a division's B - t = -N exactly, and 3B + t = N in row 22
 @example((GF27, "char2"), 5, 28, None, 0, D_MAX, True)
 @example((P2003, "inverse"), 928, 282, None, 0, D_MAX, True)  # row 21

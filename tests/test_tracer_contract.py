@@ -87,11 +87,11 @@ def test_traced_solve_calls_through_module_names(params, variant, target,
     # the tracer counts a solve only when DlogResult.congruence is the very
     # object collision_solve returned
     assert t.events["linexpr.outcome.solved"] == 1
-    # no collision ends unverified: a wrong stored exponent fails every
-    # candidate, and the walk passes it by as it does a spurious one, so
-    # only this sum, perfbench's linexpr.outcome.unverified, shows it
+    # the true n solves every collision, so none is spurious, and the walk
+    # walks past only degenerate ones and those with too many candidates
+    assert t.events["linexpr.outcome.spurious"] == 0
     walked_past = sum(t.events[f"linexpr.outcome.{kind}"]
-                      for kind in ("spurious", "degenerate", "toomany"))
+                      for kind in ("degenerate", "toomany"))
     assert walked_past + 1 == result.collisions_tested
     # a restarted walk meets collisions that do not solve too
     assert (walked_past > 0) == (result.restarts > 0) == (max_steps is not None)

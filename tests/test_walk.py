@@ -10,8 +10,9 @@ from dlogwalk.primefield import PrimeGroupParams, sqrt_mod_p, sylow_log
 from dlogwalk.selftest import CASES, replay
 from dlogwalk.linexpr import CongruenceSolution, LinExpr, collision_solve
 from dlogwalk.oracles import bsgs_dlog
-from dlogwalk.walk import (DecisionsExhaustedError, WalkConfig, _Walk,
-                           build_table_one, default_max_steps, run_dlog)
+from dlogwalk.walk import (DecisionsExhaustedError, WalkConfig,
+                           WalkInvariantError, _Walk, build_table_one,
+                           default_max_steps, run_dlog)
 
 P103 = PrimeGroupParams(103, 5)
 P101 = PrimeGroupParams(101, 2)
@@ -73,10 +74,11 @@ def test_replay_detects_corruption(monkeypatch):
         return {v: k + 1 for v, k in real(params, config).items()}
 
     monkeypatch.setattr(walk_mod, "build_table_one", corrupt)
-    # k + 1 fails the candidate check, so the walk runs past its script;
-    # a TypeError from the patched call would abort with another message
-    assert replay(CASES[0]) == \
-        "walk aborted: scripted choices exhausted after 1 decisions"
+    # the stored k + 1 is no log of g^k, so the true n does not solve the
+    # first collision with it and the walk stops there; a TypeError from
+    # the patched call would abort with another message
+    assert replay(CASES[0]) == ("walk aborted: no candidate verified at 36:"
+                                " (n-3)/2 against the stored 65")
 
 
 _BY_NAME = {case.name: case for case in CASES}
@@ -197,17 +199,33 @@ def test_roots_are_given_the_log_found_once_per_solve(
 def test_a_wrong_log_raises_on_either_root_path(params, target, wrong,
                                                 monkeypatch):
     # a root given a wrong log fails its R^2 = x check, in the segment as
-    # in sqrt_mod_p, with sqrt_mod_p's message: the walk never steps to a
-    # value that is not a root
+    # in sqrt_mod_p: the walk never steps to a value that is not a root
     # outside Table I, so the walk's first step is a root of the target
     assert target not in build_table_one(params)
     assert sylow_log(target, params) != wrong
     with pytest.raises(ValueError) as expected:
         sqrt_mod_p(target, params, wrong)
+    # the segment's own root fails as a broken walk; sqrt_mod_p's keeps
+    # the library's ValueError and message
+    error, message = ((WalkInvariantError,
+                       f"the odd-part root of {target} mod {params.p} is wrong")
+                      if wrong == 0 else (ValueError, str(expected.value)))
     monkeypatch.setattr(walk, "sylow_log", lambda x, params: wrong)
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(error) as raised:
         run_dlog(params, target, WalkConfig(seed=1))
-    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) == message
+
+
+def test_a_wrong_odd_part_scale_raises():
+    # on r = 1 every root is the segment's own, scaled by w from sqrt_exp:
+    # a wrong w fails the first root's check as a broken walk, not as the
+    # ValueError the CLI reads as a usage error
+    params = PrimeGroupParams(1019, 2)
+    assert params.r == 1
+    params.sqrt_exp += 1
+    with pytest.raises(WalkInvariantError,
+                       match="^the odd-part root of 777 mod 1019 is wrong$"):
+        run_dlog(params, 777, WalkConfig(seed=1))
 
 
 # (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
