@@ -1,9 +1,11 @@
 """Command-line front end: solve (alias solve-gf2m), oracle, bench, selftest.
 
 Exit codes: 0 success, 1 solver failure or selftest mismatch, 2 bad usage
-or unwritable output.  Prime-field elements are decimal, binary-field
-elements hex (bit 0 = constant term; the modulus includes bit m, so
-x^7+x+1 is 0x83).
+or unwritable output.  main decides them once: a ValueError is bad input,
+refused before the walk's first step (exit 2), and a broken walk
+(WalkInvariantError) or used-up --choices is a solver failure (exit 1).
+Prime-field elements are decimal, binary-field elements hex (bit 0 = constant
+term; the modulus includes bit m, so x^7+x+1 is 0x83).
 """
 
 import argparse
@@ -45,44 +47,36 @@ def _add_walk_flags(sub):
     walk.add_argument("--max-restarts", type=int)
 
 
-def _check_group_flags(parser, args):
+def _check_group_flags(args):
     """One group, named whole: --p with --gen, or --m with --poly."""
     if (args.p is None) == (args.m is None):
-        parser.error("give exactly one field: --p with --gen, or --m with --poly")
+        raise ValueError("give exactly one field: --p with --gen, or --m with --poly")
     if (args.p is None) != (args.gen is None):
-        parser.error("--gen goes with --p, and only with it")
+        raise ValueError("--gen goes with --p, and only with it")
     if (args.m is None) != (args.poly is None):
-        parser.error("--poly goes with --m, and only with it")
+        raise ValueError("--poly goes with --m, and only with it")
 
 
-def _params(parser, args):
+def _params(args):
     """The group named by --p/--gen or by --m/--poly."""
-    _check_group_flags(parser, args)
-    try:
-        if args.p is not None:
-            params = PrimeGroupParams(args.p, args.gen)
-        else:
-            params = BinaryFieldParams(args.m, int(args.poly, 16))
-    except ValueError as exc:
-        parser.error(str(exc))
-    return params
+    _check_group_flags(args)
+    if args.p is not None:
+        return PrimeGroupParams(args.p, args.gen)
+    return BinaryFieldParams(args.m, int(args.poly, 16))
 
 
-def _target(parser, args, params) -> int:
+def _target(args, params) -> int:
     try:
         return params.parse(args.target)
     except ValueError as exc:
-        parser.error(f"bad target {args.target!r}: {exc}")
+        raise ValueError(f"bad target {args.target!r}: {exc}") from None
 
 
-def _walk_config(parser, args, params) -> WalkConfig:
+def _walk_config(args, params) -> WalkConfig:
     """The WalkConfig of every parsed flag whose dest is one of its fields."""
     options = {k: v for k, v in vars(args).items() if k in WalkConfig._fields}
     options.setdefault("variant", params.variants[0])
-    try:
-        return WalkConfig(**options)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return WalkConfig(**options)
 
 
 def _print_trace(result, fmt):
@@ -97,18 +91,10 @@ def _print_trace(result, fmt):
               f"  {out:<18}  {chosen:<10}  {LinExpr(*rec.expr)}")
 
 
-def cmd_solve(parser, args) -> int:
+def cmd_solve(args) -> int:
     """One walk over the group the flags name."""
-    params = _params(parser, args)
-    target = _target(parser, args, params)
-    config = _walk_config(parser, args, params)
-    try:
-        result = run_dlog(params, target, config)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except (DecisionsExhaustedError, WalkInvariantError) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 1
+    params = _params(args)
+    result = run_dlog(params, _target(args, params), _walk_config(args, params))
     if not result.success:
         print(f"no solution found: steps={result.steps_taken}"
               f" restarts={result.restarts}", file=sys.stderr)
@@ -122,10 +108,10 @@ def cmd_solve(parser, args) -> int:
     return 0
 
 
-def cmd_oracle(parser, args) -> int:
+def cmd_oracle(args) -> int:
     # building the group factors its order with no bound on the work, so an
     # order past the BSGS limit is refused from the flags first
-    _check_group_flags(parser, args)
+    _check_group_flags(args)
     if args.p is not None:
         order, too_large = args.p - 1, args.p - 1 > BSGS_LIMIT
     else:  # 2^m - 1 > 10^12 exactly from m = 40, its bit length, on
@@ -134,8 +120,8 @@ def cmd_oracle(parser, args) -> int:
         print(f"oracle failed: group order {order} too large for BSGS",
               file=sys.stderr)
         return 1
-    params = _params(parser, args)
-    target = _target(parser, args, params)
+    params = _params(args)
+    target = _target(args, params)
     try:
         print(bsgs_dlog(params, target))
     except ValueError as exc:
@@ -144,19 +130,12 @@ def cmd_oracle(parser, args) -> int:
     return 0
 
 
-def cmd_bench(parser, args) -> int:
+def cmd_bench(args) -> int:
     from . import bench  # only here: solve and the other commands skip it
 
-    params = _params(parser, args)
-    config = _walk_config(parser, args, params)
-    try:
-        records = bench.run_trials(params, config, args.trials, args.seed_base,
-                                   timing=args.timing)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except WalkInvariantError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 1
+    params = _params(args)
+    records = bench.run_trials(params, _walk_config(args, params), args.trials,
+                               args.seed_base, timing=args.timing)
     stats = bench.summarize(records, params.order)
     try:
         if args.csv:
@@ -172,13 +151,10 @@ def cmd_bench(parser, args) -> int:
     return 0
 
 
-def cmd_selftest(parser, args) -> int:
+def cmd_selftest(args) -> int:
     from .selftest import run_selftest  # only here: it builds three groups
 
-    try:
-        ok, lines = run_selftest(args.only)
-    except ValueError as exc:
-        parser.error(str(exc))
+    ok, lines = run_selftest(args.only)
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -234,7 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.run(parser, args)
+    try:
+        return args.run(args)
+    except ValueError as exc:  # refused before the walk's first step
+        parser.error(str(exc))
+    except (DecisionsExhaustedError, WalkInvariantError) as exc:
+        print(f"solver failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -84,8 +84,9 @@ class DecisionsExhaustedError(RuntimeError):
 
 
 class WalkInvariantError(RuntimeError):
-    """A wrong stored exponent: a collision verified no candidate, or an
-    odd-part root failed its check.  Not a ValueError: the input was fine."""
+    """A wrong stored exponent: a collision verified no candidate, an
+    odd-part root failed its check, or a field op refused a value the walk
+    reached.  Not a ValueError: the input was fine."""
 
 
 class UnsupportedGroupError(ValueError):
@@ -264,7 +265,10 @@ class _Walk:
             if seen.setdefault(value, expr) is not expr:
                 outcome = self._attempt(value, expr, self.steps_taken)
             if outcome is None:
-                outcome = segment(value, expr)
+                try:  # a field op refusing a reached value is a broken walk
+                    outcome = segment(value, expr)
+                except ValueError as exc:
+                    raise WalkInvariantError(str(exc)) from exc
             if outcome is not None:
                 return outcome
             if self.restarts == self.config.max_restarts:

@@ -139,8 +139,8 @@ def test_walk_config_defaults_live_in_walk_config(group):
     for argv in (["solve", *group, "--target", "3"],
                  ["bench", *group, "--trials", "1", "--seed", "0"]):
         args = parser.parse_args(argv)
-        params = _params(parser, args)
-        assert (_walk_config(parser, args, params)
+        params = _params(args)
+        assert (_walk_config(args, params)
                 == WalkConfig(variant=params.variants[0]))
 
 
@@ -153,13 +153,15 @@ def _check_message(call, *args):
     return None
 
 
-def _cli_message(parser, argv, capsys):
-    """The error line of _params on argv, or None if it accepts the group."""
+def _cli_message(argv, capsys):
+    """The last stderr line of main(argv) on exit 2, or None on exit 0."""
     try:
-        _params(parser, parser.parse_args(argv))
+        code = main(argv)
     except SystemExit as exc:
         assert exc.code == 2
         return capsys.readouterr().err.splitlines()[-1]
+    assert code == 0
+    capsys.readouterr()
     return None
 
 
@@ -167,8 +169,8 @@ def test_one_generator_check_for_library_and_cli(capsys):
     # every g mod 41, 103 and 257, and x in GF(2^4) mod 0x13 (primitive)
     # and mod 0x1f (order 5): construction fails exactly when g's
     # brute-force order is not N, with the message the CLI prints, and a
-    # factor list short of a prime of N verifies nothing
-    parser = build_parser()
+    # factor list short of a prime of N verifies nothing; each order is at
+    # most 256, so the CLI's BSGS answers at once
     groups = [(PrimeGroupParams, (p, g), p - 1,
                brute_order(lambda v, p=p, g=g: v * g % p),
                ["--p", str(p), "--gen", str(g)])
@@ -183,7 +185,7 @@ def test_one_generator_check_for_library_and_cli(capsys):
         assert (message is None) == (g_order == order), flags
         assert message is None or "is not a generator" in message, flags
         generators += message is None
-        cli = _cli_message(parser, ["oracle", *flags, "--target", "1"], capsys)
+        cli = _cli_message(["oracle", *flags, "--target", "1"], capsys)
         assert cli == (None if message is None
                        else f"dlogwalk: error: {message}"), flags
         factors = prime_factors(order)
@@ -306,6 +308,21 @@ def test_selftest_catches_corrupted_table(capsys, monkeypatch):
         assert code == 1
         assert err.startswith("solver failed: no candidate verified at ")
         assert "Traceback" not in err
+
+
+def test_a_wrong_sylow_log_is_a_solver_failure(capsys, monkeypatch):
+    # sqrt_mod_p refuses the wrong log 4 with its ValueError; the walk has
+    # started, so solve and bench report a broken walk, not a usage error
+    import dlogwalk.walk as walk_mod
+    monkeypatch.setattr(walk_mod, "sylow_log", lambda x, params: 4)
+    for argv in (["solve", "--p", "7340033", "--gen", "3",
+                  "--target", "6971864"],
+                 ["bench", "--p", "7340033", "--gen", "3", "--trials", "2",
+                  "--seed", "1"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("solver failed: 4 is not the 2-Sylow log of "), argv
+        assert "Traceback" not in err, argv
 
 
 def test_solver_failure_exit_code(capsys):
@@ -558,8 +575,7 @@ def test_cli_fuzz_exits_zero_one_or_two(command_required, group, walk_flags,
     assert code in (0, 1, 2), argv
     if command.startswith("solve") and code == 0:
         # a solve that exits 0 prints a verified n first: g^n = target
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        params = _params(parser, args)
+        args = build_parser().parse_args(argv)
+        params = _params(args)
         n = int(out.getvalue().splitlines()[0])
         assert params.pow(params.generator, n) == params.parse(args.target), argv

@@ -205,21 +205,24 @@ def test_a_wrong_log_raises_on_either_root_path(params, target, wrong,
     assert sylow_log(target, params) != wrong
     with pytest.raises(ValueError) as expected:
         sqrt_mod_p(target, params, wrong)
-    # the segment's own root fails as a broken walk; sqrt_mod_p's keeps
-    # the library's ValueError and message
-    error, message = ((WalkInvariantError,
-                       f"the odd-part root of {target} mod {params.p} is wrong")
-                      if wrong == 0 else (ValueError, str(expected.value)))
+    # either root fails as a broken walk: the segment's own with the
+    # walk's message, sqrt_mod_p's with the text of its ValueError, which
+    # the walk chains
+    message = (f"the odd-part root of {target} mod {params.p} is wrong"
+               if wrong == 0 else str(expected.value))
     monkeypatch.setattr(walk, "sylow_log", lambda x, params: wrong)
-    with pytest.raises(error) as raised:
+    with pytest.raises(WalkInvariantError) as raised:
         run_dlog(params, target, WalkConfig(seed=1))
     assert str(raised.value) == message
+    if wrong:
+        cause = raised.value.__cause__
+        assert type(cause) is ValueError and str(cause) == message
 
 
 def test_a_wrong_odd_part_scale_raises():
     # on r = 1 every root is the segment's own, scaled by w from sqrt_exp:
-    # a wrong w fails the first root's check as a broken walk, not as the
-    # ValueError the CLI reads as a usage error
+    # a wrong w fails the first root's check as a broken walk, which the
+    # CLI reports as a solver failure
     params = PrimeGroupParams(1019, 2)
     assert params.r == 1
     params.sqrt_exp += 1
