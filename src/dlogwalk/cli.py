@@ -1,9 +1,10 @@
 """Command-line front end: solve (alias solve-gf2m), oracle, bench, selftest.
 
-Exit codes: 0 success, 1 solver failure or selftest mismatch, 2 bad usage
-or unwritable output.  main decides them once: a ValueError is bad input,
-refused before the walk's first step (exit 2), and a broken walk
-(WalkInvariantError) or used-up --choices is a solver failure (exit 1).
+Exit codes: 0 success, 1 solver failure, selftest mismatch or an order past
+oracle's BSGS limit, 2 bad usage or unwritable output.  main decides them
+once: a ValueError is bad input refused before the walk's first step (exit
+2), such as a group that is not one or whose order rho cannot split, and a
+broken walk (WalkInvariantError) or used-up --choices is a solver failure.
 Prime-field elements are decimal, binary-field elements hex (bit 0 = constant
 term; the modulus includes bit m, so x^7+x+1 is 0x83).
 """
@@ -14,7 +15,7 @@ import sys
 from . import __version__
 from .gf2m import BinaryFieldParams
 from .linexpr import LinExpr
-from .oracles import BSGS_LIMIT, bsgs_dlog
+from .oracles import bsgs_dlog
 from .primefield import PrimeGroupParams
 from .walk import (VARIANTS, DecisionsExhaustedError, WalkConfig,
                    WalkInvariantError, run_dlog)
@@ -47,19 +48,14 @@ def _add_walk_flags(sub):
     walk.add_argument("--max-restarts", type=int)
 
 
-def _check_group_flags(args):
-    """One group, named whole: --p with --gen, or --m with --poly."""
+def _params(args):
+    """The one group named whole: --p with --gen, or --m with --poly."""
     if (args.p is None) == (args.m is None):
         raise ValueError("give exactly one field: --p with --gen, or --m with --poly")
     if (args.p is None) != (args.gen is None):
         raise ValueError("--gen goes with --p, and only with it")
     if (args.m is None) != (args.poly is None):
         raise ValueError("--poly goes with --m, and only with it")
-
-
-def _params(args):
-    """The group named by --p/--gen or by --m/--poly."""
-    _check_group_flags(args)
     if args.p is not None:
         return PrimeGroupParams(args.p, args.gen)
     return BinaryFieldParams(args.m, int(args.poly, 16))
@@ -109,17 +105,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    # building the group factors its order with no bound on the work, so an
-    # order past the BSGS limit is refused from the flags first
-    _check_group_flags(args)
-    if args.p is not None:
-        order, too_large = args.p - 1, args.p - 1 > BSGS_LIMIT
-    else:  # 2^m - 1 > 10^12 exactly from m = 40, its bit length, on
-        order, too_large = f"2^{args.m} - 1", args.m >= BSGS_LIMIT.bit_length()
-    if too_large:
-        print(f"oracle failed: group order {order} too large for BSGS",
-              file=sys.stderr)
-        return 1
     params = _params(args)
     target = _target(args, params)
     try:
@@ -134,8 +119,14 @@ def cmd_bench(args) -> int:
     from . import bench  # only here: solve and the other commands skip it
 
     params = _params(args)
-    records = bench.run_trials(params, _walk_config(args, params), args.trials,
-                               args.seed_base, timing=args.timing)
+    config = _walk_config(args, params)
+    try:  # refused before the first trial; appending changes no file's bytes
+        for path in filter(None, (args.csv, args.json)):
+            open(path, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from None
+    records = bench.run_trials(params, config, args.trials, args.seed_base,
+                               timing=args.timing)
     stats = bench.summarize(records, params.order)
     try:
         if args.csv:

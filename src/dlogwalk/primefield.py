@@ -32,6 +32,7 @@ from .gf2m import _MAX_WINDOW_BITS, _WINDOW_MASK, _linear_tables
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
+RHO_MAX = 1 << 18  # rho iterations per piece: enough for primes to ~2^36
 
 
 def is_probable_prime(n: int) -> bool:
@@ -72,20 +73,24 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
     Brent's rho splits each composite piece until every piece is a
     probable prime, so a piece such as 715827883 * 2147483647 (from
-    2^62 - 1) costs about the square root of its smaller factor in steps.
+    2^62 - 1) costs about the square root of its smaller factor in steps;
+    one that needs over RHO_MAX raises ValueError naming n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     factors, todo = set(), [n]
     while todo:
-        n = todo.pop()
-        if n == 1:
+        piece = todo.pop()
+        if piece == 1:
             continue
-        if is_probable_prime(n):
-            factors.add(n)
+        if is_probable_prime(piece):
+            factors.add(piece)
             continue
-        d = _brent_divisor(n)
-        todo += [d, n // d]
+        d = _brent_divisor(piece)
+        if d is None:
+            raise ValueError(f"cannot factor {n}: Brent's rho split no factor"
+                             f" of {piece} within {RHO_MAX} iterations")
+        todo += [d, piece // d]
     return tuple(sorted(factors))
 
 
@@ -94,8 +99,8 @@ def check_generator(params, factors=None) -> None:
 
     g has order exactly N iff g^N = 1 and g^(N/q) != 1 for each prime
     q | N.  g^N = 1 is tested first, before any factoring, so most bad
-    GF(2^m) moduli fail fast.  factors must be the distinct primes of N,
-    as `prime_factors` gives them (else ValueError); None factors N here.
+    GF(2^m) moduli fail fast.  factors must be the distinct primes of N
+    (else ValueError); None asks `prime_factors`, whose bound may refuse N.
     """
     g, order = params.generator, params.order
     if params.pow(g, order) != 1:
@@ -119,22 +124,26 @@ def check_generator(params, factors=None) -> None:
                          f" order {order}, so the generator is not verified")
 
 
-def _brent_divisor(n: int) -> int:
-    """A proper divisor of the composite n.
+def _brent_divisor(n: int) -> int | None:
+    """A proper divisor of the composite n, or None past RHO_MAX iterations.
 
     Pollard's rho with Brent's cycle finding (BIT 20, 1980): y runs on
     y -> y^2 + c while x holds the value at the last power of two, and
     gcd(x - y, n) reveals a prime p | n once the iterates cycle mod p,
     after about sqrt(p) steps.  A gcd of n itself means they cycled mod
-    every prime at once; c + 1 starts another sequence.
+    every prime at once; c + 1 starts another sequence.  A round of r
+    steps that would take the count over all c past RHO_MAX is not run.
     """
     if n % 2 == 0:
         return 2
-    c = 1
+    c, budget = 1, RHO_MAX
     while True:
         y, r, g = 2, 1, 1
         while g == 1:
             x = y
+            budget -= r
+            if budget < 0:
+                return None
             for _ in range(r):
                 y = (y * y + c) % n
                 g = math.gcd(x - y, n)
@@ -164,8 +173,8 @@ class PrimeGroupParams(Record):
     table per 8-bit window of s.  These four are derived from p and
     a once, so == does not compare them.  `check_generator` verifies a
     against the primes of p - 1 before any table is built: factors_of_order
-    when given, which only skips the factoring, else it factors p - 1.  It
-    is not stored, so the same group is equal however it was built.
+    when given, else `prime_factors`', whose refusal names factors_of_order.
+    It is not stored, so the same group is equal however it was built.
     """
 
     _fields = ("p", "a", "r", "s", "c")
@@ -186,6 +195,11 @@ class PrimeGroupParams(Record):
             s //= 2
             r += 1
         self._assign(p, a, r, s, pow(a, s, p))
+        if factors_of_order is None:  # g^N = 1 for every a: factor first
+            try:
+                factors_of_order = prime_factors(p - 1)
+            except ValueError as exc:
+                raise ValueError(f"{exc}; give factors_of_order") from None
         check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
         self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)

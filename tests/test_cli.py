@@ -247,20 +247,25 @@ def test_oracle_failure_exits_one(capsys):
     code, out, err = run_cli(capsys, "oracle", "--p", "2305843009213693951",
                              "--gen", "37", "--target", "5")
     assert (code, out) == (1, "")
-    assert "oracle failed" in err
-    # refused from the flags before the group is built, whose generator
-    # check would factor 2 * two 64-bit primes, or 2^256 - 1 with its factor
-    # 2^128 + 1 (x^256 + x^10 + x^5 + x^2 + 1 is irreducible): rho needs
-    # about 2.4e8 iterations to split the latter
+    assert err == ("oracle failed: group order 2305843009213693950 too large"
+                   " for BSGS\n")
+    # oracle builds its group as solve does, so an order that rho cannot
+    # split is bad input: 2 * two 64-bit primes, or 2^256 - 1 with its
+    # factor 2^128 + 1 (x^256 + x^10 + x^5 + x^2 + 1 is irreducible), which
+    # rho would need about 2.4e8 iterations to split
     for flags in (["--p", "535535684741329881136887273182147286623",
                    "--gen", "3", "--target", "5"],
                   ["--m", "256", "--poly", hex(1 << 256 | 0x425),
                    "--target", "0x3"]):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "oracle", *flags)
+        with pytest.raises(SystemExit) as info:
+            main(["oracle", *flags])
         assert time.perf_counter() - start < 1, flags
-        assert (code, out) == (1, ""), flags
-        assert "too large for BSGS" in err, flags
+        assert info.value.code == 2, flags
+        err = capsys.readouterr().err
+        assert "dlogwalk: error: cannot factor " in err, flags
+        assert " within 262144 iterations" in err, flags
+        assert "Traceback" not in err, flags
 
 
 def test_selftest_all(capsys):
@@ -423,10 +428,22 @@ def test_usage_errors_exit_two(capsys):
          "--choices", "0,2"],                                      # not a bit
         ["solve", "--p", "103", "--gen", "5", "--target", "84",
          "--choices", "x"],                                        # not an int
+        # oracle builds its group as solve does: a composite p and a
+        # polynomial of the wrong degree, each far past the BSGS limit
+        ["oracle", "--p", "10000000000000000", "--gen", "3", "--target", "5"],
+        ["oracle", "--m", "64", "--poly", "0x3", "--target", "0x3"],
+        # orders that rho cannot split within its bound: 2 * two 64-bit
+        # primes, and 2^256 - 1 with its factor 2^128 + 1
+        ["solve", "--p", "535535684741329881136887273182147286623",
+         "--gen", "3", "--target", "5"],
+        ["solve", "--m", "256", "--poly", hex(1 << 256 | 0x425),
+         "--target", "0x3"],
     ):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as info:
             main(argv)
-        assert info.value.code == 2
+        assert time.perf_counter() - start < 1, argv
+        assert info.value.code == 2, argv
         capsys.readouterr()
 
 
@@ -463,12 +480,30 @@ def test_bench_json_is_strict_when_no_trial_succeeds(tmp_path, capsys):
     assert stats["mean_steps"] is None
     assert stats["ratio_mean_to_sqrt_order"] is None
 
-def test_bench_unwritable_path(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "bench", "--p", "103", "--gen", "5",
-                           "--trials", "2", "--seed", "0",
-                           "--csv", str(tmp_path / "missing" / "out.csv"))
-    assert code == 2
-    assert "cannot write" in err
+def test_bench_unwritable_path(tmp_path, capsys, monkeypatch):
+    import dlogwalk.bench as bench_mod
+    trials = []
+    run_trials = bench_mod.run_trials
+    monkeypatch.setattr(bench_mod, "run_trials",
+                        lambda *a, **k: trials.append(a) or run_trials(*a, **k))
+    # an unwritable --csv or --json is refused before the first trial
+    for flag in ("--csv", "--json"):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--p", "103", "--gen", "5", "--trials", "300",
+                  "--seed", "0", flag, str(tmp_path / "missing" / "out")])
+        assert info.value.code == 2
+        assert "cannot write output: " in capsys.readouterr().err
+    assert trials == []
+    # a run refused after the check leaves an existing output file as it was
+    csv_path = tmp_path / "out.csv"
+    csv_path.write_text("kept\n")
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--p", "1009", "--gen", "11", "--variant", "collatz",
+              "--trials", "3", "--seed", "0", "--csv", str(csv_path)])
+    assert info.value.code == 2
+    assert "does not run on 1009" in capsys.readouterr().err
+    assert len(trials) == 1
+    assert csv_path.read_text() == "kept\n"
 
 
 def test_bench_gf2m(capsys, tmp_path):

@@ -97,6 +97,26 @@ def test_prime_factors_splits_large_cofactors():
     assert prime_factors(2**128 - 1) == (3, 5, 17, 257, 641, 65537, 274177,
                                          6700417, 67280421310721)
     assert prime_factors(1009**3 * 1013) == (1009, 1013)  # a prime power
+    # rho stops at RHO_MAX iterations: 2^101 - 1 = 7432339208719 *
+    # 341117531003194129 took 6.3 s and 4.8e6 iterations to split
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^cannot factor {2**101 - 1}: "):
+        prime_factors(2**101 - 1)
+    assert time.perf_counter() - start < 1
+
+
+def test_params_take_the_factors_rho_cannot_find():
+    # p - 1 = 2 * q1 * q2 with two 64-bit primes: rho refuses to factor it
+    # within a second, naming the keyword that skips the factoring, and
+    # the group builds when given them
+    q1, q2 = 9223372036854775837, 9223372036854778307
+    p = 2 * q1 * q2 + 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^cannot factor {p - 1}: .*"
+                                         r"; give factors_of_order$"):
+        PrimeGroupParams(p, 11)
+    assert time.perf_counter() - start < 1
+    PrimeGroupParams(p, 11, factors_of_order=(2, q1, q2))
 
 
 def test_mod_pow_known_values():

@@ -81,6 +81,17 @@ def test_replay_detects_corruption(monkeypatch):
                                 " (n-3)/2 against the stored 65")
 
 
+def test_an_unsolvable_collision_raises():
+    # meeting n/4 with n + 1 gives 4(n + 1) = n, so 3n = 98 (mod 102),
+    # which no n solves: the walk stops there with no candidate tried
+    w = _Walk(P103, 84, WalkConfig(), None)
+    w.seen[84] = (1, 0, 2)
+    with pytest.raises(WalkInvariantError, match=r"^no candidate verified"
+                       r" at 84: n\+1 against the stored n/4$"):
+        w._attempt(84, (1, 1, 0), 0)
+    assert (w.collisions_tested, w.candidates_tried) == (1, 0)
+
+
 _BY_NAME = {case.name: case for case in CASES}
 
 
