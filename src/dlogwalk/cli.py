@@ -18,7 +18,7 @@ from .linexpr import LinExpr
 from .oracles import bsgs_dlog
 from .primefield import PrimeGroupParams
 from .walk import (VARIANTS, DecisionsExhaustedError, WalkConfig,
-                   WalkInvariantError, run_dlog)
+                   WalkInvariantError, check_variant, run_dlog)
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -69,9 +69,11 @@ def _target(args, params) -> int:
 
 
 def _walk_config(args, params) -> WalkConfig:
-    """The WalkConfig of every parsed flag whose dest is one of its fields."""
+    """The WalkConfig of every parsed flag whose dest is one of its fields,
+    for a variant the group runs: refused here, before bench opens a file."""
     options = {k: v for k, v in vars(args).items() if k in WalkConfig._fields}
     options.setdefault("variant", params.variants[0])
+    check_variant(params, options["variant"])
     return WalkConfig(**options)
 
 

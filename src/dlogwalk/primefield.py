@@ -33,6 +33,7 @@ from .gf2m import _MAX_WINDOW_BITS, _WINDOW_MASK, _linear_tables
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RANDOM_WITNESSES = 16  # Miller-Rabin witnesses added from 3.3e24 up
 RHO_MAX = 1 << 18  # rho iterations per piece: enough for primes to ~2^36
+_GCD_BATCH = 128  # rho iterations per gcd
 
 
 def is_probable_prime(n: int) -> bool:
@@ -130,26 +131,37 @@ def _brent_divisor(n: int) -> int | None:
     Pollard's rho with Brent's cycle finding (BIT 20, 1980): y runs on
     y -> y^2 + c while x holds the value at the last power of two, and
     gcd(x - y, n) reveals a prime p | n once the iterates cycle mod p,
-    after about sqrt(p) steps.  A gcd of n itself means they cycled mod
-    every prime at once; c + 1 starts another sequence.  A round of r
-    steps that would take the count over all c past RHO_MAX is not run.
+    after about sqrt(p) steps.  As Brent does, the product of x - y mod n
+    over a batch of _GCD_BATCH iterations takes one gcd; a gcd of n steps
+    back through that batch one iteration at a time, and one of n there
+    means they cycled mod every prime at once: c + 1 starts another
+    sequence.  A round of r steps that would take the count over all c
+    past RHO_MAX is not run.
     """
     if n % 2 == 0:
         return 2
     c, budget = 1, RHO_MAX
     while True:
-        y, r, g = 2, 1, 1
+        y, r, g, q = 2, 1, 1, 1
         while g == 1:
             x = y
             budget -= r
             if budget < 0:
                 return None
-            for _ in range(r):
+            done = 0
+            while done < r and g == 1:
+                batch_start = y
+                for _ in range(min(_GCD_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                done += _GCD_BATCH
+            r *= 2
+        if g == n:  # back through the batch, one gcd an iteration
+            y, g = batch_start, 1
+            while g == 1:
                 y = (y * y + c) % n
                 g = math.gcd(x - y, n)
-                if g != 1:
-                    break
-            r *= 2
         if g != n:
             return g
         c += 1

@@ -12,35 +12,44 @@ makes it e - 1 and the 3x+1 step 3e + 1.  So a root is taken exactly where
 it exists, and costs no search.  A value with e = 0 lies in the odd-order
 subgroup, where its root is unique and has log 0; the segment builds it
 from the walk's own exponent, as a product of lookups in fixed-base window
-tables of the odd parts of the target and the generator, one pass per
-window reading both.  Any other root is sqrt_mod_p's.  Over GF(2^m)
-square roots are unique, so a random bit decides the branch instead.
+tables of the odd parts of the target and the generator, the first three
+windows of both in one expression.  Any other root is sqrt_mod_p's.  Over
+GF(2^m) square roots are unique, so a random bit decides the branch
+instead.
 
 Every visited value is stored with its exponent, a linear function of the
-unknown n, in one dict, the walk history: from each visited value (and
-each untaken square root) to the first exponent stored for it.  It starts
-as a copy of Table I, precomputed generator powers g^k stored with A = 0
-and B = k mod N (exponent known exactly); they go in first and are never
-overwritten.  Every entry is a plain tuple (A, B, k), with 2^k *
-log(value) = A*n + B (mod N).  Both segments apply LinExpr's dec,
-triple_plus_one and halve inline to three int locals, with the same
-reductions, so they store the ops' own representatives (a collatz segment
+unknown n, in one dict, the walk history: from each visited value's key
+to the first exponent stored for it.  Over GF(2^m) the key is the value.
+Over a prime field it is the value's class {v, p - v}, under
+min(v, p - v): the walk ignores a root's sign, so a root step's two
+roots are one class.  The history starts as a copy of Table I,
+precomputed generator powers g^k stored with A = 0 and B = k mod N
+(exponent known exactly); they go in first and are never overwritten.
+Every entry is a plain tuple (A, B, k), with 2^k * log(key) = A*n + B
+(mod N).  For k >= 1 an exponent of v holds for p - v too, since
+2^k * N/2 = 0 (mod N); a k = 0 exponent (a start, a Table I entry, or a
+fallback before a segment's first root) of a v above p/2 is stored under
+p - v with B + N/2, as log(p - v) = log v + N/2.  Both segments apply
+LinExpr's dec, triple_plus_one and halve inline to three int locals, with
+the same reductions, so they store the ops' own representatives (a collatz segment
 never subtracts, so its A and B are never negative and 3m + 1 tests only
 A, B < N); each carries t = 2^k mod N, doubled on every root, so A and B
 stay inside (-N, N), and k, the roots taken since the segment's start, is
 a small int; a prime segment also halves w = 2^-(k+1) mod s, the scale of
 an odd-part root's exponent, on every root.  The char2 segment is the
 inverse branch alone: a division lowers B by t, a root raises k and
-doubles t, and A stays 1.  A trace row holds the tuple the walk stored;
-a LinExpr is built only for collision_solve and the CLI's -v rows.  So
+doubles t, and A stays 1.  A trace row holds the exponent of the value
+it reached, which the walk stores but for that B + N/2; a LinExpr is
+built only for collision_solve and the CLI's -v rows.  So
 each history entry is a tuple of three ints, which the cyclic GC stops
 tracking, and the history's memory is linear in the steps.
 
-A reached value meets the history one way, by one seen.setdefault(value,
-expr) for each segment start and each value a step produces (the
-fallback's, or both roots): expr is a tuple built for that call, so only a
-miss, which stores it, returns it, and a hit keeps the first entry and is a
-collision for _attempt.  A collision yields a linear congruence for n whose
+A reached value meets the history one way, by one seen.setdefault(key,
+expr) for each segment start and each step (the fallback's value, or the
+class of both roots), so a step stores at most one entry: expr is a tuple
+built for that call, so only a miss, which stores it, returns it, and a
+hit keeps the first entry and is a collision for _attempt.  A collision
+yields a linear congruence for n whose
 candidates are verified by exponentiation; the first verified one wins.  A
 degenerate collision, or one with more than D_MAX solutions, is walked
 past: the walk is random, so it cannot be trapped.  The true n solves
@@ -91,6 +100,16 @@ class WalkInvariantError(RuntimeError):
 
 class UnsupportedGroupError(ValueError):
     """A variant the group does not run (e.g. 3x+1 when 3 | p-1)."""
+
+
+def check_variant(params, variant: str) -> None:
+    """UnsupportedGroupError unless the group runs the variant: the one
+    copy of that decision, for the walk and for the CLI before it opens
+    an output file."""
+    if variant not in params.variants:
+        raise UnsupportedGroupError(
+            f"variant {variant!r} does not run on {params};"
+            f" it runs {', '.join(params.variants)}")
 
 
 def _check_count(name: str, value, least: int):
@@ -147,7 +166,7 @@ class TraceRecord(NamedTuple):
     segment: int
     value: int
     branch: str  # "div", "cube" or "sqrt"
-    expr: tuple[int, int, int]  # the (A, B, k) the walk stored
+    expr: tuple[int, int, int]  # the (A, B, k) of the value reached
     result: int | None = None
     roots: tuple[int, int] | None = None
     chosen: int | None = None
@@ -216,10 +235,7 @@ class _Walk:
         self.config = config
         self.order = params.order
 
-        if config.variant not in params.variants:
-            raise UnsupportedGroupError(
-                f"variant {config.variant!r} does not run on {params};"
-                f" it runs {', '.join(params.variants)}")
+        check_variant(params, config.variant)
         self.target = params.element(target)
         # the prime fallback step: divide by a (inverse), or cube when None
         self.inv_a = None
@@ -228,9 +244,15 @@ class _Walk:
         if config.variant != "char2":  # the walk's only search for a log
             self.e_target = sylow_log(self.target, params)
             # T''s and G''s tables of each window, paired: an odd-part root
-            # reads both in one pass
-            self.odd_tables = tuple(zip(_odd_power_tables(self.target, params),
-                                        params.odd_tables, strict=True))
+            # reads the first three pairs in one expression, padded with
+            # (1,) tables for s < 2^16, and loops over the rest
+            pairs = list(zip(_odd_power_tables(self.target, params),
+                             params.odd_tables, strict=True))
+            pairs += [((1,), (1,))] * (3 - len(pairs))
+            self.odd_head = pairs[:3]
+            self.odd_tail = tuple(
+                (i * _ODD_WINDOW_BITS, t_table, g_table)
+                for i, (t_table, g_table) in enumerate(pairs[3:], 3))
         if table is None:
             table = build_table_one(params)
         self.max_steps = config.max_steps or default_max_steps(self.order)
@@ -241,8 +263,11 @@ class _Walk:
             self.next_bit = self.rng.getrandbits
 
         # the history: Table I first, then the first exponent stored for
-        # each value the walk reaches, as a plain tuple (A, B, k)
+        # each key the walk reaches, as a plain tuple (A, B, k)
         self.seen = {v: (0, k % self.order, 0) for v, k in table.items()}
+        if config.variant != "char2":  # each under its ± class's key
+            self.seen = dict(self._entry(v, expr)
+                             for v, expr in self.seen.items())
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0
@@ -258,12 +283,13 @@ class _Walk:
         value, j = self.target, 0
         while True:
             # a segment starts at target * g^j with exponent n + j; a start
-            # already in the history is a collision like any other.  expr is
-            # a fresh tuple, so setdefault returns it exactly on a miss
+            # already in the history is a collision like any other.  entry
+            # is a fresh tuple, so setdefault returns it exactly on a miss
             expr = (1, j, 0)
+            key, entry = self._entry(value, expr)
             outcome = None
-            if seen.setdefault(value, expr) is not expr:
-                outcome = self._attempt(value, expr, self.steps_taken)
+            if seen.setdefault(key, entry) is not entry:
+                outcome = self._attempt(key, entry, self.steps_taken)
             if outcome is None:
                 try:  # a field op refusing a reached value is a broken walk
                     outcome = segment(value, expr)
@@ -281,20 +307,28 @@ class _Walk:
 
     def _segment_prime(self, value, expr):
         """The sign-ignorant walk on (A, B, k) in locals, stored as a plain
-        tuple, which a trace row holds as it is: the LinExpr ops inline.
-        A root in the odd part (log 0) is built here, checked and ordered
-        as sqrt_mod_p checks and orders a root; any other root is
-        sqrt_mod_p's.  Since 2^(k+1) * log(root) = A*n + B (mod N), the
-        odd part's root is T'^(A*w) * G'^(B*w), w = 2^(-(k+1)) mod s, with
-        T' and G' the odd parts of the target g^n and of g: one lookup per
-        8-bit window of each exponent, both read in one pass from that
-        window's (T' table, G' table) pair in self.odd_tables, and the
-        product reduced once."""
+        tuple under its value's ± class: the LinExpr ops inline.  A value v
+        meets and is stored under min(v, p - v), a k = 0 exponent of a v
+        above p/2 with B + N/2 (_entry; one with k >= 1 holds for both),
+        so one setdefault a step stores at most one entry; a root step
+        meets r1, the smaller root, alone.  A trace row holds the exponent
+        of the value reached.  A root in the odd part (log 0) is built here,
+        checked and ordered as sqrt_mod_p checks and orders a root; any
+        other root is sqrt_mod_p's.  Since 2^(k+1) * log(root) = A*n + B
+        (mod N), the odd part's root is T'^(A*w) * G'^(B*w),
+        w = 2^(-(k+1)) mod s, with T' and G' the odd parts of the target
+        g^n and of g: one lookup per 8-bit window of each exponent, from
+        that window's (T' table, G' table) pair, the first three pairs in
+        one product (self.odd_head) and the rest in a loop
+        (self.odd_tail, empty for s < 2^24), reduced once."""
         params, seen, order = self.params, self.seen, self.order
         root = sqrt_mod_p  # for e != 0, read once: a layer tracer wraps it
         p, a, inv_a = params.p, params.a, self.inv_a
         top, mask = params.sqrt_top, (1 << params.r) - 1
-        s, odd_tables = params.s, self.odd_tables
+        s = params.s
+        (t0, g0), (t1, g1), (t2, g2) = self.odd_head
+        odd_tail, wmask = self.odd_tail, _ODD_WINDOW_MASK
+        shift1, shift2 = _ODD_WINDOW_BITS, 2 * _ODD_WINDOW_BITS
         w = params.sqrt_exp  # 2^(-(k+1)) mod s, halved as t doubles
         fallback = "cube" if inv_a is None else "div"
         low = -order  # negated once, not on every division
@@ -308,7 +342,6 @@ class _Walk:
         t = 1  # 2^k mod N, for the ops and each root: every start has k = 0
         first = self.steps_taken + 1  # steps is stored back where it is read
         for steps in range(first, first + self.max_steps):
-            outcome = None
             if e & 1:
                 if inv_a is None:  # 3m + 1: the +1 is 2^k = t in B
                     # A, B >= 0: a collatz segment starts at (1, j, 0)
@@ -327,22 +360,29 @@ class _Walk:
                         B += order
                     e -= 1
                 expr = (A, B, k)
-                if seen.setdefault(new, expr) is not expr:
-                    outcome = self._attempt(new, expr, steps)
-                if trace is not None:
+                if trace is not None:  # a row does not depend on the collision
                     trace.append(TraceRecord(steps, segment, value, fallback,
                                              expr, result=new))
+                key = p - new
+                if new < key:
+                    key = new
+                elif not k:  # stored under p - new with B + N/2
+                    key, expr = self._entry(new, expr)
+                if seen.setdefault(key, expr) is not expr:
+                    outcome = self._attempt(key, expr, steps)
+                    if outcome is not None:
+                        return outcome
             else:  # m / 2: one more root taken
                 if e:  # the c^(-h) window product is sqrt_mod_p's alone
                     r1, r2, e = root(value, params, e)
                 else:  # in the odd part: T'^(A*w) * G'^(B*w), log 0
                     x, y = A * w % s, B * w % s  # one digit each for s < 2^30
-                    r1 = 1
-                    for t_table, g_table in odd_tables:
-                        r1 *= (t_table[x & _ODD_WINDOW_MASK]
-                               * g_table[y & _ODD_WINDOW_MASK])
-                        x >>= _ODD_WINDOW_BITS
-                        y >>= _ODD_WINDOW_BITS
+                    r1 = (t0[x & wmask] * g0[y & wmask]
+                          * t1[x >> shift1 & wmask] * g1[y >> shift1 & wmask]
+                          * t2[x >> shift2 & wmask] * g2[y >> shift2 & wmask])
+                    for shift, t_table, g_table in odd_tail:
+                        r1 *= (t_table[x >> shift & wmask]
+                               * g_table[y >> shift & wmask])
                     r1 %= p
                     if r1 * r1 % p != value:  # a wrong log, exponent or w
                         raise WalkInvariantError(
@@ -356,21 +396,25 @@ class _Walk:
                     t -= order
                 w = (w + s) >> 1 if w & 1 else w >> 1  # w / 2 mod s
                 expr = (A, B, k)
+                # r1 < r2 = p - r1: r1 is the key of both roots' class
                 if seen.setdefault(r1, expr) is not expr:
                     outcome = self._attempt(r1, expr, steps)
-                if outcome is None and seen.setdefault(r2, expr) is not expr:
-                    outcome = self._attempt(r2, expr, steps)
-                bit = next_bit(1) if outcome is None else None
-                new = r2 if bit else r1
+                    if outcome is not None:  # solved: no root is chosen
+                        if trace is not None:
+                            trace.append(TraceRecord(steps, segment, value,
+                                                     "sqrt", expr,
+                                                     roots=(r1, r2)))
+                        return outcome
+                bit = next_bit(1)
                 if bit:
+                    new = r2
                     e ^= top
+                else:
+                    new = r1
                 if trace is not None:
                     trace.append(TraceRecord(
-                        steps, segment, value, "sqrt", expr,
-                        roots=(r1, r2), chosen=None if bit is None else new,
-                        decision=bit))
-            if outcome is not None:
-                return outcome
+                        steps, segment, value, "sqrt", expr, roots=(r1, r2),
+                        chosen=new, decision=bit))
             value = new
         self.steps_taken = steps
         return None  # budget spent
@@ -414,20 +458,31 @@ class _Walk:
         self.steps_taken = steps
         return None  # budget spent
 
+    def _entry(self, value, expr):
+        """The history key of a value reached with the k = 0 exponent expr,
+        and the entry that holds for that key.  A prime field keys the
+        class {v, p - v} under its smaller member, and log(p - v) = log v +
+        N/2; GF(2^m) keys v itself, since -v = v there."""
+        if self.config.variant != "char2" and self.params.p - value < value:
+            A, B, _ = expr
+            return (self.params.p - value,
+                    (A, (B + (self.order >> 1)) % self.order, 0))
+        return value, expr
+
     # -- collision handling -------------------------------------------------
 
-    def _attempt(self, value: int, expr, steps: int):
-        """Solve the collision, at step `steps`, of a value in the history.
+    def _attempt(self, key: int, expr, steps: int):
+        """Solve the collision, at step `steps`, of a key in the history.
 
-        Every start or step value found in the history comes here, with the
-        exponent `expr` it was reached by, a plain (A, B, k).
+        Every start or step key found in the history comes here, with the
+        exponent `expr` that the walk reached it by, a plain (A, B, k).
         No candidate is verified elsewhere.  Returns the verified DlogResult,
         or None past a degenerate collision or one with over D_MAX
         candidates; any other that verifies none raises WalkInvariantError.
         """
         self.steps_taken = steps
         self.collisions_tested += 1
-        reached, stored = LinExpr(*expr), LinExpr(*self.seen[value])
+        reached, stored = LinExpr(*expr), LinExpr(*self.seen[key])
         try:
             sol = collision_solve(reached, stored, self.order)
             candidates = enumerate_candidates(sol, self.order, D_MAX)
@@ -440,7 +495,7 @@ class _Walk:
             if self.params.pow(self.params.generator, n) == self.target:
                 return self._result(n, sol)
         raise WalkInvariantError(
-            f"no candidate verified at {self.params.format(value)}:"
+            f"no candidate verified at {self.params.format(key)}:"
             f" {reached} against the stored {stored}")
 
     # -- bookkeeping ---------------------------------------------------------

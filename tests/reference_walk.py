@@ -9,7 +9,13 @@ no log, so each searches; from a non-residue it divides by the generator
 LinExpr ops, with t = 2^k mod N computed afresh.  Each segment start and
 each value a step makes is looked up in the history, which starts as
 Table I, {g^(2^j): 2^j}: a hit is a collision, whose candidates (at most
-walk.D_MAX, read at call time) are verified, and a miss is stored.  The
+walk.D_MAX, read at call time) are verified, and a miss is stored.  A
+prime field's history is keyed by the class {v, p - v}, under its smaller
+member: the sign the walk ignores.  2^k * log(p - v) = 2^k * log v + 2^k *
+N/2, which is 2^k * log v (mod N) for k >= 1, so an exponent holds for
+both members, and for k = 0 one reached at the larger member is restated
+for the smaller with B + N/2.  The two roots of a step are one class, met
+once.  The
 true n solves every collision, so one that is neither degenerate nor has
 too many candidates, and verifies none, raises WalkInvariantError.  A
 segment runs ceil(20 * sqrt(N)) steps, or max_steps; the first starts at
@@ -59,8 +65,8 @@ class _Reference:
         if table is None:
             table = {params.pow(self.g, 1 << j): 1 << j
                      for j in range(self.order.bit_length())}
-        self.history = {v: LinExpr(0, k % self.order, 0)
-                        for v, k in table.items()}
+        self.history = dict(self.key(v, LinExpr(0, k % self.order, 0))
+                            for v, k in table.items())
         self.budget = config.max_steps or math.ceil(20 * math.sqrt(self.order))
         self.rng = random.Random(0 if config.seed is None else config.seed)
         self.script = None if config.choices is None else iter(config.choices)
@@ -93,7 +99,7 @@ class _Reference:
         if legendre(value, params) == 1:  # m / 2, to either root
             expr = expr.halve()
             r1, r2, _ = sqrt_mod_p(value, params)
-            outcome = self.meet(r1, expr) or self.meet(r2, expr)
+            outcome = self.meet(r1, expr)  # r2 = p - r1: the same class
             bit = None if outcome else self.bit()
             new = r2 if bit else r1
             self.row(value, "sqrt", expr, roots=(r1, r2),
@@ -133,10 +139,21 @@ class _Reference:
             self.trace.append(TraceRecord(self.steps, self.restarts, value,
                                           branch, expr, **fields))
 
+    def key(self, value, expr):
+        """The history key of a value reached with exponent expr, and expr
+        restated for that key: the smaller of v and p - v on a prime field,
+        where p - v has log v + N/2."""
+        if self.config.variant == "char2" or value < self.params.p - value:
+            return value, expr
+        if expr.k == 0:
+            expr = LinExpr(expr.A, (expr.B + self.order // 2) % self.order, 0)
+        return self.params.p - value, expr
+
     def meet(self, value, expr):
-        """Store a reached value, or solve its collision with the stored
-        one: the verified DlogResult, or None to walk on past a degenerate
-        collision or one with too many candidates."""
+        """Store a reached value under its key, or solve its collision with
+        the stored one: the verified DlogResult, or None to walk on past a
+        degenerate collision or one with too many candidates."""
+        value, expr = self.key(value, expr)
         if value not in self.history:
             self.history[value] = expr
             return None

@@ -498,12 +498,24 @@ def test_bench_unwritable_path(tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "out.csv"
     csv_path.write_text("kept\n")
     with pytest.raises(SystemExit) as info:
+        main(["bench", "--p", "103", "--gen", "5", "--trials", "0",
+              "--seed", "0", "--csv", str(csv_path)])
+    assert info.value.code == 2
+    assert "trial_count must be >= 1" in capsys.readouterr().err
+    assert len(trials) == 1
+    assert csv_path.read_text() == "kept\n"
+
+
+def test_bench_refuses_a_variant_before_opening_output(tmp_path, capsys):
+    # 3 | 1008, so collatz does not run on 1009: refused by the walk's own
+    # check, before the output check would create the file
+    csv_path = tmp_path / "newout.csv"
+    with pytest.raises(SystemExit) as info:
         main(["bench", "--p", "1009", "--gen", "11", "--variant", "collatz",
               "--trials", "3", "--seed", "0", "--csv", str(csv_path)])
     assert info.value.code == 2
     assert "does not run on 1009" in capsys.readouterr().err
-    assert len(trials) == 1
-    assert csv_path.read_text() == "kept\n"
+    assert not csv_path.exists()
 
 
 def test_bench_gf2m(capsys, tmp_path):

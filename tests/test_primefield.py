@@ -4,7 +4,8 @@ import time
 import pytest
 
 from dlogwalk.primefield import (_ODD_WINDOW_BITS, _ODD_WINDOW_MASK,
-                                 PrimeGroupParams, _odd_power_tables,
+                                 PrimeGroupParams, _brent_divisor,
+                                 _odd_power_tables,
                                  is_probable_prime, legendre, mod_pow,
                                  prime_factors, sqrt_mod_p, sylow_log)
 
@@ -103,6 +104,17 @@ def test_prime_factors_splits_large_cofactors():
     with pytest.raises(ValueError, match=rf"^cannot factor {2**101 - 1}: "):
         prime_factors(2**101 - 1)
     assert time.perf_counter() - start < 1
+
+
+def test_brent_divisor_steps_back_through_a_batch():
+    # small composites cycle mod every prime factor within one batch of
+    # iterations, so the batch's gcd is n itself, 454 times below 20000:
+    # the step back through the batch, one gcd an iteration, finds the
+    # first iteration whose gcd is not 1, a proper divisor or n
+    for n in range(9, 20000, 2):
+        if not is_probable_prime(n):
+            d = _brent_divisor(n)
+            assert d is not None and 1 < d < n and n % d == 0, n
 
 
 def test_params_take_the_factors_rho_cannot_find():

@@ -20,6 +20,7 @@ P2003 = PrimeGroupParams(2003, 5)
 P257 = PrimeGroupParams(257, 3)     # 256 = 2^8: 2-Sylow logs of 8 bits
 P7340033 = PrimeGroupParams(7340033, 3)  # 7 * 2^20: logs of 20 bits
 P1048571 = PrimeGroupParams(1048571, 2)  # 2 * 524285: r = 1
+P16776899 = PrimeGroupParams(16776899, 2)  # the benchmark's prime_safe24
 GF27 = BinaryFieldParams(7, 0x83)
 GF213 = BinaryFieldParams(13, 0x201B)
 
@@ -194,9 +195,11 @@ def test_roots_are_given_the_log_found_once_per_solve(
         searches.clear()
         target = rng.randrange(1, params.p)
         result = run_dlog(params, target, WalkConfig(
-            variant=variant, seed=seed, max_steps=12))
+            variant=variant, seed=seed, max_steps=8))
         assert searches == [target]
         restarts += result.restarts
+    # 8-step segments: P101 collatz restarted 0 times in 40 solves with
+    # 12, since its history holds 50 classes, and 8 times with 8
     assert restarts > 5
 
 
@@ -245,32 +248,40 @@ def test_a_wrong_odd_part_scale_raises():
 # (n, steps_taken, restarts, collisions_tested, candidates_tried) for seeds
 # 0-9 with max_steps=8, max_restarts=16.  Every segment after the first
 # starts at target * g^j and the history is kept, so every row solves; a
-# start already in the history is a collision (inverse seeds 1, 6 and 7,
-# collatz 2, 6 and 9, char2 6 here, and P257 inverse 7 and collatz 5).
+# start already in the history is a collision (inverse seeds 1, 6, 7 and 9,
+# collatz 2, 6 and 9, char2 6 here, and P257 inverse 3 and 7 and collatz 3
+# and 5).  The prime history keys the class {v, p - v}: a root step meets
+# one key where it met both roots, so inverse seed 6 and collatz seed 6
+# test one collision fewer, and a start or fallback value now meets an
+# entry stored for its negation, so inverse seed 9 solves at step 32, where
+# a segment starts at -g^32 and meets Table I's g^32, not at 39.
 GOLDEN_SHORT_SEGMENTS = {
     "inverse": [(1098, 72, 8, 1, 1), (1098, 16, 2, 1, 1), (1098, 45, 5, 1, 1),
                 (1098, 24, 2, 1, 1), (1098, 28, 3, 1, 1), (1098, 10, 1, 1, 1),
-                (1098, 84, 10, 4, 1), (1098, 32, 4, 1, 1), (1098, 20, 2, 1, 1),
-                (1098, 39, 4, 1, 1)],
+                (1098, 84, 10, 3, 1), (1098, 32, 4, 1, 1), (1098, 20, 2, 1, 1),
+                (1098, 32, 4, 1, 1)],
     "collatz": [(1098, 35, 4, 1, 1), (1098, 17, 2, 1, 8), (1098, 72, 9, 1, 1),
                 (1098, 21, 2, 1, 1), (1098, 22, 2, 1, 1), (1098, 30, 3, 1, 1),
-                (1098, 21, 2, 4, 2), (1098, 14, 1, 1, 1), (1098, 62, 7, 1, 1),
+                (1098, 21, 2, 3, 2), (1098, 14, 1, 1, 1), (1098, 62, 7, 1, 1),
                 (1098, 48, 6, 1, 4)],
     "char2": [(38, 17, 2, 1, 1), (38, 4, 0, 1, 1), (38, 7, 0, 1, 1), (38, 8, 0, 1, 1),
               (38, 31, 3, 4, 1), (38, 9, 1, 1, 1), (38, 25, 3, 2, 1),
               (38, 14, 1, 1, 1), (38, 7, 0, 1, 1), (38, 7, 0, 1, 1)],
 }
 # The same rows on P257 (r = 8, target 100 = 3^206), where every root step
-# runs the table-driven Tonelli-Shanks.
+# runs the table-driven Tonelli-Shanks.  Its 128 classes are half its 256
+# values, so class keys move more rows here: collatz seed 6 tests one
+# collision fewer, and inverse seeds 3 and 7 and collatz seeds 2, 3, 7 and
+# 9 solve sooner, on an entry stored for the negation of their value.
 GOLDEN_SHORT_SEGMENTS_P257 = {
     "inverse": [(206, 11, 1, 1, 1), (206, 10, 1, 1, 1), (206, 24, 2, 1, 1),
-                (206, 13, 1, 1, 1), (206, 18, 2, 2, 1), (206, 20, 2, 1, 1),
-                (206, 15, 1, 1, 1), (206, 24, 3, 1, 1), (206, 9, 1, 1, 1),
+                (206, 8, 1, 1, 1), (206, 18, 2, 2, 1), (206, 20, 2, 1, 1),
+                (206, 15, 1, 1, 1), (206, 8, 1, 1, 1), (206, 9, 1, 1, 1),
                 (206, 9, 1, 1, 1)],
-    "collatz": [(206, 26, 3, 1, 1), (206, 16, 1, 1, 1), (206, 24, 2, 1, 1),
-                (206, 13, 1, 1, 1), (206, 13, 1, 1, 2), (206, 8, 1, 1, 1),
-                (206, 28, 3, 4, 1), (206, 35, 4, 2, 1), (206, 15, 1, 1, 1),
-                (206, 29, 3, 1, 1)],
+    "collatz": [(206, 26, 3, 1, 1), (206, 16, 1, 1, 1), (206, 15, 1, 1, 1),
+                (206, 8, 1, 1, 1), (206, 13, 1, 1, 2), (206, 8, 1, 1, 1),
+                (206, 28, 3, 3, 1), (206, 27, 3, 2, 1), (206, 15, 1, 1, 1),
+                (206, 9, 1, 1, 1)],
 }
 GOLDEN_BENCH_CSV_SHA256 = (
     "4178afb3827719525082c794e7ac744993a16a45a80d15df2cdd07f9e50afa09")
@@ -313,10 +324,18 @@ def test_golden_step_counts_deep_r(variant):
         GOLDEN_SHORT_SEGMENTS_P257[variant]
 
 
+def _class_key(params, v):
+    """The history key of v: min(v, p - v) on a prime field, v on GF(2^m)."""
+    if isinstance(params, BinaryFieldParams):
+        return v
+    return min(v, params.p - v)
+
+
 @pytest.mark.parametrize("variant", ["inverse", "collatz", "char2"])
 def test_table_one_seeds_the_history(variant):
     # the history is the one collision store: it starts with every Table I
-    # entry g^k as the plain tuple (0, k mod N, 0), and no step or restart
+    # entry g^k as the plain tuple (0, k mod N, 0) under its key, with
+    # k + N/2 under p - g^k, the log of -g^k, and no step or restart
     # overwrites one; the shared table itself is only read
     params, target = (GF27, 0x1D) if variant == "char2" else (P2003, 777)
     table = build_table_one(params)
@@ -330,7 +349,10 @@ def test_table_one_seeds_the_history(variant):
             values = [rec.result] if rec.roots is None else rec.roots
             reached += any(v in table for v in values)
         for v, k in table.items():
-            known = w.seen[v]
+            key = _class_key(params, v)
+            known = w.seen[key]
+            if key != v:
+                k += params.order // 2
             assert type(known) is tuple and known == (0, k % params.order, 0)
     assert table == before
     assert reached > 0  # some steps land on Table I entries
@@ -361,6 +383,43 @@ def test_stored_restart_start_solves_without_a_step(variant):
     assert result.trace == first.trace
 
 
+@pytest.mark.parametrize("variant", ["inverse", "collatz"])
+@pytest.mark.parametrize("params,max_steps", [
+    (P2003, 8), (P7340033, None), (P16776899, None)])
+def test_history_keeps_one_entry_per_class(params, max_steps, variant):
+    # the prime history keys the class {v, p - v} under its smaller member,
+    # one entry per Table I class, segment start and step at most, and each
+    # entry holds for its key: a k = 0 exponent reached at p - key has
+    # B + N/2 there, as log(p - v) = log v + N/2.  Every target here lies
+    # above p/2, so every walk's first start takes that path, and so do
+    # k = 0 fallbacks (a division or cube before a segment's first root)
+    # that land above p/2
+    p, g, order = params.p, params.generator, params.order
+    logs = {pow(g, i, p): i for i in range(order)} if p == 2003 else None
+    negated_fallbacks = 0
+    for seed in range(10):
+        n = random.Random(seed).randrange(order)
+        if pow(g, n, p) < p / 2:
+            n = (n + order // 2) % order  # g^(N/2) = -1
+        w = _Walk(params, pow(g, n, p), WalkConfig(
+            variant=variant, seed=seed, max_steps=max_steps, trace=True), None)
+        result = w.run()
+        assert result.n == n
+        assert len(w.seen) <= (order.bit_length() + result.steps_taken
+                               + result.restarts + 1)
+        for key, (A, B, k) in w.seen.items():
+            assert key <= (p - 1) // 2
+            if k == 0 and logs is not None:  # by brute force
+                assert logs[key] == (A * n + B) % order
+            else:
+                assert pow(key, pow(2, k, order), p) == \
+                    pow(g, (A * n + B) % order, p)
+        negated_fallbacks += sum(
+            rec.branch != "sqrt" and rec.expr[2] == 0 and rec.result > p / 2
+            for rec in result.trace)
+    assert negated_fallbacks > 0
+
+
 def _solving_ops(params, variant, seed):
     """Solve a seeded instance; return the op that reached the solving
     collision's value and the op that stored it: "div", "cube", "sqrt",
@@ -375,12 +434,12 @@ def _solving_ops(params, variant, seed):
         attempt(v, expr, steps)
     result = w.run()
     assert result.n == n
-    # replay the stores in walk order: a value keeps its first op
+    # replay the stores in walk order: a key keeps its first op
     for prev, rec in zip([None] + result.trace, result.trace):
         if prev is None or rec.segment != prev.segment:
-            origin.setdefault(rec.value, "start")
+            origin.setdefault(_class_key(params, rec.value), "start")
         for v in [rec.result] if rec.roots is None else rec.roots:
-            origin.setdefault(v, rec.branch)
+            origin.setdefault(_class_key(params, v), rec.branch)
     assert set(w.seen) <= set(origin)
     # the solving collision: the last hit, whose congruence is the result's
     v, expr = hits[-1]
@@ -427,10 +486,11 @@ def test_mean_steps_lie_in_the_models_band(variant):
 def test_golden_too_many_candidates_skipped(monkeypatch):
     # D_MAX = 1 makes every collision with two or more candidates one the
     # walk passes by without a restart; a later one with a single
-    # candidate solves
+    # candidate solves; one history entry per class {v, p - v} makes 5
+    # collisions where an entry for each root made 7
     monkeypatch.setattr(walk, "D_MAX", 1)
     assert _counts(run_dlog(P2003, 777, WalkConfig(seed=0))) == \
-        (1098, 88, 0, 7, 1)
+        (1098, 88, 0, 5, 1)
 
 
 def test_golden_bench_csv():
