@@ -1,11 +1,8 @@
 """Step-count measurements for the walk variants.
 
-Each trial draws a uniformly random exponent n, computes the matching
-target, and times the solver on it.  The drawn n depends only on
-(seed_base, trial index), never on the variant, so step counts are
-comparable across variants on identical instances.  Wall-clock time is
-recorded only when `timing` is on; the default leaves the nanos column at 0
-so that identical seeds give byte-identical CSV output.
+Trial i solves for an n drawn from seed_base + i alone, so every variant
+meets the same instances.  nanos is 0 unless `timing` is on, so identical
+seeds give byte-identical CSV.
 """
 
 import csv

@@ -1,15 +1,11 @@
 """Command-line front end: solve (alias solve-gf2m), oracle, bench, selftest.
 
-Exit codes: 0 success, 1 solver failure, selftest mismatch or an order past
-oracle's BSGS limit, 2 bad usage or unwritable output.  main decides them
-once: a ValueError is bad input refused before the walk's first step (exit
-2), such as a group that is not one or whose order rho cannot split, and a
-broken walk (WalkInvariantError) or used-up --choices is a solver failure.
-Prime-field elements are decimal, binary-field elements hex (bit 0 = constant
-term; the modulus includes bit m, so x^7+x+1 is 0x83).
+`main` alone maps errors to the exit codes of README's "CLI": a ValueError
+is bad input (2), a broken walk or used-up --choices a solver failure (1).
 """
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -122,9 +118,12 @@ def cmd_bench(args) -> int:
 
     params = _params(args)
     config = _walk_config(args, params)
-    try:  # refused before the first trial; appending changes no file's bytes
+    try:  # refused before the first trial, leaving every file as it was
         for path in filter(None, (args.csv, args.json)):
+            made = not os.path.exists(path)
             open(path, "a").close()
+            if made:
+                os.remove(path)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from None
     records = bench.run_trials(params, config, args.trials, args.seed_base,

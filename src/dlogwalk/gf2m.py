@@ -1,21 +1,20 @@
-"""Polynomial-basis arithmetic for GF(2^m).
+"""Polynomial-basis arithmetic for GF(2^m), and the window tables of the
+linear maps that both fields' roots read.
 
 Elements are ints used as bit masks: bit i is the coefficient of x^i, so
 the modulus x^7 + x + 1 is 0x83 and the generator x is 0x02.  Addition is
-xor.  Squaring is a field automorphism (Frobenius), so every element has
-exactly one square root.  Frobenius is additive, (u + v)^2 = u^2 + v^2, so
-its inverse, the square root, is a GF(2)-linear map: sqrt(u) is the xor of
-sqrt(x^j) over the bits j set in u, where sqrt(x^(2t)) = x^t and
-sqrt(x^(2t+1)) = x^t * sqrt(x) (Fong, Hankerson, Lopez and Menezes, "Field
-inversion and point halving revisited", IEEE Trans. Computers 53(8), 2004).
-Squaring, the Frobenius map itself, is GF(2)-linear too.  Each field
-precomputes both maps once, as one xor table per window of at most 11 bits
-of an element (`_linear_tables`), so a root or a square costs one table
-lookup per window: two for m <= 22, three for m <= 33.  A prime field's
-root tables, the powers c^(-h) of `sqrt_mod_p`, come from the same builder
-with a product mod p in place of xor, and are read the same way.  `gf_pow`
-squares through the square tables and calls `gf_mul` only to multiply by
-its base.
+xor.  Squaring, the Frobenius map, is a GF(2)-linear automorphism, so
+every element has exactly one square root and the root map is linear
+too: sqrt(u) is the xor of sqrt(x^j) over the bits j set in u, where
+sqrt(x^(2t)) = x^t and sqrt(x^(2t+1)) = x^t * sqrt(x) (Fong, Hankerson,
+Lopez and Menezes, IEEE Trans. Computers 53(8), 2004).
+
+A linear map is stored as one table per window of at most 11 bits of its
+argument (`_linear_tables`): entry b of table i is the image of
+b * x^(11i), so an image costs one lookup per window, two for m <= 22.
+The same builder, with a product mod p in place of xor, makes a prime
+field's root tables c^(-h) and the odd parts' powers (fixed-base windows,
+Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992), read the same way.
 """
 
 from itertools import repeat
@@ -25,9 +24,7 @@ from ._record import Record
 
 GENERATOR = 0b10  # the element x
 
-# Most bits of an argument that one lookup in a `_linear_tables` table
-# handles, for GF(2^m) elements and prime roots' half logs alike; each
-# window's table holds up to 2^11 entries.
+# window bits of a `_linear_tables` table, for GF(2^m) and prime roots alike
 _MAX_WINDOW_BITS = 11
 _WINDOW_MASK = (1 << _MAX_WINDOW_BITS) - 1
 
@@ -40,15 +37,11 @@ def _poly_mod(v: int, f: int) -> int:
 
 
 class BinaryFieldParams(Record):
-    """The group GF(2^m)* of a primitive modulus polynomial f of degree m.
-
-    The generator is x, and `check_generator`'s order test is the whole
-    check on f: if x has order 2^m - 1 in GF(2)[x]/(f), every nonzero
-    element is a power of x and so a unit, the ring is a field, f is
-    irreducible and x is primitive.  sqrt_tables and square_tables are
-    derived, and == ignores them: the square-root map and the squaring
-    map, one table per 11-bit window of an element, entry b of table i
-    being the root (the square) of b * x^(11i).
+    """The group GF(2^m)* of a primitive modulus polynomial f of degree m,
+    generated by x; ValueError unless `check_generator` accepts x, the
+    whole check on f (README's "Library").  sqrt_tables and square_tables,
+    the root and squaring maps' window tables, are derived, and == ignores
+    them.
     """
 
     _fields = ("m", "poly")
@@ -72,7 +65,6 @@ class BinaryFieldParams(Record):
             [_poly_mod(1 << (2 * j), poly) for j in range(m)])
         check_generator(self)
         root_x = gf_pow(GENERATOR, 1 << (m - 1), self)  # x^(2^(m-1))
-        # sqrt(x^j) = x^(j // 2), times sqrt(x) when j is odd
         self.sqrt_tables = _linear_tables(
             [gf_mul(1 << (j >> 1), root_x if j & 1 else 1, self)
              for j in range(m)])
@@ -112,12 +104,10 @@ def _xor_all(table: list[int], image: int):
 def _linear_tables(images: list[int], step=_xor_all, unit: int = 0,
                    bits: int = _MAX_WINDOW_BITS) -> tuple[tuple[int, ...], ...]:
     """The map f with f(0) = unit and f(b + 2^j) = f(b) combined with
-    images[j] for b < 2^j, as one table per window of `bits` bits of its
-    argument (the last window takes the bits left): entry b of table i is
+    images[j] for b < 2^j, one table per window of `bits` bits of its
+    argument, the last for the bits left: entry b of table i is
     f(b * 2^(bits*i)).  step(table, image) gives the entries b + 2^j from
-    the 2^j so far.  With xor and 0 it is a GF(2)-linear map on GF(2^m),
-    images[j] being the image of x^j; `PrimeGroupParams` builds c^(-h) and
-    an odd part's powers with a product mod p and 1."""
+    the 2^j so far."""
     tables = []
     for lo in range(0, len(images), bits):
         table = [unit]
@@ -148,12 +138,8 @@ def gf_mul(u: int, v: int, params: BinaryFieldParams) -> int:
 
 
 def gf_sqrt(u: int, params: BinaryFieldParams) -> int:
-    """The unique square root of u != 0, i.e. u^(2^(m-1)).
-
-    The root is linear in u over GF(2) (Frobenius is additive), so it is
-    the xor of one precomputed entry per 11-bit window of u:
-    params.sqrt_tables.
-    """
+    """The unique square root of u != 0, u^(2^(m-1)), from
+    params.sqrt_tables."""
     if u <= 0 or u >> params.m:  # _check_elem only on failure
         _check_elem(u, params)
         raise ValueError("0 has no multiplicative square root")

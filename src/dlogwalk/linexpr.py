@@ -3,22 +3,21 @@
 While the walk transforms a group element it transforms the element's
 unknown discrete log n alongside, as m = (A*n + B) / 2^k, so
 2^k * m = A*n + B (mod N) for the group order N.  A halving raises k
-instead of dividing A and B by 2, which is impossible mod the even p - 1;
-clearing that denominator at a collision, by multiplying both sides with
-2^K, is what makes the square-root sign ambiguity vanish.  Reducing A and B
-mod N is sound, since only their residues enter the congruence; it is
-dividing by 2 that is not.  So the ops keep A and B inside (-N, N) and
-take t = 2^k mod N from the caller: a value stays as it is until it
-leaves that range.  k itself stays exact, a small int, because the
-collision scales 2^(K - k) need it: scaling each side by the other's t
-instead would multiply the congruence by a further 2^min(k1, k2), and its
-gcd with N, hence the candidate count, by up to the 2^r dividing N.
+instead of dividing A and B by 2, which is impossible mod the even p - 1.
+A value's two roots have logs N/2 apart, and 2^k * N/2 = 0 (mod N) for
+k >= 1, so one exponent holds for whichever root the walk took; a
+collision multiplies each side by 2^(K - k_i), K = max(k1, k2), which
+clears the denominators exactly.  Reducing A and B mod N is sound, since
+only their residues enter the congruence; it is dividing by 2 that is
+not.  So the ops keep A and B inside (-N, N) and take t = 2^k mod N from
+the caller: a value stays as it is until it leaves that range.  k itself
+stays exact, a small int, because the collision scales 2^(K - k) need it:
+scaling each side by the other's t instead would multiply the congruence
+by a further 2^min(k1, k2), and its gcd with N, hence the candidate
+count, by up to the 2^r dividing N.
 
-LinExpr's ops are the reference form of the walk's exponent arithmetic.
-The walk does the same arithmetic inline on plain (A, B, k) tuples, on
-both fields, which the cyclic GC stops tracking, and a trace row holds the
-stored tuple itself; the tests pin its steps to these ops.  A LinExpr is
-built only for collision_solve, on both sides of a collision, and for -v.
+LinExpr's ops are the reference form of the arithmetic that the walk does
+inline on plain (A, B, k) tuples.
 """
 
 from math import gcd
@@ -47,12 +46,9 @@ class TooManyCandidatesError(ValueError):
 class LinExpr(NamedTuple):
     """The walk exponent m = (A*n + B) / 2^k as a function of the unknown n.
 
-    Immutable, hashable and equal by value, also to the plain (A, B, k)
-    tuple the walk stores.  The ops keep A and B inside (-N, N) and k
-    exact (see the module docstring); dec and triple_plus_one take
-    t = 2^k mod N and N.  They are the reference the walk's inline steps
-    are tested against, and they stay methods on the class under
-    these names, which the layer tracer in perfbench/ looks up.
+    Equal by value, also to the plain (A, B, k) tuple the walk stores.
+    dec and triple_plus_one take t = 2^k mod N and N.  The layer tracer
+    patches the ops by name (tests/test_tracer_contract.py).
     """
 
     A: int = 1
@@ -133,19 +129,13 @@ def solve_linear(coef: int, rhs: int, order: int) -> CongruenceSolution:
 
 
 def collision_solve(e1: LinExpr, e2: LinExpr, order: int) -> CongruenceSolution:
-    """Solve the congruence arising from two expressions for the same exponent.
-
-    Both sides are scaled by 2^(K - k_i), K = max(k1, k2), which clears the
-    denominators exactly and absorbs the +-(order/2) root ambiguity: the
-    invariant 2^k * exponent = A*n + B (mod order) holds for whichever root
-    the walk took.  The k_i are exact, so the scales are exact powers of 2,
-    taken mod order like A and B.  Resulting congruence:
+    """Solve the congruence of two exponents of one value, each side
+    scaled by 2^(K - k_i) with K = max(k1, k2) (the module docstring):
 
         (2^(K-k1)*A1 - 2^(K-k2)*A2) * n  =  2^(K-k2)*B2 - 2^(K-k1)*B1  (mod order)
 
-    When both sides are 0 mod order the congruence says nothing about n
-    (a self-collision, or a cycle such as 2^m = 1 in GF(2^m)*):
-    DegenerateCollisionError.
+    DegenerateCollisionError when both sides are 0 mod order (a
+    self-collision, or a cycle such as 2^m = 1 in GF(2^m)*).
     """
     big_k = max(e1.k, e2.k)
     m1 = pow(2, big_k - e1.k, order)

@@ -1,26 +1,11 @@
-"""Exact modular arithmetic over Z/pZ.
+"""Exact modular arithmetic over Z/pZ: primality, factoring, the
+generator check, and square roots through the 2-Sylow log.
 
-Everything here works on plain Python ints (arbitrary precision); a
-:class:`PrimeGroupParams` carries the prime p, a primitive root a, which
-`check_generator` verifies, the decomposition p - 1 = 2^r * s with s odd,
-c = a^s and the tables of powers of c from which `sqrt_mod_p` builds a
-square root, and those of a's odd part, from which the walk builds a root
-in the odd-order subgroup.
-
-The walk carries each value's log in the 2-Sylow subgroup <c>: x^s = c^e
-with 0 <= e < 2^r.  e is odd exactly for a non-residue, so the walk
-computes no Legendre symbol; `legendre`, Euler's criterion, remains as a
-tested library function.  `sylow_log` holds the one Tonelli-Shanks search
-for e; a walk runs it once, on its target, and `sqrt_mod_p` runs it only
-when its caller passes no log.  Every later log follows from an earlier
-one, since a^s = c: target * a^j has log e + j, x/a has e - 1 and
-x^3 * a has 3e + 1 (mod 2^r), and `sqrt_mod_p` returns the log of each
-root.  So `sqrt_mod_p`'s root costs one power and one table entry c^(-h)
-per 11-bit window of the half log h = e/2, from tables built and read as
-gf2m's linear maps are (`_linear_tables`).  A walk's root of a value with
-log 0 costs no power: it lies in the odd-order subgroup, and the walk
-builds it from its own exponent as a product of lookups in the odd part's
-fixed-base tables (`_odd_power_tables`).
+A value's log e in the 2-Sylow subgroup <c>, x^s = c^e, is what a prime
+walk carries from step to step (README's "The 2-Sylow log"): `sylow_log`
+searches for it, and `sqrt_mod_p` takes it and returns each root's.  The
+root tables here are built by gf2m's `_linear_tables`, with a product mod
+p in place of xor; gf2m's module docstring tells how they are read.
 """
 
 import math
@@ -70,12 +55,9 @@ def is_probable_prime(n: int) -> bool:
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
-    """The distinct prime factors of n >= 1, in increasing order.
-
-    Brent's rho splits each composite piece until every piece is a
-    probable prime, so a piece such as 715827883 * 2147483647 (from
-    2^62 - 1) costs about the square root of its smaller factor in steps;
-    one that needs over RHO_MAX raises ValueError naming n.
+    """The distinct prime factors of n >= 1, in increasing order, split by
+    `_brent_divisor`; ValueError naming n once a piece needs more than
+    RHO_MAX iterations.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -170,23 +152,15 @@ def _brent_divisor(n: int) -> int | None:
 class PrimeGroupParams(Record):
     """The group (Z/pZ)* of an odd prime p, generated by a primitive root a.
 
-    r and s are derived so that p - 1 = 2^r * s with s odd, and c = a^s,
-    which has order 2^r; sqrt_exp = (s + 1)/2, also 2^(-1) mod s.
-    sqrt_tables gives c^(-h) for the half log h < 2^(r-1) of `sqrt_mod_p`,
-    one table per 11-bit window of h, built by gf2m's `_linear_tables`
-    (none for r = 1): entry b of table i is c^(-b*2^(11i)), the last table
-    only for the bits left (2^11 and 2^8 entries for r = 20).  sqrt_top =
-    2^(r-1) is the top bit of a log, which tells a root from its negative.
-    odd_tables gives G'^b for b < s, G' = a^(2^r * w) with w = 2^(-r) mod
-    s being a's projection on the odd-order subgroup, one table per 8-bit
-    window of b (`_odd_power_tables`; 640 entries for s < 2^23): the walk
-    builds an odd-part root from them, reading each window's table together
-    with the same window's of the target's odd part, since both have one
-    table per 8-bit window of s.  These four are derived from p and
-    a once, so == does not compare them.  `check_generator` verifies a
-    against the primes of p - 1 before any table is built: factors_of_order
-    when given, else `prime_factors`', whose refusal names factors_of_order.
-    It is not stored, so the same group is equal however it was built.
+    p - 1 = 2^r * s with s odd, and c = a^s has order 2^r.  Derived from
+    p and a once, and not compared by ==: sqrt_exp = (s + 1)/2, which is
+    also 2^-1 mod s; sqrt_tables, c^(-h) per 11-bit window of a half log
+    h (`sqrt_mod_p`); sqrt_top = 2^(r-1), the log bit that tells a root
+    from its negative; odd_tables, the powers of a's odd part
+    (`_odd_power_tables`); and variants.  ValueError unless p is an odd
+    prime and `check_generator` accepts a against factors_of_order, else
+    against `prime_factors(p - 1)`, whose refusal names factors_of_order.
+    The factors are not stored, so a group is equal however it was built.
     """
 
     _fields = ("p", "a", "r", "s", "c")
@@ -306,17 +280,14 @@ def sylow_log(x: int, params: PrimeGroupParams) -> int:
 def sqrt_mod_p(x: int, params: PrimeGroupParams,
                e: int | None = None) -> tuple[int, int, int] | None:
     """Both square roots of x as (min, max, e_min), or None if x is a
-    non-residue; e_min is min's 2-Sylow log: min^s = c^e_min.
+    non-residue; e_min is min's 2-Sylow log, and max's is e_min ^
+    params.sqrt_top, since -1 = c^(2^(r-1)).
 
-    max's log is e_min ^ 2^(r-1), and a root is a square iff its log is
-    even.  x is reduced mod p only when it lies outside [1, p).  e is x's
-    own log (x^s = c^e, 0 <= e < 2^r; ValueError outside that range),
-    asked of `sylow_log` when not given: an odd e returns None, and an
-    even e = 2h gives the root R = x^((s+1)/2) * c^(-h), one entry of
-    params.sqrt_tables per 11-bit window of h, as `gf_sqrt` reads its
-    tables, checked by R^2 = x (ValueError naming e if not: a wrong e
-    never yields a non-root).  R^s = c^h and (-R)^s = c^(h + 2^(r-1)), since
-    (-1)^s = -1 = c^(2^(r-1)), so the log of -R is h ^ params.sqrt_top.
+    e is x's own log, x^s = c^e with 0 <= e < 2^r (ValueError outside),
+    asked of `sylow_log` when not given; an odd e returns None.  For e = 2h
+    the root is x^((s+1)/2) * c^(-h), read from params.sqrt_tables and
+    checked: ValueError naming e when its square is not x.  x is reduced
+    mod p only when it lies outside [1, p).
     """
     p = params.p
     if not 0 < x < p:
@@ -352,12 +323,9 @@ _ODD_WINDOW_MASK = (1 << _ODD_WINDOW_BITS) - 1
 
 
 def _odd_power_tables(x: int, params: PrimeGroupParams):
-    """x'^b for b < s, with x' = x^(2^r * w) and w = 2^(-r) mod s: x's
-    projection on the odd-order subgroup, since 2^r * w is 1 mod s and 0
-    mod 2^r (the odd part of Pohlig-Hellman, 1978).  One table per 8-bit
-    window of b, from the squares x'^(2^j) (fixed-base windows as in
-    Brickell, Gordon, McCurley and Wilson, EUROCRYPT 1992): x'^b is the
-    product of entry b_i of table i over b's windows b_i."""
+    """x'^b for b < s, one table per 8-bit window of b, where x' =
+    x^(2^r * w), w = 2^-r mod s, is x's projection on the odd-order
+    subgroup: 2^r * w is 1 mod s and 0 mod 2^r (Pohlig-Hellman, 1978)."""
     p, s = params.p, params.s
     square = pow(x, pow(2, -params.r, s) << params.r, p)
     squares = []

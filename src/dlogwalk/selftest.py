@@ -2,9 +2,7 @@
 
 Each case pins the full walk: every intermediate value, branch, root pair,
 random decision and symbolic exponent, plus the final congruence and
-answer.  Every case walks with its group's own Table I, g^(2^j) for j < 7,
-the bit length of each order (102, 100 and 127).  These runs double as an
-end-to-end smoke test for the CLI (`dlogwalk selftest`).
+answer, with its group's own Table I (g^(2^j) for j < 7).
 """
 
 from typing import NamedTuple

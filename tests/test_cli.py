@@ -507,15 +507,21 @@ def test_bench_unwritable_path(tmp_path, capsys, monkeypatch):
 
 
 def test_bench_refuses_a_variant_before_opening_output(tmp_path, capsys):
-    # 3 | 1008, so collatz does not run on 1009: refused by the walk's own
-    # check, before the output check would create the file
     csv_path = tmp_path / "newout.csv"
-    with pytest.raises(SystemExit) as info:
-        main(["bench", "--p", "1009", "--gen", "11", "--variant", "collatz",
-              "--trials", "3", "--seed", "0", "--csv", str(csv_path)])
-    assert info.value.code == 2
-    assert "does not run on 1009" in capsys.readouterr().err
-    assert not csv_path.exists()
+    for flags, message in [
+        # 3 | 1008, so collatz does not run on 1009: refused by the walk's
+        # own check, before the output check
+        (["--p", "1009", "--gen", "11", "--variant", "collatz",
+          "--trials", "3"], "does not run on 1009"),
+        # refused by run_trials, after the output check
+        (["--p", "103", "--gen", "5", "--trials", "0"],
+         "trial_count must be >= 1"),
+    ]:
+        with pytest.raises(SystemExit) as info:
+            main(["bench", *flags, "--seed", "0", "--csv", str(csv_path)])
+        assert info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not csv_path.exists()
 
 
 def test_bench_gf2m(capsys, tmp_path):
