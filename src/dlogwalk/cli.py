@@ -14,7 +14,7 @@ from .linexpr import LinExpr
 from .oracles import bsgs_dlog
 from .primefield import PrimeGroupParams
 from .walk import (VARIANTS, DecisionsExhaustedError, WalkConfig,
-                   WalkInvariantError, check_variant, run_dlog)
+                   WalkInvariantError, run_dlog)
 
 
 def _parse_bits(text: str) -> list[int]:
@@ -65,11 +65,11 @@ def _target(args, params) -> int:
 
 
 def _walk_config(args, params) -> WalkConfig:
-    """The WalkConfig of every parsed flag whose dest is one of its fields,
-    for a variant the group runs: refused here, before bench opens a file."""
+    """The WalkConfig of every parsed flag whose dest is one of its fields;
+    --variant defaults to the group's first, and the walk refuses one the
+    group does not run."""
     options = {k: v for k, v in vars(args).items() if k in WalkConfig._fields}
     options.setdefault("variant", params.variants[0])
-    check_variant(params, options["variant"])
     return WalkConfig(**options)
 
 
@@ -118,25 +118,24 @@ def cmd_bench(args) -> int:
 
     params = _params(args)
     config = _walk_config(args, params)
-    try:  # refused before the first trial, leaving every file as it was
+    if args.csv and args.json and (os.path.realpath(args.csv)
+                                   == os.path.realpath(args.json)):
+        raise ValueError("--csv and --json name the same file")
+    try:  # an unwritable path is refused before the first trial
         for path in filter(None, (args.csv, args.json)):
             made = not os.path.exists(path)
             open(path, "a").close()
-            if made:
+            if made:  # so a refused run leaves every file as it was
                 os.remove(path)
-    except OSError as exc:
-        raise ValueError(f"cannot write output: {exc}") from None
-    records = bench.run_trials(params, config, args.trials, args.seed_base,
-                               timing=args.timing)
-    stats = bench.summarize(records, params.order)
-    try:
+        records = bench.run_trials(params, config, args.trials,
+                                   args.seed_base, timing=args.timing)
+        stats = bench.summarize(records, params.order)
         if args.csv:
             bench.write_csv(records, args.csv)
         if args.json:
             bench.write_json(stats, args.json)
     except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot write output: {exc}") from None
     print(f"trials={stats.trials} success_rate={stats.success_rate:.3f}"
           f" mean_steps={stats.mean_steps:.2f}"
           f" mean/sqrt(N)={stats.ratio_mean_to_sqrt_order:.3f}")

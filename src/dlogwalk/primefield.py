@@ -4,8 +4,9 @@ generator check, and square roots through the 2-Sylow log.
 A value's log e in the 2-Sylow subgroup <c>, x^s = c^e, is what a prime
 walk carries from step to step (README's "The 2-Sylow log"): `sylow_log`
 searches for it, and `sqrt_mod_p` takes it and returns each root's.  The
-root tables here are built by gf2m's `_linear_tables`, with a product mod
-p in place of xor; gf2m's module docstring tells how they are read.
+root tables and the odd parts' powers are one base's `_power_tables`:
+gf2m's `_linear_tables` of its repeated squares, with a product mod p in
+place of xor; gf2m's module docstring tells how they are read.
 """
 
 import math
@@ -155,12 +156,13 @@ class PrimeGroupParams(Record):
     p - 1 = 2^r * s with s odd, and c = a^s has order 2^r.  Derived from
     p and a once, and not compared by ==: sqrt_exp = (s + 1)/2, which is
     also 2^-1 mod s; sqrt_tables, c^(-h) per 11-bit window of a half log
-    h (`sqrt_mod_p`); sqrt_top = 2^(r-1), the log bit that tells a root
-    from its negative; odd_tables, the powers of a's odd part
-    (`_odd_power_tables`); and variants.  ValueError unless p is an odd
-    prime and `check_generator` accepts a against factors_of_order, else
-    against `prime_factors(p - 1)`, whose refusal names factors_of_order.
-    The factors are not stored, so a group is equal however it was built.
+    h (`sqrt_mod_p`), the `_power_tables` of c^-1; sqrt_top = 2^(r-1),
+    the log bit that tells a root from its negative; odd_tables, the
+    powers of a's odd part (`_odd_power_tables`); and variants.
+    ValueError unless p is an odd prime and `check_generator` accepts a
+    against factors_of_order, else against `prime_factors(p - 1)`, whose
+    refusal names factors_of_order.  The factors are not stored, so a
+    group is equal however it was built.
     """
 
     _fields = ("p", "a", "r", "s", "c")
@@ -188,9 +190,8 @@ class PrimeGroupParams(Record):
                 raise ValueError(f"{exc}; give factors_of_order") from None
         check_generator(self, factors_of_order)
         self.sqrt_exp = (s + 1) // 2
-        self.sqrt_tables = _linear_tables(  # bit j of h maps to c^(-2^j)
-            [pow(self.c, -(1 << j), p) for j in range(r - 1)],
-            lambda table, v: [u * v % p for u in table], 1)
+        self.sqrt_tables = _power_tables(pow(self.c, -1, p), r - 1, p,
+                                         _MAX_WINDOW_BITS)
         self.sqrt_top = 1 << (r - 1)
         self.odd_tables = _odd_power_tables(a, self)
         # cubing, the 3x+1 step, is a bijection of the group only when
@@ -322,15 +323,21 @@ _ODD_WINDOW_BITS = 8
 _ODD_WINDOW_MASK = (1 << _ODD_WINDOW_BITS) - 1
 
 
+def _power_tables(x: int, count: int, p: int, bits: int):
+    """x^b mod p for b < 2^count, one table per window of `bits` bits of
+    b: `_linear_tables` of the repeated squares x^(2^j), j < count."""
+    squares = []
+    for _ in range(count):
+        squares.append(x)
+        x = x * x % p
+    return _linear_tables(squares, lambda table, v: [u * v % p for u in table],
+                          1, bits)
+
+
 def _odd_power_tables(x: int, params: PrimeGroupParams):
     """x'^b for b < s, one table per 8-bit window of b, where x' =
     x^(2^r * w), w = 2^-r mod s, is x's projection on the odd-order
     subgroup: 2^r * w is 1 mod s and 0 mod 2^r (Pohlig-Hellman, 1978)."""
     p, s = params.p, params.s
-    square = pow(x, pow(2, -params.r, s) << params.r, p)
-    squares = []
-    for _ in range(s.bit_length()):
-        squares.append(square)
-        square = square * square % p
-    return _linear_tables(squares, lambda table, v: [u * v % p for u in table],
-                          1, _ODD_WINDOW_BITS)
+    return _power_tables(pow(x, pow(2, -params.r, s) << params.r, p),
+                         s.bit_length(), p, _ODD_WINDOW_BITS)

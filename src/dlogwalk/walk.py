@@ -42,15 +42,6 @@ class UnsupportedGroupError(ValueError):
     """A variant the group does not run (e.g. 3x+1 when 3 | p-1)."""
 
 
-def check_variant(params, variant: str) -> None:
-    """UnsupportedGroupError unless the group runs the variant: the one
-    copy of that decision, for the walk and for the CLI."""
-    if variant not in params.variants:
-        raise UnsupportedGroupError(
-            f"variant {variant!r} does not run on {params};"
-            f" it runs {', '.join(params.variants)}")
-
-
 def _check_count(name: str, value, least: int):
     """ValueError unless a budget is an int of at least `least`: a counter
     would step past a fraction, and True would pass as 1."""
@@ -163,14 +154,20 @@ class _Walk:
         self.config = config
         self.order = params.order
 
-        check_variant(params, config.variant)
+        if config.variant not in params.variants:
+            raise UnsupportedGroupError(
+                f"variant {config.variant!r} does not run on {params};"
+                f" it runs {', '.join(params.variants)}")
         self.target = params.element(target)
-        # the prime fallback step: divide by a (inverse), or cube when None
-        self.inv_a = None
-        if config.variant == "inverse":
-            self.inv_a = pow(params.a, -1, params.p)
-        if config.variant != "char2":  # the walk's only search for a log
-            self.e_target = sylow_log(self.target, params)
+        if table is None:
+            table = build_table_one(params)
+        # the history, README's "The history": Table I first
+        self.seen = {v: (0, k % self.order, 0) for v, k in table.items()}
+        if config.variant != "char2":
+            # the prime fallback step: divide by a (inverse), or cube when None
+            self.inv_a = (pow(params.a, -1, params.p)
+                          if config.variant == "inverse" else None)
+            self.e_target = sylow_log(self.target, params)  # the only search
             # T''s and G''s tables of each window, paired, padded with (1,)
             # tables to the three pairs the odd-part root reads at once
             pairs = list(zip(_odd_power_tables(self.target, params),
@@ -180,20 +177,15 @@ class _Walk:
             self.odd_tail = tuple(
                 (i * _ODD_WINDOW_BITS, t_table, g_table)
                 for i, (t_table, g_table) in enumerate(pairs[3:], 3))
-        if table is None:
-            table = build_table_one(params)
+            # each Table I entry under its ± class's key
+            self.seen = dict(self._entry(v, expr)
+                             for v, expr in self.seen.items())
         self.max_steps = config.max_steps or default_max_steps(self.order)
         self.rng = random.Random(config.seed if config.seed is not None else 0)
         if config.choices is not None:
             self.next_bit = _scripted_bits(config.choices)
         else:
             self.next_bit = self.rng.getrandbits
-
-        # the history, README's "The history": Table I first
-        self.seen = {v: (0, k % self.order, 0) for v, k in table.items()}
-        if config.variant != "char2":  # each under its ± class's key
-            self.seen = dict(self._entry(v, expr)
-                             for v, expr in self.seen.items())
         self.steps_taken = 0
         self.restarts = 0
         self.collisions_tested = 0

@@ -509,8 +509,8 @@ def test_bench_unwritable_path(tmp_path, capsys, monkeypatch):
 def test_bench_refuses_a_variant_before_opening_output(tmp_path, capsys):
     csv_path = tmp_path / "newout.csv"
     for flags, message in [
-        # 3 | 1008, so collatz does not run on 1009: refused by the walk's
-        # own check, before the output check
+        # 3 | 1008, so collatz does not run on 1009: refused by the walk,
+        # after the output check
         (["--p", "1009", "--gen", "11", "--variant", "collatz",
           "--trials", "3"], "does not run on 1009"),
         # refused by run_trials, after the output check
@@ -522,6 +522,40 @@ def test_bench_refuses_a_variant_before_opening_output(tmp_path, capsys):
         assert info.value.code == 2
         assert message in capsys.readouterr().err
         assert not csv_path.exists()
+
+
+def test_bench_write_error_after_the_trials(tmp_path, capsys, monkeypatch):
+    import dlogwalk.bench as bench_mod
+
+    def full(stats, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(bench_mod, "write_json", full)
+    csv_path = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["bench", "--p", "103", "--gen", "5", "--trials", "2",
+              "--seed", "0", "--csv", str(csv_path),
+              "--json", str(tmp_path / "out.json")])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "dlogwalk: error: cannot write output: " in err
+    assert "Traceback" not in err
+    assert len(csv_path.read_text().splitlines()) == 3
+
+
+def test_bench_refuses_one_path_for_csv_and_json(tmp_path, capsys,
+                                                 monkeypatch):
+    import dlogwalk.bench as bench_mod
+    monkeypatch.setattr(bench_mod, "run_trials", None)  # no trial may run
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for csv_name, json_name in [("out", "out"), ("out", "sub/../out")]:
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--p", "103", "--gen", "5", "--trials", "2",
+                  "--seed", "0", "--csv", csv_name, "--json", json_name])
+        assert info.value.code == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_bench_gf2m(capsys, tmp_path):

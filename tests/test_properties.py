@@ -146,7 +146,7 @@ def test_table_square_and_pow_match_gf_mul(m, low, u, e):
 
 @pytest.mark.parametrize("p,a,r", [
     (103, 5, 1), (101, 2, 2), (97, 5, 5), (257, 3, 8), (12289, 11, 12),
-    (7340033, 3, 20),
+    (7340033, 3, 20), (2013265921, 31, 27),
 ])
 def test_c_powers_are_repeated_squares_of_c(p, a, r):
     # every entry of the square-root window tables, against pow(c, ., p)
@@ -169,6 +169,8 @@ def test_c_powers_are_repeated_squares_of_c(p, a, r):
             assert entry == pow(c, -(b << 11 * i), p), (i, b)
     if r == 20:
         assert [len(table) for table in tables] == [2048, 256]
+    if r == 27:  # the one shape with a third window
+        assert [len(table) for table in tables] == [2048, 2048, 16]
 
 
 EXPRS = st.builds(LinExpr, st.integers(-50, 50), st.integers(-300, 300),
